@@ -25,10 +25,10 @@ from typing import Optional
 import numpy as np
 
 from . import numkernel as nk
-from .connection import torsion_components
+from .connection import jet_torsion
 from .errors import InconsistentVerdicts
-from .geometry import NavigationData, wind_covariant_jacobian
-from .sprays import ComparisonReport, _rs_arrays, compare_sprays
+from .geometry import FieldJet, NavigationData, fiber_directions, field_jet
+from .sprays import ComparisonReport, jet_compare_sprays, rs_split
 
 
 @dataclass
@@ -52,53 +52,44 @@ def _default_grid(nav: NavigationData, grid, per_axis: int) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
+def _grid_jet(nav: NavigationData, grid, per_axis: int) -> FieldJet:
+    """The jet over the grid, with a fiber axis of length one."""
+    return field_jet(nav, _default_grid(nav, grid, per_axis)[:, None, :])
+
+
 def _fiber_directions(nav: NavigationData, n_dirs: int) -> np.ndarray:
-    if nav.dim == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    rng = np.random.default_rng(11)
-    dirs = rng.normal(size=(n_dirs, nav.dim))
-    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    # torsion is 0-homogeneous in the fiber, so the directions need no
+    # normalization
+    return fiber_directions(nav.dim, n_dirs, np.random.default_rng(11))
 
 
-def wind_parallel_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                       per_axis: int = 20) -> Verdict:
-    """Sup of |entries| of the covariant wind derivative over the grid."""
-    grid = _default_grid(nav, grid, per_axis)
-    m = wind_covariant_jacobian(nav, grid)
-    resid = float(np.abs(m).max())
+# Each verdict reads a jet, so that classification_report evaluates the
+# fields once for all of them.
+
+def _wind_parallel(jet: FieldJet, tol: float) -> Verdict:
+    """Sup of |entries| of the covariant wind derivative."""
+    resid = float(np.abs(jet.M).max())
     return Verdict("wind_parallel", resid < tol, resid, tol)
 
 
-def torsion_vanishing_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                           per_axis: int = 20, n_dirs: int = 8) -> Verdict:
-    """Sup of |torsion components| over grid points and fiber directions."""
-    grid = _default_grid(nav, grid, per_axis)
-    dirs = _fiber_directions(nav, n_dirs)
-    xs = np.broadcast_to(grid[:, None, :], grid.shape[:1] + dirs.shape)
-    ys = np.broadcast_to(dirs[None, :, :], xs.shape)
-    t = torsion_components(nav, xs, ys)
-    resid = float(np.abs(t).max())
+def _torsion_vanishes(jet: FieldJet, dirs: np.ndarray, tol: float) -> Verdict:
+    """Sup of |torsion components| over the points and fiber directions."""
+    resid = float(np.abs(jet_torsion(jet, dirs)).max())
     return Verdict("torsion_vanishes", resid < tol, resid, tol)
 
 
-def wagner_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                per_axis: int = 20) -> Verdict:
-    """Spread (max - min) of the h-length of the wind over the grid."""
-    grid = _default_grid(nav, grid, per_axis)
-    norms = nav.wind_norm(grid)
+def _wagner(norms: np.ndarray, tol: float) -> Verdict:
+    """Spread (max - min) of the h-length of the wind."""
     resid = float(norms.max() - norms.min())
     return Verdict("wagner", resid < tol, resid, tol,
                    detail={"norm_min": norms.min(), "norm_max": norms.max()})
 
 
-def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                     per_axis: int = 20) -> Verdict:
+def _concircular(jet: FieldJet, tol: float) -> Verdict:
     """Fit of the covariant wind derivative to a pointwise multiple of the
     identity; the factor estimate is trace/n, exact inside the class."""
-    grid = _default_grid(nav, grid, per_axis)
-    m = wind_covariant_jacobian(nav, grid)
-    n = nav.dim
+    m = jet.M
+    n = m.shape[-1]
     phi = np.einsum("...kk->...", m) / n
     dev = m - phi[..., None, None] * np.eye(n)
     resid = float(np.abs(dev).max())
@@ -107,18 +98,29 @@ def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
                            "phi_mean": phi.mean()})
 
 
-def isotropic_s_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                     per_axis: int = 20) -> Verdict:
+def _isotropic_s(jet: FieldJet, tol: float) -> Verdict:
     """Fit of the symmetric lowered wind derivative to a pointwise multiple
     of the metric."""
-    grid = _default_grid(nav, grid, per_axis)
-    h, hinv, _, _, r, _ = _rs_arrays(nav, grid)
-    phi = np.einsum("...ij,...ij->...", hinv, r) / nav.dim
-    dev = r - phi[..., None, None] * h
+    r, _ = rs_split(jet)
+    phi = np.einsum("...ij,...ij->...", jet.hinv, r) / r.shape[-1]
+    dev = r - phi[..., None, None] * jet.h
     resid = float(np.abs(dev).max())
     return Verdict("isotropic_S", resid < tol, resid, tol,
                    detail={"phi_min": phi.min(), "phi_max": phi.max(),
                            "phi_mean": phi.mean()})
+
+
+def torsion_vanishing_test(nav: NavigationData, grid=None, tol: float = 1e-8,
+                           per_axis: int = 20, n_dirs: int = 8) -> Verdict:
+    """Sup of |torsion components| over grid points and fiber directions."""
+    return _torsion_vanishes(_grid_jet(nav, grid, per_axis),
+                             _fiber_directions(nav, n_dirs), tol)
+
+
+def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
+                     per_axis: int = 20) -> Verdict:
+    """Concircularity verdict over the grid; see _concircular."""
+    return _concircular(_grid_jet(nav, grid, per_axis), tol)
 
 
 def wind_integral_curve(nav: NavigationData, x0, time_span: float,
@@ -207,13 +209,14 @@ def classification_report(nav: NavigationData, grid=None, per_axis: int = 20,
     """Run every class test plus the spray comparison and cross-check the
     equivalences the tests are supposed to observe."""
     grid = _default_grid(nav, grid, per_axis)
-    wp = wind_parallel_test(nav, grid, tol)
-    tv = torsion_vanishing_test(nav, grid, tol, n_dirs=n_dirs)
-    wg = wagner_test(nav, grid, tol)
-    cc = concircular_test(nav, grid, tol)
-    iso = isotropic_s_test(nav, grid, tol)
+    jet = field_jet(nav, grid[:, None, :])
+    wp = _wind_parallel(jet, tol)
+    tv = _torsion_vanishes(jet, _fiber_directions(nav, n_dirs), tol)
+    wg = _wagner(np.sqrt(np.einsum("...i,...i->...", jet.W, jet.hW)), tol)
+    cc = _concircular(jet, tol)
+    iso = _isotropic_s(jet, tol)
     if comparison is None:
-        comparison = compare_sprays(nav, points=grid)
+        comparison = jet_compare_sprays(jet, grid)
     bw = Verdict("berwald", wp.passed, wp.residual, wp.tol,
                  detail=dict(wp.detail))
 

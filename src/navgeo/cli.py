@@ -1,18 +1,18 @@
 """Command-line surface: CSV trajectories and JSON reports.
 
-Every run is deterministic for fixed flags: grids and probe sets derive
-from --seed (default 42), CSV numbers carry 17 significant digits, and JSON
-keys are sorted. Exit codes: 0 success, 1 computation error, 2 usage error
-(including an unknown scenario name). NAVGEO_THREADS caps the worker count
-used for sample sweeps (default 1).
+Every run is deterministic for fixed flags: grids are fixed by --per-axis,
+the rank survey and the holonomy probe directions (in dimensions 3 and 4)
+derive from --seed (default 42), CSV numbers carry 17 significant digits,
+and JSON keys are sorted. Exit codes: 0 success, 1 computation error, 2
+usage error (including an unknown scenario name or an out-of-range flag).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .connection import torsion
 from .errors import NavGeoError, UnknownScenario
 from .exprlang import split_components
 from .geometry import TangentSample, indicatrix_points, validate
-from .holonomy import (HolonomyElement, holonomy_distribution_rank,
+from .holonomy import (distribution_rank_survey, holonomy_distribution_rank,
                        loop_holonomy, riemann_holonomy_matrix)
 from .scenarios import Scenario, builtin, builtin_names, load_scenario
 from .sprays import (geodesic_csv, integrate_geodesic, natural_spray_field,
@@ -31,13 +31,19 @@ from .transport import (AnalyticCurve, natural_transport, riemann_transport,
                         trajectory_csv)
 
 
-def worker_count() -> int:
-    """Worker cap from NAVGEO_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("NAVGEO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _number(kind, low, high=sys.float_info.max):
+    """argparse type: a `kind` (int or float) value v with low < v <= high."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low < value <= high:  # also rejects nan and inf
+            most = f" and <= {high:g}" if high < sys.float_info.max else ""
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} > {low:g}{most}, got {text!r}")
+        return value
+    return parse
 
 
 def _vector(text: str) -> np.ndarray:
@@ -63,10 +69,27 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                    help="built-in scenario name (see list-scenarios)")
 
 
+# inline inputs that must have one component per scenario dimension
+_INLINE_FLAGS = {"--from": "from_point", "--dir": "direction", "--at": "at",
+                 "--vector": "vector", "--curve": "curve", "--loop": "loop"}
+
+
 def _load(args) -> Scenario:
     if args.builtin is not None:
-        return builtin(args.builtin)
-    return load_scenario(args.scenario)
+        scenario = builtin(args.builtin)
+    else:
+        scenario = load_scenario(args.scenario)
+    for flag, attr in _INLINE_FLAGS.items():
+        value = getattr(args, attr, None)
+        size = getattr(value, "dim", None) or np.size(value)
+        if value is not None and size != scenario.dim:
+            raise NavGeoError(f"{flag} has {size} components but the "
+                              f"scenario has dimension {scenario.dim}")
+    for flag in ("--from", "--at"):
+        point = getattr(args, _INLINE_FLAGS[flag], None)
+        if point is not None and not scenario.nav.chart.contains(point):
+            raise NavGeoError(f"{flag} {point.tolist()} lies outside the chart")
+    return scenario
 
 
 def _out_stream(args):
@@ -103,9 +126,7 @@ def _cmd_validate(args) -> int:
     if args.builtin is not None:
         scenario = builtin(args.builtin)
     else:
-        from .scenarios import scenario_from_dict
-        with open(args.scenario) as fh:
-            scenario = scenario_from_dict(json.load(fh), validate_nav=False)
+        scenario = load_scenario(args.scenario, validate_nav=False)
     report = validate(scenario.nav, n_points=args.points)
     _emit_json(args, {"scenario": scenario.name, **report.as_dict()})
     return 0 if report.passed else 1
@@ -177,21 +198,8 @@ def _cmd_rank(args) -> int:
             nav, TangentSample(args.at, args.direction), depth=args.depth)
         _emit_json(args, {"scenario": scenario.name, **report.as_dict()})
         return 0
-    rng = np.random.default_rng(args.seed)
-    xs = nav.chart.sample_interior(args.samples, margin=0.1)
-    dirs = rng.normal(size=(args.samples, nav.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    samples = [TangentSample(x, d) for x, d in zip(xs, dirs)]
-
-    def rank_one(s):
-        return holonomy_distribution_rank(nav, s, depth=args.depth)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(rank_one, samples))
-    else:
-        reports = [rank_one(s) for s in samples]
+    reports = distribution_rank_survey(nav, args.samples, depth=args.depth,
+                                       rng=np.random.default_rng(args.seed))
     _emit_json(args, {
         "scenario": scenario.name,
         "depth": args.depth,
@@ -257,10 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def accept_negative_values(p):
+        # Let vector and curve values such as "--from -0.2,0.1" or
+        # "--curve -0.2+0.5*t,0.1" start with a minus sign: a token that
+        # starts "-<digit>" or "-.<digit>" is taken as a value, never as an
+        # option (no option string here looks like that).
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    accept_negative_values(parser)
+
     def common(p, scenario=True):
+        accept_negative_values(p)
         if scenario:
             _add_scenario_flags(p)
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--seed", type=_number(int, -1), default=42,
                        help="seed for sampled grids/probes (default 42)")
         p.add_argument("--out", metavar="PATH",
                        help="write output here instead of standard output")
@@ -268,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check positivity and the wind "
                        "bound on a domain sample")
     common(p)
-    p.add_argument("--points", type=int, default=10_000,
+    p.add_argument("--points", type=_number(int, 0), default=10_000,
                    help="number of interior sample points (default 10000)")
     p.set_defaults(fn=_cmd_validate)
 
@@ -292,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="definitional",
                    help="natural-mode integration route (default "
                         "definitional)")
-    p.add_argument("--dt", type=float, default=1e-3,
-                   help="parameter step (default 1e-3)")
+    p.add_argument("--dt", type=_number(float, 0, 1), default=1e-3,
+                   help="parameter step in (0, 1] (default 1e-3)")
     p.set_defaults(fn=_cmd_transport)
 
     p = sub.add_parser(
@@ -309,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start point, comma-separated reals")
     p.add_argument("--dir", dest="direction", type=_vector, required=True,
                    help="start velocity, comma-separated reals")
-    p.add_argument("--time", type=float, default=1.0,
+    p.add_argument("--time", type=_number(float, 0), default=1.0,
                    help="parameter span (default 1.0)")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_number(float, 0), default=1e-3)
     p.set_defaults(fn=_cmd_geodesic)
 
     p = sub.add_parser(
@@ -326,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment loop index when --loop is omitted")
     p.add_argument("--mode", choices=("natural", "riemann"),
                    default="natural")
-    p.add_argument("--probes", type=int, default=24)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--probes", type=_number(int, 0), default=24)
+    p.add_argument("--dt", type=_number(float, 0, 1), default=1e-3,
+                   help="parameter step in (0, 1] (default 1e-3)")
     p.set_defaults(fn=_cmd_holonomy)
 
     p = sub.add_parser(
@@ -340,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_vector, help="base point")
     p.add_argument("--dir", dest="direction", type=_vector,
                    help="fiber direction (nonzero)")
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_number(int, 0), default=3,
                    help="bracket depth (default 3)")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_number(int, 0), default=20,
                    help="survey size when no --at given (default 20)")
     p.set_defaults(fn=_cmd_rank)
 
@@ -355,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--at", type=_vector)
     p.add_argument("--dir", dest="direction", type=_vector)
-    p.add_argument("--per-axis", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--per-axis", type=_number(int, 0), default=20)
+    p.add_argument("--tol", type=_number(float, 0), default=1e-8)
     p.set_defaults(fn=_cmd_torsion)
 
     p = sub.add_parser(
         "classify",
         help="special-class verdicts; JSON report, summary on stderr")
     common(p)
-    p.add_argument("--per-axis", type=int, default=20,
+    p.add_argument("--per-axis", type=_number(int, 0), default=20,
                    help="grid resolution per axis (default 20)")
     p.set_defaults(fn=_cmd_classify)
 
@@ -371,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-sprays",
         help="natural vs variational spray over a grid; JSON report")
     common(p)
-    p.add_argument("--per-axis", type=int, default=20)
-    p.add_argument("--dirs", type=int, default=16,
+    p.add_argument("--per-axis", type=_number(int, 0), default=20)
+    p.add_argument("--dirs", type=_number(int, 0), default=16,
                    help="norm-unit fiber directions per point (default 16)")
     p.set_defaults(fn=_cmd_compare_sprays)
 

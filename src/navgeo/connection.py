@@ -17,9 +17,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import ZeroVector
-from .geometry import (MetricField, NavigationData, TangentSample, VectorField,
-                       christoffel, randers_value, randers_value_and_grad,
-                       wind_covariant_jacobian, _norm_from_parts)
+from .geometry import (FieldJet, MetricField, NavigationData, TangentSample,
+                       VectorField, christoffel, field_jet, _norm_from_parts)
 
 
 @dataclass(frozen=True)
@@ -39,17 +38,65 @@ class TorsionEval:
 
 
 # ---------------------------------------------------------------------------
-# vectorized cores
+# coefficients on a field jet (fiber axes broadcast against the jet's)
+
+
+def jet_gamma(jet: FieldJet, y) -> np.ndarray:
+    """Gamma[..., k, i] = A^k_is y^s - F M^k_i (zero fibers allowed, where
+    the value is zero by homogeneity)."""
+    y = np.asarray(y, dtype=float)
+    return (np.einsum("...kis,...s->...ki", jet.A, y)
+            - jet.norm(y)[..., None, None] * jet.M)
+
+
+def _gamma_generic(jet: FieldJet, y_comps):
+    """Gamma with the fiber given as a list of generic scalars (floats,
+    arrays, or duals); every contraction is spelled out so dual slots ride
+    through untouched. Returns a nested list [k][i]."""
+    n = len(y_comps)
+    wy = sum(y_comps[i] * jet.hW[..., i] for i in range(n))
+    yy = sum(y_comps[i] * y_comps[j] * jet.h[..., i, j]
+             for i in range(n) for j in range(n))
+    f = _norm_from_parts(wy, yy, jet.lam)
+    return [[sum(jet.A[..., k, i, s] * y_comps[s] for s in range(n))
+             - f * jet.M[..., k, i] for i in range(n)] for k in range(n)]
+
+
+def jet_gamma_fiber_jacobian(jet: FieldJet, y) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma[..., k, i] and dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j) from
+    one dual sweep through the full coefficient evaluation that seeds all n
+    fiber directions at once (no closed-form shortcut)."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    lead = np.broadcast_shapes(jet.lam.shape, y.shape[:-1])
+    seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
+    rows = _gamma_generic(jet, [nk.Dual(y[..., i], seeds[i]) for i in range(n)])
+    gam = np.empty(lead + (n, n))
+    dgam = np.empty((n,) + lead + (n, n))
+    for k in range(n):
+        for i in range(n):
+            gam[..., k, i] = rows[k][i].val
+            dgam[..., k, i] = rows[k][i].dot
+    return gam, np.moveaxis(dgam, 0, -3)
+
+
+def jet_torsion(jet: FieldJet, y) -> np.ndarray:
+    """t[..., k, i, j] = F_{y^j} M^k_i - F_{y^i} M^k_j; see
+    torsion_components."""
+    _, fy = jet.norm_and_grad(y)
+    m = jet.M
+    return (fy[..., None, None, :] * m[..., :, :, None]
+            - fy[..., None, :, None] * m[..., :, None, :])
+
+
+# ---------------------------------------------------------------------------
+# pointwise and batched entry points
 
 
 def gamma_matrix(nav: NavigationData, x, y) -> np.ndarray:
     """Gamma[..., k, i] at a batch of tangent samples (zero fibers allowed,
     where the value is zero by homogeneity)."""
-    a = christoffel(nav.metric, x)
-    m = wind_covariant_jacobian(nav, x)
-    f = randers_value(nav, x, y)
-    ay = np.einsum("...kis,...s->...ki", a, np.asarray(y, dtype=float))
-    return ay - f[..., None, None] * m
+    return jet_gamma(field_jet(nav, x), y)
 
 
 def gamma(nav: NavigationData, s: TangentSample) -> ConnectionEval:
@@ -59,47 +106,10 @@ def gamma(nav: NavigationData, s: TangentSample) -> ConnectionEval:
     return ConnectionEval(s, gamma_matrix(nav, s.x, s.y))
 
 
-def _gamma_generic(a, m, h, w, lam, y_comps):
-    """Gamma with the fiber given as a list of generic scalars (floats,
-    arrays, or duals); every contraction is spelled out so dual slots ride
-    through untouched. Returns a nested list [k][i]."""
-    n = len(y_comps)
-    hw = np.einsum("...ij,...j->...i", h, w)
-    wy = sum(y_comps[i] * hw[..., i] for i in range(n))
-    yy = sum(y_comps[i] * y_comps[j] * h[..., i, j]
-             for i in range(n) for j in range(n))
-    f = _norm_from_parts(wy, yy, lam)
-    out = []
-    for k in range(n):
-        row = []
-        for i in range(n):
-            ay = sum(a[..., k, i, s] * y_comps[s] for s in range(n))
-            row.append(ay - f * m[..., k, i])
-        out.append(row)
-    return out
-
-
 def gamma_fiber_jacobian(nav: NavigationData, x, y) -> np.ndarray:
-    """dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j), by pushing a dual number
+    """dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j), by pushing dual numbers
     through the full coefficient evaluation (no closed-form shortcut)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = christoffel(nav.metric, x)
-    m = wind_covariant_jacobian(nav, x)
-    h = nav.metric.value(x)
-    w = nav.wind.value(x)
-    lam = 1.0 - np.einsum("...ij,...i,...j->...", h, w, w)
-    n = nav.dim
-    lead = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    out = np.empty(lead + (n, n, n))
-    for j in range(n):
-        y_dual = [nk.Dual(y[..., i] + np.zeros(lead),
-                          1.0 if i == j else 0.0) for i in range(n)]
-        rows = _gamma_generic(a, m, h, w, lam, y_dual)
-        for k in range(n):
-            for i in range(n):
-                out[..., j, k, i] = rows[k][i].dot
-    return out
+    return jet_gamma_fiber_jacobian(field_jet(nav, x), y)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +124,7 @@ def torsion_components(nav: NavigationData, x, y) -> np.ndarray:
     (nabla the metric's covariant derivative). Antisymmetric in (i, j) and
     identically zero exactly when the wind is parallel.
     """
-    _, fy = randers_value_and_grad(nav, x, y)
-    m = wind_covariant_jacobian(nav, x)
-    # t[..., k, i, j] = fy_j m_ki - fy_i m_kj
-    return (fy[..., None, None, :] * m[..., :, :, None]
-            - fy[..., None, :, None] * m[..., :, None, :])
+    return jet_torsion(field_jet(nav, x), y)
 
 
 def torsion_from_duals(nav: NavigationData, x, y) -> np.ndarray:
@@ -161,16 +167,18 @@ def riemann_horizontal_lift(metric: MetricField, s: TangentSample, vec) -> np.nd
 # covariant derivatives of vector fields
 
 
+def _levi_civita_derivative(a, xv, yv, jy) -> np.ndarray:
+    """X^i (dY^k/dx^i + A^k_is Y^s) from the values of X, Y and dY."""
+    return np.einsum("...ki,...i->...k", jy, xv) \
+        + np.einsum("...kis,...s,...i->...k", a, yv, xv)
+
+
 def riemann_covariant_derivative(metric: MetricField, xfield: VectorField,
                                  yfield: VectorField, x) -> np.ndarray:
     """(nabla_X Y)^k = X^i (dY^k/dx^i + A^k_is Y^s) for the metric connection."""
     x = np.asarray(x, dtype=float)
-    a = christoffel(metric, x)
-    xv = xfield.value(x)
-    yv = yfield.value(x)
-    jy = yfield.jacobian(x)
-    return np.einsum("...ki,...i->...k", jy, xv) \
-        + np.einsum("...kis,...s,...i->...k", a, yv, xv)
+    return _levi_civita_derivative(christoffel(metric, x), xfield.value(x),
+                                   *yfield.value_and_jacobian(x))
 
 
 def covariant_derivative(nav: NavigationData, xfield: VectorField,
@@ -182,10 +190,12 @@ def covariant_derivative(nav: NavigationData, xfield: VectorField,
     Well defined also where Y vanishes (F(0) = 0 kills the correction).
     """
     x = np.asarray(x, dtype=float)
-    base = riemann_covariant_derivative(nav.metric, xfield, yfield, x)
-    wind_term = riemann_covariant_derivative(nav.metric, xfield, nav.wind, x)
-    f = randers_value(nav, x, yfield.value(x))
-    return base - f[..., None] * wind_term
+    jet = field_jet(nav, x)
+    xv = xfield.value(x)
+    yv, jy = yfield.value_and_jacobian(x)
+    wind_term = np.einsum("...ki,...i->...k", jet.M, xv)  # nabla^h_X W
+    return (_levi_civita_derivative(jet.A, xv, yv, jy)
+            - jet.norm(yv)[..., None] * wind_term)
 
 
 def covariant_derivative_via_connection(nav: NavigationData, xfield: VectorField,
@@ -194,8 +204,7 @@ def covariant_derivative_via_connection(nav: NavigationData, xfield: VectorField
     X^i (dY^k/dx^i + Gamma^k_i(x, Y)); used as a consistency route."""
     x = np.asarray(x, dtype=float)
     xv = xfield.value(x)
-    yv = yfield.value(x)
-    jy = yfield.jacobian(x)
+    yv, jy = yfield.value_and_jacobian(x)
     g = gamma_matrix(nav, x, yv)
     return np.einsum("...ki,...i->...k", jy, xv) \
         + np.einsum("...ki,...i->...k", g, xv)

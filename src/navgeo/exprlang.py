@@ -5,8 +5,8 @@ Atoms are float literals, coordinates x1..xn, the constants pi and e, the
 single-argument functions sin cos exp log sqrt tanh, and parentheses.
 
 Expressions evaluate over plain floats, numpy arrays (batched points), and
-dual numbers; the same tree serves values and directional derivatives. No
-symbolic rewriting, no code generation: just a recursive walk.
+dual numbers; the same tree serves values and gradients. No symbolic
+rewriting, no code generation: just a recursive walk.
 """
 from __future__ import annotations
 
@@ -70,24 +70,6 @@ class Expression:
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
-
-    @property
-    def free_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        _collect_vars(self.root, out)
-        return frozenset(out)
-
-
-def _collect_vars(node: Node, out: set[int]) -> None:
-    if isinstance(node, Var):
-        out.add(node.index)
-    elif isinstance(node, Neg):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, Binary):
-        _collect_vars(node.lhs, out)
-        _collect_vars(node.rhs, out)
-    elif isinstance(node, Call):
-        _collect_vars(node.arg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +220,19 @@ def split_components(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # evaluation
 
+class _OutOfDomain(Exception):
+    """Raised inside a walk with (message, mask of the offending entries)."""
+
+
 def _apply(fn: str, arg):
     v = nk.value_of(arg)
     if fn == "log":
         if np.any(v <= 0.0):
-            raise DomainError("log of a nonpositive value")
+            raise _OutOfDomain("log of a nonpositive value", v <= 0.0)
         return nk.log(arg)
     if fn == "sqrt":
         if np.any(v < 0.0):
-            raise DomainError("sqrt of a negative value")
+            raise _OutOfDomain("sqrt of a negative value", v < 0.0)
         return nk.sqrt(arg)
     if fn == "sin":
         return nk.sin(arg)
@@ -280,13 +266,36 @@ def _eval(node: Node, coords: tuple):
     return _apply(node.fn, _eval(node.arg, coords))
 
 
-def _finish(raw, lead_shape):
+def _witness(x: np.ndarray, bad) -> str:
+    """The first point of the batch x (..., n) at which `bad` holds."""
+    first = np.argwhere(np.broadcast_to(bad, x.shape[:-1]))[0]
+    return f"point {x[tuple(first)].tolist()}"
+
+
+def _walk(e: Expression, coords: tuple, x: np.ndarray):
+    with np.errstate(all="ignore"):
+        try:
+            return _eval(e.root, coords)
+        except _OutOfDomain as exc:
+            what, bad = exc.args
+            raise DomainError(f"{what} in {e.source!r} at "
+                              f"{_witness(x, bad)}") from None
+
+
+def _finish(e: Expression, x: np.ndarray, raw, shape: tuple):
+    """raw as a float array of the given shape (a float for shape ()),
+    raising NonFiniteValue with the expression and a witness point."""
     out = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteValue("expression evaluated to a non-finite value")
-    if out.shape != lead_shape:
-        out = np.broadcast_to(out, lead_shape).copy()
-    if lead_shape == ():
+    finite = np.isfinite(out)
+    if not np.all(finite):
+        bad = np.broadcast_to(~finite, shape)
+        if len(shape) >= x.ndim:  # a gradient: any bad component
+            bad = bad.any(axis=-1)
+        raise NonFiniteValue(f"expression {e.source!r} evaluated to a "
+                             f"non-finite value at {_witness(x, bad)}")
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    if shape == ():
         return float(out)
     return out
 
@@ -295,23 +304,27 @@ def evaluate(e: Expression, x) -> float | np.ndarray:
     """Evaluate at a point (n,) or a batch of points (..., n)."""
     x = np.asarray(x, dtype=float)
     coords = tuple(x[..., i] for i in range(e.n_vars))
-    with np.errstate(all="ignore"):
-        raw = _eval(e.root, coords)
-    return _finish(raw, x.shape[:-1])
+    return _finish(e, x, _walk(e, coords, x), x.shape[:-1])
 
 
-def evaluate_dual(e: Expression, x, direction) -> tuple:
-    """Value and directional derivative along `direction`, via dual numbers."""
+def evaluate_dual(e: Expression, x) -> tuple:
+    """Value and gradient [..., i] = d/dx^i at a point (n,) or a batch of
+    points (..., n), from one walk of the tree.
+
+    Coordinate i enters as a dual number whose derivative slot is the unit
+    vector e_i held on a *leading* axis (`dot` has shape (n,) + batch), so
+    the dual arithmetic and the elementary functions broadcast unchanged.
+    """
     x = np.asarray(x, dtype=float)
-    d = np.broadcast_to(np.asarray(direction, dtype=float), x.shape)
-    coords = tuple(nk.Dual(x[..., i], d[..., i]) for i in range(e.n_vars))
-    with np.errstate(all="ignore"):
-        raw = _eval(e.root, coords)
+    n = e.n_vars
     lead = x.shape[:-1]
-    if isinstance(raw, nk.Dual):
-        return _finish(raw.val, lead), _finish(raw.dot, lead)
-    # constant tree: dual slots never touched
-    return _finish(raw, lead), _finish(np.zeros(lead), lead)
+    seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
+    coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
+    raw = _walk(e, coords, x)
+    if not isinstance(raw, nk.Dual):  # constant tree: no slot was touched
+        raw = nk.Dual(raw, 0.0)
+    grad = np.moveaxis(np.broadcast_to(raw.dot, (n,) + lead), 0, -1).copy()
+    return _finish(e, x, raw.val, lead), _finish(e, x, grad, lead + (n,))
 
 
 # ---------------------------------------------------------------------------

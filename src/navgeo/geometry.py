@@ -1,8 +1,13 @@
-"""Charts, metric and wind fields, Randers norms, and validation.
+"""Charts, metric and wind fields, field jets, Randers norms, and validation.
 
 Everything here is vectorized over leading batch axes: a point argument may
 be a single (n,) vector or any (..., n) stack, and results keep the leading
 shape. That convention is what makes transports and grid sweeps cheap.
+
+The geometry depends on the base point only through the 1-jet (h, dh, W,
+dW) of the navigation data. `field_jet` evaluates it once per batch of base
+points, and fiber-dependent quantities take `(jet, y)`: a jet built at
+x[..., None, :] broadcasts over a (..., D, n) batch of fiber vectors.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exprlang, numkernel as nk
-from .errors import GradientAtZero
+from .errors import GradientAtZero, NavGeoError
 
 # ---------------------------------------------------------------------------
 # chart domains
@@ -94,7 +99,12 @@ class Chart:
         axes = [np.linspace(lo[i] + pad[i], hi[i] - pad[i], per_axis)
                 for i in range(self.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return mesh[self.contains(mesh, margin)]
+        inside = mesh[self.contains(mesh, margin)]
+        if not len(inside):
+            raise NavGeoError(
+                f"a grid with per_axis={per_axis} (--per-axis) has no point in the "
+                f"{type(self.domain).__name__.lower()} chart within {lo}..{hi}")
+        return inside
 
 
 def _kronecker_alphas(d: int) -> np.ndarray:
@@ -132,23 +142,17 @@ class VectorField:
 
     def jacobian(self, x) -> np.ndarray:
         """J[..., k, i] = d(component k)/d(x^i), via dual evaluation."""
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        out = np.empty(x.shape[:-1] + (n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            for k, comp in enumerate(self.components):
-                _, out[..., k, i] = exprlang.evaluate_dual(comp, x, e)
-        return out
+        return self.value_and_jacobian(x)[1]
 
-    def value_and_derivative(self, x, direction) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Value [..., k] and Jacobian [..., k, i] from one dual walk per
+        component."""
         x = np.asarray(x, dtype=float)
         val = np.empty(x.shape[:-1] + (self.dim,))
-        der = np.empty_like(val)
+        jac = np.empty(x.shape[:-1] + (self.dim, x.shape[-1]))
         for k, comp in enumerate(self.components):
-            val[..., k], der[..., k] = exprlang.evaluate_dual(comp, x, direction)
-        return val, der
+            val[..., k], jac[..., k, :] = exprlang.evaluate_dual(comp, x)
+        return val, jac
 
 
 class MetricField:
@@ -182,27 +186,19 @@ class MetricField:
 
     def derivatives(self, x) -> np.ndarray:
         """dh[..., k, i, j] = d(h_ij)/d(x^k), via dual evaluation."""
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        out = np.empty(x.shape[:-1] + (n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            for i, j, expr in self._pairs():
-                _, d = exprlang.evaluate_dual(expr, x, e)
-                out[..., k, i, j] = d
-                out[..., k, j, i] = d
-        return out
+        return self.value_and_derivatives(x)[1]
 
-    def value_and_derivative(self, x, direction) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """h[..., i, j] and dh[..., k, i, j] = d(h_ij)/d(x^k) from one dual
+        walk per upper-triangle entry."""
         x = np.asarray(x, dtype=float)
         n = self.dim
         val = np.empty(x.shape[:-1] + (n, n))
-        der = np.empty_like(val)
+        der = np.empty(x.shape[:-1] + (n, n, n))
         for i, j, expr in self._pairs():
-            v, d = exprlang.evaluate_dual(expr, x, direction)
+            v, d = exprlang.evaluate_dual(expr, x)
             val[..., i, j] = val[..., j, i] = v
-            der[..., i, j] = der[..., j, i] = d
+            der[..., :, i, j] = der[..., :, j, i] = d
         return val, der
 
 
@@ -241,14 +237,11 @@ class NavigationData:
         return self.wind.value(x)
 
     def wind_norm(self, x) -> np.ndarray:
-        h = self.metric.value(x)
-        w = self.wind.value(x)
-        return np.sqrt(np.einsum("...ij,...i,...j->...", h, w, w))
+        v = field_values(self, x)
+        return np.sqrt(np.einsum("...i,...i->...", v.W, v.hW))
 
     def lambda_value(self, x) -> np.ndarray:
-        h = self.metric.value(x)
-        w = self.wind.value(x)
-        return 1.0 - np.einsum("...ij,...i,...j->...", h, w, w)
+        return field_values(self, x).lam
 
     def inner(self, x, u, v) -> np.ndarray:
         h = self.metric.value(x)
@@ -259,17 +252,10 @@ class NavigationData:
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and wind derivatives
+# Christoffel symbols and the field jet
 
 
-def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Levi-Civita coefficients A[..., k, i, j] of the metric field.
-
-    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j).
-    """
-    h = metric.value(x)
-    hinv = nk.spd_inverse(h)
-    dh = metric.derivatives(x)
+def _levi_civita(hinv: np.ndarray, dh: np.ndarray) -> np.ndarray:
     # T[..., l, i, j] = d_i h_jl + d_j h_il - d_l h_ij
     t = (np.einsum("...ijl->...lij", dh)
          + np.einsum("...jil->...lij", dh)
@@ -277,12 +263,99 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...lij->...kij", hinv, t)
 
 
+def christoffel(metric: MetricField, x) -> np.ndarray:
+    """Levi-Civita coefficients A[..., k, i, j] of the metric field.
+
+    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j).
+    """
+    h, dh = metric.value_and_derivatives(x)
+    return _levi_civita(nk.spd_inverse(h), dh)
+
+
+@dataclass(frozen=True)
+class FieldValues:
+    """h, W, hW = h W and lam = 1 - |W|_h^2 at a batch of base points, with
+    the navigation norm on fiber vectors y that broadcast against them."""
+
+    h: np.ndarray
+    W: np.ndarray
+    hW: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def of(cls, h, w, **derivatives):
+        """Values from h and W; a subclass passes its derivative fields."""
+        hw = np.einsum("...ij,...j->...i", h, w)
+        return cls(h=h, W=w, hW=hw, lam=1.0 - np.einsum("...i,...i->...", w, hw),
+                   **derivatives)
+
+    def norm(self, y) -> np.ndarray:
+        """F(x, y); F(x, 0) = 0."""
+        return _norm(self.h, self.hW, self.lam, y)
+
+    def norm_and_grad(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """F and dF/dy^i from one dual sweep seeding all fiber directions;
+        raises at y = 0."""
+        y = np.asarray(y, dtype=float)
+        if np.any(np.all(y == 0.0, axis=-1)):
+            raise GradientAtZero("norm gradient requested at the zero vector")
+        hy = np.einsum("...ij,...j->...i", self.h, y)
+        wy = nk.Dual(np.einsum("...i,...i->...", y, self.hW),
+                     _slots(self.hW, hy.shape[:-1]))
+        yy = nk.Dual(np.einsum("...i,...i->...", y, hy),
+                     2.0 * _slots(hy, hy.shape[:-1]))
+        f = _norm_from_parts(wy, yy, self.lam)
+        return np.asarray(f.val), np.moveaxis(f.dot, 0, -1)
+
+
+def field_values(nav: NavigationData, x) -> FieldValues:
+    """The values of nav at x (..., n), from value walks only."""
+    return FieldValues.of(nav.metric.value(x), nav.wind.value(x))
+
+
+@dataclass(frozen=True)
+class FieldJet(FieldValues):
+    """The 1-jet of navigation data at a batch of base points: the values
+    plus hinv = h^-1, dh[..., k, i, j] = d_k h_ij, the Levi-Civita symbols
+    A[..., k, i, j], dW[..., k, i] = d_i W^k and the covariant wind
+    derivative M[..., k, i] = (nabla_i W)^k."""
+
+    dh: np.ndarray
+    hinv: np.ndarray
+    A: np.ndarray
+    dW: np.ndarray
+    M: np.ndarray
+
+    def norm_grad_x(self, y) -> np.ndarray:
+        """dF/dx^i at fixed y, from dh and dW in one dual sweep."""
+        y = np.asarray(y, dtype=float)
+        h, w, dh, dw = self.h, self.W, self.dh, self.dW
+        lead = np.broadcast_shapes(self.lam.shape, y.shape[:-1])
+        q = "...kij,...i,...j->...k"  # contracts dh[..., k, i, j] = d_k h_ij
+        lam = nk.Dual(self.lam, -_slots(
+            np.einsum(q, dh, w, w)
+            + 2.0 * np.einsum("...ij,...ik,...j->...k", h, dw, w), lead))
+        wy = nk.Dual(np.einsum("...i,...i->...", y, self.hW), _slots(
+            np.einsum(q, dh, y, w)
+            + np.einsum("...ij,...i,...jk->...k", h, y, dw), lead))
+        yy = nk.Dual(np.einsum("...ij,...i,...j->...", h, y, y),
+                     _slots(np.einsum(q, dh, y, y), lead))
+        return np.moveaxis(_norm_from_parts(wy, yy, lam).dot, 0, -1)
+
+
+def field_jet(nav: NavigationData, x) -> FieldJet:
+    """The jet of nav at x (..., n), from one dual walk per expression."""
+    h, dh = nav.metric.value_and_derivatives(x)
+    hinv = nk.spd_inverse(h)
+    a = _levi_civita(hinv, dh)
+    w, dw = nav.wind.value_and_jacobian(x)
+    return FieldJet.of(h, w, dh=dh, hinv=hinv, A=a, dW=dw,
+                       M=dw + np.einsum("...kis,...s->...ki", a, w))
+
+
 def wind_covariant_jacobian(nav: NavigationData, x) -> np.ndarray:
     """M[..., k, i] = (covariant derivative of the wind along d/dx^i)^k."""
-    a = christoffel(nav.metric, x)
-    w = nav.wind.value(x)
-    jw = nav.wind.jacobian(x)
-    return jw + np.einsum("...kis,...s->...ki", a, w)
+    return field_jet(nav, x).M
 
 
 # ---------------------------------------------------------------------------
@@ -299,62 +372,33 @@ def _norm_from_parts(wy, yy, lam):
     return (nk.sqrt(q) - wy) / lam
 
 
-def _parts(nav: NavigationData, x, y):
-    h = nav.metric.value(x)
-    w = nav.wind.value(x)
-    lam = 1.0 - np.einsum("...ij,...i,...j->...", h, w, w)
-    hy = np.einsum("...ij,...j->...i", h, y)
-    hw = np.einsum("...ij,...j->...i", h, w)
+def _slots(a: np.ndarray, lead: tuple) -> np.ndarray:
+    """Dual derivative slots from a[..., k] = d/d(k): broadcast over the full
+    batch shape `lead` before the k axis moves first, so that a base point
+    without batch axes still pairs with every fiber of a batch."""
+    return np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:]), -1, 0)
+
+
+def _norm(h, hw, lam, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     wy = np.einsum("...i,...i->...", y, hw)
-    yy = np.einsum("...i,...i->...", y, hy)
-    return h, w, lam, hy, hw, wy, yy
+    yy = np.einsum("...ij,...i,...j->...", h, y, y)
+    return np.asarray(_norm_from_parts(wy, yy, lam))
 
 
 def randers_value(nav: NavigationData, x, y) -> np.ndarray:
     """Norm F(x, y) of the navigation data; F(x, 0) = 0."""
-    y = np.asarray(y, dtype=float)
-    _, _, lam, _, _, wy, yy = _parts(nav, x, y)
-    return np.asarray(_norm_from_parts(wy, yy, lam))
+    return field_values(nav, x).norm(y)
 
 
 def randers_value_and_grad(nav: NavigationData, x, y) -> tuple[np.ndarray, np.ndarray]:
     """F and its fiber gradient dF/dy^i; undefined (raises) at y = 0."""
-    y = np.asarray(y, dtype=float)
-    if np.any(np.all(y == 0.0, axis=-1)):
-        raise GradientAtZero("norm gradient requested at the zero vector")
-    h, w, lam, hy, hw, wy, yy = _parts(nav, x, y)
-    n = y.shape[-1]
-    value = np.asarray(_norm_from_parts(wy, yy, lam))
-    grad = np.empty_like(hy)
-    for i in range(n):
-        wy_d = nk.Dual(wy, hw[..., i])
-        yy_d = nk.Dual(yy, 2.0 * hy[..., i])
-        grad[..., i] = _norm_from_parts(wy_d, yy_d, lam).dot
-    return value, grad
+    return field_values(nav, x).norm_and_grad(y)
 
 
 def randers_grad_x(nav: NavigationData, x, y) -> np.ndarray:
     """Base-point gradient dF/dx^i at fixed fiber vector y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape)[:-1] + (n,))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hv, hd = nav.metric.value_and_derivative(x, e)
-        wv, wd = nav.wind.value_and_derivative(x, e)
-        lam = nk.Dual(1.0 - np.einsum("...ij,...i,...j->...", hv, wv, wv),
-                      -(np.einsum("...ij,...i,...j->...", hd, wv, wv)
-                        + 2.0 * np.einsum("...ij,...i,...j->...", hv, wd, wv)))
-        wy = nk.Dual(np.einsum("...ij,...i,...j->...", hv, y, wv),
-                     np.einsum("...ij,...i,...j->...", hd, y, wv)
-                     + np.einsum("...ij,...i,...j->...", hv, y, wd))
-        yy = nk.Dual(np.einsum("...ij,...i,...j->...", hv, y, y),
-                     np.einsum("...ij,...i,...j->...", hd, y, y))
-        f_d = _norm_from_parts(wy, yy, lam)
-        out[..., i] = f_d.dot
-    return out
+    return field_jet(nav, x).norm_grad_x(y)
 
 
 def randers_norm(nav: NavigationData, s: TangentSample, gradient: bool = False):
@@ -372,38 +416,40 @@ def randers_alpha_beta(nav: NavigationData, x) -> tuple[nk.SymMatrix, np.ndarray
     sqrt(alpha(y,y)) + beta(y) reproduces F(x, y).
     """
     x = np.asarray(x, dtype=float)
-    h = nav.metric.value(x)
-    w = nav.wind.value(x)
-    lam = 1.0 - np.einsum("...ij,...i,...j->...", h, w, w)
-    hw = np.einsum("...ij,...j->...i", h, w)
-    beta = -hw / lam[..., None]
-    alpha = h / lam[..., None, None] + beta[..., :, None] * beta[..., None, :]
+    v = field_values(nav, x)
+    beta = -v.hW / v.lam[..., None]
+    alpha = v.h / v.lam[..., None, None] + beta[..., :, None] * beta[..., None, :]
     if x.ndim == 1:
         return nk.SymMatrix(alpha), beta
     return alpha, beta
 
 
-def indicatrix_points(nav: NavigationData, x, count: int = 24,
-                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """F-unit vectors at x: the h-unit sphere translated by the wind.
-
-    In dimension 2 the directions are an even angle grid; otherwise they are
-    drawn from rng (seeded by the caller) and h-normalized.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("indicatrix_points expects a single base point")
-    n = nav.dim
+def fiber_directions(n: int, count: int,
+                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """`count` directions in dimension n: an even angle grid in dimension 2,
+    otherwise drawn from rng (seeded by the caller, default seed 0)."""
     if n == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    else:
-        rng = rng or np.random.default_rng(0)
-        dirs = rng.normal(size=(count, n))
-    h = nav.metric.value(x)
-    norms = np.sqrt(np.einsum("ij,ki,kj->k", h, dirs, dirs))
-    unit = dirs / norms[:, None]
-    return unit + nav.wind.value(x)[None, :]
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    return (rng or np.random.default_rng(0)).normal(size=(count, n))
+
+
+def indicatrix(values: FieldValues, count: int,
+               rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """F-unit vectors (..., count, n) over field values whose batch ends in
+    a fiber axis of length one: the h-unit sphere translated by the wind,
+    along the same fiber_directions at every point."""
+    dirs = fiber_directions(values.W.shape[-1], count, rng)
+    norms = np.sqrt(np.einsum("...ij,...i,...j->...", values.h, dirs, dirs))
+    return dirs / norms[..., None] + values.W
+
+
+def indicatrix_points(nav: NavigationData, x, count: int = 24,
+                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """F-unit vectors (..., count, n) at base points x (..., n); see
+    `indicatrix`."""
+    return indicatrix(field_values(nav, np.asarray(x, dtype=float)[..., None, :]),
+                      count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +488,10 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
     if points is None:
         points = nav.chart.sample_interior(n_points)
     points = np.asarray(points, dtype=float)
-    h = nav.metric.value(points)
-    eigs = np.linalg.eigvalsh(h)
+    v = field_values(nav, points)
+    eigs = np.linalg.eigvalsh(v.h)
     min_eig = float(eigs.min())
-    w = nav.wind.value(points)
-    wnorm2 = np.einsum("...ij,...i,...j->...", h, w, w)
+    wnorm2 = np.einsum("...i,...i->...", v.W, v.hW)
     wnorm = np.sqrt(np.maximum(wnorm2, 0.0))
     failures = []
     bad_eig = np.nonzero(eigs.min(axis=-1) <= 0.0)[0]
@@ -465,6 +510,6 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
         margin=margin,
         min_metric_eigenvalue=min_eig,
         max_wind_norm=float(wnorm.max()),
-        min_lambda=float((1.0 - wnorm2).min()),
+        min_lambda=float(v.lam.min()),
         failures=failures,
     )

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DegenerateWind, NotClosed, ZeroVector
-from .geometry import (NavigationData, TangentSample, indicatrix_points,
-                       randers_value)
+from .geometry import (NavigationData, TangentSample, field_values,
+                       indicatrix_points)
 from .sprays import spray_connection_matrix
 from .transport import (Curve, natural_transport_many, riemann_transport_many,
                         riemann_transport_matrix)
@@ -96,8 +96,8 @@ def loop_holonomy(nav: NavigationData, loop: Curve,
     loops = [loop] * len(probes)
     if mode == "natural":
         out = natural_transport_many(nav, loops, probes, method=method, dt=dt)
-        nin = randers_value(nav, base, probes)
-        nout = randers_value(nav, base, out)
+        norm = field_values(nav, base).norm
+        nin, nout = norm(probes), norm(out)
     elif mode == "riemann":
         out = riemann_transport_many(nav.metric, loops, probes, dt, nav.chart)
         nin = nav.h_norm(base, probes)
@@ -117,12 +117,13 @@ def riemann_holonomy_matrix(nav: NavigationData, loop: Curve,
 
 
 def _wind_gap(nav: NavigationData, base: np.ndarray):
-    w = nav.wind.value(base)
-    fw = float(randers_value(nav, base, w)) if np.any(w) else 0.0
+    """Field values at base and F(W), which must stay below 1."""
+    v = field_values(nav, base)
+    fw = float(v.norm(v.W)) if np.any(v.W) else 0.0
     if fw >= 1.0:
         raise DegenerateWind(
             f"navigation norm of the wind reaches 1 at {base.tolist()}")
-    return w, fw
+    return v, fw
 
 
 def correspondence(nav: NavigationData, matrix: np.ndarray, base,
@@ -130,10 +131,10 @@ def correspondence(nav: NavigationData, matrix: np.ndarray, base,
     """Nonlinear holonomy action predicted from a metric holonomy matrix:
     hol(V) = H V - F(V) (H W - W) with W the wind at the base point."""
     base = np.asarray(base, dtype=float)
-    w, _ = _wind_gap(nav, base)
+    v, _ = _wind_gap(nav, base)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    f = randers_value(nav, base, vectors)
-    shift = matrix @ w - w
+    shift = matrix @ v.W - v.W
+    f = v.norm(vectors)
     return vectors @ matrix.T - f[:, None] * shift[None, :]
 
 
@@ -145,10 +146,10 @@ def correspondence_inverse(nav: NavigationData, base, action: Callable,
 
     where action maps a batch of vectors to their transported images."""
     base = np.asarray(base, dtype=float)
-    w, fw = _wind_gap(nav, base)
+    v, fw = _wind_gap(nav, base)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    f = randers_value(nav, base, vectors)
-    shift = (np.asarray(action(w[None, :]))[0] - w) / (1.0 - fw)
+    f = v.norm(vectors)
+    shift = (np.asarray(action(v.W[None, :]))[0] - v.W) / (1.0 - fw)
     return np.asarray(action(vectors)) + f[:, None] * shift[None, :]
 
 

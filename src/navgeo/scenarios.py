@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class Scenario:
     loops: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     note: str = ""
-    _raw: Optional[dict] = None
 
     @property
     def dim(self) -> int:
@@ -55,9 +54,29 @@ class Scenario:
 
 
 def _need(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ScenarioParseError(f"expected an object at {where}")
     if key not in d:
         raise ScenarioParseError(f"missing '{key}' at {where}")
     return d[key]
+
+
+def _reals(value, where: str, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape, or a located error."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != shape:
+        what = "a number" if shape == () else f"a list of {shape[0]} numbers"
+        raise ScenarioParseError(f"expected {what} at {where}")
+    return out
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"expected a list at {where}")
+    return value
 
 
 def _parse_exprs(strings: Sequence[str], n: int, where: str) -> list:
@@ -74,7 +93,7 @@ def _parse_exprs(strings: Sequence[str], n: int, where: str) -> list:
 
 
 def _parse_curve(strings: Sequence[str], n: int, where: str) -> AnalyticCurve:
-    if len(strings) != n:
+    if not isinstance(strings, list) or len(strings) != n:
         raise ScenarioParseError(
             f"curve at {where} needs {n} component expressions")
     try:
@@ -85,18 +104,17 @@ def _parse_curve(strings: Sequence[str], n: int, where: str) -> AnalyticCurve:
 
 def _domain_from_dict(d: dict, dim: int):
     kind = _need(d, "kind", "domain")
-    if kind == "ball":
-        center = np.asarray(_need(d, "center", "domain"), dtype=float)
-        radius = float(_need(d, "radius", "domain"))
-        if center.shape != (dim,):
-            raise ScenarioParseError("domain.center length must equal dim")
-        return Ball(center, radius)
-    if kind == "box":
-        lo = np.asarray(_need(d, "lo", "domain"), dtype=float)
-        hi = np.asarray(_need(d, "hi", "domain"), dtype=float)
-        if lo.shape != (dim,) or hi.shape != (dim,):
-            raise ScenarioParseError("domain.lo/hi length must equal dim")
-        return Box(lo, hi)
+    try:
+        if kind == "ball":
+            return Ball(_reals(_need(d, "center", "domain"), "domain.center",
+                               (dim,)),
+                        float(_reals(_need(d, "radius", "domain"),
+                                     "domain.radius", ())))
+        if kind == "box":
+            return Box(_reals(_need(d, "lo", "domain"), "domain.lo", (dim,)),
+                       _reals(_need(d, "hi", "domain"), "domain.hi", (dim,)))
+    except ValueError as exc:  # the domain's own shape checks
+        raise ScenarioParseError(f"bad domain: {exc}") from None
     raise ScenarioParseError(f"domain.kind must be 'ball' or 'box', "
                              f"got {kind!r}")
 
@@ -127,7 +145,9 @@ def scenario_from_dict(data: dict, validate_nav: bool = True) -> Scenario:
     chart = Chart(dim, domain)
 
     rows = _need(data, "metric", "top level")
-    if len(rows) != dim or any(len(rows[i]) != dim - i for i in range(dim)):
+    if (not isinstance(rows, list) or len(rows) != dim
+            or any(not isinstance(row, list) or len(row) != dim - i
+                   for i, row in enumerate(rows))):
         raise ScenarioParseError(
             "metric must be the upper triangle: rows of length "
             f"{', '.join(str(dim - i) for i in range(dim))}")
@@ -135,7 +155,7 @@ def scenario_from_dict(data: dict, validate_nav: bool = True) -> Scenario:
                           for i, row in enumerate(rows)])
 
     wind_strings = _need(data, "wind", "top level")
-    if len(wind_strings) != dim:
+    if not isinstance(wind_strings, list) or len(wind_strings) != dim:
         raise ScenarioParseError(f"wind needs {dim} component expressions")
     wind = VectorField(_parse_exprs(wind_strings, dim, "wind"))
 
@@ -149,18 +169,21 @@ def scenario_from_dict(data: dict, validate_nav: bool = True) -> Scenario:
                 f"scenario {name!r}: " + "; ".join(parts))
 
     exps = data.get("experiments", {}) or {}
+    if not isinstance(exps, dict):
+        raise ScenarioParseError("expected an object at experiments")
     curves = [_parse_curve(c, dim, f"experiments.curves[{k}]")
-              for k, c in enumerate(exps.get("curves", []))]
+              for k, c in enumerate(_list(exps.get("curves", []),
+                                          "experiments.curves"))]
     loops = [_parse_curve(c, dim, f"experiments.loops[{k}]")
-             for k, c in enumerate(exps.get("loops", []))]
+             for k, c in enumerate(_list(exps.get("loops", []),
+                                         "experiments.loops"))]
     samples = []
-    for k, s in enumerate(exps.get("samples", [])):
-        x = np.asarray(_need(s, "x", f"experiments.samples[{k}]"), float)
-        y = np.asarray(_need(s, "y", f"experiments.samples[{k}]"), float)
-        if x.shape != (dim,) or y.shape != (dim,):
-            raise ScenarioParseError(
-                f"experiments.samples[{k}] x/y length must equal dim")
-        samples.append(TangentSample(x, y))
+    for k, s in enumerate(_list(exps.get("samples", []),
+                                "experiments.samples")):
+        where = f"experiments.samples[{k}]"
+        samples.append(TangentSample(
+            _reals(_need(s, "x", where), f"{where}.x", (dim,)),
+            _reals(_need(s, "y", where), f"{where}.y", (dim,))))
     for k, c in enumerate(curves):
         _check_in_domain(chart, c, f"experiments.curves[{k}]")
     for k, c in enumerate(loops):
@@ -175,7 +198,7 @@ def scenario_from_dict(data: dict, validate_nav: bool = True) -> Scenario:
                 f"{s.x.tolist()}")
 
     return Scenario(name=name, nav=nav, curves=curves, loops=loops,
-                    samples=samples, _raw=data)
+                    samples=samples)
 
 
 def serialize(scenario: Scenario) -> dict:
@@ -217,14 +240,15 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         fh.write("\n")
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, validate_nav: bool = True) -> Scenario:
+    """Read a schema-1 scenario file; see scenario_from_dict."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, validate_nav=validate_nav)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numkernel as nk
-from .connection import _gamma_generic
+from .connection import jet_gamma_fiber_jacobian
 from .errors import ZeroVector, ZeroVelocity
-from .geometry import (MetricField, NavigationData, TangentSample,
-                       christoffel, indicatrix_points, randers_grad_x,
-                       randers_value, randers_value_and_grad,
-                       wind_covariant_jacobian)
+from .geometry import (FieldJet, MetricField, NavigationData, TangentSample,
+                       christoffel, field_jet, indicatrix, randers_value)
 
 
 @dataclass(frozen=True)
@@ -62,53 +60,39 @@ class RSTensors:
 
 
 # ---------------------------------------------------------------------------
-# spray coefficient fields (batched over leading axes)
+# spray coefficients on a field jet (fiber axes broadcast against the jet's)
 
 
-def natural_spray_values(nav: NavigationData, x, y) -> np.ndarray:
-    """Natural-connection spray coefficients G^k(x, y), batched."""
+def _ayy(a, y) -> np.ndarray:
+    return np.einsum("...kij,...i,...j->...k", a, y, y)
+
+
+def jet_riemann_spray(jet: FieldJet, y) -> np.ndarray:
+    """Metric spray coefficients A^k_ij y^i y^j / 2."""
+    return 0.5 * _ayy(jet.A, np.asarray(y, dtype=float))
+
+
+def jet_natural_spray(jet: FieldJet, y) -> np.ndarray:
+    """Natural-connection spray coefficients (A y y - F M y) / 2."""
     y = np.asarray(y, dtype=float)
-    a = christoffel(nav.metric, x)
-    m = wind_covariant_jacobian(nav, x)
-    f = randers_value(nav, x, y)
-    ayy = np.einsum("...kij,...i,...j->...k", a, y, y)
-    my = np.einsum("...ki,...i->...k", m, y)
-    return 0.5 * (ayy - f[..., None] * my)
+    my = np.einsum("...ki,...i->...k", jet.M, y)
+    return 0.5 * (_ayy(jet.A, y) - jet.norm(y)[..., None] * my)
 
 
-def riemann_spray_values(metric: MetricField, x, y) -> np.ndarray:
-    """Metric spray coefficients, quadratic in y."""
-    y = np.asarray(y, dtype=float)
-    a = christoffel(metric, x)
-    return 0.5 * np.einsum("...kij,...i,...j->...k", a, y, y)
+def rs_split(jet: FieldJet) -> tuple[np.ndarray, np.ndarray]:
+    """R = sym D and S = antisym D of the lowered wind derivative
+    D_ij = h_ik M^k_j (derivative slot second)."""
+    dp = np.einsum("...ik,...kj->...ij", jet.h, jet.M)
+    dpt = np.swapaxes(dp, -1, -2)
+    return 0.5 * (dp + dpt), 0.5 * (dp - dpt)
 
 
-def _rs_arrays(nav: NavigationData, x):
-    """h, h_inv, W, A, and the R/S split of the lowered wind derivative."""
-    h = nav.metric.value(x)
-    hinv = nk.spd_inverse(h)
-    w = nav.wind.value(x)
-    a = christoffel(nav.metric, x)
-    m = nav.wind.jacobian(x) + np.einsum("...kis,...s->...ki", a, w)
-    dp = np.einsum("...ik,...kj->...ij", h, m)  # derivative slot second
-    dpt = np.einsum("...ij->...ji", dp)
-    return h, hinv, w, a, 0.5 * (dp + dpt), 0.5 * (dp - dpt)
-
-
-def rs_tensors(nav: NavigationData, x) -> RSTensors:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("rs_tensors expects a single point")
-    h, _, w, _, r, s = _rs_arrays(nav, x)
-    return RSTensors(x=x, metric=nk.SymMatrix(h), wind=w,
-                     R=nk.SymMatrix(r), S=s)
-
-
-def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
+def jet_randers_spray(jet: FieldJet, y) -> np.ndarray:
     """Variational spray of the induced norm (zero fibers not allowed)."""
     y = np.asarray(y, dtype=float)
-    h, hinv, w, a, r, s = _rs_arrays(nav, x)
-    f = randers_value(nav, x, y)
+    r, s = rs_split(jet)
+    w, hinv = jet.W, jet.hinv
+    f = jet.norm(y)
 
     def pieces(t):
         t_j = np.einsum("...i,...ij->...j", w, t)
@@ -121,9 +105,8 @@ def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
 
     r_j, r_sc, r_up, r_0, r_i0, r_00 = pieces(r)
     s_j, s_sc, s_up, s_0, s_i0, s_00 = pieces(s)
-    ayy = np.einsum("...kij,...i,...j->...k", a, y, y)
     fcol = f[..., None]
-    return (0.5 * ayy
+    return (0.5 * _ayy(jet.A, y)
             + r_0[..., None] * y
             + 0.5 * r_00[..., None] * w
             - 0.5 * fcol * fcol * (s_up + r_up - r_sc[..., None] * w)
@@ -131,14 +114,39 @@ def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
             - (r_00 / (2.0 * f))[..., None] * y)
 
 
+# ---------------------------------------------------------------------------
+# spray coefficient fields (batched over leading axes)
+
+
+def natural_spray_values(nav: NavigationData, x, y) -> np.ndarray:
+    """Natural-connection spray coefficients G^k(x, y), batched."""
+    return jet_natural_spray(field_jet(nav, x), y)
+
+
+def riemann_spray_values(metric: MetricField, x, y) -> np.ndarray:
+    """Metric spray coefficients, quadratic in y."""
+    return 0.5 * _ayy(christoffel(metric, x), np.asarray(y, dtype=float))
+
+
+def rs_tensors(nav: NavigationData, x) -> RSTensors:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("rs_tensors expects a single point")
+    jet = field_jet(nav, x)
+    r, s = rs_split(jet)
+    return RSTensors(x=x, metric=nk.SymMatrix(jet.h), wind=jet.W,
+                     R=nk.SymMatrix(r), S=s)
+
+
+def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
+    """Variational spray of the induced norm (zero fibers not allowed)."""
+    return jet_randers_spray(field_jet(nav, x), y)
+
+
 def natural_spray(nav: NavigationData, s: TangentSample) -> SprayEval:
     if not np.any(s.y):
         raise ZeroVector("spray coefficients need a nonzero fiber vector")
     return SprayEval("natural", s, natural_spray_values(nav, s.x, s.y))
-
-
-def riemann_spray(metric: MetricField, s: TangentSample) -> SprayEval:
-    return SprayEval("riemann", s, riemann_spray_values(metric, s.x, s.y))
 
 
 def randers_spray(nav: NavigationData, s: TangentSample) -> SprayEval:
@@ -159,31 +167,22 @@ def randers_spray_field(nav: NavigationData) -> Callable:
     return lambda x, y: randers_spray_values(nav, x, y)
 
 
+def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:
+    """dG^k/dy^j of the natural spray G^k = y^i Gamma^k_i / 2, that is
+    (Gamma^k_j + y^i dGamma^k_i/dy^j) / 2, from one dual sweep."""
+    y = np.asarray(y, dtype=float)
+    gam, dgam = jet_gamma_fiber_jacobian(jet, y)
+    return 0.5 * (gam + np.einsum("...jki,...i->...kj", dgam, y))
+
+
 def spray_connection_matrix(nav: NavigationData, x, y) -> np.ndarray:
-    """Coefficients dG^k/dy^i of the symmetric connection induced by the
-    natural spray, by a dual sweep through the full spray evaluation.
+    """Coefficients dG^k/dy^j of the symmetric connection induced by the
+    natural spray; see jet_spray_connection.
 
     Equals the nonlinear connection matrix exactly when torsion vanishes;
     on a rotating wind the two differ measurably.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = christoffel(nav.metric, x)
-    m = wind_covariant_jacobian(nav, x)
-    h = nav.metric.value(x)
-    w = nav.wind.value(x)
-    lam = 1.0 - np.einsum("...ij,...i,...j->...", h, w, w)
-    n = nav.dim
-    lead = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    out = np.empty(lead + (n, n))
-    for j in range(n):
-        y_dual = [nk.Dual(y[..., i] + np.zeros(lead), 1.0 if i == j else 0.0)
-                  for i in range(n)]
-        rows = _gamma_generic(a, m, h, w, lam, y_dual)
-        for k in range(n):
-            g_k = sum(y_dual[i] * rows[k][i] for i in range(n)) * 0.5
-            out[..., k, j] = g_k.dot
-    return out
+    return jet_spray_connection(field_jet(nav, x), y)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +279,10 @@ def el_residual(nav: NavigationData, path: GeodesicPath) -> float:
         raise ValueError("path too short for the five-point stencil")
     if np.any(np.all(path.ys == 0.0, axis=-1)):
         raise ZeroVelocity("path has a zero-velocity sample")
-    f, fy = randers_value_and_grad(nav, path.xs, path.ys)
+    jet = field_jet(nav, path.xs)
+    f, fy = jet.norm_and_grad(path.ys)
     ey = f[:, None] * fy
-    fx = randers_grad_x(nav, path.xs, path.ys)
-    ex = f[:, None] * fx
+    ex = f[:, None] * jet.norm_grad_x(path.ys)
     dey = nk.central_time_derivative(ey, path.dt)
     resid = dey - ex[2:-2]
     return float(np.linalg.norm(resid, axis=1).max())
@@ -354,17 +353,22 @@ def compare_sprays(nav: NavigationData, points: Optional[np.ndarray] = None,
     if points is None:
         points = nav.chart.grid(per_axis, margin)
     points = np.asarray(points, dtype=float)
-    npts = len(points)
-    ys = np.stack([indicatrix_points(nav, p, n_dirs) for p in points])  # (P, D, n)
-    xs = np.broadcast_to(points[:, None, :], ys.shape)
+    return jet_compare_sprays(field_jet(nav, points[:, None, :]), points,
+                              n_dirs, tol_coincide, tol_projective)
 
-    g_nat = natural_spray_values(nav, xs, ys)
-    g_ran = randers_spray_values(nav, xs, ys)
-    g_rie = riemann_spray_values(nav.metric, xs, ys)
+
+def jet_compare_sprays(jet: FieldJet, points: np.ndarray, n_dirs: int = 16,
+                       tol_coincide: float = 1e-8,
+                       tol_projective: float = 1e-6) -> ComparisonReport:
+    """compare_sprays on a jet built at points[:, None, :]."""
+    ys = indicatrix(jet, n_dirs)  # (P, D, n)
+    g_nat = jet_natural_spray(jet, ys)
+    g_ran = jet_randers_spray(jet, ys)
+    g_rie = jet_riemann_spray(jet, ys)
     sup_nr = float(np.abs(g_nat - g_ran).max())
 
     d = g_nat - g_rie
-    f = randers_value(nav, xs, ys)  # unit by construction, kept explicit
+    f = jet.norm(ys)  # unit by construction, kept explicit
     denom = f * np.einsum("pdi,pdi->pd", ys, ys)
     phi = -2.0 * np.einsum("pdi,pdi->pd", d, ys) / denom
     phi_hat = phi.mean(axis=1)
@@ -375,7 +379,7 @@ def compare_sprays(nav: NavigationData, points: Optional[np.ndarray] = None,
     coincide = sup_nr < tol_coincide
     projective = bool(spread.max() < 1e-6 and resid_max < tol_projective)
     return ComparisonReport(
-        n_points=npts, n_dirs=n_dirs,
+        n_points=len(points), n_dirs=n_dirs,
         sup_natural_vs_randers=sup_nr,
         phi_min=float(phi_hat.min()), phi_max=float(phi_hat.max()),
         phi_mean=float(phi_hat.mean()), phi_spread_max=float(spread.max()),

@@ -25,8 +25,8 @@ import numpy as np
 from . import exprlang as xl
 from .errors import (CurveLeftDomain, DegenerateNorm, NonFiniteState,
                      ZeroVector)
-from .geometry import (Chart, MetricField, NavigationData, christoffel,
-                       randers_value, wind_covariant_jacobian)
+from .geometry import (Chart, FieldJet, MetricField, NavigationData,
+                       christoffel, field_jet, randers_value, _norm)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class AnalyticCurve(Curve):
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape + (self.dim,))
         for k, comp in enumerate(self.components):
-            _, out[..., k] = xl.evaluate_dual(comp, t[..., None], [1.0])
+            out[..., k] = xl.evaluate_dual(comp, t[..., None])[1][..., 0]
         return out
 
     def reversed(self) -> "AnalyticCurve":
@@ -190,32 +190,60 @@ def _sample_tables(curves: Sequence[Curve], steps: int,
     return pos, vel
 
 
-def _linear_rhs_tables(metric: MetricField, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """ac[b, s, k, l] = A^k_il(c) cdot^i per half-step sample."""
-    bsz, ns, n = pos.shape
-    a = christoffel(metric, pos.reshape(-1, n)).reshape(bsz, ns, n, n, n)
     return np.einsum("bskil,bsi->bskl", a, vel)
 
 
-def _run_linear(ac: np.ndarray, v0: np.ndarray, dt: float,
-                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    steps = (ac.shape[1] - 1) // 2
+def _rk4_on_samples(rhs: Callable, steps: int, v0: np.ndarray, dt: float,
+                    keep: bool, kind: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Classical RK4 for dv/dt = rhs(s, v), s indexing the half-step samples:
+    step j reads samples 2j, 2j + 1 and 2j + 2."""
     v = np.array(v0, dtype=float)
     traj = np.empty((v.shape[0], steps + 1, v.shape[1])) if keep else None
     if keep:
         traj[:, 0] = v
     for j in range(steps):
-        a0, am, a1 = ac[:, 2 * j], ac[:, 2 * j + 1], ac[:, 2 * j + 2]
-        k1 = -np.einsum("bkl,bl->bk", a0, v)
-        k2 = -np.einsum("bkl,bl->bk", am, v + 0.5 * dt * k1)
-        k3 = -np.einsum("bkl,bl->bk", am, v + 0.5 * dt * k2)
-        k4 = -np.einsum("bkl,bl->bk", a1, v + dt * k3)
+        i0, im, i1 = 2 * j, 2 * j + 1, 2 * j + 2
+        k1 = rhs(i0, v)
+        k2 = rhs(im, v + 0.5 * dt * k1)
+        k3 = rhs(im, v + 0.5 * dt * k2)
+        k4 = rhs(i1, v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if keep:
             traj[:, j + 1] = v
     if not np.all(np.isfinite(v)):
-        raise NonFiniteState("linear transport state became non-finite")
+        raise NonFiniteState(f"{kind} transport state became non-finite")
     return v, traj
+
+
+def _run_linear(ac: np.ndarray, v0: np.ndarray, dt: float,
+                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """dv/dt = -A(cdot, v) with ac from _linear_rhs_tables."""
+    return _rk4_on_samples(lambda s, v: -np.einsum("bkl,bl->bk", ac[:, s], v),
+                           (ac.shape[1] - 1) // 2, v0, dt, keep, "linear")
+
+
+def _result(mode: str, pos: np.ndarray, v: np.ndarray,
+            traj: Optional[np.ndarray], dt: float) -> TransportResult:
+    """TransportResult of the first curve of a batch."""
+    steps = (pos.shape[1] - 1) // 2
+    res = TransportResult(mode, v[0], steps, dt, start=pos[0, 0], end=pos[0, -1])
+    if traj is not None:
+        res.ts = np.linspace(0.0, 1.0, steps + 1)
+        res.xs = pos[0, ::2]
+        res.vs = traj[0]
+    return res
+
+
+def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
+             chart: Optional[Chart], keep: bool):
+    """(half-step positions, endpoint values, trajectories or None) of the
+    metric transport for a batch of (curve, start vector) pairs."""
+    pos, vel = _sample_tables(curves, _steps_from_dt(dt), chart)
+    v, traj = _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel),
+                          np.atleast_2d(np.asarray(v0s, dtype=float)), dt, keep)
+    return pos, v, traj
 
 
 def riemann_transport_many(metric: MetricField, curves: Sequence[Curve],
@@ -223,29 +251,15 @@ def riemann_transport_many(metric: MetricField, curves: Sequence[Curve],
                            chart: Optional[Chart] = None) -> np.ndarray:
     """Endpoint values of the metric parallel transport for a batch of
     (curve, start vector) pairs."""
-    steps = _steps_from_dt(dt)
-    pos, vel = _sample_tables(curves, steps, chart)
-    ac = _linear_rhs_tables(metric, pos, vel)
-    v, _ = _run_linear(ac, np.atleast_2d(v0s), dt, keep=False)
-    return v
+    return _riemann(metric, curves, v0s, dt, chart, keep=False)[1]
 
 
 def riemann_transport(metric: MetricField, curve: Curve, v0,
                       dt: float = 1e-3, chart: Optional[Chart] = None,
                       keep_trajectory: bool = False) -> TransportResult:
     """Parallel transport of v0 along the curve for the metric connection."""
-    steps = _steps_from_dt(dt)
-    pos, vel = _sample_tables([curve], steps, chart)
-    ac = _linear_rhs_tables(metric, pos, vel)
-    v, traj = _run_linear(ac, np.atleast_2d(np.asarray(v0, dtype=float)), dt,
-                          keep=keep_trajectory)
-    res = TransportResult("riemann", v[0], steps, dt,
-                          start=pos[0, 0], end=pos[0, -1])
-    if keep_trajectory:
-        res.ts = np.linspace(0.0, 1.0, steps + 1)
-        res.xs = pos[0, ::2]
-        res.vs = traj[0]
-    return res
+    return _result("riemann", *_riemann(metric, [curve], v0, dt, chart,
+                                        keep_trajectory), dt)
 
 
 def riemann_transport_matrix(metric: MetricField, curve: Curve,
@@ -259,73 +273,56 @@ def riemann_transport_matrix(metric: MetricField, curve: Curve,
     return cols.T
 
 
-def _natural_tables(nav: NavigationData, pos: np.ndarray, vel: np.ndarray):
-    bsz, ns, n = pos.shape
-    flat = pos.reshape(-1, n)
-    a = christoffel(nav.metric, flat).reshape(bsz, ns, n, n, n)
-    m = wind_covariant_jacobian(nav, flat).reshape(bsz, ns, n, n)
-    h = nav.metric.value(flat).reshape(bsz, ns, n, n)
-    w = nav.wind.value(flat).reshape(bsz, ns, n)
-    hw = np.einsum("bsij,bsj->bsi", h, w)
-    lam = 1.0 - np.einsum("bsi,bsi->bs", w, hw)
-    ac = np.einsum("bskil,bsi->bskl", a, vel)   # A^k_il cdot^i
-    mc = np.einsum("bski,bsi->bsk", m, vel)     # M^k_i cdot^i
-    return ac, mc, h, hw, lam
-
-
-def _norm_batch(h, hw, lam, v):
-    wy = np.einsum("bi,bi->b", v, hw)
-    yy = np.einsum("bij,bi,bj->b", h, v, v)
-    return (np.sqrt(wy * wy + lam * yy) - wy) / lam
-
-
-def _run_natural(tables, v0: np.ndarray, dt: float,
+def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray, dt: float,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    ac, mc, h, hw, lam = tables
-    steps = (ac.shape[1] - 1) // 2
-    v = np.array(v0, dtype=float)
-    traj = np.empty((v.shape[0], steps + 1, v.shape[1])) if keep else None
-    if keep:
-        traj[:, 0] = v
+    """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot on the jet of
+    the half-step samples."""
+    ac = _linear_rhs_tables(jet.A, vel)
+    mc = np.einsum("bski,bsi->bsk", jet.M, vel)  # M^k_i cdot^i
 
-    def rhs(idx, vv):
-        f = _norm_batch(h[:, idx], hw[:, idx], lam[:, idx], vv)
-        return -np.einsum("bkl,bl->bk", ac[:, idx], vv) + f[:, None] * mc[:, idx]
+    def rhs(s, v):
+        f = _norm(jet.h[:, s], jet.hW[:, s], jet.lam[:, s], v)
+        return -np.einsum("bkl,bl->bk", ac[:, s], v) + f[:, None] * mc[:, s]
 
-    for j in range(steps):
-        i0, im, i1 = 2 * j, 2 * j + 1, 2 * j + 2
-        k1 = rhs(i0, v)
-        k2 = rhs(im, v + 0.5 * dt * k1)
-        k3 = rhs(im, v + 0.5 * dt * k2)
-        k4 = rhs(i1, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if keep:
-            traj[:, j + 1] = v
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteState("natural transport state became non-finite")
-    return v, traj
+    return _rk4_on_samples(rhs, (ac.shape[1] - 1) // 2, v0, dt, keep, "natural")
 
 
-def natural_transport_many(nav: NavigationData, curves: Sequence[Curve],
-                           v0s: np.ndarray, method: str = "definitional",
-                           dt: float = 1e-3) -> np.ndarray:
-    """Endpoint values of the natural transport for a batch of pairs."""
+def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
+                      v0: np.ndarray, dt: float,
+                      keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Scale to the unit sphere, shift by the wind at the start, transport
+    linearly, shift back by the wind at the end, scale back."""
+    f0 = randers_value(nav, pos[:, 0], v0)
+    winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])
+    ac = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
+    u1, utraj = _run_linear(ac, v0 / f0[:, None] - winds[:, 0], dt, keep)
+    traj = f0[:, None, None] * (utraj + winds) if keep else None
+    return f0[:, None] * (u1 + winds[:, -1]), traj
+
+
+def _natural(nav: NavigationData, curves: Sequence[Curve], v0s, method: str,
+             dt: float, keep: bool):
+    """(half-step positions, endpoint values, trajectories or None) of the
+    natural transport for a batch of (curve, start vector) pairs."""
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
     if not np.all(np.any(v0s != 0.0, axis=1)):
         raise ZeroVector("natural transport starts from a nonzero vector")
     steps = _steps_from_dt(dt)
     pos, vel = _sample_tables(curves, steps, nav.chart)
     if method == "ode":
-        v, _ = _run_natural(_natural_tables(nav, pos, vel), v0s, dt, keep=False)
-        return v
-    if method != "definitional":
+        v, traj = _run_natural(field_jet(nav, pos), vel, v0s, dt, keep)
+    elif method == "definitional":
+        v, traj = _run_definitional(nav, pos, vel, v0s, dt, keep)
+    else:
         raise ValueError("method must be 'definitional' or 'ode'")
-    p, q = pos[:, 0], pos[:, -1]
-    f0 = randers_value(nav, p, v0s)
-    u0 = v0s / f0[:, None] - nav.wind.value(p)
-    ac = _linear_rhs_tables(nav.metric, pos, vel)
-    u1, _ = _run_linear(ac, u0, dt, keep=False)
-    return f0[:, None] * (u1 + nav.wind.value(q))
+    return pos, v, traj
+
+
+def natural_transport_many(nav: NavigationData, curves: Sequence[Curve],
+                           v0s: np.ndarray, method: str = "definitional",
+                           dt: float = 1e-3) -> np.ndarray:
+    """Endpoint values of the natural transport for a batch of pairs."""
+    return _natural(nav, curves, v0s, method, dt, keep=False)[1]
 
 
 def natural_transport(nav: NavigationData, curve: Curve, v0,
@@ -336,35 +333,8 @@ def natural_transport(nav: NavigationData, curve: Curve, v0,
     Preserves the navigation norm along the way; positively homogeneous in
     v0 but not additive.
     """
-    v0 = np.asarray(v0, dtype=float)
-    if not np.any(v0):
-        raise ZeroVector("natural transport starts from a nonzero vector")
-    steps = _steps_from_dt(dt)
-    pos, vel = _sample_tables([curve], steps, nav.chart)
-    if method == "ode":
-        v, traj = _run_natural(_natural_tables(nav, pos, vel), v0[None, :], dt,
-                               keep=keep_trajectory)
-        v_end = v[0]
-    elif method == "definitional":
-        p, q = pos[0, 0], pos[0, -1]
-        f0 = float(randers_value(nav, p, v0))
-        u0 = v0 / f0 - nav.wind.value(p)
-        ac = _linear_rhs_tables(nav.metric, pos, vel)
-        u1, utraj = _run_linear(ac, u0[None, :], dt, keep=keep_trajectory)
-        v_end = f0 * (u1[0] + nav.wind.value(q))
-        traj = None
-        if keep_trajectory:
-            winds = nav.wind.value(pos[0, ::2])
-            traj = (f0 * (utraj[0] + winds))[None, :]
-    else:
-        raise ValueError("method must be 'definitional' or 'ode'")
-    res = TransportResult(f"natural_{method}", v_end, steps, dt,
-                          start=pos[0, 0], end=pos[0, -1])
-    if keep_trajectory:
-        res.ts = np.linspace(0.0, 1.0, steps + 1)
-        res.xs = pos[0, ::2]
-        res.vs = traj[0]
-    return res
+    return _result(f"natural_{method}",
+                   *_natural(nav, [curve], v0, method, dt, keep_trajectory), dt)
 
 
 def corrected_transport(norm: Callable, base: Callable, curve: Curve,

@@ -215,3 +215,79 @@ def test_bad_vector_syntax_is_an_argparse_error():
     res = run_cli("transport", "--builtin", "funk_ball",
                   "--curve", "0.5*t, 0", "--vector", "0;1")
     assert res.returncode == 2  # argparse usage error
+
+
+_TOY = {"schema": 1, "name": "toy", "dim": 2,
+        "domain": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+        "metric": [["1", "0"], ["1"]], "wind": ["0.1", "0"]}
+BAD_FILES = {
+    "malformed.json": '{"schema": 1,\n  "name": }\n',
+    "metric5.json": json.dumps(dict(_TOY, metric=5)),
+    "sample_y.json": json.dumps(dict(_TOY, experiments={
+        "samples": [{"x": [0.1, 0.2], "y": ["a", 0]}]})),
+}
+TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
+             "--vector", "0,1")
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (("validate", "--scenario", "{tmp}/malformed.json"), 1, "line 2 column"),
+    (("validate", "--scenario", "{tmp}/metric5.json"), 1, "metric"),
+    (("validate", "--scenario", "{tmp}/sample_y.json"), 1, "samples[0].y"),
+    (("rank", "--builtin", "zero_wind", "--samples", "0"), 2, "--samples"),
+    (("rank", "--builtin", "zero_wind", "--depth", "0"), 2, "--depth"),
+    (("holonomy", "--builtin", "sphere_cap", "--probes", "0"), 2, "--probes"),
+    (("validate", "--builtin", "sphere_cap", "--points", "0"), 2, "--points"),
+    (("compare-sprays", "--builtin", "funk_ball", "--dirs", "0"), 2, "--dirs"),
+    (("torsion", "--builtin", "funk_ball", "--per-axis", "0"), 2, "--per-axis"),
+    (TRANSPORT + ("--dt", "0"), 2, "--dt"),
+    (TRANSPORT + ("--dt", "2"), 2, "--dt"),
+    (("holonomy", "--builtin", "sphere_cap", "--dt", "0"), 2, "--dt"),
+    (("geodesic", "--builtin", "funk_ball", "--from", "0,0", "--dir", "1,0",
+      "--dt", "-1"), 2, "--dt"),
+    (("classify", "--builtin", "funk_ball", "--per-axis", "1"), 1,
+     "--per-axis"),
+    (("geodesic", "--builtin", "funk_ball", "--from", "0,0,0", "--dir", "1,0"),
+     1, "--from"),
+    (("rank", "--builtin", "funk_ball", "--at", "5,5", "--dir", "1,0"), 1,
+     "--at"),
+])
+def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert res.returncode == code, res.stderr
+    assert says in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_negative_values_are_separate_tokens():
+    res = run_cli("geodesic", "--builtin", "funk_ball", "--from", "-0.2,0.1",
+                  "--dir", "-1,0", "--time", "0.01")
+    assert res.returncode == 0, res.stderr
+    first = [float(v) for v in res.stdout.split("\n")[1].split(",")]
+    assert first[1:5] == [-0.2, 0.1, -1.0, 0.0]
+    res = run_cli("transport", "--builtin", "funk_ball",
+                  "--curve", "-0.2+0.5*t,0.1", "--vector", "-1,0")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("torsion", "--builtin", "rotation_disk",
+                  "--at", "-0.3,0.2", "--dir", "-.5,1")
+    assert res.returncode == 0, res.stderr
+    # an expression starting with a minus and a letter still needs --flag=
+    res = run_cli("transport", "--builtin", "funk_ball",
+                  "--curve", "-t*0.5,0", "--vector", "0,1")
+    assert res.returncode == 2
+    res = run_cli("transport", "--builtin", "funk_ball",
+                  "--curve=-t*0.5,0", "--vector", "0,1")
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_survey_equals_library_survey():
+    from navgeo.holonomy import distribution_rank_survey
+    from navgeo.scenarios import builtin
+    res = run_cli("rank", "--builtin", "rotation_disk", "--samples", "3",
+                  "--seed", "11")
+    assert res.returncode == 0, res.stderr
+    reports = distribution_rank_survey(builtin("rotation_disk").nav, 3,
+                                       depth=3, rng=np.random.default_rng(11))
+    assert json.loads(res.stdout)["reports"] == [r.as_dict() for r in reports]

@@ -62,13 +62,15 @@ class TestEvaluation:
 
     def test_dual_directional_derivative(self):
         expr = xl.parse("x1^2*x2", 2)
-        val, dot = xl.evaluate_dual(expr, np.array([3.0, 5.0]), [1.0, 0.0])
+        val, grad = xl.evaluate_dual(expr, np.array([3.0, 5.0]))
+        dot = grad @ [1.0, 0.0]
         assert val == pytest.approx(45.0)
         assert dot == pytest.approx(30.0)  # d/dx1 = 2*x1*x2
 
     def test_dual_of_constant_tree_is_zero(self):
         expr = xl.parse("7", 2)
-        val, dot = xl.evaluate_dual(expr, np.array([1.0, 2.0]), [1.0, 0.0])
+        val, grad = xl.evaluate_dual(expr, np.array([1.0, 2.0]))
+        dot = grad @ [1.0, 0.0]
         assert val == 7.0 and dot == 0.0
 
 
@@ -102,21 +104,36 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError):
             xl.parse("x1 2", 1)
 
+    @staticmethod
+    def assert_witness(error, text, bad_point):
+        """Both walks name the source and the one bad point of a batch."""
+        batch = np.array([[0.5, 0.25], bad_point, [2.0, -1.0]])
+        expr = xl.parse(text, 2)
+        for walk in (xl.evaluate, xl.evaluate_dual):
+            with pytest.raises(error) as ei:
+                walk(expr, batch)
+            assert repr(text) in str(ei.value)
+            assert f"point {bad_point}" in str(ei.value)
+
     def test_log_domain(self):
         with pytest.raises(DomainError):
             ev("log(x1)", -1.0)
+        self.assert_witness(DomainError, "log(x1)", [-1.0, 0.5])
 
     def test_sqrt_domain(self):
         with pytest.raises(DomainError):
             ev("sqrt(x1)", -4.0)
+        self.assert_witness(DomainError, "sqrt(x1)", [-4.0, 0.5])
 
     def test_overflow_is_nonfinite(self):
         with pytest.raises(NonFiniteValue):
             ev("exp(x1)", 1e9)
+        self.assert_witness(NonFiniteValue, "exp(x1)", [1e9, 0.5])
 
     def test_division_by_zero_nonfinite(self):
         with pytest.raises(NonFiniteValue):
             ev("1/x1", 0.0)
+        self.assert_witness(NonFiniteValue, "1/x1", [0.0, 0.5])
 
 
 # a recursive strategy for well-formed expression strings
@@ -155,7 +172,8 @@ class TestProperties:
         expr = xl.parse(text, 2)
         x = np.array([0.3, -0.7])
         direction = np.eye(2)[axis]
-        _, dot = xl.evaluate_dual(expr, x, direction)
+        _, grad = xl.evaluate_dual(expr, x)
+        dot = grad @ direction
         eps = 1e-6
         fd = (xl.evaluate(expr, x + eps * direction)
               - xl.evaluate(expr, x - eps * direction)) / (2 * eps)
