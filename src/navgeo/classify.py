@@ -123,24 +123,22 @@ def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
     return _concircular(_grid_jet(nav, grid, per_axis), tol)
 
 
+def wind_integral_curves(nav: NavigationData, x0s, time_span: float,
+                         dt: float = 1e-3) -> list:
+    """Integrate the wind flow xd = W(x) from each row of x0s, in lockstep
+    with a step of about dt that lands on time_span; a curve stops early at
+    the chart edge. Returns one (ts, xs) per start, xs sampled every step."""
+    steps, dt = nk.uniform_steps(time_span, dt)
+    _, traj, stop = nk.rk4(lambda s, x: nav.wind.value(x), np.atleast_2d(x0s),
+                           steps, dt, keep=True, inside=nav.chart.contains)
+    return [(dt * np.arange(last + 1), traj[b, :last + 1])
+            for b, last in enumerate(stop)]
+
+
 def wind_integral_curve(nav: NavigationData, x0, time_span: float,
                         dt: float = 1e-3):
-    """Integrate the wind flow xd = W(x); stops early at the chart edge.
-    Returns (ts, xs) with xs sampled every step."""
-    x = np.asarray(x0, dtype=float)
-    if time_span <= 0 or dt <= 0:
-        raise ValueError("wind flow needs positive time_span and dt")
-    steps = max(1, int(round(time_span / dt)))
-    xs = np.empty((steps + 1, x.shape[-1]))
-    xs[0] = x
-    last = steps
-    for j in range(steps):
-        x = nk.rk4_step(lambda t, s: nav.wind.value(s), x, j * dt, dt)
-        if not nav.chart.contains(x):
-            last = j
-            break
-        xs[j + 1] = x
-    return dt * np.arange(last + 1), xs[:last + 1]
+    """wind_integral_curves on a batch of one start point."""
+    return wind_integral_curves(nav, [x0], time_span, dt)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -274,18 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     accept_negative_values(parser)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, seeded=True):
         accept_negative_values(p)
         if scenario:
             _add_scenario_flags(p)
-        p.add_argument("--seed", type=_number(int, -1), default=42,
-                       help="seed for sampled grids/probes (default 42)")
+        if seeded:
+            p.add_argument("--seed", type=_number(int, -1), default=42,
+                           help="seed for sampled grids/probes (default 42)")
         p.add_argument("--out", metavar="PATH",
                        help="write output here instead of standard output")
 
     p = sub.add_parser("validate", help="check positivity and the wind "
                        "bound on a domain sample")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--points", type=_number(int, 0), default=10_000,
                    help="number of interior sample points (default 10000)")
     p.set_defaults(fn=_cmd_validate)
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transport a vector along a curve parametrized on "
                     "[0, 1]. CSV columns: t, position, transported vector, "
                     "navigation norm.")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--curve", type=_curve, metavar="EXPRS",
                    help="comma-separated coordinate expressions in t, "
                         "e.g. '0.5*t,0.1'")
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Integrate xdd = -2 G(x, xd) from a start point and "
                     "velocity over --time seconds of parameter; the path "
                     "is truncated at the chart boundary.")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--spray", choices=("natural", "randers", "riemann"),
                    default="natural")
     p.add_argument("--from", dest="from_point", type=_vector, required=True,
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_sprays)
 
     p = sub.add_parser("list-scenarios", help="list built-in scenarios")
-    common(p, scenario=False)
+    common(p, scenario=False, seeded=False)
     p.set_defaults(fn=_cmd_list_scenarios)
 
     return parser

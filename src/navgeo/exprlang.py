@@ -294,7 +294,7 @@ def _finish(e: Expression, x: np.ndarray, raw, shape: tuple):
         raise NonFiniteValue(f"expression {e.source!r} evaluated to a "
                              f"non-finite value at {_witness(x, bad)}")
     if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
+        out = np.full(shape, out)
     if shape == ():
         return float(out)
     return out

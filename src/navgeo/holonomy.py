@@ -21,7 +21,7 @@ of TTM, which is the obstruction probed by the rank report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -183,34 +183,61 @@ class RankReport:
 
 
 def _spray_horizontal_fields(nav: NavigationData) -> list:
-    """Coordinate horizontal fields of the spray connection,
-    z = (x, y) -> e_i - (dG/dy)(x, y) e_i vertically."""
+    """Coordinate horizontal fields of the spray connection on (B, 2n)
+    batches, z = (x, y) -> e_i - (dG/dy)(x, y) e_i vertically."""
     n = nav.dim
 
     def make(i):
         def fld(z):
-            g = spray_connection_matrix(nav, z[:n], z[n:])
-            out = np.zeros(2 * n)
-            out[i] = 1.0
-            out[n:] = -g[:, i]
+            g = spray_connection_matrix(nav, z[:, :n], z[:, n:])
+            out = np.zeros_like(z)
+            out[:, i] = 1.0
+            out[:, n:] = -g[:, :, i]
             return out
         return fld
     return [make(i) for i in range(n)]
 
 
 def lie_bracket(xf: Callable, yf: Callable, step: float = 1e-4) -> Callable:
-    """Lie bracket of two vector fields on R^m by central differences,
-    [X, Y](z) = DY(z) X(z) - DX(z) Y(z); the step is scaled down for large
-    direction vectors."""
+    """Lie bracket of two vector fields on (B, m) batches of points of R^m
+    by central differences, [X, Y](z) = DY(z) X(z) - DX(z) Y(z); the step
+    is scaled down, row by row, for large direction vectors."""
 
     def fld(z):
         xv, yv = xf(z), yf(z)
 
         def ddir(f, u):
-            s = step / max(1.0, float(np.linalg.norm(u)))
-            return (f(z + s * u) - f(z - s * u)) / (2.0 * s)
+            s = step / np.maximum(1.0, np.linalg.norm(u, axis=1))[:, None]
+            fp, fm = np.split(f(np.concatenate([z + s * u, z - s * u])), 2)
+            return (fp - fm) / (2.0 * s)
         return ddir(yf, xv) - ddir(xf, yv)
     return fld
+
+
+def _rank_reports(nav: NavigationData, xs: np.ndarray, ys: np.ndarray,
+                  depth: int, step: float, tol: float) -> list:
+    """Rank reports at the rows of (xs, ys), one bracket tree evaluated on
+    all of them at once."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if not np.all(np.any(ys != 0.0, axis=1)):
+        raise ZeroVector("the horizontal distribution lives over nonzero y")
+    base = _spray_horizontal_fields(nav)
+    generations = [base]
+    for _ in range(depth - 1):
+        prev = generations[-1]
+        nxt = []
+        for i, hf in enumerate(base):
+            for j, g in enumerate(prev):
+                if prev is base and j <= i:
+                    continue
+                nxt.append(lie_bracket(hf, g, step))
+        generations.append(nxt)
+    z = np.concatenate([xs, ys], axis=1)
+    vectors = np.stack([f(z) for gen in generations for f in gen], axis=1)
+    return [RankReport(at=TangentSample(x, y), generated_vectors=vec,
+                       rank=nk.numeric_rank(vec, tol), depth=depth)
+            for x, y, vec in zip(xs, ys, vectors)]
 
 
 def holonomy_distribution_rank(nav: NavigationData, s: TangentSample,
@@ -223,25 +250,7 @@ def holonomy_distribution_rank(nav: NavigationData, s: TangentSample,
     rank 2n means they fill the whole slit tangent bundle, which rules out
     any nonconstant function invariant under the loop transports.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if not np.any(s.y):
-        raise ZeroVector("the horizontal distribution lives over nonzero y")
-    z = np.concatenate([s.x, s.y])
-    base = _spray_horizontal_fields(nav)
-    generations = [base]
-    for _ in range(depth - 1):
-        prev = generations[-1]
-        nxt = []
-        for i, hf in enumerate(base):
-            for j, g in enumerate(prev):
-                if prev is base and j <= i:
-                    continue
-                nxt.append(lie_bracket(hf, g, step))
-        generations.append(nxt)
-    vectors = np.stack([f(z) for gen in generations for f in gen])
-    rank = nk.numeric_rank(vectors, tol)
-    return RankReport(at=s, generated_vectors=vectors, rank=rank, depth=depth)
+    return _rank_reports(nav, s.x[None], s.y[None], depth, step, tol)[0]
 
 
 def distribution_rank_survey(nav: NavigationData, n_samples: int = 20,
@@ -254,6 +263,4 @@ def distribution_rank_survey(nav: NavigationData, n_samples: int = 20,
     rng = rng or np.random.default_rng(7)
     dirs = rng.normal(size=(n_samples, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return [holonomy_distribution_rank(nav, TangentSample(x, y), depth,
-                                       step, tol)
-            for x, y in zip(xs, dirs)]
+    return _rank_reports(nav, xs, dirs, depth, step, tol)

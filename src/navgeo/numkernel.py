@@ -1,14 +1,16 @@
 """Shared numeric substrate: forward-mode duals, SPD solves, RK4, numeric rank.
 
-Dual numbers carry one derivative slot and are the single differentiation
-mechanism used everywhere in the package; no finite differencing is hidden
-inside field evaluations. Values may be python floats or numpy arrays, so a
-single dual evaluation can sweep a whole batch of points.
+Dual numbers carry a vector of derivative slots, so one walk gives a value
+and its full gradient; they are the single differentiation mechanism used
+everywhere in the package, and no finite differencing is hidden inside field
+evaluations. Values may be python floats or numpy arrays, so one dual
+evaluation sweeps a whole batch of points. One batched RK4 integrator, `rk4`,
+integrates everything; a single item is a batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -187,23 +189,57 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # integration and rank
 
-def rk4_step(f: Callable, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step for state' = f(t, state).
+def uniform_steps(span: float, dt: float) -> tuple[int, float]:
+    """Number of steps of about dt that cover span, and the step
+    span / steps that lands exactly on its end."""
+    if not (span > 0 and dt > 0):
+        raise ValueError("span and step must be positive")
+    steps = max(1, int(round(span / dt)))
+    return steps, span / steps
 
-    The state may have any shape (batches integrate in lockstep). Raises
-    NonFiniteState when the result is not finite.
+
+def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
+        inside: Optional[Callable] = None):
+    """Classical RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) for
+    dv/dt = rhs(s, v) on a (B, m) batch advanced in lockstep, s indexing
+    half steps: step j evaluates rhs at s = 2j, 2j + 1 and 2j + 2.
+
+    With inside(v) -> (B,) bool given, a row whose new state leaves it
+    freezes at its last state inside, and the run ends once no row is
+    live. Returns (v, trajectory or None, stop): stop[b] is the index of
+    row b's last state inside (steps for rows that never left) and the
+    trajectory has shape (B, stop.max() + 1, m). Raises NonFiniteState
+    naming the step when a live row goes non-finite.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float)
-    k1 = np.asarray(f(t, state))
-    k2 = np.asarray(f(t + 0.5 * dt, state + 0.5 * dt * k1))
-    k3 = np.asarray(f(t + 0.5 * dt, state + 0.5 * dt * k2))
-    k4 = np.asarray(f(t + dt, state + dt * k3))
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"integrator state became non-finite at t={t + dt}")
-    return out
+    v = np.array(v0, dtype=float)
+    traj = [v] if keep else None
+    stop = np.full(v.shape[0], steps)
+    live = np.ones(v.shape[0], dtype=bool)
+    for j in range(steps):
+        k1 = rhs(2 * j, v)
+        k2 = rhs(2 * j + 1, v + 0.5 * dt * k1)
+        k3 = rhs(2 * j + 1, v + 0.5 * dt * k2)
+        k4 = rhs(2 * j + 2, v + dt * k3)
+        new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(new)):
+            bad = live & ~np.all(np.isfinite(new), axis=1)
+            if np.any(bad):
+                raise NonFiniteState(
+                    f"integrator state of row {int(np.argmax(bad))} became "
+                    f"non-finite at step {j + 1} (t={(j + 1) * dt:.6g})")
+        if inside is not None:
+            left = live & ~inside(new)
+            stop[left] = j
+            live &= ~left
+            if not np.any(live):
+                break
+            new = np.where(live[:, None], new, v)
+        v = new
+        if keep:
+            traj.append(v)
+    return v, np.stack(traj, axis=1) if keep else None, stop
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:

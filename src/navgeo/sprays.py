@@ -189,66 +189,42 @@ def spray_connection_matrix(nav: NavigationData, x, y) -> np.ndarray:
 # geodesic integration
 
 
+def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
+                        dt: float = 1e-3, chart=None,
+                        kind: str = "geodesic") -> list[GeodesicPath]:
+    """Integrate xdd = -2 G(x, xd) from each row of (x0s, y0s) over
+    [0, time_span], all paths in lockstep with a step of about dt that
+    lands on time_span.
+
+    A path halts (with left_domain=True) as soon as a step would leave the
+    chart domain, while the others run on; each returned path contains
+    only interior samples.
+    """
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    y0s = np.atleast_2d(np.asarray(y0s, dtype=float))
+    if not np.all(np.any(y0s != 0.0, axis=1)):
+        raise ZeroVector("geodesics need a nonzero initial velocity")
+    n = x0s.shape[1]
+    steps, dt = nk.uniform_steps(time_span, dt)
+
+    def rhs(s, state):
+        x, y = state[:, :n], state[:, n:]
+        return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
+
+    inside = None if chart is None else lambda st: chart.contains(st[:, :n])
+    _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
+                           dt, keep=True, inside=inside)
+    return [GeodesicPath(kind, dt * np.arange(last + 1), traj[b, :last + 1, :n],
+                         traj[b, :last + 1, n:], dt, bool(last < steps))
+            for b, last in enumerate(stop)]
+
+
 def integrate_geodesic(spray: Callable, x0, y0, time_span: float,
                        dt: float = 1e-3, chart=None,
                        kind: str = "geodesic") -> GeodesicPath:
-    """Integrate xdd = -2 G(x, xd) from (x0, y0) over [0, time_span].
-
-    Halts early (with left_domain=True) as soon as a step would leave the
-    chart domain; the returned path contains only interior samples.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if not np.any(y0):
-        raise ZeroVector("geodesics need a nonzero initial velocity")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = x0.shape[-1]
-    steps = max(1, int(round(time_span / dt)))
-
-    def f(t, state):
-        x, y = state[..., :n], state[..., n:]
-        return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
-
-    xs = np.empty((steps + 1, n))
-    ys = np.empty((steps + 1, n))
-    xs[0], ys[0] = x0, y0
-    state = np.concatenate([x0, y0])
-    left = False
-    last = steps
-    for j in range(steps):
-        state = nk.rk4_step(f, state, j * dt, dt)
-        if chart is not None and not chart.contains(state[:n]):
-            last = j
-            left = True
-            break
-        xs[j + 1], ys[j + 1] = state[:n], state[n:]
-    ts = dt * np.arange(last + 1)
-    return GeodesicPath(kind, ts, xs[:last + 1], ys[:last + 1], dt, left)
-
-
-def integrate_geodesics_many(spray: Callable, x0s, y0s, time_span: float,
-                             dt: float = 1e-3, kind: str = "geodesic") -> list[GeodesicPath]:
-    """Batched geodesic integration without boundary halting; callers pick
-    spans that stay inside the chart (assert with chart.contains)."""
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    y0s = np.atleast_2d(np.asarray(y0s, dtype=float))
-    bsz, n = x0s.shape
-    steps = max(1, int(round(time_span / dt)))
-
-    def f(t, state):
-        x, y = state[..., :n], state[..., n:]
-        return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
-
-    xs = np.empty((bsz, steps + 1, n))
-    ys = np.empty((bsz, steps + 1, n))
-    xs[:, 0], ys[:, 0] = x0s, y0s
-    state = np.concatenate([x0s, y0s], axis=-1)
-    for j in range(steps):
-        state = nk.rk4_step(f, state, j * dt, dt)
-        xs[:, j + 1], ys[:, j + 1] = state[..., :n], state[..., n:]
-    ts = dt * np.arange(steps + 1)
-    return [GeodesicPath(kind, ts, xs[b], ys[b], dt) for b in range(bsz)]
+    """integrate_geodesics on a batch of one path."""
+    return integrate_geodesics(spray, [x0], [y0], time_span, dt, chart,
+                               kind)[0]
 
 
 def geodesic_csv(path: GeodesicPath, nav: NavigationData, stream) -> None:

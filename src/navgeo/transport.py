@@ -1,10 +1,11 @@
 """Parallel transport along curves: linear (metric) and natural (nonlinear).
 
-Curves are maps of [0, 1] into the chart. Transport integrates with a fixed
-step classical RK4; all per-point field quantities along a curve are
-evaluated once, for every curve in a batch, before stepping. That keeps the
-inner loop to a handful of einsum contractions, which is what makes the
-acceptance sweeps (hundreds of transports at dt = 1e-3) affordable.
+Curves are maps of [0, 1] into the chart. Transport runs the batched
+classical RK4 (`numkernel.rk4`) at the fixed step 1 / round(1 / dt); all
+per-point field quantities along a curve are evaluated once, for every
+curve in a batch, before stepping. That keeps the inner loop to a handful
+of einsum contractions, which is what makes the acceptance sweeps
+(hundreds of transports at dt = 1e-3) affordable.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -23,8 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exprlang as xl
-from .errors import (CurveLeftDomain, DegenerateNorm, NonFiniteState,
-                     ZeroVector)
+from . import numkernel as nk
+from .errors import CurveLeftDomain, DegenerateNorm, ZeroVector
 from .geometry import (Chart, FieldJet, MetricField, NavigationData,
                        christoffel, field_jet, randers_value, _norm)
 
@@ -164,7 +165,7 @@ def trajectory_csv(result: TransportResult, nav: NavigationData, stream) -> None
 def _steps_from_dt(dt: float) -> int:
     if dt <= 0 or dt > 1:
         raise ValueError("dt must lie in (0, 1]")
-    return max(1, int(round(1.0 / dt)))
+    return nk.uniform_steps(1.0, dt)[0]
 
 
 def _sample_tables(curves: Sequence[Curve], steps: int,
@@ -195,40 +196,20 @@ def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return np.einsum("bskil,bsi->bskl", a, vel)
 
 
-def _rk4_on_samples(rhs: Callable, steps: int, v0: np.ndarray, dt: float,
-                    keep: bool, kind: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Classical RK4 for dv/dt = rhs(s, v), s indexing the half-step samples:
-    step j reads samples 2j, 2j + 1 and 2j + 2."""
-    v = np.array(v0, dtype=float)
-    traj = np.empty((v.shape[0], steps + 1, v.shape[1])) if keep else None
-    if keep:
-        traj[:, 0] = v
-    for j in range(steps):
-        i0, im, i1 = 2 * j, 2 * j + 1, 2 * j + 2
-        k1 = rhs(i0, v)
-        k2 = rhs(im, v + 0.5 * dt * k1)
-        k3 = rhs(im, v + 0.5 * dt * k2)
-        k4 = rhs(i1, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if keep:
-            traj[:, j + 1] = v
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteState(f"{kind} transport state became non-finite")
-    return v, traj
-
-
-def _run_linear(ac: np.ndarray, v0: np.ndarray, dt: float,
+def _run_linear(ac: np.ndarray, v0: np.ndarray,
                 keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """dv/dt = -A(cdot, v) with ac from _linear_rhs_tables."""
-    return _rk4_on_samples(lambda s, v: -np.einsum("bkl,bl->bk", ac[:, s], v),
-                           (ac.shape[1] - 1) // 2, v0, dt, keep, "linear")
+    """dv/dt = -A(cdot, v) over [0, 1] with ac from _linear_rhs_tables."""
+    steps = (ac.shape[1] - 1) // 2
+    return nk.rk4(lambda s, v: -np.einsum("bkl,bl->bk", ac[:, s], v), v0,
+                  steps, 1.0 / steps, keep)[:2]
 
 
 def _result(mode: str, pos: np.ndarray, v: np.ndarray,
-            traj: Optional[np.ndarray], dt: float) -> TransportResult:
+            traj: Optional[np.ndarray]) -> TransportResult:
     """TransportResult of the first curve of a batch."""
     steps = (pos.shape[1] - 1) // 2
-    res = TransportResult(mode, v[0], steps, dt, start=pos[0, 0], end=pos[0, -1])
+    res = TransportResult(mode, v[0], steps, 1.0 / steps, start=pos[0, 0],
+                          end=pos[0, -1])
     if traj is not None:
         res.ts = np.linspace(0.0, 1.0, steps + 1)
         res.xs = pos[0, ::2]
@@ -242,7 +223,7 @@ def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
     metric transport for a batch of (curve, start vector) pairs."""
     pos, vel = _sample_tables(curves, _steps_from_dt(dt), chart)
     v, traj = _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel),
-                          np.atleast_2d(np.asarray(v0s, dtype=float)), dt, keep)
+                          np.atleast_2d(np.asarray(v0s, dtype=float)), keep)
     return pos, v, traj
 
 
@@ -259,7 +240,7 @@ def riemann_transport(metric: MetricField, curve: Curve, v0,
                       keep_trajectory: bool = False) -> TransportResult:
     """Parallel transport of v0 along the curve for the metric connection."""
     return _result("riemann", *_riemann(metric, [curve], v0, dt, chart,
-                                        keep_trajectory), dt)
+                                        keep_trajectory))
 
 
 def riemann_transport_matrix(metric: MetricField, curve: Curve,
@@ -273,10 +254,10 @@ def riemann_transport_matrix(metric: MetricField, curve: Curve,
     return cols.T
 
 
-def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray, dt: float,
+def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot on the jet of
-    the half-step samples."""
+    """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on
+    the jet of the half-step samples."""
     ac = _linear_rhs_tables(jet.A, vel)
     mc = np.einsum("bski,bsi->bsk", jet.M, vel)  # M^k_i cdot^i
 
@@ -284,18 +265,19 @@ def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray, dt: float,
         f = _norm(jet.h[:, s], jet.hW[:, s], jet.lam[:, s], v)
         return -np.einsum("bkl,bl->bk", ac[:, s], v) + f[:, None] * mc[:, s]
 
-    return _rk4_on_samples(rhs, (ac.shape[1] - 1) // 2, v0, dt, keep, "natural")
+    steps = (ac.shape[1] - 1) // 2
+    return nk.rk4(rhs, v0, steps, 1.0 / steps, keep)[:2]
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
-                      v0: np.ndarray, dt: float,
+                      v0: np.ndarray,
                       keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Scale to the unit sphere, shift by the wind at the start, transport
     linearly, shift back by the wind at the end, scale back."""
     f0 = randers_value(nav, pos[:, 0], v0)
     winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])
     ac = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
-    u1, utraj = _run_linear(ac, v0 / f0[:, None] - winds[:, 0], dt, keep)
+    u1, utraj = _run_linear(ac, v0 / f0[:, None] - winds[:, 0], keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None
     return f0[:, None] * (u1 + winds[:, -1]), traj
 
@@ -307,12 +289,11 @@ def _natural(nav: NavigationData, curves: Sequence[Curve], v0s, method: str,
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
     if not np.all(np.any(v0s != 0.0, axis=1)):
         raise ZeroVector("natural transport starts from a nonzero vector")
-    steps = _steps_from_dt(dt)
-    pos, vel = _sample_tables(curves, steps, nav.chart)
+    pos, vel = _sample_tables(curves, _steps_from_dt(dt), nav.chart)
     if method == "ode":
-        v, traj = _run_natural(field_jet(nav, pos), vel, v0s, dt, keep)
+        v, traj = _run_natural(field_jet(nav, pos), vel, v0s, keep)
     elif method == "definitional":
-        v, traj = _run_definitional(nav, pos, vel, v0s, dt, keep)
+        v, traj = _run_definitional(nav, pos, vel, v0s, keep)
     else:
         raise ValueError("method must be 'definitional' or 'ode'")
     return pos, v, traj
@@ -334,7 +315,7 @@ def natural_transport(nav: NavigationData, curve: Curve, v0,
     v0 but not additive.
     """
     return _result(f"natural_{method}",
-                   *_natural(nav, [curve], v0, method, dt, keep_trajectory), dt)
+                   *_natural(nav, [curve], v0, method, dt, keep_trajectory))
 
 
 def corrected_transport(norm: Callable, base: Callable, curve: Curve,

@@ -251,6 +251,11 @@ TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
      1, "--from"),
     (("rank", "--builtin", "funk_ball", "--at", "5,5", "--dir", "1,0"), 1,
      "--at"),
+    (("validate", "--builtin", "sphere_cap", "--seed", "3"), 2, "--seed"),
+    (TRANSPORT + ("--seed", "3"), 2, "--seed"),
+    (("geodesic", "--builtin", "funk_ball", "--from", "0,0", "--dir", "1,0",
+      "--seed", "3"), 2, "--seed"),
+    (("list-scenarios", "--seed", "3"), 2, "--seed"),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     for name, text in BAD_FILES.items():

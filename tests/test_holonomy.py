@@ -9,7 +9,7 @@ from navgeo.errors import DegenerateWind, NotClosed, ZeroVector
 from navgeo.geometry import TangentSample, randers_value
 from navgeo.transport import AnalyticCurve, natural_transport_many
 
-from conftest import random_loop
+from helpers import random_loop
 
 
 def circle(radius, center=(0.0, 0.0)):
@@ -201,11 +201,42 @@ def test_rank_survey(rotation_disk):
     assert all(r.rank == 4 for r in reps)
 
 
+def test_rank_survey_matches_single_points(rotation_disk, funk_ball):
+    for sc in (rotation_disk, funk_ball):
+        reps = ho.distribution_rank_survey(sc.nav, n_samples=5,
+                                           rng=np.random.default_rng(3))
+        for rep in reps:
+            one = ho.holonomy_distribution_rank(sc.nav, rep.at, depth=3)
+            assert rep.rank == one.rank
+            scale = np.abs(one.generated_vectors).max()
+            diff = np.abs(rep.generated_vectors - one.generated_vectors).max()
+            assert diff <= 1e-9 * scale
+
+
+def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
+    # the bracket tree runs once on all samples: a 5-sample survey makes
+    # the same spray-connection calls as a 1-sample one, each on 5 times
+    # the rows
+    sizes = []
+    real = ho.spray_connection_matrix
+
+    def counting(nav, x, y):
+        sizes[-1].append(len(x))
+        return real(nav, x, y)
+    monkeypatch.setattr(ho, "spray_connection_matrix", counting)
+    for n in (1, 5):
+        sizes.append([])
+        ho.distribution_rank_survey(rotation_disk.nav, n_samples=n, depth=3)
+    one, five = sizes
+    assert len(one) <= 50
+    assert five == [5 * k for k in one]
+
+
 def test_lie_bracket_against_refined_step(rotation_disk):
     # the fixed-step bracket should sit within O(step^2) of a Richardson
     # sharpened reference
     fields = ho._spray_horizontal_fields(rotation_disk.nav)
-    z = np.concatenate([np.array([0.3, 0.1]), np.array([1.0, 0.2])])
+    z = np.concatenate([np.array([0.3, 0.1]), np.array([1.0, 0.2])])[None]
     coarse = ho.lie_bracket(fields[0], fields[1], step=1e-3)(z)
     fine = ho.lie_bracket(fields[0], fields[1], step=5e-4)(z)
     richardson = (4.0 * fine - coarse) / 3.0

@@ -81,21 +81,37 @@ class TestRk4:
     def test_exponential_order(self):
         # y' = y, y(0) = 1; error at t=1 scales like dt^4
         def run(dt):
-            y = np.array([1.0])
-            steps = round(1.0 / dt)
-            for j in range(steps):
-                y = nk.rk4_step(lambda t, s: s, y, j * dt, dt)
-            return abs(y[0] - np.e)
+            y, _, _ = nk.rk4(lambda s, v: v, np.ones((1, 1)), round(1.0 / dt),
+                             dt)
+            return abs(y[0, 0] - np.e)
         e1, e2 = run(0.1), run(0.05)
         assert 12.0 < e1 / e2 < 20.0
 
     def test_nonfinite_state_detected(self):
         with pytest.raises(NonFiniteState):
-            nk.rk4_step(lambda t, s: s * np.inf, np.ones(2), 0.0, 0.1)
+            nk.rk4(lambda s, v: v * np.inf, np.ones((1, 2)), 1, 0.1)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            nk.rk4_step(lambda t, s: s, np.ones(1), 0.0, 0.0)
+            nk.rk4(lambda s, v: v, np.ones((1, 1)), 1, 0.0)
+
+    def test_row_leaving_the_predicate_freezes(self):
+        # v' = 1 from 0 and 0.5 while v < 1.25: the second row stops at
+        # index 7 (v = 1.2) and the first runs on to 1.0
+        v, traj, stop = nk.rk4(lambda s, v: np.ones_like(v),
+                               np.array([[0.0], [0.5]]), 10, 0.1, keep=True,
+                               inside=lambda v: v[:, 0] < 1.25)
+        assert stop.tolist() == [10, 7]
+        assert np.allclose(v[:, 0], [1.0, 1.2], atol=1e-12)
+        assert np.allclose(traj[1, 7:, 0], 1.2, atol=1e-12)
+        assert traj.shape == (2, 11, 1)
+
+    def test_nonfinite_state_names_the_row_and_step(self):
+        # step 2 (half steps 2..4) is the first to read s = 4
+        def rhs(s, v):
+            return np.where((s >= 4) & (v > 0), np.inf, v)
+        with pytest.raises(NonFiniteState, match="row 1 .* at step 2 "):
+            nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1)
 
 
 class TestNumericRank:

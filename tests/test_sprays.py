@@ -142,16 +142,34 @@ def test_geodesic_requires_positive_dt_and_nonzero_dir(funk_ball):
 
 
 def test_geodesic_batch_matches_singles(rotation_disk):
+    # the last path dashes outward and halts at the chart edge while the
+    # others run on
     nav = rotation_disk.nav
-    x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1]])
-    y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6]])
+    x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1], [0.6, 0.0]])
+    y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6], [3.0, 0.0]])
     field = sp.randers_spray_field(nav)
-    batch = sp.integrate_geodesics_many(field, x0s, y0s, time_span=0.5, dt=1e-2)
-    for i in range(3):
+    batch = sp.integrate_geodesics(field, x0s, y0s, time_span=0.5, dt=1e-2,
+                                   chart=nav.chart)
+    assert [p.left_domain for p in batch] == [False, False, False, True]
+    for i in range(4):
         single = sp.integrate_geodesic(field, x0s[i], y0s[i], time_span=0.5,
-                                       dt=1e-2)
+                                       dt=1e-2, chart=nav.chart)
+        assert batch[i].left_domain == single.left_domain
+        assert len(batch[i].ts) == len(single.ts)
+        assert np.array_equal(batch[i].ts, single.ts)
         assert np.allclose(batch[i].xs, single.xs, atol=1e-12)
         assert np.allclose(batch[i].ys, single.ys, atol=1e-12)
+
+
+def test_geodesic_step_lands_on_time_span(funk_ball):
+    # 1 / 0.3 is not an integer: the path takes three steps of 1/3 and ends
+    # at t = 1, not three steps of 0.3 ending at t = 0.9
+    nav = funk_ball.nav
+    path = sp.integrate_geodesic(sp.natural_spray_field(nav), np.zeros(2),
+                                 np.array([0.2, 0.1]), time_span=1.0, dt=0.3)
+    assert path.dt == 1.0 / 3.0
+    assert len(path.ts) == 4
+    assert abs(path.ts[-1] - 1.0) < 1e-15
 
 
 def test_geodesic_preserves_norm(sphere_cap):

@@ -11,7 +11,7 @@ from navgeo.errors import CurveLeftDomain, ZeroVector
 from navgeo.geometry import randers_value
 from navgeo.transport import AnalyticCurve, PolylineCurve
 
-from conftest import random_curve, random_vectors
+from helpers import random_curve, random_vectors
 
 
 SEG = AnalyticCurve.from_strings(["0.5*t", "0"])
@@ -111,6 +111,22 @@ def test_riemann_transport_many_matches_single(conformal_flat):
     for i in range(2):
         single = tr.riemann_transport(m, curves[i], v0s[i]).v_end
         assert np.allclose(batch[i], single, atol=1e-14)
+
+
+def test_step_lands_on_the_curve_end(sphere_cap):
+    # 1 / 0.0444 is not an integer: both routes take 23 steps of 1/23 and
+    # land within integrator accuracy of a fine run (steps of 0.0444 ended
+    # at t = 1.0212, off by 2e-2 on the metric and 1e-1 on the natural ODE)
+    nav = sphere_cap.nav
+    loop = AnalyticCurve.from_strings(["0.3*cos(2*pi*t)", "0.3*sin(2*pi*t)"])
+    runs = (lambda dt: tr.riemann_transport(nav.metric, loop, [1.0, 0.0],
+                                            dt=dt, chart=nav.chart),
+            lambda dt: tr.natural_transport(nav, loop, [1.0, 0.0],
+                                            method="ode", dt=dt))
+    for run in runs:
+        coarse, fine = run(0.0444), run(1e-3)
+        assert coarse.steps == 23 and coarse.dt == 1.0 / 23
+        assert np.abs(coarse.v_end - fine.v_end).max() < 1e-4
 
 
 # ---------------------------------------------------------------------------
