@@ -6,14 +6,21 @@ single-argument functions sin cos exp log sqrt tanh, and parentheses.
 
 Expressions evaluate over plain floats, numpy arrays (batched points), and
 dual numbers; the same tree serves values and gradients. No symbolic
-rewriting, no code generation: just a recursive walk.
+rewriting, no code generation: a recursive walk per expression. A stack of
+expressions (a metric's upper triangle plus a wind, say) is evaluated in one
+sweep that writes every walk straight into one stacked value array (and one
+gradient array), shares a cached read-only table of derivative seeds, enters
+one errstate and runs one finiteness check; only a failed check goes back
+for the first bad expression and point. A single expression is a stack of
+one, so at a batch of one the sweep costs little more than its walks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -272,59 +279,102 @@ def _witness(x: np.ndarray, bad) -> str:
     return f"point {x[tuple(first)].tolist()}"
 
 
-def _walk(e: Expression, coords: tuple, x: np.ndarray):
+def _stack(e) -> tuple:
+    """An expression as a stack of one; a stack as a tuple."""
+    return (e,) if isinstance(e, Expression) else tuple(e)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeds(n: int, rank: int) -> np.ndarray:
+    """Derivative slots e_i of n coordinates on a leading axis ahead of
+    `rank` batch axes; shared by every sweep, so read-only. The keys are
+    few (2 <= n <= 4 and the batch ranks in use), so the cache stays small."""
+    seeds = np.eye(n).reshape((n, n) + (1,) * rank)
+    seeds.flags.writeable = False
+    return seeds
+
+
+def _require_finite(exprs: tuple, x: np.ndarray, val: np.ndarray,
+                    grad: Optional[np.ndarray] = None) -> None:
+    """One check over a stacked result val[..., j] (and grad[..., j, i]);
+    on failure, NonFiniteValue names the first bad expression and point,
+    its value checked before its gradient."""
+    if np.isfinite(val).all() and (grad is None or np.isfinite(grad).all()):
+        return
+    for j, e in enumerate(exprs):
+        bad = ~np.isfinite(val[..., j])
+        if not bad.any() and grad is not None:
+            bad = ~np.isfinite(grad[..., j, :]).all(axis=-1)
+        if bad.any():
+            raise NonFiniteValue(f"expression {e.source!r} evaluated to a "
+                                 f"non-finite value at {_witness(x, bad)}")
+
+
+def _sweep(exprs: tuple, x: np.ndarray, dual: bool):
+    """Values val[..., j] of a stack of expressions at x (..., n), and with
+    dual=True gradients grad[..., j, i] (else None), written straight into
+    the two stacked arrays: one walk per expression under one errstate, one
+    finiteness check. An out-of-domain walk raises DomainError after the
+    finiteness check of the expressions before it, so the first bad
+    expression is the one named, as with one call per expression."""
+    n, lead = exprs[0].n_vars, x.shape[:-1]
+    val = np.empty(lead + (len(exprs),))
+    grad = slots = None
+    if dual:
+        seeds = _seeds(n, len(lead))
+        coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
+        grad = np.empty(lead + (len(exprs), n))
+        slots = np.moveaxis(grad, -1, 0)  # the derivative axis first, as in dot
+    else:
+        coords = tuple(x[..., i] for i in range(n))
     with np.errstate(all="ignore"):
-        try:
-            return _eval(e.root, coords)
-        except _OutOfDomain as exc:
-            what, bad = exc.args
-            raise DomainError(f"{what} in {e.source!r} at "
-                              f"{_witness(x, bad)}") from None
+        for j, e in enumerate(exprs):
+            try:
+                raw = _eval(e.root, coords)
+            except _OutOfDomain as exc:
+                _require_finite(exprs[:j], x, val[..., :j],
+                                None if grad is None else grad[..., :j, :])
+                what, bad = exc.args
+                raise DomainError(f"{what} in {e.source!r} at "
+                                  f"{_witness(x, bad)}") from None
+            if isinstance(raw, nk.Dual):
+                val[..., j], slots[..., j] = raw.val, raw.dot
+            else:
+                val[..., j] = raw
+                if dual:  # constant tree: no slot was touched
+                    slots[..., j] = 0.0
+    _require_finite(exprs, x, val, grad)
+    return val, grad
 
 
-def _finish(e: Expression, x: np.ndarray, raw, shape: tuple):
-    """raw as a float array of the given shape (a float for shape ()),
-    raising NonFiniteValue with the expression and a witness point."""
-    out = np.asarray(raw, dtype=float)
-    finite = np.isfinite(out)
-    if not np.all(finite):
-        bad = np.broadcast_to(~finite, shape)
-        if len(shape) >= x.ndim:  # a gradient: any bad component
-            bad = bad.any(axis=-1)
-        raise NonFiniteValue(f"expression {e.source!r} evaluated to a "
-                             f"non-finite value at {_witness(x, bad)}")
-    if out.shape != shape:
-        out = np.full(shape, out)
-    if shape == ():
-        return float(out)
-    return out
+def evaluate(e, x) -> float | np.ndarray:
+    """Evaluate at a point (n,) or a batch of points (..., n).
+
+    `e` is an expression, giving a float or an array (...), or a stack (a
+    sequence) of k expressions in the same coordinates, giving an array
+    (..., k) from one sweep.
+    """
+    val = _sweep(_stack(e), np.asarray(x, dtype=float), dual=False)[0]
+    if not isinstance(e, Expression):
+        return val
+    return float(val[0]) if val.ndim == 1 else val[..., 0]
 
 
-def evaluate(e: Expression, x) -> float | np.ndarray:
-    """Evaluate at a point (n,) or a batch of points (..., n)."""
-    x = np.asarray(x, dtype=float)
-    coords = tuple(x[..., i] for i in range(e.n_vars))
-    return _finish(e, x, _walk(e, coords, x), x.shape[:-1])
-
-
-def evaluate_dual(e: Expression, x) -> tuple:
+def evaluate_dual(e, x) -> tuple:
     """Value and gradient [..., i] = d/dx^i at a point (n,) or a batch of
-    points (..., n), from one walk of the tree.
+    points (..., n), from one walk of the tree; for a stack of k
+    expressions, values (..., k) and gradients (..., k, i) from one sweep.
 
     Coordinate i enters as a dual number whose derivative slot is the unit
     vector e_i held on a *leading* axis (`dot` has shape (n,) + batch), so
     the dual arithmetic and the elementary functions broadcast unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    n = e.n_vars
-    lead = x.shape[:-1]
-    seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
-    coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
-    raw = _walk(e, coords, x)
-    if not isinstance(raw, nk.Dual):  # constant tree: no slot was touched
-        raw = nk.Dual(raw, 0.0)
-    grad = np.moveaxis(np.broadcast_to(raw.dot, (n,) + lead), 0, -1).copy()
-    return _finish(e, x, raw.val, lead), _finish(e, x, grad, lead + (n,))
+    val, grad = _sweep(_stack(e), np.asarray(x, dtype=float), dual=True)
+    if not isinstance(e, Expression):
+        return val, grad
+    if val.ndim == 1:
+        return float(val[0]), grad[0]
+    return val[..., 0], grad[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

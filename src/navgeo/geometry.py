@@ -134,25 +134,15 @@ class VectorField:
         return cls([exprlang.parse(s, n) for s in exprs])
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.dim,))
-        for k, comp in enumerate(self.components):
-            out[..., k] = exprlang.evaluate(comp, x)
-        return out
+        return exprlang.evaluate(self.components, x)
 
     def jacobian(self, x) -> np.ndarray:
         """J[..., k, i] = d(component k)/d(x^i), via dual evaluation."""
         return self.value_and_jacobian(x)[1]
 
     def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Value [..., k] and Jacobian [..., k, i] from one dual walk per
-        component."""
-        x = np.asarray(x, dtype=float)
-        val = np.empty(x.shape[:-1] + (self.dim,))
-        jac = np.empty(x.shape[:-1] + (self.dim, x.shape[-1]))
-        for k, comp in enumerate(self.components):
-            val[..., k], jac[..., k, :] = exprlang.evaluate_dual(comp, x)
-        return val, jac
+        """Value [..., k] and Jacobian [..., k, i] from one dual sweep."""
+        return exprlang.evaluate_dual(self.components, x)
 
 
 class MetricField:
@@ -165,24 +155,19 @@ class MetricField:
                 raise ValueError("upper triangle rows must shrink by one")
         self.dim = n
         self.upper = tuple(tuple(row) for row in upper)
+        # the upper triangle row by row, one stack for every sweep, and the
+        # index of entry (i, j) in it
+        self.entries = tuple(e for row in self.upper for e in row)
+        iu, ju = np.triu_indices(n)
+        self._sym = np.empty((n, n), dtype=int)
+        self._sym[iu, ju] = self._sym[ju, iu] = np.arange(len(self.entries))
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]], n: int) -> "MetricField":
         return cls([[exprlang.parse(s, n) for s in row] for row in rows])
 
-    def _pairs(self):
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                yield i, j, self.upper[i][j - i]
-
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.dim, self.dim))
-        for i, j, expr in self._pairs():
-            v = exprlang.evaluate(expr, x)
-            out[..., i, j] = v
-            out[..., j, i] = v
-        return out
+        return self._assemble(exprlang.evaluate(self.entries, x))
 
     def derivatives(self, x) -> np.ndarray:
         """dh[..., k, i, j] = d(h_ij)/d(x^k), via dual evaluation."""
@@ -190,16 +175,19 @@ class MetricField:
 
     def value_and_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """h[..., i, j] and dh[..., k, i, j] = d(h_ij)/d(x^k) from one dual
-        walk per upper-triangle entry."""
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        val = np.empty(x.shape[:-1] + (n, n))
-        der = np.empty(x.shape[:-1] + (n, n, n))
-        for i, j, expr in self._pairs():
-            v, d = exprlang.evaluate_dual(expr, x)
-            val[..., i, j] = val[..., j, i] = v
-            der[..., :, i, j] = der[..., :, j, i] = d
-        return val, der
+        sweep over the upper triangle."""
+        return self._assemble(*exprlang.evaluate_dual(self.entries, x))
+
+    def _assemble(self, val: np.ndarray, grad: Optional[np.ndarray] = None):
+        """h[..., i, j] from the stacked entry values val[..., m] (with grad
+        [..., m, k] also dh[..., k, i, j]), gathered into fresh contiguous
+        arrays. The indices are in range by construction, and mode="clip"
+        gathers faster than the default bounds-checked mode."""
+        h = np.take(val, self._sym, axis=-1, mode="clip")
+        if grad is None:
+            return h
+        return h, np.take(np.swapaxes(grad, -1, -2), self._sym, axis=-1,
+                          mode="clip")
 
 
 @dataclass(frozen=True)
@@ -344,13 +332,22 @@ class FieldJet(FieldValues):
 
 
 def field_jet(nav: NavigationData, x) -> FieldJet:
-    """The jet of nav at x (..., n), from one dual walk per expression."""
-    h, dh = nav.metric.value_and_derivatives(x)
+    """The jet of nav at x (..., n), from one dual sweep over the metric's
+    upper triangle and the wind."""
+    h, dh, w, dw = _jet_entries(nav, x)
     hinv = nk.spd_inverse(h)
     a = _levi_civita(hinv, dh)
-    w, dw = nav.wind.value_and_jacobian(x)
     return FieldJet.of(h, w, dh=dh, hinv=hinv, A=a, dW=dw,
                        M=dw + np.einsum("...kis,...s->...ki", a, w))
+
+
+def _jet_entries(nav: NavigationData, x) -> tuple:
+    """h, dh, W, dW as contiguous arrays; the stacked sweep result is
+    dropped on return, before the Levi-Civita symbols are built."""
+    m = len(nav.metric.entries)
+    val, grad = exprlang.evaluate_dual(nav.metric.entries + nav.wind.components, x)
+    h, dh = nav.metric._assemble(val[..., :m], grad[..., :m, :])
+    return h, dh, val[..., m:].copy(), grad[..., m:, :].copy()
 
 
 def wind_covariant_jacobian(nav: NavigationData, x) -> np.ndarray:

@@ -106,7 +106,7 @@ def loop_holonomy(nav: NavigationData, loop: Curve,
         raise ValueError("mode must be 'natural' or 'riemann'")
     return HolonomyElement(base=base, mode=mode, probes=probes,
                            transported=out, norms_in=nin, norms_out=nout,
-                           dt=dt)
+                           dt=nk.uniform_steps(1.0, dt)[1])
 
 
 def riemann_holonomy_matrix(nav: NavigationData, loop: Curve,

@@ -2,10 +2,12 @@
 
 Curves are maps of [0, 1] into the chart. Transport runs the batched
 classical RK4 (`numkernel.rk4`) at the fixed step 1 / round(1 / dt); all
-per-point field quantities along a curve are evaluated once, for every
-curve in a batch, before stepping. That keeps the inner loop to a handful
-of einsum contractions, which is what makes the acceptance sweeps
-(hundreds of transports at dt = 1e-3) affordable.
+per-point field quantities along a curve are evaluated before stepping,
+once per distinct curve object in a batch, and each (curve, vector) row
+gathers its curve's tables by index, so probes sent around one loop share
+one field table. That keeps the inner loop to a handful of einsum
+contractions, which is what makes the acceptance sweeps (hundreds of
+transports at dt = 1e-3) affordable.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -66,18 +68,12 @@ class AnalyticCurve(Curve):
         return cls([xl.parse_with_names(s, ("t",)) for s in exprs])
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (self.dim,))
-        for k, comp in enumerate(self.components):
-            out[..., k] = xl.evaluate(comp, t[..., None])
-        return out
+        return xl.evaluate(self.components, np.asarray(t, dtype=float)[..., None])
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (self.dim,))
-        for k, comp in enumerate(self.components):
-            out[..., k] = xl.evaluate_dual(comp, t[..., None])[1][..., 0]
-        return out
+        grad = xl.evaluate_dual(self.components,
+                                np.asarray(t, dtype=float)[..., None])[1]
+        return np.ascontiguousarray(grad[..., 0])
 
     def reversed(self) -> "AnalyticCurve":
         flipped = [xl.Expression(_reverse_param(c.root), c.var_names)
@@ -168,27 +164,25 @@ def _steps_from_dt(dt: float) -> int:
     return nk.uniform_steps(1.0, dt)[0]
 
 
-def _sample_tables(curves: Sequence[Curve], steps: int,
-                   chart: Optional[Chart]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities of each curve on the half-step grid."""
+def _sample_tables(curves: Sequence[Curve], steps: int, chart: Optional[Chart]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and velocities of each distinct curve object on the
+    half-step grid, and rows[b], the index of batch entry b's curve in them
+    (the first curve is the first of them)."""
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
-    # identical curve objects share their samples
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pos = np.empty((len(curves), len(ts), curves[0].dim))
-    vel = np.empty_like(pos)
-    for b, c in enumerate(curves):
-        key = id(c)
-        if key not in cache:
-            cache[key] = (c.point(ts), c.velocity(ts))
-        pos[b], vel[b] = cache[key]
+    first: dict[int, int] = {}  # curve id -> its index among the distinct
+    rows = np.array([first.setdefault(id(c), len(first)) for c in curves])
+    distinct = list({id(c): c for c in curves}.values())
+    pos = np.stack([c.point(ts) for c in distinct])
+    vel = np.stack([c.velocity(ts) for c in distinct])
     if chart is not None:
         inside = chart.contains(pos)
         if not np.all(inside):
-            b, j = np.argwhere(~inside)[0]
+            u, j = np.argwhere(~inside)[0]
             raise CurveLeftDomain(
                 f"curve sample at t={ts[j]:.6f} lies outside the chart domain "
-                f"(point {pos[b, j].tolist()})")
-    return pos, vel
+                f"(point {pos[u, j].tolist()})")
+    return pos, vel, rows
 
 
 def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -206,7 +200,8 @@ def _run_linear(ac: np.ndarray, v0: np.ndarray,
 
 def _result(mode: str, pos: np.ndarray, v: np.ndarray,
             traj: Optional[np.ndarray]) -> TransportResult:
-    """TransportResult of the first curve of a batch."""
+    """TransportResult of the first pair of a batch (pos[0] holds its
+    curve's samples)."""
     steps = (pos.shape[1] - 1) // 2
     res = TransportResult(mode, v[0], steps, 1.0 / steps, start=pos[0, 0],
                           end=pos[0, -1])
@@ -219,11 +214,12 @@ def _result(mode: str, pos: np.ndarray, v: np.ndarray,
 
 def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
              chart: Optional[Chart], keep: bool):
-    """(half-step positions, endpoint values, trajectories or None) of the
-    metric transport for a batch of (curve, start vector) pairs."""
-    pos, vel = _sample_tables(curves, _steps_from_dt(dt), chart)
-    v, traj = _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel),
-                          np.atleast_2d(np.asarray(v0s, dtype=float)), keep)
+    """(half-step positions of the distinct curves, endpoint values,
+    trajectories or None) of the metric transport for a batch of (curve,
+    start vector) pairs."""
+    pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), chart)
+    ac = _linear_rhs_tables(christoffel(metric, pos), vel)[rows]
+    v, traj = _run_linear(ac, np.atleast_2d(np.asarray(v0s, dtype=float)), keep)
     return pos, v, traj
 
 
@@ -254,15 +250,18 @@ def riemann_transport_matrix(metric: MetricField, curve: Curve,
     return cols.T
 
 
-def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray,
+def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
+                 v0: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on
-    the jet of the half-step samples."""
-    ac = _linear_rhs_tables(jet.A, vel)
-    mc = np.einsum("bski,bsi->bsk", jet.M, vel)  # M^k_i cdot^i
+    the jet of the half-step samples of the distinct curves; batch row b
+    runs on curve rows[b]."""
+    ac = _linear_rhs_tables(jet.A, vel)[rows]
+    mc = np.einsum("bski,bsi->bsk", jet.M, vel)[rows]  # M^k_i cdot^i
+    h, hw, lam = jet.h[rows], jet.hW[rows], jet.lam[rows]
 
     def rhs(s, v):
-        f = _norm(jet.h[:, s], jet.hW[:, s], jet.lam[:, s], v)
+        f = _norm(h[:, s], hw[:, s], lam[:, s], v)
         return -np.einsum("bkl,bl->bk", ac[:, s], v) + f[:, None] * mc[:, s]
 
     steps = (ac.shape[1] - 1) // 2
@@ -270,13 +269,13 @@ def _run_natural(jet: FieldJet, vel: np.ndarray, v0: np.ndarray,
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
-                      v0: np.ndarray,
+                      rows: np.ndarray, v0: np.ndarray,
                       keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Scale to the unit sphere, shift by the wind at the start, transport
     linearly, shift back by the wind at the end, scale back."""
-    f0 = randers_value(nav, pos[:, 0], v0)
-    winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])
-    ac = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
+    f0 = randers_value(nav, pos[rows, 0], v0)
+    winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
+    ac = _linear_rhs_tables(christoffel(nav.metric, pos), vel)[rows]
     u1, utraj = _run_linear(ac, v0 / f0[:, None] - winds[:, 0], keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None
     return f0[:, None] * (u1 + winds[:, -1]), traj
@@ -284,16 +283,17 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
 
 def _natural(nav: NavigationData, curves: Sequence[Curve], v0s, method: str,
              dt: float, keep: bool):
-    """(half-step positions, endpoint values, trajectories or None) of the
-    natural transport for a batch of (curve, start vector) pairs."""
+    """(half-step positions of the distinct curves, endpoint values,
+    trajectories or None) of the natural transport for a batch of (curve,
+    start vector) pairs."""
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
     if not np.all(np.any(v0s != 0.0, axis=1)):
         raise ZeroVector("natural transport starts from a nonzero vector")
-    pos, vel = _sample_tables(curves, _steps_from_dt(dt), nav.chart)
+    pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), nav.chart)
     if method == "ode":
-        v, traj = _run_natural(field_jet(nav, pos), vel, v0s, keep)
+        v, traj = _run_natural(field_jet(nav, pos), vel, rows, v0s, keep)
     elif method == "definitional":
-        v, traj = _run_definitional(nav, pos, vel, v0s, keep)
+        v, traj = _run_definitional(nav, pos, vel, rows, v0s, keep)
     else:
         raise ValueError("method must be 'definitional' or 'ode'")
     return pos, v, traj

@@ -96,6 +96,14 @@ def test_holonomy_json():
     assert np.isclose(ang, 1.0375902342131427, atol=1e-6)
 
 
+def test_holonomy_json_records_the_step_taken():
+    res = run_cli("holonomy", "--builtin", "sphere_cap",
+                  "--loop", "0.3*cos(2*pi*t), 0.3*sin(2*pi*t)",
+                  "--probes", "2", "--dt", "0.0444")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["dt"] == 1.0 / 23
+
+
 def test_rank_survey_rotation():
     res = run_cli("rank", "--builtin", "rotation_disk", "--samples", "5")
     assert res.returncode == 0

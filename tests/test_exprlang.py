@@ -73,6 +73,22 @@ class TestEvaluation:
         dot = grad @ [1.0, 0.0]
         assert val == 7.0 and dot == 0.0
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 2), (4, 1, 2)])
+    def test_stack_stacks_single_walks(self, shape):
+        texts = ("x1^2*x2", "7", "sin(x1) - x2", "x2")
+        x = np.random.default_rng(3).uniform(0.1, 1.0, size=shape)
+        lead = x.shape[:-1]
+        stack = [xl.parse(t, 2) for t in texts]
+        val = xl.evaluate(stack, x)
+        dval, grad = xl.evaluate_dual(stack, x)
+        assert val.shape == dval.shape == lead + (4,)
+        assert grad.shape == lead + (4, 2)
+        for j, e in enumerate(stack):
+            np.testing.assert_array_equal(val[..., j], xl.evaluate(e, x))
+            v, g = xl.evaluate_dual(e, x)
+            np.testing.assert_array_equal(dval[..., j], v)
+            np.testing.assert_array_equal(grad[..., j, :], g)
+
 
 class TestErrors:
     def test_syntax_error_offset(self):
@@ -106,14 +122,16 @@ class TestErrors:
 
     @staticmethod
     def assert_witness(error, text, bad_point):
-        """Both walks name the source and the one bad point of a batch."""
+        """Both walks name the source and the one bad point of a batch,
+        alone and as the second expression of a stacked sweep."""
         batch = np.array([[0.5, 0.25], bad_point, [2.0, -1.0]])
         expr = xl.parse(text, 2)
         for walk in (xl.evaluate, xl.evaluate_dual):
-            with pytest.raises(error) as ei:
-                walk(expr, batch)
-            assert repr(text) in str(ei.value)
-            assert f"point {bad_point}" in str(ei.value)
+            for e in (expr, (xl.parse("x1 + x2", 2), expr)):
+                with pytest.raises(error) as ei:
+                    walk(e, batch)
+                assert repr(text) in str(ei.value)
+                assert f"point {bad_point}" in str(ei.value)
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
@@ -134,6 +152,23 @@ class TestErrors:
         with pytest.raises(NonFiniteValue):
             ev("1/x1", 0.0)
         self.assert_witness(NonFiniteValue, "1/x1", [0.0, 0.5])
+
+    def test_stack_names_the_first_bad_expression(self):
+        # as with one call per expression in order: a non-finite value
+        # before an out-of-domain walk is the one reported
+        batch = np.array([[0.5, 0.25], [0.0, -1.0]])
+        stack = (xl.parse("x2 + 1", 2), xl.parse("1/x1", 2),
+                 xl.parse("log(x2)", 2))
+        for walk in (xl.evaluate, xl.evaluate_dual):
+            with pytest.raises(NonFiniteValue) as ei:
+                walk(stack, batch)
+            assert "'1/x1'" in str(ei.value)
+            assert "point [0.0, -1.0]" in str(ei.value)
+        # a finite value with a non-finite gradient is caught as well
+        with pytest.raises(NonFiniteValue) as ei:
+            xl.evaluate_dual((xl.parse("x2", 2), xl.parse("sqrt(x1)", 2)), batch)
+        assert "'sqrt(x1)'" in str(ei.value)
+        assert "point [0.0, -1.0]" in str(ei.value)
 
 
 # a recursive strategy for well-formed expression strings

@@ -59,6 +59,14 @@ def test_holonomy_element_as_dict(funk_ball):
     assert d["norm_drift"] < 1e-8
 
 
+def test_holonomy_element_records_the_step_taken(sphere_cap):
+    # 1 / 0.0444 is not an integer: the loop is run in 23 steps of 1/23
+    element = ho.loop_holonomy(sphere_cap.nav, circle(0.3), n_probes=2,
+                               dt=0.0444)
+    assert element.dt == 1.0 / 23
+    assert element.as_dict()["dt"] == 1.0 / 23
+
+
 # ---------------------------------------------------------------------------
 # curvature oracle
 

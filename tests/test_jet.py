@@ -1,14 +1,24 @@
 """A field jet built once per base point and broadcast over fiber directions
-gives the same geometry as evaluating every (point, direction) pair alone."""
+gives the same geometry as evaluating every (point, direction) pair alone,
+and its one stacked sweep gives the same arrays as one walk per entry."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from navgeo import connection as cn
+from navgeo import exprlang as xl
+from navgeo import geometry as ge
+from navgeo import numkernel as nk
 from navgeo import sprays as sp
 from navgeo.geometry import (field_jet, randers_grad_x, randers_value,
                              randers_value_and_grad)
-from navgeo.scenarios import scenario_from_dict
+from navgeo.scenarios import (builtin, builtin_names, load_scenario,
+                              scenario_from_dict)
+
+BENCH_SCENARIOS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
 
 # curved metrics with rotating winds, built inline
 CURVED = {
@@ -85,3 +95,66 @@ def test_single_point_broadcasts_over_a_fiber_batch(dim):
             for d in range(count):
                 np.testing.assert_allclose(batch[d], route(ys[d]), rtol=1e-12,
                                            atol=1e-14, err_msg=name)
+
+
+def _per_entry_jet(nav, x):
+    """h, dh, W, dW, A and M from one single-expression evaluate_dual call
+    per metric entry and wind component, assembled as before stacking."""
+    n, lead = nav.dim, x.shape[:-1]
+    h, dh = np.empty(lead + (n, n)), np.empty(lead + (n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            v, d = xl.evaluate_dual(nav.metric.upper[i][j - i], x)
+            h[..., i, j] = h[..., j, i] = v
+            dh[..., :, i, j] = dh[..., :, j, i] = d
+    w, dw = np.empty(lead + (n,)), np.empty(lead + (n, n))
+    for k, comp in enumerate(nav.wind.components):
+        w[..., k], dw[..., k, :] = xl.evaluate_dual(comp, x)
+    a = ge._levi_civita(nk.spd_inverse(h), dh)
+    return {"h": h, "dh": dh, "W": w, "dW": dw, "A": a,
+            "M": dw + np.einsum("...kis,...s->...ki", a, w)}
+
+
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
+def test_stacked_sweep_matches_single_expressions(name):
+    path = [p for p in BENCH_SCENARIOS if p.name == name]
+    nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
+    n = nav.dim
+    pts = nav.chart.sample_interior(3, margin=0.2)
+    for x in (pts[0], pts[:1], pts, pts[:, None, :]):
+        jet, ref = field_jet(nav, x), _per_entry_jet(nav, x)
+        for key, want in ref.items():
+            got = getattr(jet, key)
+            assert got.shape == want.shape, (key, x.shape)
+            np.testing.assert_array_equal(got, want, err_msg=f"{key} {x.shape}")
+        if name == "funk_ball":  # a flat metric: constant entries only
+            assert np.all(jet.h == np.eye(n)) and np.all(jet.dh == 0.0)
+    # the metric and wind fields alone take the same stacked routes, the
+    # value-only ones against one value walk per entry
+    h, dh = nav.metric.value_and_derivatives(pts)
+    w, dw = nav.wind.value_and_jacobian(pts)
+    for got, key in ((h, "h"), (dh, "dh"), (w, "W"), (dw, "dW")):
+        np.testing.assert_array_equal(got, ref[key][:, 0], err_msg=key)
+    h = np.empty((len(pts), n, n))
+    for i in range(n):
+        for j in range(i, n):
+            h[:, i, j] = h[:, j, i] = xl.evaluate(nav.metric.upper[i][j - i], pts)
+    np.testing.assert_array_equal(nav.metric.value(pts), h)
+    np.testing.assert_array_equal(
+        nav.wind.value(pts),
+        np.stack([xl.evaluate(c, pts) for c in nav.wind.components], axis=-1))
+
+
+def test_field_jet_is_one_dual_sweep(monkeypatch):
+    nav = scenario_from_dict(CURVED[4]).nav
+    calls = []
+    sweep = xl.evaluate_dual
+
+    def counted(e, x):
+        calls.append(e)
+        return sweep(e, x)
+
+    monkeypatch.setattr(xl, "evaluate_dual", counted)
+    field_jet(nav, nav.chart.sample_interior(5, margin=0.2))
+    assert len(calls) == 1
+    assert len(calls[0]) == len(nav.metric.entries) + nav.dim == 14

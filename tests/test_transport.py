@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navgeo import holonomy as ho
 from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, ZeroVector
 from navgeo.geometry import randers_value
 from navgeo.transport import AnalyticCurve, PolylineCurve
 
-from helpers import random_curve, random_vectors
+from helpers import random_curve, random_loop, random_vectors
 
 
 SEG = AnalyticCurve.from_strings(["0.5*t", "0"])
@@ -223,6 +224,45 @@ def test_natural_transport_many_matches_single(funk_ball, sphere_cap):
             for i, c in enumerate(curves):
                 single = tr.natural_transport(nav, c, v0s[i], method=method).v_end
                 assert np.allclose(batch[i], single, atol=1e-12)
+
+
+def test_repeated_curve_is_tabled_once(sphere_cap, monkeypatch):
+    # one curve object sent with several vectors: its field tables are
+    # built once, and every row equals its one-at-a-time transport bitwise
+    nav = sphere_cap.nav
+    rng = np.random.default_rng(5)
+    loop = random_loop(nav.chart, rng)
+    v0s = random_vectors(rng, 4, 2)
+    tabled = []
+    for name in ("field_jet", "christoffel"):
+        def counted(first, x, _fn=getattr(tr, name)):
+            tabled.append(x.shape[0])
+            return _fn(first, x)
+        monkeypatch.setattr(tr, name, counted)
+    runs = {
+        "definitional": (
+            lambda: tr.natural_transport_many(nav, [loop] * 4, v0s, dt=2e-3),
+            lambda v: tr.natural_transport(nav, loop, v, dt=2e-3).v_end),
+        "ode": (
+            lambda: tr.natural_transport_many(nav, [loop] * 4, v0s, "ode", 2e-3),
+            lambda v: tr.natural_transport(nav, loop, v, "ode", 2e-3).v_end),
+        "riemann": (
+            lambda: tr.riemann_transport_many(nav.metric, [loop] * 4, v0s, 2e-3),
+            lambda v: tr.riemann_transport(nav.metric, loop, v, 2e-3).v_end),
+        "natural holonomy": (
+            lambda: ho.loop_holonomy(nav, loop, v0s, dt=2e-3).transported,
+            lambda v: tr.natural_transport(nav, loop, v, "ode", 2e-3).v_end),
+        "riemann holonomy": (
+            lambda: ho.loop_holonomy(nav, loop, v0s, "riemann",
+                                     dt=2e-3).transported,
+            lambda v: tr.riemann_transport(nav.metric, loop, v, 2e-3).v_end),
+    }
+    for name, (batch, single) in runs.items():
+        tabled.clear()
+        rows = batch()
+        assert tabled == [1], name
+        for v0, row in zip(v0s, rows):
+            np.testing.assert_array_equal(row, single(v0), err_msg=name)
 
 
 def test_natural_transport_rejects_zero_vector(funk_ball):
