@@ -4,8 +4,15 @@ Dual numbers carry a vector of derivative slots, so one walk gives a value
 and its full gradient; they are the single differentiation mechanism used
 everywhere in the package, and no finite differencing is hidden inside field
 evaluations. Values may be python floats or numpy arrays, so one dual
-evaluation sweeps a whole batch of points. One batched RK4 integrator, `rk4`,
-integrates everything; a single item is a batch of one.
+evaluation sweeps a whole batch of points.
+
+One RK4 tableau integrates everything, on batches advanced in lockstep (a
+single item is a batch of one). `rk4` is the one loop for nonlinear
+right-hand sides: geodesics, wind flows and the natural transport ODE.
+Linear systems whose matrices are tabled before the loop starts (the metric
+transport, the definitional route's inner transport) use `rk4_linear`,
+which builds the step maps of the same tableau at once and multiplies them
+out instead of evaluating a right-hand side.
 """
 from __future__ import annotations
 
@@ -60,16 +67,16 @@ class Dual:
 
     __rmul__ = __mul__
 
+    # quotients divide, as the value walk does, so both walks agree bitwise
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            inv = 1.0 / other.val
-            return Dual(self.val * inv,
-                        (self.dot - self.val * other.dot * inv) * inv)
+            q = self.val / other.val
+            return Dual(q, (self.dot - q * other.dot) / other.val)
         return Dual(self.val / other, self.dot / other)
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        return Dual(other * inv, -other * self.dot * inv * inv)
+        q = other / self.val
+        return Dual(q, -q * self.dot / self.val)
 
     def __neg__(self):
         return Dual(-self.val, -self.dot)
@@ -198,6 +205,11 @@ def uniform_steps(span: float, dt: float) -> tuple[int, float]:
     return steps, span / steps
 
 
+def _nonfinite(row: int, step: int, dt: float) -> NonFiniteState:
+    return NonFiniteState(f"integrator state of row {row} became non-finite "
+                          f"at step {step} (t={step * dt:.6g})")
+
+
 def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
         inside: Optional[Callable] = None):
     """Classical RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) for
@@ -213,33 +225,110 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    half, sixth = 0.5 * dt, dt / 6.0
     v = np.array(v0, dtype=float)
     traj = [v] if keep else None
     stop = np.full(v.shape[0], steps)
     live = np.ones(v.shape[0], dtype=bool)
     for j in range(steps):
         k1 = rhs(2 * j, v)
-        k2 = rhs(2 * j + 1, v + 0.5 * dt * k1)
-        k3 = rhs(2 * j + 1, v + 0.5 * dt * k2)
+        k2 = rhs(2 * j + 1, v + half * k1)
+        k3 = rhs(2 * j + 1, v + half * k2)
         k4 = rhs(2 * j + 2, v + dt * k3)
-        new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(new)):
-            bad = live & ~np.all(np.isfinite(new), axis=1)
-            if np.any(bad):
-                raise NonFiniteState(
-                    f"integrator state of row {int(np.argmax(bad))} became "
-                    f"non-finite at step {j + 1} (t={(j + 1) * dt:.6g})")
+        new = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(new).all():
+            bad = live & ~np.isfinite(new).all(axis=1)
+            if bad.any():
+                raise _nonfinite(int(np.argmax(bad)), j + 1, dt)
         if inside is not None:
             left = live & ~inside(new)
             stop[left] = j
             live &= ~left
-            if not np.any(live):
+            if not live.any():
                 break
             new = np.where(live[:, None], new, v)
         v = new
         if keep:
             traj.append(v)
     return v, np.stack(traj, axis=1) if keep else None, stop
+
+
+def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:
+    """The RK4 steps of the linear system dv/dt = k[..., s, :, :] v, tabled
+    at half steps s = 0 .. 2N, as matrices (..., N, m, m): step j is
+    P_j = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = k[2j],
+    K2 = k[2j+1] (I + dt/2 K1), K3 = k[2j+1] (I + dt/2 K2) and
+    K4 = k[2j+2] (I + dt K3), the stages of `rk4` applied to the identity."""
+    eye = np.eye(k.shape[-1])
+    start, mid, end = k[..., 0:-1:2, :, :], k[..., 1::2, :, :], k[..., 2::2, :, :]
+    k2 = mid @ (eye + (0.5 * dt) * start)
+    k3 = mid @ (eye + (0.5 * dt) * k2)
+    k4 = end @ (eye + dt * k3)
+    return eye + (dt / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ordered_product(maps: np.ndarray) -> np.ndarray:
+    """maps[..., N-1, :, :] @ ... @ maps[..., 0, :, :], multiplying
+    neighbours pairwise, so N maps take about log2(N) batched products."""
+    while maps.shape[-3] > 1:
+        even = maps.shape[-3] // 2 * 2
+        paired = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
+        maps = np.concatenate([paired, maps[..., even:, :, :]], axis=-3)
+    return maps[..., 0, :, :]
+
+
+def _apply_in_order(maps: np.ndarray, rows: np.ndarray, v0: np.ndarray,
+                    dt: float) -> np.ndarray:
+    """Trajectory (B, N + 1, m) of row b of v0 under the step maps of table
+    rows[b]; raises NonFiniteState as `rk4` does, naming the first step at
+    which a state is non-finite and the first such row."""
+    traj = np.empty((len(v0), maps.shape[1] + 1, v0.shape[1]))
+    traj[:, 0] = v = v0
+    for j in range(maps.shape[1]):
+        v = np.einsum("bkl,bl->bk", maps[rows, j], v)
+        traj[:, j + 1] = v
+    if not np.isfinite(traj).all():
+        bad = ~np.isfinite(traj).all(axis=2)
+        step = int(np.argmax(bad.any(axis=0)))
+        raise _nonfinite(int(np.argmax(bad[:, step])), step, dt)
+    return traj
+
+
+def rk4_linear(k: np.ndarray, dt: float, v0: Optional[np.ndarray] = None,
+               rows: Optional[np.ndarray] = None, keep: bool = False):
+    """`rk4` for linear systems dv/dt = k[u, s] v whose matrices are tabled
+    at the half steps s = 0 .. 2N of each of U systems, k (U, 2N + 1, m, m),
+    without evaluating a right-hand side: every step map is built at once,
+    then applied in order when the trajectory is kept and otherwise
+    multiplied out.
+
+    With v0 None, returns the propagators (U, m, m), the ordered products of
+    the step maps. Otherwise row b of the (B, m) batch v0 runs on system
+    rows[b] (default b), and (v, trajectory (B, N + 1, m) or None) is
+    returned. A non-finite state raises NonFiniteState naming the row and
+    the step, as `rk4` does (for propagators, row u * m + i is basis vector
+    i of system u); the in-order search for it runs only on failure.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    # overflow is reported below as NonFiniteState, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = _step_maps(k, dt)
+        if v0 is None:
+            prop = _ordered_product(maps)
+            if np.isfinite(prop).all():
+                return prop
+            u, m = prop.shape[:2]
+            traj = _apply_in_order(maps, np.repeat(np.arange(u), m),
+                                   np.tile(np.eye(m), (u, 1)), dt)
+            return np.swapaxes(traj[:, -1].reshape(u, m, m), 1, 2)
+        rows = np.arange(len(v0)) if rows is None else rows
+        if not keep:
+            v = np.einsum("bkl,bl->bk", _ordered_product(maps)[rows], v0)
+            if np.isfinite(v).all():
+                return v, None
+        traj = _apply_in_order(maps, rows, v0, dt)
+    return traj[:, -1], traj if keep else None
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:

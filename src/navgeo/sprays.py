@@ -232,11 +232,10 @@ def geodesic_csv(path: GeodesicPath, nav: NavigationData, stream) -> None:
     n = path.xs.shape[1]
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"y{i + 1}" for i in range(n)] + ["F"])
-    stream.write(",".join(header) + "\n")
-    fvals = randers_value(nav, path.xs, path.ys)
-    for j in range(len(path.ts)):
-        row = [path.ts[j]] + list(path.xs[j]) + list(path.ys[j]) + [float(fvals[j])]
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = np.column_stack([path.ts, path.xs, path.ys,
+                            randers_value(nav, path.xs, path.ys)]).tolist()
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

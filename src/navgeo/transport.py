@@ -1,12 +1,16 @@
 """Parallel transport along curves: linear (metric) and natural (nonlinear).
 
-Curves are maps of [0, 1] into the chart. Transport runs the batched
-classical RK4 (`numkernel.rk4`) at the fixed step 1 / round(1 / dt); all
-per-point field quantities along a curve are evaluated before stepping,
-once per distinct curve object in a batch, and each (curve, vector) row
-gathers its curve's tables by index, so probes sent around one loop share
-one field table. That keeps the inner loop to a handful of einsum
-contractions, which is what makes the acceptance sweeps (hundreds of
+Curves are maps of [0, 1] into the chart. Transport runs classical RK4 at
+the fixed step 1 / round(1 / dt); all per-point field quantities along a
+curve are evaluated before stepping, once per distinct curve object in a
+batch, and each (curve, vector) row reads its curve's tables by index at
+every stage, so probes sent around one loop share one field table and no
+table is copied per probe. The linear transports evaluate no right-hand
+side: their RK4 step maps are built from the tabled -A(cdot) at once and
+multiplied out (`numkernel.rk4_linear`), and the transport matrix is their
+ordered product. The natural ODE runs `numkernel.rk4`, one stacked
+contraction of the stage table [-A(cdot); Q; hW^T] per stage plus the
+scalar norm formula. That is what makes the acceptance sweeps (hundreds of
 transports at dt = 1e-3) affordable.
 
 The natural transport comes in two interchangeable flavors:
@@ -16,7 +20,8 @@ The natural transport comes in two interchangeable flavors:
   ode           integrate dv^k/dt + Gamma^k_i(c, v) cdot^i = 0 directly.
 
 They agree to integrator accuracy; keeping both honest and separate is the
-point of the two-route tests.
+point of the two-route tests. The ODE route is the nonlinear oracle, so it
+evaluates F at every stage state and never linearises around v0.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from . import exprlang as xl
 from . import numkernel as nk
 from .errors import CurveLeftDomain, DegenerateNorm, ZeroVector
 from .geometry import (Chart, FieldJet, MetricField, NavigationData,
-                       christoffel, field_jet, randers_value, _norm)
+                       christoffel, field_jet, randers_value)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +151,10 @@ def trajectory_csv(result: TransportResult, nav: NavigationData, stream) -> None
     n = result.xs.shape[1]
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"v{i + 1}" for i in range(n)] + ["F"])
-    stream.write(",".join(header) + "\n")
-    fvals = randers_value(nav, result.xs, result.vs)
-    for j in range(len(result.ts)):
-        row = ([result.ts[j]] + list(result.xs[j]) + list(result.vs[j])
-               + [float(fvals[j])])
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = np.column_stack([result.ts, result.xs, result.vs,
+                            randers_value(nav, result.xs, result.vs)]).tolist()
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +189,18 @@ def _sample_tables(curves: Sequence[Curve], steps: int, chart: Optional[Chart]
 
 
 def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """ac[b, s, k, l] = A^k_il(c) cdot^i per half-step sample."""
-    return np.einsum("bskil,bsi->bskl", a, vel)
+    """k[..., k, l] = -A^k_il(c) cdot^i per sample, the matrix of the metric
+    transport's right-hand side dv/dt = -A(cdot, v)."""
+    return -np.einsum("...kil,...i->...kl", a, vel)
 
 
-def _run_linear(ac: np.ndarray, v0: np.ndarray,
-                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """dv/dt = -A(cdot, v) over [0, 1] with ac from _linear_rhs_tables."""
-    steps = (ac.shape[1] - 1) // 2
-    return nk.rk4(lambda s, v: -np.einsum("bkl,bl->bk", ac[:, s], v), v0,
-                  steps, 1.0 / steps, keep)[:2]
+def _run_linear(k: np.ndarray, rows: Optional[np.ndarray] = None,
+                v0: Optional[np.ndarray] = None, keep: bool = False):
+    """The metric transport over [0, 1], with k (U, 2N + 1, n, n) from
+    _linear_rhs_tables at the half steps of the distinct curves: the
+    transport matrices (U, n, n) without v0, else (endpoints, trajectories
+    or None) with batch row b on curve rows[b]."""
+    return nk.rk4_linear(k, 1.0 / ((k.shape[1] - 1) // 2), v0, rows, keep)
 
 
 def _result(mode: str, pos: np.ndarray, v: np.ndarray,
@@ -218,8 +223,9 @@ def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
     trajectories or None) of the metric transport for a batch of (curve,
     start vector) pairs."""
     pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), chart)
-    ac = _linear_rhs_tables(christoffel(metric, pos), vel)[rows]
-    v, traj = _run_linear(ac, np.atleast_2d(np.asarray(v0s, dtype=float)), keep)
+    k = _linear_rhs_tables(christoffel(metric, pos), vel)
+    v, traj = _run_linear(k, rows, np.atleast_2d(np.asarray(v0s, dtype=float)),
+                          keep)
     return pos, v, traj
 
 
@@ -243,11 +249,33 @@ def riemann_transport_matrix(metric: MetricField, curve: Curve,
                              dt: float = 1e-3,
                              chart: Optional[Chart] = None) -> np.ndarray:
     """Matrix of the (linear) metric transport along the curve, columns =
-    transported basis vectors."""
-    n = curve.dim
-    basis = np.eye(n)
-    cols = riemann_transport_many(metric, [curve] * n, basis, dt, chart)
-    return cols.T
+    transported basis vectors: the ordered product of its RK4 step maps."""
+    pos, vel, _ = _sample_tables([curve], _steps_from_dt(dt), chart)
+    return _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel))[0]
+
+
+def _natural_tables(jet: FieldJet, vel: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample: the stage table [-A(cdot); Q; hW^T] (..., 2n + 1, n) with
+    Q = lam h + hW hW^T, so that F(v) = (sqrt(v.Qv) - <hW, v>) / lam, and
+    the scalars [M cdot, lam] (..., n + 1)."""
+    hw = jet.hW
+    q = jet.lam[..., None, None] * jet.h + hw[..., :, None] * hw[..., None, :]
+    tab = np.concatenate([_linear_rhs_tables(jet.A, vel), q, hw[..., None, :]],
+                         axis=-2)
+    mc = np.einsum("...ki,...i->...k", jet.M, vel)  # M^k_i cdot^i
+    return tab, np.concatenate([mc, jet.lam[..., None]], axis=-1)
+
+
+def _natural_stage(tab: np.ndarray, aux: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-A(cdot, v) + F(v) M cdot, F(v)) for a batch v (B, n) from each row's
+    tables tab (B, 2n + 1, n) and aux (B, n + 1): one contraction, then the
+    scalar norm formula."""
+    n = v.shape[1]
+    t = np.matmul(tab, v[:, :, None])[:, :, 0]
+    f = (np.sqrt((v * t[:, n:-1]).sum(axis=1)) - t[:, -1]) / aux[:, -1]
+    return t[:, :n] + f[:, None] * aux[:, :n], f
 
 
 def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
@@ -255,17 +283,14 @@ def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on
     the jet of the half-step samples of the distinct curves; batch row b
-    runs on curve rows[b]."""
-    ac = _linear_rhs_tables(jet.A, vel)[rows]
-    mc = np.einsum("bski,bsi->bsk", jet.M, vel)[rows]  # M^k_i cdot^i
-    h, hw, lam = jet.h[rows], jet.hW[rows], jet.lam[rows]
-
-    def rhs(s, v):
-        f = _norm(h[:, s], hw[:, s], lam[:, s], v)
-        return -np.einsum("bkl,bl->bk", ac[:, s], v) + f[:, None] * mc[:, s]
-
-    steps = (ac.shape[1] - 1) // 2
-    return nk.rk4(rhs, v0, steps, 1.0 / steps, keep)[:2]
+    runs on curve rows[b], taking its curve's tables at every stage."""
+    # half steps first, so a stage takes its rows from one (U, ...) slice
+    tab, aux = (np.moveaxis(a, 1, 0) for a in _natural_tables(jet, vel))
+    steps = (len(tab) - 1) // 2
+    return nk.rk4(
+        lambda s, v: _natural_stage(tab[s].take(rows, 0), aux[s].take(rows, 0),
+                                    v)[0],
+        v0, steps, 1.0 / steps, keep)[:2]
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
@@ -275,8 +300,8 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
     linearly, shift back by the wind at the end, scale back."""
     f0 = randers_value(nav, pos[rows, 0], v0)
     winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
-    ac = _linear_rhs_tables(christoffel(nav.metric, pos), vel)[rows]
-    u1, utraj = _run_linear(ac, v0 / f0[:, None] - winds[:, 0], keep)
+    k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
+    u1, utraj = _run_linear(k, rows, v0 / f0[:, None] - winds[:, 0], keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None
     return f0[:, None] * (u1 + winds[:, -1]), traj
 

@@ -145,6 +145,19 @@ def test_stacked_sweep_matches_single_expressions(name):
         np.stack([xl.evaluate(c, pts) for c in nav.wind.components], axis=-1))
 
 
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
+def test_value_and_dual_walks_agree_bitwise(name):
+    # a dual quotient divides as the value walk does, so field_values and
+    # field_jet see the same h and W
+    path = [p for p in BENCH_SCENARIOS if p.name == name]
+    nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
+    stack = nav.metric.entries + nav.wind.components
+    pts = nav.chart.sample_interior(500, margin=0.02)
+    for x in (pts[0], pts):
+        np.testing.assert_array_equal(xl.evaluate_dual(stack, x)[0],
+                                      xl.evaluate(stack, x), err_msg=x.shape)
+
+
 def test_field_jet_is_one_dual_sweep(monkeypatch):
     nav = scenario_from_dict(CURVED[4]).nav
     calls = []

@@ -114,6 +114,70 @@ class TestRk4:
             nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1)
 
 
+def _smooth_tables(rng, curves, steps, m):
+    """k[u, s] = C0 + C1 sin(2 pi t) + C2 cos(3 t) at the half steps
+    t = s / (2 steps) of each curve u: smooth, nonsymmetric, order one."""
+    t = np.linspace(0.0, 1.0, 2 * steps + 1)[None, :, None, None]
+    c = rng.normal(size=(3, curves, 1, m, m))
+    return c[0] + c[1] * np.sin(2 * np.pi * t) + c[2] * np.cos(3.0 * t)
+
+
+def _rk4_on_tables(k, v0, rows, keep):
+    steps = (k.shape[1] - 1) // 2
+    return nk.rk4(lambda s, v: np.einsum("bkl,bl->bk", k[rows, s], v), v0,
+                  steps, 1.0 / steps, keep)[:2]
+
+
+class TestRk4Linear:
+    # rows 0 and 2 share curve 0, row 1 runs alone on curve 1
+    ROWS = np.array([0, 1, 0])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_step_maps_match_rk4(self, m, keep):
+        rng = np.random.default_rng(m)
+        k = _smooth_tables(rng, 2, 150, m)
+        v0 = rng.normal(size=(3, m))
+        want, want_traj = _rk4_on_tables(k, v0, self.ROWS, keep)
+        got, got_traj = nk.rk4_linear(k, 1.0 / 150, v0, self.ROWS, keep)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        if keep:
+            assert got_traj.shape == want_traj.shape == (3, 151, m)
+            assert np.abs(got_traj - want_traj).max() <= 1e-13 * scale
+        else:
+            assert got_traj is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_propagator_is_rk4_of_the_basis(self, m):
+        rng = np.random.default_rng(10 + m)
+        k = _smooth_tables(rng, 2, 101, m)
+        prop = nk.rk4_linear(k, 1.0 / 101)
+        for u in range(2):
+            cols = _rk4_on_tables(k, np.eye(m), np.full(m, u), False)[0].T
+            assert np.abs(prop[u] - cols).max() <= 1e-13 * np.abs(cols).max()
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_overflow_names_the_same_row_and_step(self, keep):
+        # curve 1 blows up from half step 11 on, which step 6 reads first;
+        # its first row is row 1
+        k = _smooth_tables(np.random.default_rng(3), 2, 20, 2)
+        k[1, 11:] *= 1e200
+        v0 = np.array([[1.0, 0.5], [0.3, -1.0], [-0.7, 0.2]])
+        with pytest.raises(NonFiniteState) as via_rk4:
+            _rk4_on_tables(k, v0, self.ROWS[[0, 1, 1]], keep)
+        with pytest.raises(NonFiniteState) as via_maps:
+            nk.rk4_linear(k, 1.0 / 20, v0, self.ROWS[[0, 1, 1]], keep)
+        assert "row 1 " in str(via_rk4.value) and "step 6 " in str(via_rk4.value)
+        assert str(via_maps.value) == str(via_rk4.value)
+
+    def test_overflowing_propagator_names_a_basis_row(self):
+        k = _smooth_tables(np.random.default_rng(4), 2, 20, 2)
+        k[1, 11:] *= 1e200
+        with pytest.raises(NonFiniteState, match="row 2 .* at step 6 "):
+            nk.rk4_linear(k, 1.0 / 20)
+
+
 class TestNumericRank:
     def test_exact_ranks(self):
         vs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 1.0, 0, 0]])

@@ -1,21 +1,32 @@
 """Parallel transport: the linear metric route and the wind-aware one."""
 
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navgeo import connection as cn
 from navgeo import holonomy as ho
+from navgeo import sprays as sp
 from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, ZeroVector
-from navgeo.geometry import randers_value
+from navgeo.geometry import field_jet, randers_value
+from navgeo.scenarios import builtin, load_scenario, scenario_from_dict
 from navgeo.transport import AnalyticCurve, PolylineCurve
 
 from helpers import random_curve, random_loop, random_vectors
 
 
 SEG = AnalyticCurve.from_strings(["0.5*t", "0"])
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+FUNK_BALL_3D = {"schema": 1, "name": "funk_ball_3d", "dim": 3,
+                "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0],
+                           "radius": 0.9},
+                "metric": [["1", "0", "0"], ["1", "0"], ["1"]],
+                "wind": ["-x1", "-x2", "-x3"]}
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +304,46 @@ def test_natural_transport_norm_property(u, v):
     assert np.isclose(f0, f1, rtol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["sphere_cap", "annulus_constant_length",
+                                  "rot_ball_3d", "funk_ball_3d", "rot_box_4d"])
+def test_natural_stage_is_the_connection_ode(name):
+    # one stage of the ODE route: its scalar norm formula on the stacked
+    # table gives F, and its value is -Gamma(c, v) cdot
+    path = BENCH_SCENARIOS / f"{name}.json"
+    nav = (load_scenario(str(path)) if path.is_file() else builtin(name)).nav
+    rng = np.random.default_rng(len(name))
+    lo, hi = nav.chart.bounding_box()
+    x = rng.uniform(lo, hi, size=(400, nav.dim))
+    x = x[nav.chart.contains(x, margin=0.02)][:60]
+    vel, v = rng.normal(size=(2,) + x.shape)
+    jet = field_jet(nav, x)
+    dv, f = tr._natural_stage(*tr._natural_tables(jet, vel), v)
+    np.testing.assert_allclose(f, jet.norm(v), rtol=1e-14, atol=0.0)
+    want = -np.einsum("pki,pi->pk", cn.jet_gamma(jet, v), vel)
+    assert np.abs(dv - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method", ["definitional", "ode"])
+def test_loop_probes_share_the_tables(sphere_cap, method):
+    # probes read their loop's tables in place: eight probes allocate at
+    # most half again the peak of one
+    nav = sphere_cap.nav
+    rng = np.random.default_rng(9)
+    loop = random_loop(nav.chart, rng)
+    probes = random_vectors(rng, 8, 2)
+
+    def peak(vs):
+        tracemalloc.start()
+        try:
+            ho.loop_holonomy(nav, loop, vs, dt=2e-3, method=method)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ho.loop_holonomy(nav, loop, probes[:1], dt=2e-3, method=method)  # warm up
+    assert peak(probes) <= 1.5 * peak(probes[:1])
+
+
 # ---------------------------------------------------------------------------
 # corrected transport
 
@@ -350,3 +401,33 @@ def test_trajectory_requires_keep_flag(funk_ball):
     res = tr.natural_transport(funk_ball.nav, SEG, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         tr.trajectory_csv(res, funk_ball.nav, io.StringIO())
+
+
+def _per_row_csv(header, ts, xs, vs, fvals):
+    """The row-by-row formatting of NumPy scalars the CSV writers replaced."""
+    lines = [",".join(header) + "\n"]
+    for j in range(len(ts)):
+        row = [ts[j]] + list(xs[j]) + list(vs[j]) + [float(fvals[j])]
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_csv_writers_match_per_row_formatting(funk_ball, dim):
+    nav = funk_ball.nav if dim == 2 else scenario_from_dict(FUNK_BALL_3D).nav
+    names = [f"{c}{i + 1}" for c in "xv" for i in range(dim)]
+    curve = AnalyticCurve.from_strings(["0.5*t", "0.2*t^2", "-0.3*t"][:dim])
+    res = tr.natural_transport(nav, curve, np.arange(1.0, dim + 1.0), dt=0.01,
+                               keep_trajectory=True)
+    buf = io.StringIO()
+    tr.trajectory_csv(res, nav, buf)
+    assert buf.getvalue() == _per_row_csv(
+        ["t"] + names + ["F"], res.ts, res.xs, res.vs,
+        randers_value(nav, res.xs, res.vs))
+    path = sp.integrate_geodesic(sp.randers_spray_field(nav), np.full(dim, 0.1),
+                                 np.eye(dim)[0], time_span=0.2, dt=0.01)
+    buf = io.StringIO()
+    sp.geodesic_csv(path, nav, buf)
+    assert buf.getvalue() == _per_row_csv(
+        ["t"] + [n.replace("v", "y") for n in names] + ["F"], path.ts,
+        path.xs, path.ys, randers_value(nav, path.xs, path.ys))
