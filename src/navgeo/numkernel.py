@@ -11,8 +11,9 @@ single item is a batch of one). `rk4` is the one loop for nonlinear
 right-hand sides: geodesics, wind flows and the natural transport ODE.
 Linear systems whose matrices are tabled before the loop starts (the metric
 transport, the definitional route's inner transport) use `rk4_linear`,
-which builds the step maps of the same tableau at once and multiplies them
-out instead of evaluating a right-hand side.
+which builds the step maps of the same tableau at once and applies them
+instead of evaluating a right-hand side; `rk4_propagators` multiplies them
+out into the transport matrix.
 """
 from __future__ import annotations
 
@@ -294,41 +295,41 @@ def _apply_in_order(maps: np.ndarray, rows: np.ndarray, v0: np.ndarray,
     return traj
 
 
-def rk4_linear(k: np.ndarray, dt: float, v0: Optional[np.ndarray] = None,
-               rows: Optional[np.ndarray] = None, keep: bool = False):
+def rk4_linear(k: np.ndarray, dt: float, v0: np.ndarray, rows: np.ndarray,
+               keep: bool = False):
     """`rk4` for linear systems dv/dt = k[u, s] v whose matrices are tabled
     at the half steps s = 0 .. 2N of each of U systems, k (U, 2N + 1, m, m),
     without evaluating a right-hand side: every step map is built at once,
-    then applied in order when the trajectory is kept and otherwise
-    multiplied out.
-
-    With v0 None, returns the propagators (U, m, m), the ordered products of
-    the step maps. Otherwise row b of the (B, m) batch v0 runs on system
-    rows[b] (default b), and (v, trajectory (B, N + 1, m) or None) is
-    returned. A non-finite state raises NonFiniteState naming the row and
-    the step, as `rk4` does (for propagators, row u * m + i is basis vector
-    i of system u); the in-order search for it runs only on failure.
+    then applied in order. Row b of the (B, m) batch v0 runs on system
+    rows[b]; returns (v, trajectory (B, N + 1, m) or None). A non-finite
+    state raises NonFiniteState naming the row and the step, as `rk4` does.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    # overflow is reported below as NonFiniteState, not as a warning
+    # overflow is reported as NonFiniteState, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _apply_in_order(_step_maps(k, dt), rows, v0, dt)
+    return traj[:, -1], traj if keep else None
+
+
+def rk4_propagators(k: np.ndarray, dt: float) -> np.ndarray:
+    """The propagators (U, m, m) of the systems of `rk4_linear` over their
+    N steps: the ordered products of the step maps, so column i is what
+    `rk4` makes of basis vector i. A non-finite entry raises NonFiniteState
+    naming row u * m + i (basis vector i of system u) and the step; the
+    in-order search for it runs only on failure.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         maps = _step_maps(k, dt)
-        if v0 is None:
-            prop = _ordered_product(maps)
-            if np.isfinite(prop).all():
-                return prop
-            u, m = prop.shape[:2]
-            traj = _apply_in_order(maps, np.repeat(np.arange(u), m),
-                                   np.tile(np.eye(m), (u, 1)), dt)
-            return np.swapaxes(traj[:, -1].reshape(u, m, m), 1, 2)
-        rows = np.arange(len(v0)) if rows is None else rows
-        if not keep:
-            v = np.einsum("bkl,bl->bk", _ordered_product(maps)[rows], v0)
-            if np.isfinite(v).all():
-                return v, None
-        traj = _apply_in_order(maps, rows, v0, dt)
-    return traj[:, -1], traj if keep else None
+        prop = _ordered_product(maps)
+        if np.isfinite(prop).all():
+            return prop
+        u, m = prop.shape[:2]
+        traj = _apply_in_order(maps, np.repeat(np.arange(u), m),
+                               np.tile(np.eye(m), (u, 1)), dt)
+    return np.swapaxes(traj[:, -1].reshape(u, m, m), 1, 2)
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:

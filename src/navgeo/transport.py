@@ -7,11 +7,12 @@ batch, and each (curve, vector) row reads its curve's tables by index at
 every stage, so probes sent around one loop share one field table and no
 table is copied per probe. The linear transports evaluate no right-hand
 side: their RK4 step maps are built from the tabled -A(cdot) at once and
-multiplied out (`numkernel.rk4_linear`), and the transport matrix is their
-ordered product. The natural ODE runs `numkernel.rk4`, one stacked
-contraction of the stage table [-A(cdot); Q; hW^T] per stage plus the
-scalar norm formula. That is what makes the acceptance sweeps (hundreds of
-transports at dt = 1e-3) affordable.
+applied in order (`numkernel.rk4_linear`), and the transport matrix is
+their ordered product (`numkernel.rk4_propagators`). The natural ODE runs
+`numkernel.rk4`, one stacked contraction of the stage table
+[-A(cdot); Q; hW^T] per stage plus the scalar norm formula. That is what
+makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
+affordable.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -194,13 +195,10 @@ def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return -np.einsum("...kil,...i->...kl", a, vel)
 
 
-def _run_linear(k: np.ndarray, rows: Optional[np.ndarray] = None,
-                v0: Optional[np.ndarray] = None, keep: bool = False):
-    """The metric transport over [0, 1], with k (U, 2N + 1, n, n) from
-    _linear_rhs_tables at the half steps of the distinct curves: the
-    transport matrices (U, n, n) without v0, else (endpoints, trajectories
-    or None) with batch row b on curve rows[b]."""
-    return nk.rk4_linear(k, 1.0 / ((k.shape[1] - 1) // 2), v0, rows, keep)
+def _linear_dt(k: np.ndarray) -> float:
+    """The step of tables k (U, 2N + 1, n, n) sampled at the half steps of
+    [0, 1]."""
+    return 1.0 / ((k.shape[1] - 1) // 2)
 
 
 def _result(mode: str, pos: np.ndarray, v: np.ndarray,
@@ -224,8 +222,9 @@ def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
     start vector) pairs."""
     pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), chart)
     k = _linear_rhs_tables(christoffel(metric, pos), vel)
-    v, traj = _run_linear(k, rows, np.atleast_2d(np.asarray(v0s, dtype=float)),
-                          keep)
+    v, traj = nk.rk4_linear(k, _linear_dt(k),
+                            np.atleast_2d(np.asarray(v0s, dtype=float)), rows,
+                            keep)
     return pos, v, traj
 
 
@@ -251,7 +250,8 @@ def riemann_transport_matrix(metric: MetricField, curve: Curve,
     """Matrix of the (linear) metric transport along the curve, columns =
     transported basis vectors: the ordered product of its RK4 step maps."""
     pos, vel, _ = _sample_tables([curve], _steps_from_dt(dt), chart)
-    return _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel))[0]
+    k = _linear_rhs_tables(christoffel(metric, pos), vel)
+    return nk.rk4_propagators(k, _linear_dt(k))[0]
 
 
 def _natural_tables(jet: FieldJet, vel: np.ndarray
@@ -268,14 +268,14 @@ def _natural_tables(jet: FieldJet, vel: np.ndarray
 
 
 def _natural_stage(tab: np.ndarray, aux: np.ndarray,
-                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-A(cdot, v) + F(v) M cdot, F(v)) for a batch v (B, n) from each row's
-    tables tab (B, 2n + 1, n) and aux (B, n + 1): one contraction, then the
-    scalar norm formula."""
+                   v: np.ndarray) -> np.ndarray:
+    """-A(cdot, v) + F(v) M cdot for a batch v (B, n) from each row's tables
+    tab (B, 2n + 1, n) and aux (B, n + 1): one contraction, then the scalar
+    norm formula."""
     n = v.shape[1]
     t = np.matmul(tab, v[:, :, None])[:, :, 0]
     f = (np.sqrt((v * t[:, n:-1]).sum(axis=1)) - t[:, -1]) / aux[:, -1]
-    return t[:, :n] + f[:, None] * aux[:, :n], f
+    return t[:, :n] + f[:, None] * aux[:, :n]
 
 
 def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
@@ -289,7 +289,7 @@ def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
     steps = (len(tab) - 1) // 2
     return nk.rk4(
         lambda s, v: _natural_stage(tab[s].take(rows, 0), aux[s].take(rows, 0),
-                                    v)[0],
+                                    v),
         v0, steps, 1.0 / steps, keep)[:2]
 
 
@@ -301,7 +301,8 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
     f0 = randers_value(nav, pos[rows, 0], v0)
     winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
     k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
-    u1, utraj = _run_linear(k, rows, v0 / f0[:, None] - winds[:, 0], keep)
+    u1, utraj = nk.rk4_linear(k, _linear_dt(k), v0 / f0[:, None] - winds[:, 0],
+                              rows, keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None
     return f0[:, None] * (u1 + winds[:, -1]), traj
 

@@ -152,7 +152,7 @@ class TestRk4Linear:
     def test_propagator_is_rk4_of_the_basis(self, m):
         rng = np.random.default_rng(10 + m)
         k = _smooth_tables(rng, 2, 101, m)
-        prop = nk.rk4_linear(k, 1.0 / 101)
+        prop = nk.rk4_propagators(k, 1.0 / 101)
         for u in range(2):
             cols = _rk4_on_tables(k, np.eye(m), np.full(m, u), False)[0].T
             assert np.abs(prop[u] - cols).max() <= 1e-13 * np.abs(cols).max()
@@ -175,7 +175,7 @@ class TestRk4Linear:
         k = _smooth_tables(np.random.default_rng(4), 2, 20, 2)
         k[1, 11:] *= 1e200
         with pytest.raises(NonFiniteState, match="row 2 .* at step 6 "):
-            nk.rk4_linear(k, 1.0 / 20)
+            nk.rk4_propagators(k, 1.0 / 20)
 
 
 class TestNumericRank:

@@ -11,7 +11,7 @@ this script lives in; nothing under `bench/` is written.
 The report gives the number of byte-identical outputs, every exit-code or
 stderr mismatch, every stdout whose text differs outside its numbers, and
 the largest relative change |a - b| / max(|a|, |b|) of any printed number.
-Numbers below --floor in magnitude in both outputs are compared by their
+Numbers below FLOOR in magnitude in both outputs are compared by their
 absolute change instead, reported on its own line. The exit status is 0
 when exit codes, stderr and the non-numeric text all agree.
 """
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
+FLOOR = 1e-12  # magnitude below which numbers compare absolutely
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -65,7 +66,7 @@ def outputs_of(checkout: Path, argvs: list) -> list:
     return json.loads(proc.stdout)
 
 
-def number_changes(a: str, b: str, floor: float):
+def number_changes(a: str, b: str):
     """(largest relative change, largest absolute change below the floor)
     of the numbers of two texts, or None when the texts differ outside
     their numbers."""
@@ -75,7 +76,7 @@ def number_changes(a: str, b: str, floor: float):
     for sa, sb in zip(NUMBER.findall(a), NUMBER.findall(b)):
         x, y = float(sa), float(sb)
         scale = max(abs(x), abs(y))
-        if scale < floor:
+        if scale < FLOOR:
             small = max(small, abs(x - y))
         elif x != y:
             rel = max(rel, abs(x - y) / scale)
@@ -86,8 +87,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", nargs="?", type=Path)
     ap.add_argument("change", nargs="?", type=Path)
-    ap.add_argument("--floor", type=float, default=1e-12,
-                    help="magnitude below which numbers compare absolutely")
     ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.serve:
@@ -110,7 +109,7 @@ def main(argv=None) -> int:
         if out0 == out1:
             identical += rc0 == rc1 and err0 == err1
             continue
-        changes = number_changes(out0, out1, args.floor)
+        changes = number_changes(out0, out1)
         if changes is None:
             problems.append(f"stdout differs outside its numbers: {label}")
             continue
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
     print(f"byte-identical: {identical}")
     print(f"largest relative change of a printed number: {rel:.3g}"
           + (f" ({worst})" if worst else ""))
-    print(f"largest absolute change of a number below {args.floor:g}: "
+    print(f"largest absolute change of a number below {FLOOR:g}: "
           f"{small:.3g}")
     for line in problems:
         print(line)
