@@ -135,12 +135,6 @@ def wind_integral_curves(nav: NavigationData, x0s, time_span: float,
             for b, last in enumerate(stop)]
 
 
-def wind_integral_curve(nav: NavigationData, x0, time_span: float,
-                        dt: float = 1e-3):
-    """wind_integral_curves on a batch of one start point."""
-    return wind_integral_curves(nav, [x0], time_span, dt)[0]
-
-
 # ---------------------------------------------------------------------------
 # aggregate report
 

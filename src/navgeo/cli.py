@@ -2,9 +2,10 @@
 
 Every run is deterministic for fixed flags: grids are fixed by --per-axis,
 the rank survey and the holonomy probe directions (in dimensions 3 and 4)
-derive from --seed (default 42), CSV numbers carry 17 significant digits,
-and JSON keys are sorted. Exit codes: 0 success, 1 computation error, 2
-usage error (including an unknown scenario name or an out-of-range flag).
+derive from --seed (default 42, taken by `rank` and `holonomy` only), CSV
+numbers carry 17 significant digits, and JSON keys are sorted. Exit codes:
+0 success, 1 computation error, 2 usage error (including an unknown
+scenario name, an out-of-range flag or a non-finite vector component).
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ from .geometry import TangentSample, indicatrix_points, validate
 from .holonomy import (distribution_rank_survey, holonomy_distribution_rank,
                        loop_holonomy, riemann_holonomy_matrix)
 from .scenarios import Scenario, builtin, builtin_names, load_scenario
-from .sprays import (geodesic_csv, integrate_geodesic, natural_spray_field,
-                     randers_spray_field, riemann_spray_field, compare_sprays)
+from .sprays import (compare_sprays, geodesic_csv, integrate_geodesic,
+                     natural_spray_values, randers_spray_values,
+                     riemann_spray_values)
 from .transport import (AnalyticCurve, natural_transport, riemann_transport,
                         trajectory_csv)
 
@@ -48,10 +50,13 @@ def _number(kind, low, high=sys.float_info.max):
 
 def _vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",")], dtype=float)
+        vec = np.array([float(p) for p in text.split(",")], dtype=float)
     except ValueError:
+        vec = np.array([math.nan])
+    if not np.isfinite(vec).all():
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated reals, got {text!r}")
+            f"expected comma-separated finite reals, got {text!r}")
+    return vec
 
 
 def _curve(text: str) -> AnalyticCurve:
@@ -153,10 +158,10 @@ def _cmd_transport(args) -> int:
 def _cmd_geodesic(args) -> int:
     scenario = _load(args)
     nav = scenario.nav
-    fields = {"natural": lambda: natural_spray_field(nav),
-              "randers": lambda: randers_spray_field(nav),
-              "riemann": lambda: riemann_spray_field(nav.metric)}
-    path = integrate_geodesic(fields[args.spray](), args.from_point,
+    sprays = {"natural": lambda x, y: natural_spray_values(nav, x, y),
+              "randers": lambda x, y: randers_spray_values(nav, x, y),
+              "riemann": lambda x, y: riemann_spray_values(nav.metric, x, y)}
+    path = integrate_geodesic(sprays[args.spray], args.from_point,
                               args.direction, args.time, dt=args.dt,
                               chart=nav.chart, kind=args.spray)
     stream = _out_stream(args)
@@ -178,8 +183,7 @@ def _cmd_holonomy(args) -> int:
     element = loop_holonomy(scenario.nav, loop, probes=probes,
                             mode=args.mode, dt=args.dt)
     payload = element.as_dict()
-    payload["loop"] = [c.source for c in loop.components] \
-        if isinstance(loop, AnalyticCurve) else "polyline"
+    payload["loop"] = [c.source for c in loop.components]
     payload["scenario"] = scenario.name
     if args.mode == "natural":
         matrix = riemann_holonomy_matrix(scenario.nav, loop, dt=args.dt)
@@ -274,19 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     accept_negative_values(parser)
 
-    def common(p, scenario=True, seeded=True):
+    def common(p, scenario=True):
         accept_negative_values(p)
         if scenario:
             _add_scenario_flags(p)
-        if seeded:
-            p.add_argument("--seed", type=_number(int, -1), default=42,
-                           help="seed for sampled grids/probes (default 42)")
         p.add_argument("--out", metavar="PATH",
                        help="write output here instead of standard output")
 
     p = sub.add_parser("validate", help="check positivity and the wind "
                        "bound on a domain sample")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--points", type=_number(int, 0), default=10_000,
                    help="number of interior sample points (default 10000)")
     p.set_defaults(fn=_cmd_validate)
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transport a vector along a curve parametrized on "
                     "[0, 1]. CSV columns: t, position, transported vector, "
                     "navigation norm.")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--curve", type=_curve, metavar="EXPRS",
                    help="comma-separated coordinate expressions in t, "
                         "e.g. '0.5*t,0.1'")
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Integrate xdd = -2 G(x, xd) from a start point and "
                     "velocity over --time seconds of parameter; the path "
                     "is truncated at the chart boundary.")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--spray", choices=("natural", "randers", "riemann"),
                    default="natural")
     p.add_argument("--from", dest="from_point", type=_vector, required=True,
@@ -339,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loop parameter runs over [0, 1]; probes default to "
                     "norm-unit vectors at the base point.")
     common(p)
+    p.add_argument("--seed", type=_number(int, -1), default=42,
+                   help="seed for 3D/4D probe directions (default 42)")
     p.add_argument("--loop", type=_curve, metavar="EXPRS",
                    help="closed curve expressions in t")
     p.add_argument("--index", type=int, default=0,
@@ -357,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterated Lie brackets. With --at/--dir reports one "
                     "point; otherwise surveys --samples seeded points.")
     common(p)
+    p.add_argument("--seed", type=_number(int, -1), default=42,
+                   help="seed for the survey's fiber directions (default 42)")
     p.add_argument("--at", type=_vector, help="base point")
     p.add_argument("--dir", dest="direction", type=_vector,
                    help="fiber direction (nonzero)")
@@ -397,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_sprays)
 
     p = sub.add_parser("list-scenarios", help="list built-in scenarios")
-    common(p, scenario=False, seeded=False)
+    common(p, scenario=False)
     p.set_defaults(fn=_cmd_list_scenarios)
 
     return parser

@@ -22,12 +22,6 @@ from .geometry import (FieldJet, MetricField, NavigationData, TangentSample,
 
 
 @dataclass(frozen=True)
-class ConnectionEval:
-    at: TangentSample
-    matrix: np.ndarray  # Gamma[k, i]
-
-
-@dataclass(frozen=True)
 class TorsionEval:
     at: TangentSample
     components: np.ndarray  # t[k, i, j], antisymmetric in (i, j)
@@ -90,30 +84,13 @@ def jet_torsion(jet: FieldJet, y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pointwise and batched entry points
+# Gamma and torsion at points of navigation data
 
 
 def gamma_matrix(nav: NavigationData, x, y) -> np.ndarray:
     """Gamma[..., k, i] at a batch of tangent samples (zero fibers allowed,
     where the value is zero by homogeneity)."""
     return jet_gamma(field_jet(nav, x), y)
-
-
-def gamma(nav: NavigationData, s: TangentSample) -> ConnectionEval:
-    """Connection coefficients at one tangent sample with nonzero fiber."""
-    if not np.any(s.y):
-        raise ZeroVector("connection coefficients need a nonzero fiber vector")
-    return ConnectionEval(s, gamma_matrix(nav, s.x, s.y))
-
-
-def gamma_fiber_jacobian(nav: NavigationData, x, y) -> np.ndarray:
-    """dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j), by pushing dual numbers
-    through the full coefficient evaluation (no closed-form shortcut)."""
-    return jet_gamma_fiber_jacobian(field_jet(nav, x), y)[1]
-
-
-# ---------------------------------------------------------------------------
-# torsion
 
 
 def torsion_components(nav: NavigationData, x, y) -> np.ndarray:
@@ -130,7 +107,8 @@ def torsion_components(nav: NavigationData, x, y) -> np.ndarray:
 def torsion_from_duals(nav: NavigationData, x, y) -> np.ndarray:
     """t[..., k, i, j] = dGamma^k_j/dy^i - dGamma^k_i/dy^j via dual sweeps;
     the independent route used to cross-check torsion_components."""
-    dg = gamma_fiber_jacobian(nav, x, y)  # axes [..., deriv dir, k, lower]
+    # axes [..., deriv dir, k, lower]
+    dg = jet_gamma_fiber_jacobian(field_jet(nav, x), y)[1]
     term1 = np.einsum("...ikj->...kij", dg)  # dGamma^k_j / dy^i
     term2 = np.einsum("...jki->...kij", dg)  # dGamma^k_i / dy^j
     return term1 - term2
@@ -140,27 +118,6 @@ def torsion(nav: NavigationData, s: TangentSample) -> TorsionEval:
     if not np.any(s.y):
         raise ZeroVector("torsion needs a nonzero fiber vector")
     return TorsionEval(s, torsion_components(nav, s.x, s.y))
-
-
-# ---------------------------------------------------------------------------
-# horizontal lifts
-
-
-def horizontal_lift(nav: NavigationData, s: TangentSample, vec) -> np.ndarray:
-    """Horizontal lift of a base vector at a tangent sample, as the 2n
-    components (vec, -Gamma(x, y) . vec)."""
-    vec = np.asarray(vec, dtype=float)
-    g = gamma_matrix(nav, s.x, s.y)
-    vert = -np.einsum("ki,i->k", g, vec)
-    return np.concatenate([vec, vert])
-
-
-def riemann_horizontal_lift(metric: MetricField, s: TangentSample, vec) -> np.ndarray:
-    """Linear-connection lift: vertical part -A^k_is y^s vec^i."""
-    vec = np.asarray(vec, dtype=float)
-    a = christoffel(metric, s.x)
-    vert = -np.einsum("kis,s,i->k", a, s.y, vec)
-    return np.concatenate([vec, vert])
 
 
 # ---------------------------------------------------------------------------

@@ -375,36 +375,3 @@ def evaluate_dual(e, x) -> tuple:
     if val.ndim == 1:
         return float(val[0]), grad[0]
     return val[..., 0], grad[..., 0, :]
-
-
-# ---------------------------------------------------------------------------
-# rendering (used for serialization round-trips)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def render(e: Expression) -> str:
-    """Render to text that reparses to a structurally equal tree."""
-    return _render_node(e.root, e.var_names, 0)
-
-
-def _render_node(node: Node, names: tuple[str, ...], min_prec: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return names[node.index]
-    if isinstance(node, Call):
-        return f"{node.fn}({_render_node(node.arg, names, 0)})"
-    if isinstance(node, Neg):
-        inner = "-" + _render_node(node.arg, names, _PREC["neg"])
-        return f"({inner})" if _PREC["neg"] < min_prec else inner
-    op = node.op
-    prec = _PREC[op]
-    if op == "^":
-        # base must be an atom-level item; exponent admits unary minus
-        text = _render_node(node.lhs, names, prec + 1) + "^" + _render_node(node.rhs, names, 3)
-    else:
-        right_min = prec + 1 if op in ("-", "/") else prec
-        text = (_render_node(node.lhs, names, prec) + op
-                + _render_node(node.rhs, names, right_min))
-    return f"({text})" if prec < min_prec else text

@@ -218,19 +218,6 @@ class NavigationData:
     def dim(self) -> int:
         return self.chart.dim
 
-    def metric_value(self, x) -> np.ndarray:
-        return self.metric.value(x)
-
-    def wind_value(self, x) -> np.ndarray:
-        return self.wind.value(x)
-
-    def wind_norm(self, x) -> np.ndarray:
-        v = field_values(self, x)
-        return np.sqrt(np.einsum("...i,...i->...", v.W, v.hW))
-
-    def lambda_value(self, x) -> np.ndarray:
-        return field_values(self, x).lam
-
     def inner(self, x, u, v) -> np.ndarray:
         h = self.metric.value(x)
         return np.einsum("...ij,...i,...j->...", h, np.asarray(u, float), np.asarray(v, float))
@@ -388,36 +375,16 @@ def randers_value(nav: NavigationData, x, y) -> np.ndarray:
     return field_values(nav, x).norm(y)
 
 
-def randers_value_and_grad(nav: NavigationData, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """F and its fiber gradient dF/dy^i; undefined (raises) at y = 0."""
-    return field_values(nav, x).norm_and_grad(y)
-
-
-def randers_grad_x(nav: NavigationData, x, y) -> np.ndarray:
-    """Base-point gradient dF/dx^i at fixed fiber vector y."""
-    return field_jet(nav, x).norm_grad_x(y)
-
-
-def randers_norm(nav: NavigationData, s: TangentSample, gradient: bool = False):
-    """Pointwise norm evaluation; with gradient=True also returns dF/dy."""
-    if gradient:
-        f, g = randers_value_and_grad(nav, s.x, s.y)
-        return float(f), g
-    return float(randers_value(nav, s.x, s.y))
-
-
-def randers_alpha_beta(nav: NavigationData, x) -> tuple[nk.SymMatrix, np.ndarray]:
-    """Riemann-plus-one-form presentation of the same norm at a point.
+def randers_alpha_beta(nav: NavigationData, x) -> tuple[np.ndarray, np.ndarray]:
+    """Riemann-plus-one-form presentation of the same norm at base points
+    x (..., n), as arrays alpha (..., n, n) and beta (..., n).
 
     beta_i = -(hW)_i / lam, alpha_ij = h_ij / lam + beta_i beta_j, and then
     sqrt(alpha(y,y)) + beta(y) reproduces F(x, y).
     """
-    x = np.asarray(x, dtype=float)
     v = field_values(nav, x)
     beta = -v.hW / v.lam[..., None]
     alpha = v.h / v.lam[..., None, None] + beta[..., :, None] * beta[..., None, :]
-    if x.ndim == 1:
-        return nk.SymMatrix(alpha), beta
     return alpha, beta
 
 

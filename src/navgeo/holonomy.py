@@ -30,8 +30,8 @@ from .errors import DegenerateWind, NotClosed, ZeroVector
 from .geometry import (NavigationData, TangentSample, field_values,
                        indicatrix_points)
 from .sprays import spray_connection_matrix
-from .transport import (Curve, natural_transport_many, riemann_transport_many,
-                        riemann_transport_matrix)
+from .transport import (AnalyticCurve, natural_transport_many,
+                        riemann_transport_many, riemann_transport_matrix)
 
 
 @dataclass
@@ -69,14 +69,14 @@ class HolonomyElement:
         }
 
 
-def _require_closed(loop: Curve) -> None:
+def _require_closed(loop: AnalyticCurve) -> None:
     if not loop.is_closed():
         p, q = loop.point(0.0), loop.point(1.0)
         raise NotClosed(
             f"loop endpoints differ: {p.tolist()} vs {q.tolist()}")
 
 
-def loop_holonomy(nav: NavigationData, loop: Curve,
+def loop_holonomy(nav: NavigationData, loop: AnalyticCurve,
                   probes: Optional[np.ndarray] = None, mode: str = "natural",
                   n_probes: int = 24, dt: float = 1e-3,
                   method: str = "ode") -> HolonomyElement:
@@ -109,7 +109,7 @@ def loop_holonomy(nav: NavigationData, loop: Curve,
                            dt=nk.uniform_steps(1.0, dt)[1])
 
 
-def riemann_holonomy_matrix(nav: NavigationData, loop: Curve,
+def riemann_holonomy_matrix(nav: NavigationData, loop: AnalyticCurve,
                             dt: float = 1e-3) -> np.ndarray:
     """Matrix of the metric parallel transport around a closed loop."""
     _require_closed(loop)
@@ -151,16 +151,6 @@ def correspondence_inverse(nav: NavigationData, base, action: Callable,
     f = v.norm(vectors)
     shift = (np.asarray(action(v.W[None, :]))[0] - v.W) / (1.0 - fw)
     return np.asarray(action(vectors)) + f[:, None] * shift[None, :]
-
-
-def rotation_angle(matrix: np.ndarray) -> float:
-    """Signed rotation angle of a 2x2 transport matrix (its orthogonal
-    polar factor), in (-pi, pi]."""
-    if matrix.shape != (2, 2):
-        raise ValueError("rotation_angle needs a 2x2 matrix")
-    u, _, vt = np.linalg.svd(matrix)
-    q = u @ vt
-    return float(np.arctan2(q[1, 0], q[0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared numeric substrate: forward-mode duals, SPD solves, RK4, numeric rank.
+"""Shared numeric substrate: forward-mode duals, SPD inverses, RK4, numeric rank.
 
 Dual numbers carry a vector of derivative slots, so one walk gives a value
 and its full gradient; they are the single differentiation mechanism used
@@ -17,7 +17,6 @@ out into the transport matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -146,43 +145,6 @@ def tanh(x):
 
 # ---------------------------------------------------------------------------
 # small dense linear algebra
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric real matrix with an explicit dimension tag."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("SymMatrix needs a square array")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-            raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return self.entries
-
-
-def solve_spd(m, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs for symmetric positive definite m via Cholesky.
-
-    Raises NotPositiveDefinite when the factorization fails.
-    """
-    a = m.as_array() if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {err}") from None
-    y = np.linalg.solve(low, rhs)
-    return np.linalg.solve(low.T, y)
-
 
 def spd_inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of a (batch of) SPD matrices; raises NotPositiveDefinite."""

@@ -26,15 +26,8 @@ import numpy as np
 from . import numkernel as nk
 from .connection import jet_gamma_fiber_jacobian
 from .errors import ZeroVector, ZeroVelocity
-from .geometry import (FieldJet, MetricField, NavigationData, TangentSample,
-                       christoffel, field_jet, indicatrix, randers_value)
-
-
-@dataclass(frozen=True)
-class SprayEval:
-    kind: str
-    at: TangentSample
-    coefficients: np.ndarray
+from .geometry import (FieldJet, MetricField, NavigationData, christoffel,
+                       field_jet, indicatrix, randers_value)
 
 
 @dataclass
@@ -45,18 +38,6 @@ class GeodesicPath:
     ys: np.ndarray
     dt: float
     left_domain: bool = False
-
-
-@dataclass(frozen=True)
-class RSTensors:
-    """Symmetric/antisymmetric split of the lowered wind derivative at a
-    point, with the pieces needed to assemble the variational spray."""
-
-    x: np.ndarray
-    metric: nk.SymMatrix
-    wind: np.ndarray
-    R: nk.SymMatrix
-    S: np.ndarray  # antisymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -128,43 +109,9 @@ def riemann_spray_values(metric: MetricField, x, y) -> np.ndarray:
     return 0.5 * _ayy(christoffel(metric, x), np.asarray(y, dtype=float))
 
 
-def rs_tensors(nav: NavigationData, x) -> RSTensors:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("rs_tensors expects a single point")
-    jet = field_jet(nav, x)
-    r, s = rs_split(jet)
-    return RSTensors(x=x, metric=nk.SymMatrix(jet.h), wind=jet.W,
-                     R=nk.SymMatrix(r), S=s)
-
-
 def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
     """Variational spray of the induced norm (zero fibers not allowed)."""
     return jet_randers_spray(field_jet(nav, x), y)
-
-
-def natural_spray(nav: NavigationData, s: TangentSample) -> SprayEval:
-    if not np.any(s.y):
-        raise ZeroVector("spray coefficients need a nonzero fiber vector")
-    return SprayEval("natural", s, natural_spray_values(nav, s.x, s.y))
-
-
-def randers_spray(nav: NavigationData, s: TangentSample) -> SprayEval:
-    if not np.any(s.y):
-        raise ZeroVector("spray coefficients need a nonzero fiber vector")
-    return SprayEval("randers", s, randers_spray_values(nav, s.x, s.y))
-
-
-def natural_spray_field(nav: NavigationData) -> Callable:
-    return lambda x, y: natural_spray_values(nav, x, y)
-
-
-def riemann_spray_field(metric: MetricField) -> Callable:
-    return lambda x, y: riemann_spray_values(metric, x, y)
-
-
-def randers_spray_field(nav: NavigationData) -> Callable:
-    return lambda x, y: randers_spray_values(nav, x, y)
 
 
 def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:

@@ -42,28 +42,9 @@ from .geometry import (Chart, FieldJet, MetricField, NavigationData,
 # curves
 
 
-class Curve:
-    """Base interface: point(t) and velocity(t), vectorized over t arrays."""
-
-    dim: int
-
-    def point(self, t):
-        raise NotImplementedError
-
-    def velocity(self, t):
-        raise NotImplementedError
-
-    def reversed(self) -> "Curve":
-        raise NotImplementedError
-
-    def is_closed(self, tol: float = 1e-12) -> bool:
-        a = self.point(0.0)
-        b = self.point(1.0)
-        return bool(np.linalg.norm(a - b) <= tol)
-
-
-class AnalyticCurve(Curve):
-    """Curve with one expression per coordinate in the parameter t."""
+class AnalyticCurve:
+    """Curve with one expression per coordinate in the parameter t;
+    point(t) and velocity(t) are vectorized over t arrays."""
 
     def __init__(self, components: Sequence[xl.Expression]):
         self.components = tuple(components)
@@ -86,6 +67,9 @@ class AnalyticCurve(Curve):
                    for c in self.components]
         return AnalyticCurve(flipped)
 
+    def is_closed(self, tol: float = 1e-12) -> bool:
+        return bool(np.linalg.norm(self.point(0.0) - self.point(1.0)) <= tol)
+
 
 def _reverse_param(node):
     """Substitute t -> 1 - t in an AST."""
@@ -98,34 +82,6 @@ def _reverse_param(node):
     if isinstance(node, xl.Binary):
         return xl.Binary(node.op, _reverse_param(node.lhs), _reverse_param(node.rhs))
     return xl.Call(node.fn, _reverse_param(node.arg))
-
-
-class PolylineCurve(Curve):
-    """Piecewise-linear curve through sample points, uniform in parameter."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise ValueError("polyline needs at least two points")
-        self.points = pts
-        self.dim = pts.shape[1]
-
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        m = len(self.points) - 1
-        s = np.clip(t, 0.0, 1.0) * m
-        idx = np.minimum(s.astype(int), m - 1)
-        frac = s - idx
-        return self.points[idx] + frac[..., None] * (self.points[idx + 1] - self.points[idx])
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        m = len(self.points) - 1
-        idx = np.minimum((np.clip(t, 0.0, 1.0) * m).astype(int), m - 1)
-        return m * (self.points[idx + 1] - self.points[idx])
-
-    def reversed(self) -> "PolylineCurve":
-        return PolylineCurve(self.points[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +124,8 @@ def _steps_from_dt(dt: float) -> int:
     return nk.uniform_steps(1.0, dt)[0]
 
 
-def _sample_tables(curves: Sequence[Curve], steps: int, chart: Optional[Chart]
+def _sample_tables(curves: Sequence[AnalyticCurve], steps: int,
+                   chart: Optional[Chart]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions and velocities of each distinct curve object on the
     half-step grid, and rows[b], the index of batch entry b's curve in them
@@ -215,8 +172,8 @@ def _result(mode: str, pos: np.ndarray, v: np.ndarray,
     return res
 
 
-def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
-             chart: Optional[Chart], keep: bool):
+def _riemann(metric: MetricField, curves: Sequence[AnalyticCurve], v0s,
+             dt: float, chart: Optional[Chart], keep: bool):
     """(half-step positions of the distinct curves, endpoint values,
     trajectories or None) of the metric transport for a batch of (curve,
     start vector) pairs."""
@@ -228,7 +185,8 @@ def _riemann(metric: MetricField, curves: Sequence[Curve], v0s, dt: float,
     return pos, v, traj
 
 
-def riemann_transport_many(metric: MetricField, curves: Sequence[Curve],
+def riemann_transport_many(metric: MetricField,
+                           curves: Sequence[AnalyticCurve],
                            v0s: np.ndarray, dt: float = 1e-3,
                            chart: Optional[Chart] = None) -> np.ndarray:
     """Endpoint values of the metric parallel transport for a batch of
@@ -236,7 +194,7 @@ def riemann_transport_many(metric: MetricField, curves: Sequence[Curve],
     return _riemann(metric, curves, v0s, dt, chart, keep=False)[1]
 
 
-def riemann_transport(metric: MetricField, curve: Curve, v0,
+def riemann_transport(metric: MetricField, curve: AnalyticCurve, v0,
                       dt: float = 1e-3, chart: Optional[Chart] = None,
                       keep_trajectory: bool = False) -> TransportResult:
     """Parallel transport of v0 along the curve for the metric connection."""
@@ -244,7 +202,7 @@ def riemann_transport(metric: MetricField, curve: Curve, v0,
                                         keep_trajectory))
 
 
-def riemann_transport_matrix(metric: MetricField, curve: Curve,
+def riemann_transport_matrix(metric: MetricField, curve: AnalyticCurve,
                              dt: float = 1e-3,
                              chart: Optional[Chart] = None) -> np.ndarray:
     """Matrix of the (linear) metric transport along the curve, columns =
@@ -307,8 +265,8 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
     return f0[:, None] * (u1 + winds[:, -1]), traj
 
 
-def _natural(nav: NavigationData, curves: Sequence[Curve], v0s, method: str,
-             dt: float, keep: bool):
+def _natural(nav: NavigationData, curves: Sequence[AnalyticCurve], v0s,
+             method: str, dt: float, keep: bool):
     """(half-step positions of the distinct curves, endpoint values,
     trajectories or None) of the natural transport for a batch of (curve,
     start vector) pairs."""
@@ -325,14 +283,15 @@ def _natural(nav: NavigationData, curves: Sequence[Curve], v0s, method: str,
     return pos, v, traj
 
 
-def natural_transport_many(nav: NavigationData, curves: Sequence[Curve],
+def natural_transport_many(nav: NavigationData,
+                           curves: Sequence[AnalyticCurve],
                            v0s: np.ndarray, method: str = "definitional",
                            dt: float = 1e-3) -> np.ndarray:
     """Endpoint values of the natural transport for a batch of pairs."""
     return _natural(nav, curves, v0s, method, dt, keep=False)[1]
 
 
-def natural_transport(nav: NavigationData, curve: Curve, v0,
+def natural_transport(nav: NavigationData, curve: AnalyticCurve, v0,
                       method: str = "definitional", dt: float = 1e-3,
                       keep_trajectory: bool = False) -> TransportResult:
     """Natural (wind-aware, nonlinear) parallel transport of v0.
@@ -344,7 +303,7 @@ def natural_transport(nav: NavigationData, curve: Curve, v0,
                    *_natural(nav, [curve], v0, method, dt, keep_trajectory))
 
 
-def corrected_transport(norm: Callable, base: Callable, curve: Curve,
+def corrected_transport(norm: Callable, base: Callable, curve: AnalyticCurve,
                         v0) -> TransportResult:
     """Norm-corrected transport: run `base`, then rescale the endpoint so the
     given norm is preserved exactly.

@@ -198,14 +198,15 @@ def test_criterion_08_euler_lagrange_oracle(scenarios):
         nav = scenarios[name].nav
         x0s = [x0 for case, x0, _ in cases if case == name]
         y0s = [y0 for case, _, y0 in cases if case == name]
-        for path in sp.integrate_geodesics(sp.randers_spray_field(nav), x0s,
-                                           y0s, time_span=1.0, dt=1e-3,
-                                           chart=nav.chart):
+        for path in sp.integrate_geodesics(
+                lambda x, y: sp.randers_spray_values(nav, x, y), x0s, y0s,
+                time_span=1.0, dt=1e-3, chart=nav.chart):
             worst = max(worst, sp.el_residual(nav, path))
     nav = scenarios["funk_ball"].nav
-    wrong = sp.integrate_geodesic(sp.riemann_spray_field(nav.metric),
-                                  np.zeros(2), np.array([0.6, 0.2]),
-                                  time_span=1.0, dt=1e-3, chart=nav.chart)
+    wrong = sp.integrate_geodesic(
+        lambda x, y: sp.riemann_spray_values(nav.metric, x, y),
+        np.zeros(2), np.array([0.6, 0.2]), time_span=1.0, dt=1e-3,
+        chart=nav.chart)
     control = sp.el_residual(nav, wrong)
     ok = worst < 1e-5 and control > 1e-2
     _line(8, ok,

@@ -116,8 +116,8 @@ def test_verdict_tolerance_is_reported(constant_wind):
 
 
 def test_wind_integral_curve_constant_wind(constant_wind):
-    ts, xs = cl.wind_integral_curve(constant_wind.nav, np.array([-0.2, 0.1]),
-                                    time_span=1.5)
+    ts, xs = cl.wind_integral_curves(constant_wind.nav, [[-0.2, 0.1]],
+                                     time_span=1.5)[0]
     expect = np.array([-0.2, 0.1])[None, :] + ts[:, None] * np.array([0.3, 0.1])
     assert np.abs(xs - expect).max() < 1e-10
 
@@ -125,7 +125,7 @@ def test_wind_integral_curve_constant_wind(constant_wind):
 def test_wind_integral_curve_rotation(rotation_disk):
     # the flow of (-x2, x1) is rigid rotation: radius is conserved
     x0 = np.array([0.4, 0.0])
-    ts, xs = cl.wind_integral_curve(rotation_disk.nav, x0, time_span=2.0)
+    ts, xs = cl.wind_integral_curves(rotation_disk.nav, [x0], time_span=2.0)[0]
     r = np.linalg.norm(xs, axis=1)
     assert np.abs(r - 0.4).max() < 1e-9
     expect = 0.4 * np.stack([np.cos(ts), np.sin(ts)], axis=-1)
@@ -141,7 +141,7 @@ def test_wind_integral_curve_stops_at_chart_edge():
         metric=ge.MetricField.from_strings([["1", "0"], ["1"]], 2),
         wind=ge.VectorField.from_strings(["x1", "x2"], 2),
     )
-    ts, xs = cl.wind_integral_curve(nav, np.array([0.5, 0.0]), time_span=3.0)
+    ts, xs = cl.wind_integral_curves(nav, [[0.5, 0.0]], time_span=3.0)[0]
     assert ts[-1] < 3.0  # stopped early
     assert nav.chart.contains(xs[-1])
     assert np.all(np.linalg.norm(xs, axis=1) < 0.9)
@@ -151,4 +151,4 @@ def test_wind_integral_curve_stops_at_chart_edge():
 
 def test_wind_integral_curve_rejects_bad_span(funk_ball):
     with pytest.raises(ValueError):
-        cl.wind_integral_curve(funk_ball.nav, np.zeros(2), time_span=-1.0)
+        cl.wind_integral_curves(funk_ball.nav, [np.zeros(2)], time_span=-1.0)

@@ -83,6 +83,31 @@ def test_geodesic_csv(tmp_path):
     assert np.isclose(last[1], 1.0 - np.exp(-last[0]), atol=1e-8)
 
 
+@pytest.mark.parametrize("spray", ["natural", "randers", "riemann"])
+def test_geodesic_csv_matches_library_spray(tmp_path, spray):
+    # the three sprays differ on the rotating wind, so each --spray value
+    # must reach its own library spray
+    import io
+    from navgeo import sprays as sp
+    from navgeo.scenarios import builtin
+    nav = builtin("rotation_disk").nav
+    x0, y0 = np.array([0.2, 0.0]), np.array([0.0, 0.5])
+    values = {"natural": lambda x, y: sp.natural_spray_values(nav, x, y),
+              "randers": lambda x, y: sp.randers_spray_values(nav, x, y),
+              "riemann": lambda x, y: sp.riemann_spray_values(nav.metric, x, y)}
+    assert len({tuple(f(x0, y0)) for f in values.values()}) == 3
+    out = tmp_path / "g.csv"
+    res = run_cli("geodesic", "--builtin", "rotation_disk", "--spray", spray,
+                  "--from", "0.2,0", "--dir", "0,0.5", "--time", "0.3",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    path = sp.integrate_geodesic(values[spray], x0, y0, 0.3, dt=1e-3,
+                                 chart=nav.chart, kind=spray)
+    buf = io.StringIO()
+    sp.geodesic_csv(path, nav, buf)
+    assert out.read_bytes() == buf.getvalue().encode()
+
+
 def test_holonomy_json():
     res = run_cli("holonomy", "--builtin", "sphere_cap",
                   "--loop", "0.3*cos(2*pi*t), 0.3*sin(2*pi*t)",
@@ -264,6 +289,15 @@ TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
     (("geodesic", "--builtin", "funk_ball", "--from", "0,0", "--dir", "1,0",
       "--seed", "3"), 2, "--seed"),
     (("list-scenarios", "--seed", "3"), 2, "--seed"),
+    (("torsion", "--builtin", "rotation_disk", "--seed", "3"), 2, "--seed"),
+    (("classify", "--builtin", "funk_ball", "--seed", "3"), 2, "--seed"),
+    (("compare-sprays", "--builtin", "funk_ball", "--seed", "3"), 2, "--seed"),
+    (("torsion", "--builtin", "rotation_disk", "--at", "0.3,0.2", "--dir",
+      "nan,0"), 2, "--dir"),
+    (("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0", "--vector",
+      "1,inf"), 2, "--vector"),
+    (("geodesic", "--builtin", "funk_ball", "--from", "nan,0", "--dir", "1,0"),
+     2, "--from"),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     for name, text in BAD_FILES.items():

@@ -1,4 +1,4 @@
-"""Connection coefficients, torsion, lifts, covariant derivatives."""
+"""Connection coefficients, torsion, covariant derivatives."""
 
 import numpy as np
 import pytest
@@ -43,10 +43,6 @@ def test_gamma_zero_wind_reduces_to_linear_part():
 
 def test_gamma_wrapper_and_batching(sphere_cap):
     nav = sphere_cap.nav
-    s = TangentSample(np.array([0.1, 0.2]), np.array([-0.3, 0.9]))
-    ev = cn.gamma(nav, s)
-    assert ev.at is s
-    assert np.allclose(ev.matrix, cn.gamma_matrix(nav, s.x, s.y))
     pts = nav.chart.grid(4)
     ys = np.tile(np.array([0.5, 0.1]), (len(pts), 1))
     gb = cn.gamma_matrix(nav, pts, ys)
@@ -82,7 +78,8 @@ def test_gamma_fiber_jacobian_matches_fd(sphere_cap):
     nav = sphere_cap.nav
     x = np.array([0.15, -0.25])
     y = np.array([0.6, 0.9])
-    dg = cn.gamma_fiber_jacobian(nav, x, y)  # [j, k, i] = d Gamma^k_i / d y^j
+    # [j, k, i] = d Gamma^k_i / d y^j
+    dg = cn.jet_gamma_fiber_jacobian(ge.field_jet(nav, x), y)[1]
     eps = 1e-6
     for j in range(2):
         dy = np.zeros(2)
@@ -144,29 +141,6 @@ def test_fiber_derivative_of_spray_splits_into_gamma_plus_torsion(scenarios):
         rhs = cn.gamma_matrix(nav, x, y) \
             + 0.5 * np.einsum("kij,j->ki", cn.torsion_components(nav, x, y), y)
         assert np.allclose(lhs, rhs, atol=1e-12), sc.name
-
-
-# ---------------------------------------------------------------------------
-# lifts
-
-
-def test_horizontal_lift_components(funk_ball):
-    nav = funk_ball.nav
-    s = TangentSample(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    vec = np.array([0.2, -0.4])
-    lift = cn.horizontal_lift(nav, s, vec)
-    assert lift.shape == (4,)
-    assert np.allclose(lift[:2], vec)
-    assert np.allclose(lift[2:], -2.0 * vec)  # -Gamma . vec with Gamma = 2 id
-
-
-def test_riemann_horizontal_lift(sphere_cap):
-    nav = sphere_cap.nav
-    s = TangentSample(np.array([0.2, 0.1]), np.array([0.4, -0.3]))
-    vec = np.array([1.0, 2.0])
-    lift = cn.riemann_horizontal_lift(nav.metric, s, vec)
-    a = ge.christoffel(nav.metric, s.x)
-    assert np.allclose(lift[2:], -np.einsum("kis,s,i->k", a, s.y, vec))
 
 
 # ---------------------------------------------------------------------------

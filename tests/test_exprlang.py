@@ -193,14 +193,6 @@ class TestProperties:
         out = xl.evaluate(expr, np.array([0.3, -0.7]))
         assert np.isfinite(out)
 
-    @given(_exprs)
-    @settings(max_examples=80, deadline=None)
-    def test_render_round_trips(self, text):
-        expr = xl.parse(text, 2)
-        again = xl.parse(xl.render(expr), 2)
-        x = np.array([0.3, -0.7])
-        assert xl.evaluate(again, x) == pytest.approx(xl.evaluate(expr, x))
-
     @given(_exprs, st.integers(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_dual_matches_finite_difference(self, text, axis):
@@ -213,16 +205,6 @@ class TestProperties:
         fd = (xl.evaluate(expr, x + eps * direction)
               - xl.evaluate(expr, x - eps * direction)) / (2 * eps)
         assert dot == pytest.approx(fd, rel=2e-4, abs=2e-6)
-
-    def test_render_preserves_precedence_examples(self):
-        for text in ("-2^2", "2^3^2", "2-3-4", "(x1+x2)*x1", "x1/(x2+2)",
-                     "2-(3-4)", "8/4/2", "-(x1+1)"):
-            expr = xl.parse(text, 2)
-            again = xl.parse(xl.render(expr), 2)
-            x = np.array([0.4, 1.7])
-            assert xl.evaluate(again, x) == pytest.approx(
-                xl.evaluate(expr, x)), text
-
 
 class TestSplitComponents:
     def test_top_level_commas_only(self):

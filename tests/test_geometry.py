@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navgeo import geometry as ge
-from navgeo import numkernel as nk
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_randers_value_funk_oracle(funk_ball):
     nav = funk_ball.nav
     x = np.array([0.5, 0.0])
     assert np.isclose(ge.randers_value(nav, x, np.array([1.0, 0.0])), 2.0)
-    f, g = ge.randers_value_and_grad(nav, x, np.array([1.0, 0.0]))
+    f, g = ge.field_values(nav, x).norm_and_grad(np.array([1.0, 0.0]))
     assert np.isclose(f, 2.0)
     assert np.allclose(g, [2.0, 0.0], atol=1e-12)
 
@@ -191,7 +190,7 @@ def test_randers_grad_is_euler_consistent(sphere_cap):
     rng = np.random.default_rng(3)
     pts = nav.chart.sample_interior(20, margin=0.1)
     ys = rng.normal(size=(20, 2))
-    f, g = ge.randers_value_and_grad(nav, pts, ys)
+    f, g = ge.field_values(nav, pts).norm_and_grad(ys)
     assert np.allclose(np.einsum("ki,ki->k", g, ys), f, rtol=1e-12)
 
 
@@ -199,21 +198,13 @@ def test_randers_grad_x_matches_fd(sphere_cap):
     nav = sphere_cap.nav
     x = np.array([0.2, 0.1])
     y = np.array([0.7, -0.4])
-    gx = ge.randers_grad_x(nav, x, y)
+    gx = ge.field_jet(nav, x).norm_grad_x(y)
     eps = 1e-6
     for i in range(2):
         dx = np.zeros(2)
         dx[i] = eps
         fd = (ge.randers_value(nav, x + dx, y) - ge.randers_value(nav, x - dx, y)) / (2 * eps)
         assert np.isclose(gx[i], fd, atol=1e-8)
-
-
-def test_randers_norm_wrapper(funk_ball):
-    s = ge.TangentSample(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    assert ge.randers_norm(funk_ball.nav, s) == pytest.approx(2.0)
-    f, g = ge.randers_norm(funk_ball.nav, s, gradient=True)
-    assert f == pytest.approx(2.0)
-    assert np.allclose(g, [2.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,18 +236,16 @@ def test_alpha_beta_presentation(funk_ball, sphere_cap):
         nav = sc.nav
         x = np.array([0.31, -0.12])
         alpha, beta = ge.randers_alpha_beta(nav, x)
-        am = alpha.entries if isinstance(alpha, nk.SymMatrix) else alpha
         rng = np.random.default_rng(5)
         for y in rng.normal(size=(8, 2)):
-            f = np.sqrt(y @ am @ y) + beta @ y
+            f = np.sqrt(y @ alpha @ y) + beta @ y
             assert np.isclose(f, ge.randers_value(nav, x, y), rtol=1e-12)
 
 
 def test_alpha_beta_funk_values(funk_ball):
     alpha, beta = ge.randers_alpha_beta(funk_ball.nav, np.array([0.5, 0.0]))
-    am = alpha.entries if isinstance(alpha, nk.SymMatrix) else alpha
     assert np.allclose(beta, [2.0 / 3.0, 0.0])
-    assert np.allclose(am, [[16.0 / 9.0, 0.0], [0.0, 4.0 / 3.0]])
+    assert np.allclose(alpha, [[16.0 / 9.0, 0.0], [0.0, 4.0 / 3.0]])
 
 
 def test_indicatrix_points_have_unit_norm(funk_ball, sphere_cap):
@@ -282,10 +271,11 @@ def test_navigation_data_accessors(funk_ball):
     nav = funk_ball.nav
     assert nav.dim == 2
     x = np.array([0.3, 0.4])
-    assert np.allclose(nav.metric_value(x), np.eye(2))
-    assert np.allclose(nav.wind_value(x), [-0.3, -0.4])
-    assert np.isclose(nav.wind_norm(x), 0.5)
-    assert np.isclose(nav.lambda_value(x), 0.75)
+    v = ge.field_values(nav, x)
+    assert np.allclose(v.h, np.eye(2))
+    assert np.allclose(v.W, [-0.3, -0.4])
+    assert np.isclose(np.sqrt(v.W @ v.hW), 0.5)
+    assert np.isclose(v.lam, 0.75)
     u = np.array([1.0, 2.0])
     v = np.array([-1.0, 1.0])
     assert np.isclose(nav.inner(x, u, v), 1.0)

@@ -12,8 +12,7 @@ from navgeo import exprlang as xl
 from navgeo import geometry as ge
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
-from navgeo.geometry import (field_jet, randers_grad_x, randers_value,
-                             randers_value_and_grad)
+from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 
@@ -79,10 +78,11 @@ def test_single_point_broadcasts_over_a_fiber_batch(dim):
     x = nav.chart.sample_interior(1, margin=0.2)[0]
     routes = {
         "F": lambda y: randers_value(nav, x, y),
-        "dF/dy": lambda y: randers_value_and_grad(nav, x, y)[1],
-        "dF/dx": lambda y: randers_grad_x(nav, x, y),
+        "dF/dy": lambda y: field_values(nav, x).norm_and_grad(y)[1],
+        "dF/dx": lambda y: field_jet(nav, x).norm_grad_x(y),
         "Gamma": lambda y: cn.gamma_matrix(nav, x, y),
-        "dGamma/dy": lambda y: cn.gamma_fiber_jacobian(nav, x, y),
+        "dGamma/dy": lambda y: cn.jet_gamma_fiber_jacobian(field_jet(nav, x),
+                                                           y)[1],
         "torsion": lambda y: cn.torsion_components(nav, x, y),
         "natural spray": lambda y: sp.natural_spray_values(nav, x, y),
         "randers spray": lambda y: sp.randers_spray_values(nav, x, y),

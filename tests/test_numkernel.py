@@ -52,17 +52,6 @@ class TestDual:
 
 
 class TestSpdSolvers:
-    def test_solve_spd_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 3))
-        m = a @ a.T + 3 * np.eye(3)
-        rhs = rng.normal(size=3)
-        assert np.allclose(nk.solve_spd(m, rhs), np.linalg.solve(m, rhs))
-
-    def test_solve_spd_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            nk.solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-
     def test_spd_inverse_batched(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 2, 2))

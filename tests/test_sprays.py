@@ -7,7 +7,7 @@ import pytest
 
 from navgeo import sprays as sp
 from navgeo.errors import ZeroVector
-from navgeo.geometry import TangentSample, indicatrix_points, randers_value
+from navgeo.geometry import field_jet, indicatrix_points, randers_value
 from navgeo.transport import AnalyticCurve
 
 
@@ -70,34 +70,16 @@ def test_spray_homogeneity(sphere_cap):
             assert np.allclose(fn(s * y), s * s * g1, rtol=1e-10)
 
 
-def test_pointwise_wrappers_and_zero_fiber(funk_ball):
-    nav = funk_ball.nav
-    s = TangentSample(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    ev = sp.natural_spray(nav, s)
-    assert ev.kind == "natural"
-    assert np.allclose(ev.coefficients,
-                       sp.natural_spray_values(nav, s.x, s.y))
-    with pytest.raises(ZeroVector):
-        sp.natural_spray(nav, TangentSample(s.x, np.zeros(2)))
-    with pytest.raises(ZeroVector):
-        sp.randers_spray(nav, TangentSample(s.x, np.zeros(2)))
-
-
 def test_rs_tensors_rotation(rotation_disk):
-    out = sp.rs_tensors(rotation_disk.nav, np.array([0.3, 0.2]))
-    assert np.allclose(out.R.entries, 0.0, atol=1e-14)
-    assert np.allclose(out.S, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
+    r, s = sp.rs_split(field_jet(rotation_disk.nav, np.array([0.3, 0.2])))
+    assert np.allclose(r, 0.0, atol=1e-14)
+    assert np.allclose(s, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_rs_tensors_radial_wind(funk_ball):
-    out = sp.rs_tensors(funk_ball.nav, np.array([0.1, -0.2]))
-    assert np.allclose(out.R.entries, -np.eye(2), atol=1e-14)
-    assert np.allclose(out.S, 0.0, atol=1e-14)
-
-
-def test_rs_tensors_rejects_batch(funk_ball):
-    with pytest.raises(ValueError):
-        sp.rs_tensors(funk_ball.nav, np.zeros((3, 2)))
+    r, s = sp.rs_split(field_jet(funk_ball.nav, np.array([0.1, -0.2])))
+    assert np.allclose(r, -np.eye(2), atol=1e-14)
+    assert np.allclose(s, 0.0, atol=1e-14)
 
 
 def test_spray_connection_matrix_matches_fd(sphere_cap):
@@ -122,9 +104,10 @@ def test_radial_wind_axis_geodesic_closed_form(funk_ball):
     # x(t) = (1 - exp(-t), 0) solves the natural-spray equation from the
     # center with unit speed; it reaches the chart edge at t = ln 10
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.natural_spray_field(nav),
-                                 np.zeros(2), np.array([1.0, 0.0]),
-                                 time_span=3.0, dt=1e-3, chart=nav.chart)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.natural_spray_values(nav, x, y),
+        np.zeros(2), np.array([1.0, 0.0]),
+        time_span=3.0, dt=1e-3, chart=nav.chart)
     expect = np.stack([1.0 - np.exp(-path.ts), np.zeros_like(path.ts)], axis=-1)
     assert np.abs(path.xs - expect).max() < 1e-10
     assert path.left_domain
@@ -133,7 +116,7 @@ def test_radial_wind_axis_geodesic_closed_form(funk_ball):
 
 def test_geodesic_requires_positive_dt_and_nonzero_dir(funk_ball):
     nav = funk_ball.nav
-    field = sp.natural_spray_field(nav)
+    field = lambda x, y: sp.natural_spray_values(nav, x, y)
     with pytest.raises(ZeroVector):
         sp.integrate_geodesic(field, np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
@@ -147,7 +130,7 @@ def test_geodesic_batch_matches_singles(rotation_disk):
     nav = rotation_disk.nav
     x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1], [0.6, 0.0]])
     y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6], [3.0, 0.0]])
-    field = sp.randers_spray_field(nav)
+    field = lambda x, y: sp.randers_spray_values(nav, x, y)
     batch = sp.integrate_geodesics(field, x0s, y0s, time_span=0.5, dt=1e-2,
                                    chart=nav.chart)
     assert [p.left_domain for p in batch] == [False, False, False, True]
@@ -165,8 +148,9 @@ def test_geodesic_step_lands_on_time_span(funk_ball):
     # 1 / 0.3 is not an integer: the path takes three steps of 1/3 and ends
     # at t = 1, not three steps of 0.3 ending at t = 0.9
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.natural_spray_field(nav), np.zeros(2),
-                                 np.array([0.2, 0.1]), time_span=1.0, dt=0.3)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.natural_spray_values(nav, x, y),
+        np.zeros(2), np.array([0.2, 0.1]), time_span=1.0, dt=0.3)
     assert path.dt == 1.0 / 3.0
     assert len(path.ts) == 4
     assert abs(path.ts[-1] - 1.0) < 1e-15
@@ -175,9 +159,10 @@ def test_geodesic_step_lands_on_time_span(funk_ball):
 def test_geodesic_preserves_norm(sphere_cap):
     # the spray flow conserves F along its own integral curves
     nav = sphere_cap.nav
-    path = sp.integrate_geodesic(sp.randers_spray_field(nav),
-                                 np.array([0.1, -0.1]), np.array([0.4, 0.3]),
-                                 time_span=1.0, dt=1e-3, chart=nav.chart)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.randers_spray_values(nav, x, y),
+        np.array([0.1, -0.1]), np.array([0.4, 0.3]),
+        time_span=1.0, dt=1e-3, chart=nav.chart)
     f = randers_value(nav, path.xs, path.ys)
     assert np.abs(f - f[0]).max() < 1e-8
 
@@ -186,26 +171,29 @@ def test_el_residual_small_on_randers_geodesics(funk_ball, rotation_disk):
     for sc, x0, y0 in ((funk_ball, [0.0, 0.0], [0.6, 0.2]),
                        (rotation_disk, [0.2, 0.0], [0.1, 0.5])):
         nav = sc.nav
-        path = sp.integrate_geodesic(sp.randers_spray_field(nav),
-                                     np.array(x0), np.array(y0),
-                                     time_span=1.0, dt=1e-3, chart=nav.chart)
+        path = sp.integrate_geodesic(
+            lambda x, y: sp.randers_spray_values(nav, x, y),
+            np.array(x0), np.array(y0),
+            time_span=1.0, dt=1e-3, chart=nav.chart)
         assert sp.el_residual(nav, path) < 1e-8, sc.name
 
 
 def test_el_residual_flags_wrong_path(funk_ball):
     # metric-straight lines are not energy extremals of the windy norm
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.riemann_spray_field(nav.metric),
-                                 np.zeros(2), np.array([0.6, 0.2]),
-                                 time_span=1.0, dt=1e-3, chart=nav.chart)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.riemann_spray_values(nav.metric, x, y),
+        np.zeros(2), np.array([0.6, 0.2]),
+        time_span=1.0, dt=1e-3, chart=nav.chart)
     assert sp.el_residual(nav, path) > 1e-2
 
 
 def test_el_residual_needs_enough_samples(funk_ball):
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.natural_spray_field(nav),
-                                 np.zeros(2), np.array([0.5, 0.0]),
-                                 time_span=0.003, dt=1e-3)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.natural_spray_values(nav, x, y),
+        np.zeros(2), np.array([0.5, 0.0]),
+        time_span=0.003, dt=1e-3)
     with pytest.raises(ValueError):
         sp.el_residual(nav, path)
 
@@ -213,17 +201,19 @@ def test_el_residual_needs_enough_samples(funk_ball):
 def test_autoparallel_residual_on_natural_geodesic(funk_ball):
     # natural geodesics are exactly the autoparallels of the transport rule
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.natural_spray_field(nav),
-                                 np.array([0.05, -0.1]), np.array([0.4, 0.5]),
-                                 time_span=1.0, dt=1e-3, chart=nav.chart)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.natural_spray_values(nav, x, y),
+        np.array([0.05, -0.1]), np.array([0.4, 0.5]),
+        time_span=1.0, dt=1e-3, chart=nav.chart)
     assert sp.autoparallel_residual(nav, path) < 1e-9
 
 
 def test_geodesic_csv(funk_ball):
     nav = funk_ball.nav
-    path = sp.integrate_geodesic(sp.natural_spray_field(nav),
-                                 np.zeros(2), np.array([1.0, 0.0]),
-                                 time_span=0.1, dt=1e-2)
+    path = sp.integrate_geodesic(
+        lambda x, y: sp.natural_spray_values(nav, x, y),
+        np.zeros(2), np.array([1.0, 0.0]),
+        time_span=0.1, dt=1e-2)
     buf = io.StringIO()
     sp.geodesic_csv(path, nav, buf)
     lines = buf.getvalue().strip().split("\n")

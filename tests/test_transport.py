@@ -15,7 +15,7 @@ from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, ZeroVector
 from navgeo.geometry import field_jet, randers_value
 from navgeo.scenarios import builtin, load_scenario, scenario_from_dict
-from navgeo.transport import AnalyticCurve, PolylineCurve
+from navgeo.transport import AnalyticCurve
 
 from helpers import random_curve, random_loop, random_vectors
 
@@ -38,6 +38,7 @@ def test_analytic_curve_point_velocity():
     assert np.allclose(c.point(0.5), [np.sin(0.5), 0.25])
     assert np.allclose(c.velocity(0.5), [np.cos(0.5), 1.0])
     assert not c.is_closed()
+    assert AnalyticCurve.from_strings(["cos(2*pi*t)", "sin(2*pi*t)"]).is_closed()
 
 
 def test_analytic_curve_reversed():
@@ -46,19 +47,6 @@ def test_analytic_curve_reversed():
     for t in (0.0, 0.25, 0.8, 1.0):
         assert np.allclose(r.point(t), c.point(1.0 - t))
     assert np.allclose(r.velocity(0.3), -c.velocity(0.7))
-
-
-def test_polyline_curve():
-    c = PolylineCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(c.point(0.0), [0.0, 0.0])
-    assert np.allclose(c.point(0.25), [0.5, 0.0])
-    assert np.allclose(c.point(0.5), [1.0, 0.0])
-    assert np.allclose(c.point(1.0), [1.0, 1.0])
-    assert np.allclose(c.velocity(0.25), [2.0, 0.0])
-    assert np.allclose(c.velocity(0.75), [0.0, 2.0])
-    assert c.reversed().is_closed() is False
-    loop = PolylineCurve([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
-    assert loop.is_closed()
 
 
 def test_curve_leaving_chart_is_rejected(funk_ball):
@@ -433,8 +421,9 @@ def test_csv_writers_match_per_row_formatting(funk_ball, dim):
     assert buf.getvalue() == _per_row_csv(
         ["t"] + names + ["F"], res.ts, res.xs, res.vs,
         randers_value(nav, res.xs, res.vs))
-    path = sp.integrate_geodesic(sp.randers_spray_field(nav), np.full(dim, 0.1),
-                                 np.eye(dim)[0], time_span=0.2, dt=0.01)
+    path = sp.integrate_geodesic(lambda x, y: sp.randers_spray_values(nav, x, y),
+                                 np.full(dim, 0.1), np.eye(dim)[0],
+                                 time_span=0.2, dt=0.01)
     buf = io.StringIO()
     sp.geodesic_csv(path, nav, buf)
     assert buf.getvalue() == _per_row_csv(
