@@ -365,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_vector, help="base point")
     p.add_argument("--dir", dest="direction", type=_vector,
                    help="fiber direction (nonzero)")
-    p.add_argument("--depth", type=_number(int, 0), default=3,
-                   help="bracket depth (default 3)")
+    p.add_argument("--depth", type=_number(int, 0, 3), default=3,
+                   help="bracket depth, 1 to 3 (default 3); deeper brackets "
+                        "are finite-difference round-off")
     p.add_argument("--samples", type=_number(int, 0), default=20,
                    help="survey size when no --at given (default 20)")
     p.set_defaults(fn=_cmd_rank)

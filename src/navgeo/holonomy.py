@@ -172,59 +172,64 @@ class RankReport:
                 "n_vectors": int(len(self.generated_vectors))}
 
 
-def _spray_horizontal_fields(nav: NavigationData) -> list:
-    """Coordinate horizontal fields of the spray connection on (B, 2n)
-    batches, z = (x, y) -> e_i - (dG/dy)(x, y) e_i vertically."""
-    n = nav.dim
+def _bracket_generations(nav: NavigationData, z: np.ndarray, depth: int,
+                         step: float) -> list:
+    """Generations 1..depth of the bracket tree at the rows of z = (x, y),
+    one (B, K_g, 2n) array each, in 2 depth - 1 spray-connection sweeps.
 
-    def make(i):
-        def fld(z):
-            g = spray_connection_matrix(nav, z[:, :n], z[:, n:])
-            out = np.zeros_like(z)
-            out[:, i] = 1.0
-            out[:, n:] = -g[:, :, i]
-            return out
-        return fld
-    return [make(i) for i in range(n)]
+    Generation 1 holds the horizontal fields H_i = e_i - (dG/dy) e_i;
+    generation 2 the brackets [H_i, H_j], i < j, and each later one every
+    [H_i, G_j] with G_j in the generation before. A bracket is the central
+    difference [X, Y] = DY X - DX Y, its step scaled down row by row for
+    long directions. DG_j H_i comes from the generations below evaluated
+    on the stacked batch [z; z + s H; z - s H], DH_i G_j for every i from
+    one sweep at z +- s G_j.
+    """
+    b, m = z.shape
+    n = m // 2
 
+    def fields(w):
+        out = np.zeros((len(w), n, m))
+        out[:, range(n), range(n)] = 1.0
+        out[:, :, n:] = -spray_connection_matrix(
+            nav, w[:, :n], w[:, n:]).transpose(0, 2, 1)
+        return out
 
-def lie_bracket(xf: Callable, yf: Callable, step: float = 1e-4) -> Callable:
-    """Lie bracket of two vector fields on (B, m) batches of points of R^m
-    by central differences, [X, Y](z) = DY(z) X(z) - DX(z) Y(z); the step
-    is scaled down, row by row, for large direction vectors."""
+    def displaced(u):
+        """Rows z + s u, then z - s u, for directions u (B, K, m); and 2 s."""
+        s = step / np.maximum(1.0, np.linalg.norm(u, axis=-1))[..., None]
+        return np.stack([z[:, None] + s * u, z[:, None] - s * u]), 2.0 * s
 
-    def fld(z):
-        xv, yv = xf(z), yf(z)
-
-        def ddir(f, u):
-            s = step / np.maximum(1.0, np.linalg.norm(u, axis=1))[:, None]
-            fp, fm = np.split(f(np.concatenate([z + s * u, z - s * u])), 2)
-            return (fp - fm) / (2.0 * s)
-        return ddir(yf, xv) - ddir(xf, yv)
-    return fld
+    h = fields(z)
+    if depth == 1:
+        return [h]
+    w, two_s = displaced(h)
+    lower = _bracket_generations(
+        nav, np.concatenate([z, w.reshape(-1, m)]), depth - 1, step)
+    gens = [g[:b] for g in lower]
+    gp, gm = lower[-1][b:].reshape(2, b, n, -1, m)
+    dg_h = (gp - gm) / two_s[..., None]  # [:, i, j] = DG_j H_i
+    w, two_s = displaced(gens[-1])
+    hp, hm = fields(w.reshape(-1, m)).reshape(2, b, -1, n, m)
+    dh_g = ((hp - hm) / two_s[..., None]).swapaxes(1, 2)  # DH_i G_j
+    brackets = dg_h - dh_g
+    if depth == 2:
+        i, j = np.triu_indices(n, 1)
+        return gens + [brackets[:, i, j]]
+    return gens + [brackets.reshape(b, -1, m)]
 
 
 def _rank_reports(nav: NavigationData, xs: np.ndarray, ys: np.ndarray,
                   depth: int, step: float, tol: float) -> list:
     """Rank reports at the rows of (xs, ys), one bracket tree evaluated on
-    all of them at once."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    all of them at once. Past depth 3 the brackets' smallest singular
+    values are finite-difference round-off, so deeper trees are refused."""
+    if not 1 <= depth <= 3:
+        raise ValueError("depth must be 1, 2 or 3")
     if not np.all(np.any(ys != 0.0, axis=1)):
         raise ZeroVector("the horizontal distribution lives over nonzero y")
-    base = _spray_horizontal_fields(nav)
-    generations = [base]
-    for _ in range(depth - 1):
-        prev = generations[-1]
-        nxt = []
-        for i, hf in enumerate(base):
-            for j, g in enumerate(prev):
-                if prev is base and j <= i:
-                    continue
-                nxt.append(lie_bracket(hf, g, step))
-        generations.append(nxt)
-    z = np.concatenate([xs, ys], axis=1)
-    vectors = np.stack([f(z) for gen in generations for f in gen], axis=1)
+    vectors = np.concatenate(_bracket_generations(
+        nav, np.concatenate([xs, ys], axis=1), depth, step), axis=1)
     return [RankReport(at=TangentSample(x, y), generated_vectors=vec,
                        rank=nk.numeric_rank(vec, tol), depth=depth)
             for x, y, vec in zip(xs, ys, vectors)]

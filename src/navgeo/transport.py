@@ -33,7 +33,7 @@ import numpy as np
 
 from . import exprlang as xl
 from . import numkernel as nk
-from .errors import CurveLeftDomain, DegenerateNorm, ZeroVector
+from .errors import CurveLeftDomain, DegenerateNorm, NonFiniteState, ZeroVector
 from .geometry import (Chart, FieldJet, MetricField, NavigationData,
                        christoffel, field_jet, randers_value)
 
@@ -257,6 +257,10 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
     """Scale to the unit sphere, shift by the wind at the start, transport
     linearly, shift back by the wind at the end, scale back."""
     f0 = randers_value(nav, pos[rows, 0], v0)
+    bad = np.flatnonzero(~np.isfinite(f0))
+    if bad.size:
+        raise NonFiniteState(f"navigation norm of start vector row {bad[0]} "
+                             f"{v0[bad[0]].tolist()} is not finite")
     winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
     k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
     u1, utraj = nk.rk4_linear(k, _linear_dt(k), v0 / f0[:, None] - winds[:, 0],

@@ -5,6 +5,7 @@ hold a conftest.py, can be collected in one pytest run.
 """
 import numpy as np
 
+from navgeo.sprays import spray_connection_matrix
 from navgeo.transport import AnalyticCurve
 
 
@@ -67,3 +68,45 @@ def random_vectors(rng, count, dim, scale=1.0):
     small = np.linalg.norm(v, axis=1) < 0.1
     v[small] += 0.5
     return v
+
+
+def lie_bracket(xf, yf, step):
+    """Lie bracket of two vector fields on (B, m) batches of points of R^m
+    by central differences, [X, Y](z) = DY(z) X(z) - DX(z) Y(z); the step
+    is scaled down, row by row, for large direction vectors."""
+
+    def fld(z):
+        xv, yv = xf(z), yf(z)
+
+        def ddir(f, u):
+            s = step / np.maximum(1.0, np.linalg.norm(u, axis=1))[:, None]
+            fp, fm = np.split(f(np.concatenate([z + s * u, z - s * u])), 2)
+            return (fp - fm) / (2.0 * s)
+        return ddir(yf, xv) - ddir(xf, yv)
+    return fld
+
+
+def bracket_tree_oracle(nav, z, depth, step=1e-4):
+    """Generations 1..depth of the spray-connection bracket tree at the
+    rows of z = (x, y), each field a closure and each bracket evaluating
+    its two arguments on its own: the per-node reference for the stacked
+    evaluation in navgeo.holonomy."""
+    n = nav.dim
+
+    def horizontal(i):
+        def fld(w):
+            g = spray_connection_matrix(nav, w[:, :n], w[:, n:])
+            out = np.zeros_like(w)
+            out[:, i] = 1.0
+            out[:, n:] = -g[:, :, i]
+            return out
+        return fld
+    base = [horizontal(i) for i in range(n)]
+    generations = [base]
+    for _ in range(depth - 1):
+        prev = generations[-1]
+        generations.append([lie_bracket(hf, g, step)
+                            for i, hf in enumerate(base)
+                            for j, g in enumerate(prev)
+                            if prev is not base or j > i])
+    return [np.stack([f(z) for f in gen], axis=1) for gen in generations]

@@ -298,6 +298,9 @@ TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
       "1,inf"), 2, "--vector"),
     (("geodesic", "--builtin", "funk_ball", "--from", "nan,0", "--dir", "1,0"),
      2, "--from"),
+    (("rank", "--builtin", "zero_wind", "--depth", "4"), 2, "--depth"),
+    (("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0", "--vector",
+      "1e160,0", "--dt", "0.5"), 1, "NonFiniteState"),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     for name, text in BAD_FILES.items():

@@ -1,5 +1,7 @@
 """Loop transport, the linear correspondence, and distribution ranks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from navgeo import geometry as ge
 from navgeo import holonomy as ho
 from navgeo.errors import DegenerateWind, NotClosed, ZeroVector
 from navgeo.geometry import TangentSample, randers_value
+from navgeo.scenarios import load_scenario
 from navgeo.transport import AnalyticCurve, natural_transport_many
 
-from helpers import random_loop
+from helpers import bracket_tree_oracle, random_loop
+
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
 
 def circle(radius, center=(0.0, 0.0)):
@@ -192,10 +197,11 @@ def test_rank_rejects_bad_input(funk_ball):
     with pytest.raises(ZeroVector):
         ho.holonomy_distribution_rank(
             funk_ball.nav, TangentSample(np.zeros(2), np.zeros(2)))
-    with pytest.raises(ValueError):
-        ho.holonomy_distribution_rank(
-            funk_ball.nav, TangentSample(np.zeros(2), np.array([1.0, 0.0])),
-            depth=0)
+    for depth in (0, 4):
+        with pytest.raises(ValueError):
+            ho.holonomy_distribution_rank(
+                funk_ball.nav,
+                TangentSample(np.zeros(2), np.array([1.0, 0.0])), depth=depth)
 
 
 def test_rank_survey(rotation_disk):
@@ -217,9 +223,10 @@ def test_rank_survey_matches_single_points(rotation_disk, funk_ball):
 
 
 def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
-    # the bracket tree runs once on all samples: a 5-sample survey makes
-    # the same spray-connection calls as a 1-sample one, each on 5 times
-    # the rows
+    # the bracket tree runs once on all samples, one spray-connection sweep
+    # per round: 2 depth - 1 sweeps whatever the dimension, and a 5-sample
+    # survey makes the same sweeps as a 1-sample one, each on 5 times the
+    # rows
     sizes = []
     real = ho.spray_connection_matrix
 
@@ -227,21 +234,41 @@ def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
         sizes[-1].append(len(x))
         return real(nav, x, y)
     monkeypatch.setattr(ho, "spray_connection_matrix", counting)
-    for n in (1, 5):
-        sizes.append([])
-        ho.distribution_rank_survey(rotation_disk.nav, n_samples=n, depth=3)
-    one, five = sizes
-    assert len(one) <= 50
-    assert five == [5 * k for k in one]
+    box = load_scenario(str(BENCH_SCENARIOS / "rot_box_4d.json"))
+    for nav in (rotation_disk.nav, box.nav):
+        sizes.clear()
+        for n in (1, 5):
+            sizes.append([])
+            ho.distribution_rank_survey(nav, n_samples=n, depth=3)
+        one, five = sizes
+        assert len(one) == 2 * 3 - 1
+        assert five == [5 * k for k in one]
+
+
+def test_stacked_bracket_tree_matches_the_closure_tree(rotation_disk):
+    # one sweep per round does the per-node arithmetic at the per-node
+    # points, so every generated vector agrees bit for bit
+    cases = [(rotation_disk.nav, 5, d) for d in (1, 2, 3)]
+    cases += [(load_scenario(str(BENCH_SCENARIOS / f)).nav, 1, 3)
+              for f in ("rot_ball_3d.json", "rot_box_4d.json")]
+    for nav, n_samples, depth in cases:
+        dirs = np.random.default_rng(5).normal(size=(n_samples, nav.dim))
+        z = np.concatenate(
+            [nav.chart.sample_interior(n_samples, margin=0.1), dirs], axis=1)
+        got = ho._bracket_generations(nav, z, depth, 1e-4)
+        want = bracket_tree_oracle(nav, z, depth, 1e-4)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (nav.dim, depth)
 
 
 def test_lie_bracket_against_refined_step(rotation_disk):
-    # the fixed-step bracket should sit within O(step^2) of a Richardson
-    # sharpened reference
-    fields = ho._spray_horizontal_fields(rotation_disk.nav)
+    # the fixed-step bracket [H_0, H_1] should sit within O(step^2) of a
+    # Richardson sharpened reference
     z = np.concatenate([np.array([0.3, 0.1]), np.array([1.0, 0.2])])[None]
-    coarse = ho.lie_bracket(fields[0], fields[1], step=1e-3)(z)
-    fine = ho.lie_bracket(fields[0], fields[1], step=5e-4)(z)
+
+    def bracket(step):
+        return ho._bracket_generations(rotation_disk.nav, z, 2, step)[1]
+    coarse, fine = bracket(1e-3), bracket(5e-4)
     richardson = (4.0 * fine - coarse) / 3.0
-    work = ho.lie_bracket(fields[0], fields[1], step=1e-4)(z)
-    assert np.abs(work - richardson).max() < 1e-6
+    assert np.abs(bracket(1e-4) - richardson).max() < 1e-6
