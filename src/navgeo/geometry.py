@@ -12,6 +12,7 @@ x[..., None, :] broadcasts over a (..., D, n) batch of fiber vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,22 +75,25 @@ class Chart:
         return self.domain.lo, self.domain.hi
 
     def sample_interior(self, count: int, margin: float = 0.0) -> np.ndarray:
-        """Deterministic quasi-random interior points (Kronecker sequence)."""
+        """Deterministic quasi-random interior points: the first `count`
+        points of a Kronecker sequence over the bounding box that lie in
+        the (shrunk) domain. The sequence is drawn in blocks, each sized by
+        the share of candidates kept so far."""
         lo, hi = self.bounding_box()
         alpha = _kronecker_alphas(self.dim)
-        points = np.empty((count, self.dim))
-        have, k = 0, 0
+        kept, have, k, block = [np.empty((0, self.dim))], 0, 0, max(count, 64)
         while have < count:
-            block = max(count - have, 64)
-            ks = np.arange(k, k + block)[:, None]
-            u = np.mod(0.5 + ks * alpha[None, :], 1.0)
-            cand = lo + u * (hi - lo)
-            keep = cand[self.contains(cand, margin)]
-            take = min(len(keep), count - have)
-            points[have:have + take] = keep[:take]
-            have += take
+            u = np.arange(k, k + block, dtype=float)[:, None] * alpha
+            u += 0.5
+            u -= np.floor(u)  # the fractional part, as np.mod(u, 1) for u > 0
+            u *= hi - lo
+            u += lo
+            inside = self.contains(u, margin)
+            kept.append(u if inside.all() else u[inside])
+            have += len(kept[-1])
             k += block
-        return points
+            block = max(int(1.1 * (count - have) * k / max(have, 1)), 64)
+        return np.concatenate(kept)[:count]
 
     def grid(self, per_axis: int, margin: float = 0.02) -> np.ndarray:
         """Cartesian product grid clipped to the (shrunk) domain interior."""
@@ -422,20 +426,27 @@ def indicatrix_points(nav: NavigationData, x, count: int = 24,
 
 @dataclass
 class ValidationReport:
+    """What validate() found; the smallest metric eigenvalue over the
+    sample is computed from the sampled metric when it is first read."""
+
     passed: bool
     n_points: int
     margin: float
-    min_metric_eigenvalue: float
     max_wind_norm: float
     min_lambda: float
+    metric: np.ndarray = field(repr=False, compare=False)
     failures: list = field(default_factory=list)
+
+    @cached_property
+    def min_metric_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(self.metric).min())
 
     def as_dict(self) -> dict:
         return {
             "passed": bool(self.passed),
             "n_points": int(self.n_points),
             "margin": float(self.margin),
-            "min_metric_eigenvalue": float(self.min_metric_eigenvalue),
+            "min_metric_eigenvalue": self.min_metric_eigenvalue,
             "max_wind_norm": float(self.max_wind_norm),
             "min_lambda": float(self.min_lambda),
             "failures": self.failures,
@@ -446,23 +457,25 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
              n_points: int = 10_000, margin: float = 1e-6) -> ValidationReport:
     """Sample the chart and check positivity of h and the wind bound.
 
-    The wind must satisfy |W|_h < 1 - margin at every sampled point; the
-    report carries witnesses for every violation kind found.
+    h must be positive definite at every sampled point, decided by
+    Sylvester's criterion on its L D L^T pivots, and the wind must satisfy
+    |W|_h < 1 - margin there; the report carries witnesses for every
+    violation kind found. Eigenvalues are computed only for the report
+    (min_metric_eigenvalue) and for a witness's value.
     """
     if points is None:
         points = nav.chart.sample_interior(n_points)
     points = np.asarray(points, dtype=float)
-    v = field_values(nav, points)
-    eigs = np.linalg.eigvalsh(v.h)
-    min_eig = float(eigs.min())
+    h = nav.metric.value(points)
+    failures = []
+    bad_metric = np.nonzero(~nk.positive_definite(h))[0]
+    if bad_metric.size:
+        i = int(bad_metric[0])
+        failures.append({"kind": "metric_not_positive", "point": points[i].tolist(),
+                         "value": float(np.linalg.eigvalsh(h[i]).min())})
+    v = FieldValues.of(h, nav.wind.value(points))
     wnorm2 = np.einsum("...i,...i->...", v.W, v.hW)
     wnorm = np.sqrt(np.maximum(wnorm2, 0.0))
-    failures = []
-    bad_eig = np.nonzero(eigs.min(axis=-1) <= 0.0)[0]
-    if bad_eig.size:
-        i = int(bad_eig[0])
-        failures.append({"kind": "metric_not_positive", "point": points[i].tolist(),
-                         "value": float(eigs[i].min())})
     bad_wind = np.nonzero(wnorm >= 1.0 - margin)[0]
     if bad_wind.size:
         i = int(bad_wind[0])
@@ -472,8 +485,8 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
         passed=not failures,
         n_points=len(points),
         margin=margin,
-        min_metric_eigenvalue=min_eig,
         max_wind_norm=float(wnorm.max()),
         min_lambda=float(v.lam.min()),
+        metric=h,
         failures=failures,
     )

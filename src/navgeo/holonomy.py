@@ -182,10 +182,12 @@ def _bracket_generations(nav: NavigationData, z: np.ndarray, depth: int,
     [H_i, G_j] with G_j in the generation before. A bracket is the central
     difference [X, Y] = DY X - DX Y, its step scaled down row by row for
     long directions. DG_j H_i comes from the generations below evaluated
-    on the stacked batch [z; z + s H; z - s H], DH_i G_j for every i from
-    one sweep at z +- s G_j.
+    on the stacked batch [z; z + s H; z - s H], which reuse the fields
+    already swept at z; DH_i G_j for every i comes from one sweep at
+    z +- s G_j, which leaves out G_j = H_0, as no bracket [H_i, H_0] with
+    i < 0 exists.
     """
-    b, m = z.shape
+    m = z.shape[1]
     n = m // 2
 
     def fields(w):
@@ -195,28 +197,34 @@ def _bracket_generations(nav: NavigationData, z: np.ndarray, depth: int,
             nav, w[:, :n], w[:, n:]).transpose(0, 2, 1)
         return out
 
-    def displaced(u):
-        """Rows z + s u, then z - s u, for directions u (B, K, m); and 2 s."""
-        s = step / np.maximum(1.0, np.linalg.norm(u, axis=-1))[..., None]
-        return np.stack([z[:, None] + s * u, z[:, None] - s * u]), 2.0 * s
+    def generations(z, h, depth):
+        """The tree at the rows of z, whose fields h are already known."""
+        if depth == 1:
+            return [h]
+        b = len(z)
 
-    h = fields(z)
-    if depth == 1:
-        return [h]
-    w, two_s = displaced(h)
-    lower = _bracket_generations(
-        nav, np.concatenate([z, w.reshape(-1, m)]), depth - 1, step)
-    gens = [g[:b] for g in lower]
-    gp, gm = lower[-1][b:].reshape(2, b, n, -1, m)
-    dg_h = (gp - gm) / two_s[..., None]  # [:, i, j] = DG_j H_i
-    w, two_s = displaced(gens[-1])
-    hp, hm = fields(w.reshape(-1, m)).reshape(2, b, -1, n, m)
-    dh_g = ((hp - hm) / two_s[..., None]).swapaxes(1, 2)  # DH_i G_j
-    brackets = dg_h - dh_g
-    if depth == 2:
-        i, j = np.triu_indices(n, 1)
-        return gens + [brackets[:, i, j]]
-    return gens + [brackets.reshape(b, -1, m)]
+        def displaced(u):
+            """Rows z + s u, then z - s u, for directions u (B, K, m), and
+            2 s."""
+            s = step / np.maximum(1.0, np.linalg.norm(u, axis=-1))[..., None]
+            w = np.stack([z[:, None] + s * u, z[:, None] - s * u])
+            return w.reshape(-1, m), 2.0 * s
+
+        w, two_s = displaced(h)
+        lower = generations(np.concatenate([z, w]),
+                            np.concatenate([h, fields(w)]), depth - 1)
+        gens = [g[:b] for g in lower]
+        gp, gm = lower[-1][b:].reshape(2, b, n, -1, m)
+        dg_h = (gp - gm) / two_s[..., None]  # [:, i, j] = DG_j H_i
+        w, two_s = displaced(gens[-1] if depth > 2 else h[:, 1:])
+        hp, hm = fields(w).reshape(2, b, -1, n, m)
+        dh_g = ((hp - hm) / two_s[..., None]).swapaxes(1, 2)  # DH_i G_j
+        if depth == 2:
+            i, j = np.triu_indices(n, 1)
+            return gens + [dg_h[:, i, j] - dh_g[:, i, j - 1]]
+        return gens + [(dg_h - dh_g).reshape(b, -1, m)]
+
+    return generations(z, fields(z), depth)
 
 
 def _rank_reports(nav: NavigationData, xs: np.ndarray, ys: np.ndarray,

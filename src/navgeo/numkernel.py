@@ -1,4 +1,5 @@
-"""Shared numeric substrate: forward-mode duals, SPD inverses, RK4, numeric rank.
+"""Shared numeric substrate: forward-mode duals, SPD tests and inverses, RK4,
+numeric rank.
 
 Dual numbers carry a vector of derivative slots, so one walk gives a value
 and its full gradient; they are the single differentiation mechanism used
@@ -145,6 +146,26 @@ def tanh(x):
 
 # ---------------------------------------------------------------------------
 # small dense linear algebra
+
+def positive_definite(h: np.ndarray) -> np.ndarray:
+    """Mask (...) of the symmetric matrices h (..., n, n), n <= 4, that are
+    positive definite, by Sylvester's criterion: every pivot of h = L D L^T
+    is positive. The elimination is unrolled over the upper triangle, each
+    step one ufunc on a whole-batch column. A matrix fails at its first
+    nonpositive pivot; a zero pivot turns the later ones inf or NaN, which
+    cannot undo that and raise no warning."""
+    n = h.shape[-1]
+    s = {(i, j): h[..., i, j] for i in range(n) for j in range(i, n)}
+    ok = s[0, 0] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            for i in range(k + 1, n):
+                l_ki = s[k, i] / s[k, k]
+                for j in range(i, n):
+                    s[i, j] = s[i, j] - l_ki * s[k, j]
+            ok &= s[k + 1, k + 1] > 0.0
+    return ok
+
 
 def spd_inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of a (batch of) SPD matrices; raises NotPositiveDefinite."""

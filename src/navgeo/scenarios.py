@@ -21,7 +21,9 @@ JSON (version field "schema": 1):
 Loading validates everything: expressions parse, the metric stays positive
 definite and the wind stays strictly short on a sample of the domain, and
 experiment curves stay inside the chart. Failures carry the JSON location
-or a witness point.
+or a witness point. Positivity is Sylvester's criterion on the L D L^T
+pivots of h at every sample point (`geometry.validate`); eigenvalues are
+computed only for a validation report that is read and for a witness.
 """
 from __future__ import annotations
 

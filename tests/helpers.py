@@ -1,10 +1,12 @@
-"""Random curves, loops and vectors inside a chart, shared by the tests.
+"""Random curves, loops and vectors inside a chart, and the reference
+routes the tests compare navgeo against.
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
 """
 import numpy as np
 
+from navgeo.geometry import field_values
 from navgeo.sprays import spray_connection_matrix
 from navgeo.transport import AnalyticCurve
 
@@ -110,3 +112,31 @@ def bracket_tree_oracle(nav, z, depth, step=1e-4):
                             for j, g in enumerate(prev)
                             if prev is not base or j > i])
     return [np.stack([f(z) for f in gen], axis=1) for gen in generations]
+
+
+def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):
+    """The eigenvalue route to navgeo.geometry.validate, as the dict its
+    report gives: every sampled metric's eigenvalues decide positivity, and
+    the first row whose smallest one is <= 0 is the witness."""
+    if points is None:
+        points = nav.chart.sample_interior(n_points)
+    points = np.asarray(points, dtype=float)
+    v = field_values(nav, points)
+    eigs = np.linalg.eigvalsh(v.h)
+    wnorm = np.sqrt(np.maximum(np.einsum("...i,...i->...", v.W, v.hW), 0.0))
+    failures = []
+    bad_eig = np.nonzero(eigs.min(axis=-1) <= 0.0)[0]
+    if bad_eig.size:
+        i = int(bad_eig[0])
+        failures.append({"kind": "metric_not_positive",
+                         "point": points[i].tolist(),
+                         "value": float(eigs[i].min())})
+    bad_wind = np.nonzero(wnorm >= 1.0 - margin)[0]
+    if bad_wind.size:
+        i = int(bad_wind[0])
+        failures.append({"kind": "wind_too_strong", "point": points[i].tolist(),
+                         "value": float(wnorm[i])})
+    return {"passed": not failures, "n_points": len(points),
+            "margin": float(margin), "min_metric_eigenvalue": float(eigs.min()),
+            "max_wind_norm": float(wnorm.max()),
+            "min_lambda": float(v.lam.min()), "failures": failures}

@@ -1,10 +1,17 @@
 """Metric fields, wind fields, the navigation norm, and validation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from navgeo import geometry as ge
+from navgeo.scenarios import load_scenario
+
+from helpers import reference_validate
+
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +43,23 @@ def test_sample_interior_stays_inside():
     assert pts.shape == (500, 2)
     r = np.linalg.norm(pts, axis=-1)
     assert np.all(r < 0.9 * (1.0 - 0.1) + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("domain", ["box", "ball"])
+def test_sample_interior_is_the_kronecker_sequence(dim, domain):
+    # the first points of the sequence that fall inside, whatever the
+    # blocks it is drawn in; u - floor(u) equals np.mod(u, 1) bit for bit
+    # on the sequence's positive arguments
+    lo, hi = -np.ones(dim), 2.0 * np.ones(dim)
+    chart = ge.Chart(dim, ge.Box(lo, hi) if domain == "box"
+                     else ge.Ball(0.5 * np.ones(dim), 1.5))
+    ks = np.arange(20_000)[:, None]
+    u = np.mod(0.5 + ks * ge._kronecker_alphas(dim)[None, :], 1.0)
+    cand = lo + u * (hi - lo)
+    for margin in (0.0, 0.1):
+        want = cand[chart.contains(cand, margin)][:3000]
+        assert np.array_equal(chart.sample_interior(3000, margin), want)
 
 
 def test_grid_is_inside_and_deterministic():
@@ -318,6 +342,48 @@ def test_validate_rejects_indefinite_metric():
     kinds = {f["kind"] for f in report.failures}
     assert "metric_not_positive" in kinds
     assert report.min_metric_eigenvalue <= 0.0
+
+
+def _corner_indefinite(dim):
+    """Flat metric on [-1, 1]^dim except one off-diagonal entry, coupling
+    the last two axes, that grows past 1 in the corner where the mean
+    coordinate exceeds 2/3: positive definite elsewhere, and only the last
+    pivot fails."""
+    mean = "(" + "+".join(f"x{k + 1}" for k in range(dim)) + f")/{dim}"
+    rows = [["1" if j == i else "0" for j in range(i, dim)]
+            for i in range(dim)]
+    rows[dim - 2][1] = f"0.6*(1 + {mean})"
+    return ge.NavigationData(
+        chart=ge.Chart(dim, ge.Box(-np.ones(dim), np.ones(dim))),
+        metric=ge.MetricField.from_strings(rows, dim),
+        wind=ge.VectorField.from_strings(["0.1"] * dim, dim))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_validate_finds_the_reference_witness_in_an_indefinite_corner(dim):
+    nav = _corner_indefinite(dim)
+    report = ge.validate(nav)
+    want = reference_validate(nav)
+    assert report.as_dict() == want
+    assert [f["kind"] for f in report.failures] == ["metric_not_positive"]
+    witness = np.array(report.failures[0]["point"])
+    assert witness.mean() > 2.0 / 3.0
+    assert report.failures[0]["value"] < 0.0
+
+
+def test_validate_matches_the_eigenvalue_reference(scenarios):
+    # the pivots decide positivity and the eigenvalues are computed for the
+    # report only; every field agrees bit for bit with the eigenvalue route
+    navs = [sc.nav for sc in scenarios.values()]
+    navs += [load_scenario(str(f)).nav
+             for f in sorted(BENCH_SCENARIOS.glob("*.json"))]
+    assert len(navs) == 11
+    for nav in navs:
+        for n_points in (500, 2000, 10_000):
+            got = ge.validate(nav, n_points=n_points).as_dict()
+            want = reference_validate(nav, n_points=n_points)
+            assert got == want
+            assert repr(got) == repr(want)
 
 
 def test_validate_report_as_dict(funk_ball):

@@ -226,7 +226,9 @@ def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
     # the bracket tree runs once on all samples, one spray-connection sweep
     # per round: 2 depth - 1 sweeps whatever the dimension, and a 5-sample
     # survey makes the same sweeps as a 1-sample one, each on 5 times the
-    # rows
+    # rows. No row is swept twice: a sample needs 1 + 2n + 2n(1 + 2n)
+    # field rows, 2(n - 1)(1 + 2n) for the DH_i H_j with i < j and 2 for
+    # each of the n(n - 1)/2 generation-2 brackets
     sizes = []
     real = ho.spray_connection_matrix
 
@@ -235,13 +237,14 @@ def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
         return real(nav, x, y)
     monkeypatch.setattr(ho, "spray_connection_matrix", counting)
     box = load_scenario(str(BENCH_SCENARIOS / "rot_box_4d.json"))
-    for nav in (rotation_disk.nav, box.nav):
+    for nav, rows in ((rotation_disk.nav, 37), (box.nav, 147)):
         sizes.clear()
         for n in (1, 5):
             sizes.append([])
             ho.distribution_rank_survey(nav, n_samples=n, depth=3)
         one, five = sizes
         assert len(one) == 2 * 3 - 1
+        assert sum(one) == rows
         assert five == [5 * k for k in one]
 
 

@@ -66,6 +66,51 @@ class TestSpdSolvers:
             nk.spd_inverse(ms)
 
 
+class TestPositiveDefinite:
+    @staticmethod
+    def _spectral(rng, count, n, lo, hi):
+        """Symmetric matrices Q diag(e) Q^T with |e| in [lo, hi] and random
+        signs, so every eigenvalue stays clear of zero."""
+        q, _ = np.linalg.qr(rng.normal(size=(count, n, n)))
+        e = rng.uniform(lo, hi, size=(count, n)) * rng.choice([-1.0, 1.0],
+                                                              size=(count, n))
+        e[: count // 2] = np.abs(e[: count // 2])
+        return np.einsum("bij,bj,bkj->bik", q, e, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pivots_agree_with_eigenvalues(self, n):
+        rng = np.random.default_rng(n)
+        h = self._spectral(rng, 4000, n, 1e-2, 3.0)
+        want = np.linalg.eigvalsh(h).min(axis=-1) > 0.0
+        assert 0 < want.sum() < len(h)
+        assert np.array_equal(nk.positive_definite(h), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_last_pivot_alone_can_fail(self, n):
+        # a positive definite leading block a with the last row b and
+        # corner b a^-1 b - c: the Schur complement -c is the last pivot
+        rng = np.random.default_rng(10 + n)
+        a = self._spectral(rng, 2000, n - 1, 0.1, 3.0)
+        a = np.einsum("bij,bkj->bik", a, a)  # square the spectrum: SPD
+        b = rng.normal(size=(2000, n - 1))
+        c = rng.uniform(0.05, 1.0, size=2000) * rng.choice([-1.0, 1.0],
+                                                           size=2000)
+        h = np.empty((2000, n, n))
+        h[:, :-1, :-1], h[:, :-1, -1], h[:, -1, :-1] = a, b, b
+        h[:, -1, -1] = np.einsum("bi,bi->b", b, np.linalg.solve(
+            a, b[..., None])[..., 0]) - c
+        assert np.all(np.linalg.eigvalsh(a) > 0.0)
+        want = np.linalg.eigvalsh(h).min(axis=-1) > 0.0
+        assert np.array_equal(want, c < 0.0)
+        assert np.array_equal(nk.positive_definite(h), want)
+
+    def test_zero_pivot_fails_without_warnings(self):
+        h = np.array([[[0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                      [[2.0, 0.5], [0.5, 1.0]]])
+        with np.errstate(all="raise"):
+            assert nk.positive_definite(h).tolist() == [False, False, True]
+
+
 class TestRk4:
     def test_exponential_order(self):
         # y' = y, y(0) = 1; error at t=1 scales like dt^4

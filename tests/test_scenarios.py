@@ -1,6 +1,7 @@
 """Scenario JSON schema: parsing, validation, round-trips, the catalog."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from navgeo import scenarios as sn
 from navgeo.errors import (ScenarioParseError, ScenarioValidationError,
                            UnknownScenario)
 from navgeo.geometry import validate
+
+from helpers import reference_validate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 GOOD = {
@@ -120,6 +125,44 @@ def test_strong_wind_fails_validation_with_witness():
     with pytest.raises(ScenarioValidationError, match="wind_too_strong") as exc:
         sn.scenario_from_dict(bad)
     assert "at [" in str(exc.value)  # a concrete witness point is shown
+
+
+def test_loading_computes_no_eigenvalues(monkeypatch):
+    # positivity comes from the pivots; the eigenvalues wait until the
+    # report is read
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    sn.builtin("sphere_cap")
+    box = sn.load_scenario(str(ROOT / "bench/scenarios/rot_box_4d.json"))
+    assert calls == []
+    assert validate(box.nav).min_metric_eigenvalue > 0.0
+    assert calls == [(10_000, 4, 4)]
+
+
+@pytest.mark.parametrize("data", [
+    dict(GOOD, name="bad_2d", metric=[["x1", "0"], ["1"]],
+         wind=["2*x1", "0"]),
+    dict(GOOD, name="bad_3d", dim=3, experiments={},
+         domain={"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+         metric=[["1", "0", "0"], ["1", "0.8 + x3"], ["1"]],
+         wind=["0", "0", "0.8*x1 + 0.5"]),
+], ids=["2d", "3d"])
+def test_validation_message_matches_the_reference(data):
+    nav = sn.scenario_from_dict(data, validate_nav=False).nav
+    ref = reference_validate(nav)
+    assert [f["kind"] for f in ref["failures"]] == ["metric_not_positive",
+                                                   "wind_too_strong"]
+    want = f"scenario {data['name']!r}: " + "; ".join(
+        f"{f['kind']} at {f['point']} (value {f['value']:g})"
+        for f in ref["failures"])
+    with pytest.raises(ScenarioValidationError) as exc:
+        sn.scenario_from_dict(data)
+    assert str(exc.value) == want
 
 
 def test_validation_can_be_deferred():

@@ -3,7 +3,9 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each checkout serves the warm-up requests plus pass 0 of every benchmark
-workload, for seeds 1 and 2 (112 requests), through its own
+workload, for seeds 1 and 2 (112 requests), and `validate` on every
+built-in and every benchmark scenario file, with the default sample and
+with `--points 2000` (22 requests, 134 in all), through its own
 `navgeo.cli.main`, in a fresh process whose working directory is that
 checkout. The request lists come from `bench/workloads.py` of the checkout
 this script lives in; nothing under `bench/` is written.
@@ -33,12 +35,19 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def requests() -> list:
-    """argv lists of the warm-up requests plus pass 0 of every workload."""
+    """argv lists of the warm-up requests plus pass 0 of every workload,
+    then the validate requests, which no workload makes."""
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS, pass_requests, warmup_requests
-    return [list(req.argv) for name in sorted(WORKLOADS) for seed in SEEDS
-            for req in (warmup_requests(WORKLOADS[name], seed)
-                        + pass_requests(WORKLOADS[name], seed, 0))]
+    from workloads import (BUILTIN_DOMAINS, SCENARIO_DIR, WORKLOADS,
+                           pass_requests, scenario_args, warmup_requests)
+    served = [list(req.argv) for name in sorted(WORKLOADS) for seed in SEEDS
+              for req in (warmup_requests(WORKLOADS[name], seed)
+                          + pass_requests(WORKLOADS[name], seed, 0))]
+    scenarios = sorted(BUILTIN_DOMAINS) + sorted(
+        f.stem for f in SCENARIO_DIR.glob("*.json"))
+    return served + [["validate", *scenario_args(sc), *points]
+                     for sc in scenarios
+                     for points in ([], ["--points", "2000"])]
 
 
 def serve_all(argvs: list) -> list:
