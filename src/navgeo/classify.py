@@ -46,13 +46,14 @@ class Verdict:
         return out
 
 
-def _default_grid(nav: NavigationData, grid, per_axis: int) -> np.ndarray:
+def _default_grid(nav: NavigationData, grid,
+                  per_axis: Optional[int]) -> np.ndarray:
     if grid is None:
         grid = nav.chart.grid(per_axis, margin=0.05)
     return np.asarray(grid, dtype=float)
 
 
-def _grid_jet(nav: NavigationData, grid, per_axis: int) -> FieldJet:
+def _grid_jet(nav: NavigationData, grid, per_axis: Optional[int]) -> FieldJet:
     """The jet over the grid, with a fiber axis of length one."""
     return field_jet(nav, _default_grid(nav, grid, per_axis)[:, None, :])
 
@@ -111,14 +112,15 @@ def _isotropic_s(jet: FieldJet, tol: float) -> Verdict:
 
 
 def torsion_vanishing_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                           per_axis: int = 20, n_dirs: int = 8) -> Verdict:
+                           per_axis: Optional[int] = None,
+                           n_dirs: int = 8) -> Verdict:
     """Sup of |torsion components| over grid points and fiber directions."""
     return _torsion_vanishes(_grid_jet(nav, grid, per_axis),
                              _fiber_directions(nav, n_dirs), tol)
 
 
 def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                     per_axis: int = 20) -> Verdict:
+                     per_axis: Optional[int] = None) -> Verdict:
     """Concircularity verdict over the grid; see _concircular."""
     return _concircular(_grid_jet(nav, grid, per_axis), tol)
 
@@ -195,7 +197,8 @@ def _decisively(verdict_residual: float, tol: float):
     return verdict_residual < 0.1 * tol, verdict_residual > 10.0 * tol
 
 
-def classification_report(nav: NavigationData, grid=None, per_axis: int = 20,
+def classification_report(nav: NavigationData, grid=None,
+                          per_axis: Optional[int] = None,
                           tol: float = 1e-8, n_dirs: int = 8,
                           comparison: Optional[ComparisonReport] = None) -> ClassificationReport:
     """Run every class test plus the spray comparison and cross-check the

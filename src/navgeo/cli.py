@@ -1,6 +1,7 @@
 """Command-line surface: CSV trajectories and JSON reports.
 
-Every run is deterministic for fixed flags: grids are fixed by --per-axis,
+Every run is deterministic for fixed flags: grids are fixed by --per-axis
+(default: at most 20 per axis and 8000 points),
 the rank survey and the holonomy probe directions (in dimensions 3 and 4)
 derive from --seed (default 42, taken by `rank` and `holonomy` only), CSV
 numbers carry 17 significant digits, and JSON keys are sorted. Exit codes:
@@ -229,10 +230,11 @@ def _cmd_torsion(args) -> int:
             "sup_norm": float(ev.sup_norm),
         })
         return 0
-    verdict = torsion_vanishing_test(scenario.nav, per_axis=args.per_axis,
+    per_axis = args.per_axis or scenario.nav.chart.default_per_axis
+    verdict = torsion_vanishing_test(scenario.nav, per_axis=per_axis,
                                      tol=args.tol)
-    _emit_json(args, {"scenario": scenario.name, "grid_per_axis":
-                      args.per_axis, **verdict.as_dict()})
+    _emit_json(args, {"scenario": scenario.name, "grid_per_axis": per_axis,
+                      **verdict.as_dict()})
     return 0
 
 
@@ -277,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = re.compile(r"^-\.?\d")
 
     accept_negative_values(parser)
+    per_axis_help = ("grid resolution per axis (default: the largest k <= 20 "
+                     "with k^n <= 8000, so 20 in 2D and 3D and 9 in 4D)")
 
     def common(p, scenario=True):
         accept_negative_values(p)
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--at", type=_vector)
     p.add_argument("--dir", dest="direction", type=_vector)
-    p.add_argument("--per-axis", type=_number(int, 0), default=20)
+    p.add_argument("--per-axis", type=_number(int, 0), help=per_axis_help)
     p.add_argument("--tol", type=_number(float, 0), default=1e-8)
     p.set_defaults(fn=_cmd_torsion)
 
@@ -389,15 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
         "classify",
         help="special-class verdicts; JSON report, summary on stderr")
     common(p)
-    p.add_argument("--per-axis", type=_number(int, 0), default=20,
-                   help="grid resolution per axis (default 20)")
+    p.add_argument("--per-axis", type=_number(int, 0), help=per_axis_help)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser(
         "compare-sprays",
         help="natural vs variational spray over a grid; JSON report")
     common(p)
-    p.add_argument("--per-axis", type=_number(int, 0), default=20)
+    p.add_argument("--per-axis", type=_number(int, 0), help=per_axis_help)
     p.add_argument("--dirs", type=_number(int, 0), default=16,
                    help="norm-unit fiber directions per point (default 16)")
     p.set_defaults(fn=_cmd_compare_sprays)

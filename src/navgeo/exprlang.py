@@ -4,27 +4,29 @@ Grammar (binding tightest first):  ^  (right-assoc),  unary -,  * /,  + -.
 Atoms are float literals, coordinates x1..xn, the constants pi and e, the
 single-argument functions sin cos exp log sqrt tanh, and parentheses.
 
-Expressions evaluate over plain floats, numpy arrays (batched points), and
-dual numbers; the same tree serves values and gradients. No symbolic
-rewriting, no code generation: a recursive walk per expression. A stack of
-expressions (a metric's upper triangle plus a wind, say) is evaluated in one
-sweep that writes every walk straight into one stacked value array (and one
-gradient array), shares a cached read-only table of derivative seeds, enters
-one errstate and runs one finiteness check; only a failed check goes back
-for the first bad expression and point. A single expression is a stack of
-one, so at a batch of one the sweep costs little more than its walks.
+A stack of expressions in the same coordinates (a metric's upper triangle
+plus a wind, say, or a curve's components) is compiled once into a
+`Program`: straight-line NumPy code, one line per distinct subtree, with
+constant subtrees folded and forward-mode derivative lines that skip
+partials which are structurally zero. The gradient program begins with
+the value program, so values and gradients see the same numbers. A sweep
+writes values (and gradients) straight into stacked arrays, then makes
+one domain check (log, sqrt) and one finiteness check; only a failed check
+goes back for the first bad expression and point. Programs come from a
+bounded memo keyed on the expressions, and a single expression is a stack
+of one.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from . import numkernel as nk
 from .errors import (ArityError, DomainError, ExpressionSyntaxError,
                      NonFiniteValue, UnknownIdentifier)
 
@@ -225,52 +227,17 @@ def split_components(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# compiled programs
 
-class _OutOfDomain(Exception):
-    """Raised inside a walk with (message, mask of the offending entries)."""
-
-
-def _apply(fn: str, arg):
-    v = nk.value_of(arg)
-    if fn == "log":
-        if np.any(v <= 0.0):
-            raise _OutOfDomain("log of a nonpositive value", v <= 0.0)
-        return nk.log(arg)
-    if fn == "sqrt":
-        if np.any(v < 0.0):
-            raise _OutOfDomain("sqrt of a negative value", v < 0.0)
-        return nk.sqrt(arg)
-    if fn == "sin":
-        return nk.sin(arg)
-    if fn == "cos":
-        return nk.cos(arg)
-    if fn == "exp":
-        return nk.exp(arg)
-    return nk.tanh(arg)
-
-
-def _eval(node: Node, coords: tuple):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return coords[node.index]
-    if isinstance(node, Binary):
-        a = _eval(node.lhs, coords)
-        b = _eval(node.rhs, coords)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return a ** b
-    if isinstance(node, Neg):
-        return -_eval(node.arg, coords)
-    return _apply(node.fn, _eval(node.arg, coords))
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+          "sqrt": np.sqrt, "tanh": np.tanh}
+_OPS = {"+": (operator.add, "+"), "-": (operator.sub, "-"),
+        "*": (operator.mul, "*"), "/": (operator.truediv, "/"),
+        "^": (operator.pow, "**")}
+# the functions with a domain: (failure message, the comparison with 0 that
+# marks a bad argument, as source and as a function)
+_DOMAIN = {"log": ("log of a nonpositive value", "<=", operator.le),
+           "sqrt": ("sqrt of a negative value", "<", operator.lt)}
 
 
 def _witness(x: np.ndarray, bad) -> str:
@@ -282,16 +249,6 @@ def _witness(x: np.ndarray, bad) -> str:
 def _stack(e) -> tuple:
     """An expression as a stack of one; a stack as a tuple."""
     return (e,) if isinstance(e, Expression) else tuple(e)
-
-
-@functools.lru_cache(maxsize=None)
-def _seeds(n: int, rank: int) -> np.ndarray:
-    """Derivative slots e_i of n coordinates on a leading axis ahead of
-    `rank` batch axes; shared by every sweep, so read-only. The keys are
-    few (2 <= n <= 4 and the batch ranks in use), so the cache stays small."""
-    seeds = np.eye(n).reshape((n, n) + (1,) * rank)
-    seeds.flags.writeable = False
-    return seeds
 
 
 def _require_finite(exprs: tuple, x: np.ndarray, val: np.ndarray,
@@ -310,51 +267,315 @@ def _require_finite(exprs: tuple, x: np.ndarray, val: np.ndarray,
                                  f"non-finite value at {_witness(x, bad)}")
 
 
-def _sweep(exprs: tuple, x: np.ndarray, dual: bool):
-    """Values val[..., j] of a stack of expressions at x (..., n), and with
-    dual=True gradients grad[..., j, i] (else None), written straight into
-    the two stacked arrays: one walk per expression under one errstate, one
-    finiteness check. An out-of-domain walk raises DomainError after the
-    finiteness check of the expressions before it, so the first bad
-    expression is the one named, as with one call per expression."""
-    n, lead = exprs[0].n_vars, x.shape[:-1]
-    val = np.empty(lead + (len(exprs),))
-    grad = slots = None
-    if dual:
-        seeds = _seeds(n, len(lead))
-        coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
-        grad = np.empty(lead + (len(exprs), n))
-        slots = np.moveaxis(grad, -1, 0)  # the derivative axis first, as in dot
-    else:
-        coords = tuple(x[..., i] for i in range(n))
-    with np.errstate(all="ignore"):
-        for j, e in enumerate(exprs):
-            try:
-                raw = _eval(e.root, coords)
-            except _OutOfDomain as exc:
-                _require_finite(exprs[:j], x, val[..., :j],
-                                None if grad is None else grad[..., :j, :])
-                what, bad = exc.args
-                raise DomainError(f"{what} in {e.source!r} at "
-                                  f"{_witness(x, bad)}") from None
-            if isinstance(raw, nk.Dual):
-                val[..., j], slots[..., j] = raw.val, raw.dot
+def _domain_calls(node: Node) -> list:
+    """The log and sqrt calls of a tree in evaluation order (arguments
+    before the call, left operand before right)."""
+    if isinstance(node, Binary):
+        return _domain_calls(node.lhs) + _domain_calls(node.rhs)
+    if isinstance(node, Neg):
+        return _domain_calls(node.arg)
+    if isinstance(node, Call):
+        return _domain_calls(node.arg) + ([node] if node.fn in _DOMAIN else [])
+    return []
+
+
+class _Builder:
+    """Straight-line code for a stack of expressions in n coordinates.
+
+    A line is emitted once per template and arguments, so equal subtrees,
+    which build equal lines, share one temporary. Subtrees without a
+    coordinate are folded to NumPy float64 constants. Derivative lines
+    follow the forward-mode rules of numkernel.Dual term for term, one line
+    per coordinate that the subtree depends on. A reference is the SSA name
+    (str) of a line, a constant (float), or None for a derivative that is
+    structurally zero; a line is (target or None, template, references).
+    Nodes are memoized by identity, which is cheap; equality is left to the
+    lines.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.lines = []   # the values
+        self.dlines = []  # the derivatives, which read the values
+        self.vals, self.dots, self.emitted = {}, {}, {}
+
+    def emit(self, lines: list, template: str, *args) -> str:
+        """The SSA name of a line, emitted once per template and arguments
+        (constants compared by their bits)."""
+        key = (template,) + tuple(a if isinstance(a, str) else float.hex(a)
+                                  for a in args)
+        if key not in self.emitted:
+            self.emitted[key] = f"s{len(self.emitted)}"
+            lines.append((self.emitted[key], template, args))
+        return self.emitted[key]
+
+    def binary(self, op: str, a, b, lines: Optional[list] = None):
+        fn, symbol = _OPS[op]
+        if isinstance(a, float) and isinstance(b, float):
+            return fn(np.float64(a), b)
+        return self.emit(self.dlines if lines is None else lines,
+                         f"{{0}} {symbol} {{1}}", a, b)
+
+    # derivative arithmetic: None is an exact zero, and x * 1.0 == x
+    def add(self, a, b):
+        return a if b is None else b if a is None else self.binary("+", a, b)
+
+    def sub(self, a, b):
+        if b is None:
+            return a
+        return self.neg(b) if a is None else self.binary("-", a, b)
+
+    def neg(self, a):
+        if isinstance(a, str):
+            return self.emit(self.dlines, "-{0}", a)
+        return None if a is None else -a
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        if isinstance(a, float) and a == 1.0:
+            return b
+        if isinstance(b, float) and b == 1.0:
+            return a
+        return self.binary("*", a, b)
+
+    def div(self, a, b):
+        return None if a is None else self.binary("/", a, b)
+
+    def value(self, node: Node):
+        if id(node) in self.vals:
+            return self.vals[id(node)]
+        if isinstance(node, Num):
+            ref = node.value
+        elif isinstance(node, Var):
+            ref = self.emit(self.lines, f"x[..., {node.index}]")
+        elif isinstance(node, Neg):
+            a = self.value(node.arg)
+            ref = -a if isinstance(a, float) else self.emit(self.lines,
+                                                             "-{0}", a)
+        elif isinstance(node, Binary):
+            ref = self.binary(node.op, self.value(node.lhs),
+                              self.value(node.rhs), self.lines)
+        else:
+            a = self.value(node.arg)
+            ref = (_FUNCS[node.fn](a) if isinstance(a, float)
+                   else self.emit(self.lines, f"{node.fn}({{0}})", a))
+        self.vals[id(node)] = ref
+        return ref
+
+    def gradient(self, node: Node) -> tuple:
+        if id(node) not in self.dots:
+            if isinstance(self.value(node), float):
+                d = (None,) * self.n
+            elif isinstance(node, Var):
+                d = tuple(1.0 if k == node.index else None
+                          for k in range(self.n))
+            elif isinstance(node, Neg):
+                d = tuple(map(self.neg, self.gradient(node.arg)))
+            elif isinstance(node, Binary):
+                d = self._binary_gradient(node)
             else:
-                val[..., j] = raw
-                if dual:  # constant tree: no slot was touched
-                    slots[..., j] = 0.0
-    _require_finite(exprs, x, val, grad)
-    return val, grad
+                d = self._call_gradient(node)
+            self.dots[id(node)] = d
+        return self.dots[id(node)]
+
+    def _binary_gradient(self, node: Binary) -> tuple:
+        a, b = self.value(node.lhs), self.value(node.rhs)
+        da, db = self.gradient(node.lhs), self.gradient(node.rhs)
+        op, q = node.op, self.value(node)
+        if op == "+":
+            return tuple(map(self.add, da, db))
+        if op == "-":
+            return tuple(map(self.sub, da, db))
+        if op == "*":
+            return tuple(self.add(self.mul(x, b), self.mul(a, y))
+                         for x, y in zip(da, db))
+        if op == "/":
+            return tuple(self.div(self.sub(x, self.mul(q, y)), b)
+                         for x, y in zip(da, db))
+        if isinstance(b, float):  # a constant exponent
+            f = (self.binary("*", 2.0, a) if b == 2 else
+                 self.mul(b, self.binary("^", a, self.binary("-", b, 1.0))))
+            return tuple(self.mul(f, x) for x in da)
+        # a variable exponent: d(a^b) = a^b (db log a + b da / a)
+        la = np.log(a) if isinstance(a, float) else self.emit(
+            self.dlines, "log({0})", a)
+        return tuple(self.mul(q, self.add(self.mul(y, la),
+                                          self.mul(b, self.div(x, a))))
+                     for x, y in zip(da, db))
+
+    def _call_gradient(self, node: Call) -> tuple:
+        a, da, v = self.value(node.arg), self.gradient(node.arg), self.value(node)
+        if node.fn == "log":
+            return tuple(self.div(x, a) for x in da)
+        if node.fn == "sqrt":
+            f = self.binary("*", 2.0, v)
+            return tuple(self.div(x, f) for x in da)
+        if node.fn == "sin":
+            f = self.emit(self.dlines, "cos({0})", a)
+        elif node.fn == "cos":
+            f = self.emit(self.dlines, "-sin({0})", a)
+        elif node.fn == "exp":
+            f = v
+        else:  # tanh
+            f = self.emit(self.dlines, "{0} - {1} * {2}", 1.0, v, v)
+        return tuple(self.mul(f, x) for x in da)
+
+
+def _render(name: str, params: str, lines: list, constant) -> str:
+    """Source of a function running `lines` in order. SSA names become
+    registers r0, r1, ... and a register is reused once the last line
+    reading its value has run, so temporaries are freed as a walk frees
+    them; constant(c) names a constant."""
+    last = {}
+    for i, (_, _, args) in enumerate(lines):
+        for a in args:
+            if isinstance(a, str):
+                last[a] = i
+    regs, free, body, count = {}, [], [], 0
+    for i, (target, template, args) in enumerate(lines):
+        text = template.format(*(regs[a] if isinstance(a, str)
+                                 else constant(a) for a in args))
+        free.extend({regs[a] for a in args
+                     if isinstance(a, str) and last[a] == i})
+        if target is not None:
+            if not free:
+                free.append(f"r{count}")
+                count += 1
+            regs[target] = free.pop()
+            text = f"{regs[target]} = {text}"
+        body.append(f"    {text}\n")
+    return f"def {name}({params}):\n" + "".join(body)
+
+
+class Program:
+    """A stack of expressions in the same coordinates compiled into two
+    straight-line NumPy functions (Griewank & Walther, Evaluating
+    Derivatives, ch. 6: source transformation):
+
+      values(x, val)           val[..., j] of every expression;
+      gradients(x, val, grad)  the same value lines, then grad[..., j, i].
+
+    Each writes its results into the stacked arrays and returns None, or,
+    when a log or sqrt argument left its domain somewhere, those arguments,
+    from which the DomainError of the first bad expression is rebuilt. One
+    finiteness check follows. Structural facts: `constants` holds the values
+    when no expression reads a coordinate and every one is finite and in
+    its domain (else None), and `source` is the generated code.
+    """
+
+    def __init__(self, exprs: tuple):
+        self.exprs = exprs
+        self.n = n = exprs[0].n_vars
+        b = _Builder(n)
+        with np.errstate(all="ignore"):
+            outs = [b.value(e.root) for e in exprs]
+            grads = [b.gradient(e.root) for e in exprs]
+        tail, bad_constant = self._domain_check(b)
+        writes = [(None, f"val[..., {j}] = {{0}}", (r,))
+                  for j, r in enumerate(outs)]
+        gwrites = [(None, f"grad[..., {j}, {k}] = {{0}}", (d,))
+                   for j, ds in enumerate(grads) for k, d in enumerate(ds)
+                   if d is not None]
+        self._zeros = len(gwrites) < len(exprs) * n
+        self.constants = None
+        if (all(isinstance(r, float) for r in outs) and not bad_constant
+                and np.isfinite(outs).all()):
+            self.constants = tuple(outs)
+
+        namespace, names = dict(_FUNCS), {}
+
+        def constant(c) -> str:
+            if id(c) not in names:
+                names[id(c)] = f"k{len(names)}"
+                namespace[names[id(c)]] = c
+            return names[id(c)]
+
+        self.source = (
+            _render("values", "x, val", b.lines + writes + tail, constant)
+            + _render("gradients", "x, val, grad",
+                      b.lines + b.dlines + writes + gwrites + tail, constant))
+        exec(compile(self.source, "<exprlang program>", "exec"), namespace)
+        self._values, self._gradients = namespace["values"], namespace["gradients"]
+
+    def _domain_check(self, b: _Builder) -> tuple[list, bool]:
+        """The last line of both functions, which returns the arguments of
+        every log and sqrt call when one of them is out of its domain, and
+        whether a constant one always is. Records in self._checks each
+        expression's calls in evaluation order, as (function, index of the
+        argument among those returned)."""
+        args, where, self._checks = [], {}, []
+        for e in self.exprs:
+            calls = []
+            for call in _domain_calls(e.root):
+                a = b.vals[id(call.arg)]
+                key = a if isinstance(a, str) else id(a)
+                if key not in where:
+                    where[key] = len(args)
+                    args.append(a)
+                calls.append((call.fn, where[key]))
+            self._checks.append(tuple(calls))
+        calls = [c for checks in self._checks for c in checks]
+        tests = dict.fromkeys(f"({{{i}}} {_DOMAIN[fn][1]} 0.0).any()"
+                              for fn, i in calls if isinstance(args[i], str))
+        bad_constant = any(_DOMAIN[fn][2](args[i], 0.0) for fn, i in calls
+                           if isinstance(args[i], float))
+        ret = "return (" + "".join(f"{{{i}}}, " for i in range(len(args))) + ")"
+        if bad_constant:
+            return [(None, ret, tuple(args))], True
+        if tests:
+            return [(None, f"if {' or '.join(tests)}:\n        {ret}",
+                     tuple(args))], False
+        return [], False
+
+    def sweep(self, x: np.ndarray, dual: bool):
+        """Values val[..., j] at x (..., n), and with dual=True gradients
+        grad[..., j, i] (else None), after the domain and finiteness
+        checks: an out-of-domain argument raises DomainError after the
+        finiteness check of the expressions before its own, so the first
+        bad expression is the one named, as in evaluation order."""
+        lead, k = x.shape[:-1], len(self.exprs)
+        val, grad = np.empty(lead + (k,)), None
+        with np.errstate(all="ignore"):
+            if dual:
+                grad = (np.zeros if self._zeros else np.empty)(lead + (k, self.n))
+                args = self._gradients(x, val, grad)
+            else:
+                args = self._values(x, val)
+        if args is not None:
+            for j, e in enumerate(self.exprs):
+                for fn, i in self._checks[j]:
+                    bad = _DOMAIN[fn][2](args[i], 0.0)
+                    if np.any(bad):
+                        _require_finite(self.exprs[:j], x, val[..., :j],
+                                        None if grad is None
+                                        else grad[..., :j, :])
+                        raise DomainError(f"{_DOMAIN[fn][0]} in {e.source!r}"
+                                          f" at {_witness(x, bad)}")
+        _require_finite(self.exprs, x, val, grad)
+        return val, grad
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(stack: tuple) -> Program:
+    return Program(stack)
+
+
+def compile_stack(e) -> Program:
+    """The program of an expression or a stack of expressions (a program
+    is its own), from a bounded memo keyed on the expressions; a field
+    looks its program up once and passes it to every sweep."""
+    return e if isinstance(e, Program) else _compiled(_stack(e))
 
 
 def evaluate(e, x) -> float | np.ndarray:
     """Evaluate at a point (n,) or a batch of points (..., n).
 
     `e` is an expression, giving a float or an array (...), or a stack (a
-    sequence) of k expressions in the same coordinates, giving an array
-    (..., k) from one sweep.
+    sequence or a Program) of k expressions in the same coordinates, giving
+    an array (..., k) from one sweep.
     """
-    val = _sweep(_stack(e), np.asarray(x, dtype=float), dual=False)[0]
+    val = compile_stack(e).sweep(np.asarray(x, dtype=float), dual=False)[0]
     if not isinstance(e, Expression):
         return val
     return float(val[0]) if val.ndim == 1 else val[..., 0]
@@ -362,14 +583,12 @@ def evaluate(e, x) -> float | np.ndarray:
 
 def evaluate_dual(e, x) -> tuple:
     """Value and gradient [..., i] = d/dx^i at a point (n,) or a batch of
-    points (..., n), from one walk of the tree; for a stack of k
-    expressions, values (..., k) and gradients (..., k, i) from one sweep.
-
-    Coordinate i enters as a dual number whose derivative slot is the unit
-    vector e_i held on a *leading* axis (`dot` has shape (n,) + batch), so
-    the dual arithmetic and the elementary functions broadcast unchanged.
+    points (..., n); for a stack of k expressions, values (..., k) and
+    gradients (..., k, i) from one sweep. The values are those `evaluate`
+    gives, bit for bit: the gradient program begins with the value
+    program.
     """
-    val, grad = _sweep(_stack(e), np.asarray(x, dtype=float), dual=True)
+    val, grad = compile_stack(e).sweep(np.asarray(x, dtype=float), dual=True)
     if not isinstance(e, Expression):
         return val, grad
     if val.ndim == 1:

@@ -95,8 +95,18 @@ class Chart:
             block = max(int(1.1 * (count - have) * k / max(have, 1)), 64)
         return np.concatenate(kept)[:count]
 
-    def grid(self, per_axis: int, margin: float = 0.02) -> np.ndarray:
-        """Cartesian product grid clipped to the (shrunk) domain interior."""
+    @property
+    def default_per_axis(self) -> int:
+        """The grid resolution when none is given: the largest k <= 20 with
+        k^dim <= 8000 points (20 in dimensions 2 and 3, 9 in dimension 4)."""
+        return max(k for k in range(1, 21) if k ** self.dim <= 8000)
+
+    def grid(self, per_axis: Optional[int] = None,
+             margin: float = 0.02) -> np.ndarray:
+        """Cartesian product grid clipped to the (shrunk) domain interior;
+        per_axis defaults to default_per_axis."""
+        if per_axis is None:
+            per_axis = self.default_per_axis
         lo, hi = self.bounding_box()
         # endpoints sit strictly inside the shrunk open domain, not on it
         pad = (0.5 * margin + 1e-9) * (hi - lo)
@@ -132,13 +142,14 @@ class VectorField:
     def __init__(self, components: Sequence[exprlang.Expression]):
         self.components = tuple(components)
         self.dim = len(self.components)
+        self.program = exprlang.compile_stack(self.components)
 
     @classmethod
     def from_strings(cls, exprs: Sequence[str], n: int) -> "VectorField":
         return cls([exprlang.parse(s, n) for s in exprs])
 
     def value(self, x) -> np.ndarray:
-        return exprlang.evaluate(self.components, x)
+        return exprlang.evaluate(self.program, x)
 
     def jacobian(self, x) -> np.ndarray:
         """J[..., k, i] = d(component k)/d(x^i), via dual evaluation."""
@@ -146,11 +157,15 @@ class VectorField:
 
     def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Value [..., k] and Jacobian [..., k, i] from one dual sweep."""
-        return exprlang.evaluate_dual(self.components, x)
+        return exprlang.evaluate_dual(self.program, x)
 
 
 class MetricField:
-    """Symmetric metric field h_ij(x) given by upper-triangle expressions."""
+    """Symmetric metric field h_ij(x) given by upper-triangle expressions.
+
+    A metric whose entries read no coordinate (and evaluate cleanly) is
+    `constant`: its h and h^-1 are built once, on first use.
+    """
 
     def __init__(self, upper: Sequence[Sequence[exprlang.Expression]]):
         n = len(upper)
@@ -162,6 +177,8 @@ class MetricField:
         # the upper triangle row by row, one stack for every sweep, and the
         # index of entry (i, j) in it
         self.entries = tuple(e for row in self.upper for e in row)
+        self.program = exprlang.compile_stack(self.entries)
+        self.constant = self.program.constants is not None
         iu, ju = np.triu_indices(n)
         self._sym = np.empty((n, n), dtype=int)
         self._sym[iu, ju] = self._sym[ju, iu] = np.arange(len(self.entries))
@@ -171,7 +188,7 @@ class MetricField:
         return cls([[exprlang.parse(s, n) for s in row] for row in rows])
 
     def value(self, x) -> np.ndarray:
-        return self._assemble(exprlang.evaluate(self.entries, x))
+        return self._assemble(exprlang.evaluate(self.program, x))
 
     def derivatives(self, x) -> np.ndarray:
         """dh[..., k, i, j] = d(h_ij)/d(x^k), via dual evaluation."""
@@ -180,7 +197,14 @@ class MetricField:
     def value_and_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """h[..., i, j] and dh[..., k, i, j] = d(h_ij)/d(x^k) from one dual
         sweep over the upper triangle."""
-        return self._assemble(*exprlang.evaluate_dual(self.entries, x))
+        return self._assemble(*exprlang.evaluate_dual(self.program, x))
+
+    @cached_property
+    def constant_value(self) -> tuple[np.ndarray, np.ndarray]:
+        """h and h^-1 (n, n) of a constant metric; raises
+        NotPositiveDefinite, and then caches nothing."""
+        h = self._assemble(np.array(self.program.constants))
+        return h, nk.spd_inverse(h)
 
     def _assemble(self, val: np.ndarray, grad: Optional[np.ndarray] = None):
         """h[..., i, j] from the stacked entry values val[..., m] (with grad
@@ -222,6 +246,11 @@ class NavigationData:
     def dim(self) -> int:
         return self.chart.dim
 
+    @cached_property
+    def jet_program(self) -> exprlang.Program:
+        """The metric's upper triangle and the wind as one stack."""
+        return exprlang.compile_stack(self.metric.entries + self.wind.components)
+
     def inner(self, x, u, v) -> np.ndarray:
         h = self.metric.value(x)
         return np.einsum("...ij,...i,...j->...", h, np.asarray(u, float), np.asarray(v, float))
@@ -245,8 +274,12 @@ def _levi_civita(hinv: np.ndarray, dh: np.ndarray) -> np.ndarray:
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients A[..., k, i, j] of the metric field.
 
-    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j).
+    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j);
+    zero for a constant metric, which must still be positive definite.
     """
+    if metric.constant:
+        h, _ = metric.constant_value
+        return np.zeros(np.shape(x)[:-1] + h.shape[:1] + h.shape)
     h, dh = metric.value_and_derivatives(x)
     return _levi_civita(nk.spd_inverse(h), dh)
 
@@ -324,7 +357,17 @@ class FieldJet(FieldValues):
 
 def field_jet(nav: NavigationData, x) -> FieldJet:
     """The jet of nav at x (..., n), from one dual sweep over the metric's
-    upper triangle and the wind."""
+    upper triangle and the wind. For a constant metric the sweep covers
+    the wind alone: h and h^-1 are the metric's own, dh = A = 0 and
+    M = dW."""
+    if nav.metric.constant:
+        w, dw = nav.wind.value_and_jacobian(x)
+        h, hinv = nav.metric.constant_value
+        shape = w.shape[:-1] + h.shape
+        zero = np.zeros(shape + h.shape[:1])
+        return FieldJet.of(np.broadcast_to(h, shape).copy(), w, dh=zero,
+                           hinv=np.broadcast_to(hinv, shape).copy(), A=zero,
+                           dW=dw, M=dw)
     h, dh, w, dw = _jet_entries(nav, x)
     hinv = nk.spd_inverse(h)
     a = _levi_civita(hinv, dh)
@@ -336,7 +379,7 @@ def _jet_entries(nav: NavigationData, x) -> tuple:
     """h, dh, W, dW as contiguous arrays; the stacked sweep result is
     dropped on return, before the Levi-Civita symbols are built."""
     m = len(nav.metric.entries)
-    val, grad = exprlang.evaluate_dual(nav.metric.entries + nav.wind.components, x)
+    val, grad = exprlang.evaluate_dual(nav.jet_program, x)
     h, dh = nav.metric._assemble(val[..., :m], grad[..., :m, :])
     return h, dh, val[..., m:].copy(), grad[..., m:, :].copy()
 

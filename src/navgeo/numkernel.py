@@ -1,9 +1,10 @@
 """Shared numeric substrate: forward-mode duals, SPD tests and inverses, RK4,
 numeric rank.
 
-Dual numbers carry a vector of derivative slots, so one walk gives a value
-and its full gradient; they are the single differentiation mechanism used
-everywhere in the package, and no finite differencing is hidden inside field
+Dual numbers carry a vector of derivative slots, so one evaluation gives a
+value and its full gradient; they differentiate the navigation norm along
+the fiber, and the compiled expression programs of `exprlang` follow their
+rules term for term, so no finite differencing is hidden inside field
 evaluations. Values may be python floats or numpy arrays, so one dual
 evaluation sweeps a whole batch of points.
 

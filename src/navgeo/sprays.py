@@ -260,7 +260,7 @@ class ComparisonReport:
 
 
 def compare_sprays(nav: NavigationData, points: Optional[np.ndarray] = None,
-                   per_axis: int = 20, n_dirs: int = 16,
+                   per_axis: Optional[int] = None, n_dirs: int = 16,
                    tol_coincide: float = 1e-8,
                    tol_projective: float = 1e-6,
                    margin: float = 0.05) -> ComparisonReport:

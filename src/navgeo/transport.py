@@ -49,16 +49,17 @@ class AnalyticCurve:
     def __init__(self, components: Sequence[xl.Expression]):
         self.components = tuple(components)
         self.dim = len(self.components)
+        self.program = xl.compile_stack(self.components)
 
     @classmethod
     def from_strings(cls, exprs: Sequence[str]) -> "AnalyticCurve":
         return cls([xl.parse_with_names(s, ("t",)) for s in exprs])
 
     def point(self, t):
-        return xl.evaluate(self.components, np.asarray(t, dtype=float)[..., None])
+        return xl.evaluate(self.program, np.asarray(t, dtype=float)[..., None])
 
     def velocity(self, t):
-        grad = xl.evaluate_dual(self.components,
+        grad = xl.evaluate_dual(self.program,
                                 np.asarray(t, dtype=float)[..., None])[1]
         return np.ascontiguousarray(grad[..., 0])
 

@@ -1,11 +1,17 @@
 """Random curves, loops and vectors inside a chart, and the reference
 routes the tests compare navgeo against.
 
+The recursive expression walk here is the reference for the compiled
+expression programs of navgeo.exprlang.
+
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
 """
 import numpy as np
 
+from navgeo import exprlang as xl
+from navgeo import numkernel as nk
+from navgeo.errors import DomainError
 from navgeo.geometry import field_values
 from navgeo.sprays import spray_connection_matrix
 from navgeo.transport import AnalyticCurve
@@ -140,3 +146,85 @@ def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):
             "margin": float(margin), "min_metric_eigenvalue": float(eigs.min()),
             "max_wind_norm": float(wnorm.max()),
             "min_lambda": float(v.lam.min()), "failures": failures}
+
+
+# ---------------------------------------------------------------------------
+# the recursive expression walk: the oracle for compiled programs
+
+
+class _OutOfDomain(Exception):
+    """Raised inside a walk with (message, mask of the offending entries)."""
+
+
+def _apply(fn, arg):
+    v = nk.value_of(arg)
+    if fn == "log":
+        if np.any(v <= 0.0):
+            raise _OutOfDomain("log of a nonpositive value", v <= 0.0)
+        return nk.log(arg)
+    if fn == "sqrt":
+        if np.any(v < 0.0):
+            raise _OutOfDomain("sqrt of a negative value", v < 0.0)
+        return nk.sqrt(arg)
+    return getattr(nk, fn)(arg)
+
+
+def _eval(node, coords):
+    if isinstance(node, xl.Num):
+        return node.value
+    if isinstance(node, xl.Var):
+        return coords[node.index]
+    if isinstance(node, xl.Binary):
+        a = _eval(node.lhs, coords)
+        b = _eval(node.rhs, coords)
+        op = node.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            return a / b
+        return a ** b
+    if isinstance(node, xl.Neg):
+        return -_eval(node.arg, coords)
+    return _apply(node.fn, _eval(node.arg, coords))
+
+
+def walk_sweep(e, x, dual):
+    """What navgeo.exprlang.evaluate (dual=False) or evaluate_dual gives
+    for an expression or a stack, from one walk per expression over floats,
+    arrays or duals: values (..., k) and gradients (..., k, i) or None, the
+    same errors raised."""
+    exprs = xl._stack(e)
+    x = np.asarray(x, dtype=float)
+    n, lead = exprs[0].n_vars, x.shape[:-1]
+    val = np.empty(lead + (len(exprs),))
+    grad = slots = None
+    if dual:
+        # derivative slots e_i on a leading axis ahead of the batch axes
+        seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
+        coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
+        grad = np.empty(lead + (len(exprs), n))
+        slots = np.moveaxis(grad, -1, 0)
+    else:
+        coords = tuple(x[..., i] for i in range(n))
+    with np.errstate(all="ignore"):
+        for j, ex in enumerate(exprs):
+            try:
+                raw = _eval(ex.root, coords)
+            except _OutOfDomain as exc:
+                xl._require_finite(exprs[:j], x, val[..., :j],
+                                   None if grad is None else grad[..., :j, :])
+                what, bad = exc.args
+                raise DomainError(f"{what} in {ex.source!r} at "
+                                  f"{xl._witness(x, bad)}") from None
+            if isinstance(raw, nk.Dual):
+                val[..., j], slots[..., j] = raw.val, raw.dot
+            else:
+                val[..., j] = raw
+                if dual:
+                    slots[..., j] = 0.0
+    xl._require_finite(exprs, x, val, grad)
+    return val, grad

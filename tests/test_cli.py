@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ def test_classify_json_and_summary():
     assert data["wind_parallel"]["passed"] is False
     assert data["sprays_coincide"] is True
     assert "concircular" in res.stderr  # human summary goes to stderr
+
+
+def test_default_grid_is_sized_by_dimension():
+    # with no --per-axis: the largest k <= 20 with k^n <= 8000 points
+    path = (Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+            / "rot_box_4d.json")
+    res = run_cli("classify", "--scenario", str(path))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["n_grid"] == 9 ** 4
+    res = run_cli("torsion", "--builtin", "constant_wind")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["grid_per_axis"] == 20
 
 
 def test_compare_sprays_json():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import walk_sweep
 from navgeo import exprlang as xl
 from navgeo.errors import (ArityError, DomainError, ExpressionSyntaxError,
                            NonFiniteValue, UnknownIdentifier)
@@ -205,6 +206,81 @@ class TestProperties:
         fd = (xl.evaluate(expr, x + eps * direction)
               - xl.evaluate(expr, x - eps * direction)) / (2 * eps)
         assert dot == pytest.approx(fd, rel=2e-4, abs=2e-6)
+
+# points where every expression the strategy builds is finite
+_BATCH = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.05]])
+
+
+def _error(sweep, e, x, dual):
+    """(type, message) of the error a sweep raises, or None."""
+    try:
+        sweep(e, x, dual)
+    except (DomainError, NonFiniteValue) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _compiled_sweep(e, x, dual):
+    x = np.asarray(x, dtype=float)
+    return xl.compile_stack(e).sweep(x, dual)
+
+
+class TestCompiledAgainstWalk:
+    """Compiled programs against the recursive walk of tests/helpers.py."""
+
+    @given(_exprs, _exprs)
+    @settings(max_examples=120, deadline=None)
+    def test_random_stacks_match_bitwise(self, a, b):
+        stack = (xl.parse(a, 2), xl.parse(b, 2), xl.parse(a, 2))
+        for x in (_BATCH, _BATCH[0], _BATCH[:, None, :]):
+            for dual in (False, True):
+                got = _compiled_sweep(stack, x, dual)
+                want = walk_sweep(stack, x, dual)
+                np.testing.assert_array_equal(got[0], want[0])
+                if dual:
+                    np.testing.assert_array_equal(got[1], want[1])
+
+    def test_variable_exponents_within_a_few_ulps(self):
+        # values equal the value walk; the walk's dual route exp(b log a)
+        # differs from a^b in the last bits, so gradients below a variable
+        # exponent agree to a few ulps only (at most 4 measured here)
+        x = np.random.default_rng(0).uniform(0.1, 2.0, size=(1000, 2))
+        stack = [xl.parse(t, 2) for t in
+                 ("2^x1", "x1^x2", "(1+x1^2)^x2", "e^(x1*x2)", "x1^(x2/3)")]
+        val, grad = _compiled_sweep(stack, x, True)
+        np.testing.assert_array_equal(val, walk_sweep(stack, x, False)[0])
+        want = walk_sweep(stack, x, True)[1]
+        ulps = np.abs(grad - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 8.0
+
+    @pytest.mark.parametrize("texts, bad", [
+        (("x1 + x2", "log(x1)"), [-1.0, 0.5]),
+        (("sqrt(x2) + log(x1)", "x2"), [-1.0, -0.5]),
+        (("exp(log(x1)) + x2", "2*log(x1)"), [0.0, 0.5]),
+        (("1/x1", "log(x2)"), [0.0, -1.0]),
+        (("x2", "log(x2) + 1/x1"), [0.0, -1.0]),
+        (("x2", "sqrt(x1)"), [0.0, 0.5]),
+        (("x1", "log(0-1) + x1"), [1.0, 0.5]),
+        (("exp(x1)", "sqrt(x1 - x1)"), [1e9, 0.5]),
+    ])
+    def test_errors_match_the_walk(self, texts, bad):
+        batch = np.array([[0.5, 0.25], bad, [2.0, 1.0]])
+        stack = tuple(xl.parse(t, 2) for t in texts)
+        for dual in (False, True):
+            got = _error(_compiled_sweep, stack, batch, dual)
+            assert got == _error(walk_sweep, stack, batch, dual)
+            assert got is not None or not dual
+
+    @pytest.mark.parametrize("text", ["1/0", "0^-1", "10^400", "(0-8)^(1/3)"])
+    def test_bad_constant_subtree_names_the_first_point(self, text):
+        # constants fold in float64 arithmetic, so an overflow, a pole or a
+        # complex power is a non-finite value with a witness
+        batch = np.array([[0.5, 0.25], [2.0, 1.0]])
+        for walk in (xl.evaluate, xl.evaluate_dual):
+            with pytest.raises(NonFiniteValue) as ei:
+                walk(xl.parse(f"x1 + {text}", 2), batch)
+            assert "point [0.5, 0.25]" in str(ei.value)
+
 
 class TestSplitComponents:
     def test_top_level_commas_only(self):

@@ -12,9 +12,12 @@ from navgeo import exprlang as xl
 from navgeo import geometry as ge
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
+from navgeo.errors import NotPositiveDefinite
 from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
+
+from helpers import random_curve, random_loop, walk_sweep
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -145,17 +148,112 @@ def test_stacked_sweep_matches_single_expressions(name):
         np.stack([xl.evaluate(c, pts) for c in nav.wind.components], axis=-1))
 
 
+def _nav(name):
+    path = [p for p in BENCH_SCENARIOS if p.name == name]
+    return (load_scenario(str(path[0])) if path else builtin(name)).nav
+
+
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
 def test_value_and_dual_walks_agree_bitwise(name):
-    # a dual quotient divides as the value walk does, so field_values and
-    # field_jet see the same h and W
-    path = [p for p in BENCH_SCENARIOS if p.name == name]
-    nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
+    # the gradient program begins with the value program, so field_values
+    # and field_jet see the same h and W, variable exponents included
+    nav = _nav(name)
     stack = nav.metric.entries + nav.wind.components
+    powers = [xl.parse(t, nav.dim) for t in ("2^x1", "x1^x2", "(1+x1^2)^x2")]
     pts = nav.chart.sample_interior(500, margin=0.02)
-    for x in (pts[0], pts):
-        np.testing.assert_array_equal(xl.evaluate_dual(stack, x)[0],
-                                      xl.evaluate(stack, x), err_msg=x.shape)
+    for e, x in ((stack, pts[0]), (stack, pts), (powers, np.abs(pts) + 0.1)):
+        np.testing.assert_array_equal(xl.evaluate_dual(e, x)[0],
+                                      xl.evaluate(e, x), err_msg=x.shape)
+
+
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
+def test_programs_match_the_walk_bitwise(name):
+    # every field stack and random curves in the chart, against the
+    # recursive walk (no variable exponent occurs in these)
+    nav = _nav(name)
+    rng = np.random.default_rng(7)
+    curves = [random_curve(nav.chart, rng) for _ in range(3)]
+    if nav.dim == 2:
+        curves.append(random_loop(nav.chart, rng))
+    pts = nav.chart.sample_interior(200, margin=0.02)
+    ts = np.linspace(0.0, 1.0, 201)[:, None]
+    cases = [(s, x) for s in (nav.metric.entries + nav.wind.components,
+                              nav.metric.entries, nav.wind.components)
+             for x in (pts[0], pts, pts[:5, None, :])]
+    cases += [(c.components, t) for c in curves for t in (ts, ts[3])]
+    for stack, x in cases:
+        want_val = walk_sweep(stack, x, False)[0]
+        val = xl.evaluate(stack, x)
+        dval, grad = xl.evaluate_dual(stack, x)
+        np.testing.assert_array_equal(val, want_val)
+        np.testing.assert_array_equal(dval, want_val)
+        np.testing.assert_array_equal(grad, walk_sweep(stack, x, True)[1])
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(nk, "spd_inverse", counted(nk.spd_inverse))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["funk_ball", "constant_wind",
+                                  "funk_ball_3d.json", "constant_wind_3d.json"])
+def test_constant_metric_skips_inverse_and_levi_civita(name, monkeypatch):
+    nav = _nav(name)
+    assert nav.metric.constant
+    pts = nav.chart.sample_interior(7, margin=0.2)
+    field_jet(nav, pts[0])  # h and h^-1 are built once, on first use
+    calls = _count_inverses(monkeypatch)
+    xs = (pts[0], pts, pts[:, None, :])
+    jets = [(field_jet(nav, x), ge.christoffel(nav.metric, x)) for x in xs]
+    assert calls == []
+    for x, (jet, a) in zip(xs, jets):
+        assert a.shape == jet.A.shape == x.shape[:-1] + (nav.dim,) * 3
+        assert np.all(a == 0.0) and np.all(jet.A == 0.0)
+        assert np.all(jet.dh == 0.0)
+        np.testing.assert_array_equal(jet.M, jet.dW)
+        np.testing.assert_array_equal(jet.hinv, np.linalg.inv(jet.h))
+        np.testing.assert_array_equal(jet.h, nav.metric.value(x))
+        np.testing.assert_array_equal(jet.W, nav.wind.value(x))
+
+
+def test_curved_metric_is_not_constant():
+    for name in ("sphere_cap", "conformal_flat", "rot_box_4d.json"):
+        assert not _nav(name).metric.constant
+
+
+def test_constant_indefinite_metric_still_raises():
+    data = {"schema": 1, "name": "indefinite", "dim": 2,
+            "domain": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "metric": [["1", "2"], ["1"]], "wind": ["0.1*x2", "0"]}
+    nav = scenario_from_dict(data, validate_nav=False).nav
+    assert nav.metric.constant
+    for _ in range(2):  # a failed inverse is not cached
+        with pytest.raises(NotPositiveDefinite):
+            field_jet(nav, np.array([0.1, 0.2]))
+        with pytest.raises(NotPositiveDefinite):
+            ge.christoffel(nav.metric, np.array([[0.1, 0.2]]))
+
+
+def test_identical_entries_compile_to_one_subtree():
+    # rot_box_4d's four equal diagonal entries are one value line each for
+    # its four squares and write one register to four columns
+    nav = _nav("rot_box_4d.json")
+    program = nav.metric.program
+    values = program.source.split("def gradients")[0]
+    assert values.count(" ** ") == 4
+    diagonal = [line.split(" = ")[1] for line in values.splitlines()
+                if line.strip().startswith(("val[..., 0]", "val[..., 4]",
+                                            "val[..., 7]", "val[..., 9]"))]
+    assert len(diagonal) == 4 and len(set(diagonal)) == 1
 
 
 def test_field_jet_is_one_dual_sweep(monkeypatch):
@@ -170,4 +268,4 @@ def test_field_jet_is_one_dual_sweep(monkeypatch):
     monkeypatch.setattr(xl, "evaluate_dual", counted)
     field_jet(nav, nav.chart.sample_interior(5, margin=0.2))
     assert len(calls) == 1
-    assert len(calls[0]) == len(nav.metric.entries) + nav.dim == 14
+    assert len(calls[0].exprs) == len(nav.metric.entries) + nav.dim == 14
