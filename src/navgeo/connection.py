@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkernel as nk
 from .errors import ZeroVector
 from .geometry import (FieldJet, MetricField, NavigationData, TangentSample,
-                       VectorField, christoffel, field_jet, _norm_from_parts)
+                       VectorField, christoffel, field_jet)
 
 
 @dataclass(frozen=True)
@@ -43,40 +42,9 @@ def jet_gamma(jet: FieldJet, y) -> np.ndarray:
             - jet.norm(y)[..., None, None] * jet.M)
 
 
-def _gamma_generic(jet: FieldJet, y_comps):
-    """Gamma with the fiber given as a list of generic scalars (floats,
-    arrays, or duals); every contraction is spelled out so dual slots ride
-    through untouched. Returns a nested list [k][i]."""
-    n = len(y_comps)
-    wy = sum(y_comps[i] * jet.hW[..., i] for i in range(n))
-    yy = sum(y_comps[i] * y_comps[j] * jet.h[..., i, j]
-             for i in range(n) for j in range(n))
-    f = _norm_from_parts(wy, yy, jet.lam)
-    return [[sum(jet.A[..., k, i, s] * y_comps[s] for s in range(n))
-             - f * jet.M[..., k, i] for i in range(n)] for k in range(n)]
-
-
-def jet_gamma_fiber_jacobian(jet: FieldJet, y) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma[..., k, i] and dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j) from
-    one dual sweep through the full coefficient evaluation that seeds all n
-    fiber directions at once (no closed-form shortcut)."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    lead = np.broadcast_shapes(jet.lam.shape, y.shape[:-1])
-    seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
-    rows = _gamma_generic(jet, [nk.Dual(y[..., i], seeds[i]) for i in range(n)])
-    gam = np.empty(lead + (n, n))
-    dgam = np.empty((n,) + lead + (n, n))
-    for k in range(n):
-        for i in range(n):
-            gam[..., k, i] = rows[k][i].val
-            dgam[..., k, i] = rows[k][i].dot
-    return gam, np.moveaxis(dgam, 0, -3)
-
-
 def jet_torsion(jet: FieldJet, y) -> np.ndarray:
-    """t[..., k, i, j] = F_{y^j} M^k_i - F_{y^i} M^k_j; see
-    torsion_components."""
+    """t[..., k, i, j] = F_{y^j} M^k_i - F_{y^i} M^k_j, with F_y in closed
+    form (FieldValues.norm_and_grad); see torsion_components."""
     _, fy = jet.norm_and_grad(y)
     m = jet.M
     return (fy[..., None, None, :] * m[..., :, :, None]
@@ -102,16 +70,6 @@ def torsion_components(nav: NavigationData, x, y) -> np.ndarray:
     identically zero exactly when the wind is parallel.
     """
     return jet_torsion(field_jet(nav, x), y)
-
-
-def torsion_from_duals(nav: NavigationData, x, y) -> np.ndarray:
-    """t[..., k, i, j] = dGamma^k_j/dy^i - dGamma^k_i/dy^j via dual sweeps;
-    the independent route used to cross-check torsion_components."""
-    # axes [..., deriv dir, k, lower]
-    dg = jet_gamma_fiber_jacobian(field_jet(nav, x), y)[1]
-    term1 = np.einsum("...ikj->...kij", dg)  # dGamma^k_j / dy^i
-    term2 = np.einsum("...jki->...kij", dg)  # dGamma^k_i / dy^j
-    return term1 - term2
 
 
 def torsion(nav: NavigationData, s: TangentSample) -> TorsionEval:
@@ -153,15 +111,3 @@ def covariant_derivative(nav: NavigationData, xfield: VectorField,
     wind_term = np.einsum("...ki,...i->...k", jet.M, xv)  # nabla^h_X W
     return (_levi_civita_derivative(jet.A, xv, yv, jy)
             - jet.norm(yv)[..., None] * wind_term)
-
-
-def covariant_derivative_via_connection(nav: NavigationData, xfield: VectorField,
-                                        yfield: VectorField, x) -> np.ndarray:
-    """Same derivative assembled from the connection coefficients,
-    X^i (dY^k/dx^i + Gamma^k_i(x, Y)); used as a consistency route."""
-    x = np.asarray(x, dtype=float)
-    xv = xfield.value(x)
-    yv, jy = yfield.value_and_jacobian(x)
-    g = gamma_matrix(nav, x, yv)
-    return np.einsum("...ki,...i->...k", jy, xv) \
-        + np.einsum("...ki,...i->...k", g, xv)

@@ -285,8 +285,11 @@ class _Builder:
     A line is emitted once per template and arguments, so equal subtrees,
     which build equal lines, share one temporary. Subtrees without a
     coordinate are folded to NumPy float64 constants. Derivative lines
-    follow the forward-mode rules of numkernel.Dual term for term, one line
-    per coordinate that the subtree depends on. A reference is the SSA name
+    apply the forward-mode rules term for term, one line per coordinate
+    that the subtree depends on: d(a b) = da b + a db, d(a/b) =
+    (da - (a/b) db)/b, d(a^c) = c a^(c-1) da (2 a da for c = 2), d(a^b) =
+    a^b (db log a + b da/a), d sqrt(a) = da/(2 sqrt(a)), d log(a) = da/a,
+    and f'(a) da for sin, cos, exp and tanh. A reference is the SSA name
     (str) of a line, a constant (float), or None for a derivative that is
     structurally zero; a line is (target or None, template, references).
     Nodes are memoized by identity, which is cheap; equality is left to the

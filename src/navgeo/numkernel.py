@@ -1,12 +1,11 @@
-"""Shared numeric substrate: forward-mode duals, SPD tests and inverses, RK4,
-numeric rank.
+"""Shared numeric substrate: SPD tests and inverses, RK4, numeric rank and
+time-series stencils.
 
-Dual numbers carry a vector of derivative slots, so one evaluation gives a
-value and its full gradient; they differentiate the navigation norm along
-the fiber, and the compiled expression programs of `exprlang` follow their
-rules term for term, so no finite differencing is hidden inside field
-evaluations. Values may be python floats or numpy arrays, so one dual
-evaluation sweeps a whole batch of points.
+Field derivatives are not taken here: gradients in x come from the
+compiled programs of `exprlang`, and the fiber derivatives of the
+navigation norm are closed forms in `geometry`, so no finite differencing
+is hidden inside field evaluations. The one stencil here,
+`central_time_derivative`, differentiates sampled paths.
 
 One RK4 tableau integrates everything, on batches advanced in lockstep (a
 single item is a batch of one). `rk4` is the one loop for nonlinear
@@ -24,125 +23,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteState, NotPositiveDefinite
-
-
-class Dual:
-    """First-order dual number ``val + eps * dot`` with ``eps^2 = 0``.
-
-    ``val`` and ``dot`` are floats or broadcast-compatible numpy arrays.
-    abs() is deliberately not provided: every field this package evaluates
-    is smooth, and a silent kink would invalidate the derivative slot.
-    """
-
-    __slots__ = ("val", "dot")
-    # keep numpy from consuming us elementwise; binary ops fall back to our
-    # reflected methods instead
-    __array_ufunc__ = None
-
-    def __init__(self, val, dot):
-        self.val = val
-        self.dot = dot
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.dot + other.dot)
-        return Dual(self.val + other, self.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.dot - other.dot)
-        return Dual(self.val - other, self.dot)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.dot)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val,
-                        self.dot * other.val + self.val * other.dot)
-        return Dual(self.val * other, self.dot * other)
-
-    __rmul__ = __mul__
-
-    # quotients divide, as the value walk does, so both walks agree bitwise
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            q = self.val / other.val
-            return Dual(q, (self.dot - q * other.dot) / other.val)
-        return Dual(self.val / other, self.dot / other)
-
-    def __rtruediv__(self, other):
-        q = other / self.val
-        return Dual(q, -q * self.dot / self.val)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, p):
-        if isinstance(p, Dual):
-            # a^b = exp(b log a); needs a > 0
-            return exp(p * log(self))
-        if isinstance(p, (int, float)) and p == 2:
-            return Dual(self.val * self.val, 2.0 * self.val * self.dot)
-        v = self.val ** p
-        return Dual(v, p * self.val ** (p - 1) * self.dot)
-
-    def __rpow__(self, base):
-        return exp(self * np.log(base))
-
-
-def value_of(x):
-    return x.val if isinstance(x, Dual) else x
-
-
-# ---------------------------------------------------------------------------
-# elementary functions, generic over float / ndarray / Dual
-
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.val), np.cos(x.val) * x.dot)
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.val), -np.sin(x.val) * x.dot)
-    return np.cos(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        v = np.exp(x.val)
-        return Dual(v, v * x.dot)
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(np.log(x.val), x.dot / x.val)
-    return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        s = np.sqrt(x.val)
-        return Dual(s, x.dot / (2.0 * s))
-    return np.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        t = np.tanh(x.val)
-        return Dual(t, (1.0 - t * t) * x.dot)
-    return np.tanh(x)
 
 
 # ---------------------------------------------------------------------------

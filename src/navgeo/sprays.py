@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numkernel as nk
-from .connection import jet_gamma_fiber_jacobian
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, christoffel,
                        field_jet, indicatrix, randers_value)
@@ -115,11 +114,18 @@ def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
 
 
 def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:
-    """dG^k/dy^j of the natural spray G^k = y^i Gamma^k_i / 2, that is
-    (Gamma^k_j + y^i dGamma^k_i/dy^j) / 2, from one dual sweep."""
+    """N^k_j = dG^k/dy^j of the natural spray G^k = y^i Gamma^k_i / 2:
+
+        N^k_j = A^k_js y^s - F M^k_j / 2 - (M y)^k F_{y^j} / 2,
+
+    as Gamma depends on y only linearly and through F. Raises
+    GradientAtZero at y = 0, where N, 0-homogeneous in y, has no value."""
     y = np.asarray(y, dtype=float)
-    gam, dgam = jet_gamma_fiber_jacobian(jet, y)
-    return 0.5 * (gam + np.einsum("...jki,...i->...kj", dgam, y))
+    f, fy = jet.norm_and_grad(y)
+    my = np.einsum("...ki,...i->...k", jet.M, y)
+    return (np.einsum("...kjs,...s->...kj", jet.A, y)
+            - 0.5 * (f[..., None, None] * jet.M
+                     + my[..., :, None] * fy[..., None, :]))
 
 
 def spray_connection_matrix(nav: NavigationData, x, y) -> np.ndarray:
@@ -208,17 +214,6 @@ def el_residual(nav: NavigationData, path: GeodesicPath) -> float:
     dey = nk.central_time_derivative(ey, path.dt)
     resid = dey - ex[2:-2]
     return float(np.linalg.norm(resid, axis=1).max())
-
-
-def autoparallel_residual(nav: NavigationData, path: GeodesicPath) -> float:
-    """Max norm of the along-path covariant derivative of the velocity,
-    D v^k/dt = dv^k/dt + Gamma^k_i(c, v) cdot^i with v = cdot, computed from
-    the sampled path by the five-point stencil."""
-    from .connection import gamma_matrix
-    dv = nk.central_time_derivative(path.ys, path.dt)
-    g = gamma_matrix(nav, path.xs[2:-2], path.ys[2:-2])
-    corr = np.einsum("tki,ti->tk", g, path.ys[2:-2])
-    return float(np.linalg.norm(dv + corr, axis=1).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Random curves, loops and vectors inside a chart, and the reference
 routes the tests compare navgeo against.
 
-The recursive expression walk here is the reference for the compiled
-expression programs of navgeo.exprlang.
+The recursive expression walk over forward-mode dual numbers here is the
+reference for the compiled expression programs of navgeo.exprlang, and the
+dual route through the connection coefficients is the reference for the
+closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
+connection and the torsion).
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
@@ -11,8 +14,9 @@ import numpy as np
 
 from navgeo import exprlang as xl
 from navgeo import numkernel as nk
+from navgeo.connection import gamma_matrix
 from navgeo.errors import DomainError
-from navgeo.geometry import field_values
+from navgeo.geometry import field_jet, field_values
 from navgeo.sprays import spray_connection_matrix
 from navgeo.transport import AnalyticCurve
 
@@ -149,6 +153,263 @@ def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# forward-mode dual numbers
+
+
+class Dual:
+    """First-order dual number ``val + eps * dot`` with ``eps^2 = 0``.
+
+    ``val`` and ``dot`` are floats or broadcast-compatible numpy arrays.
+    abs() is deliberately not provided: every field navgeo evaluates is
+    smooth, and a silent kink would invalidate the derivative slot.
+    """
+
+    __slots__ = ("val", "dot")
+    # keep numpy from consuming us elementwise; binary ops fall back to our
+    # reflected methods instead
+    __array_ufunc__ = None
+
+    def __init__(self, val, dot):
+        self.val = val
+        self.dot = dot
+
+    def __repr__(self):
+        return f"Dual({self.val!r}, {self.dot!r})"
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.val + other.val, self.dot + other.dot)
+        return Dual(self.val + other, self.dot)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.val - other.val, self.dot - other.dot)
+        return Dual(self.val - other, self.dot)
+
+    def __rsub__(self, other):
+        return Dual(other - self.val, -self.dot)
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.val * other.val,
+                        self.dot * other.val + self.val * other.dot)
+        return Dual(self.val * other, self.dot * other)
+
+    __rmul__ = __mul__
+
+    # quotients divide, as the value walk does, so both walks agree bitwise
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            q = self.val / other.val
+            return Dual(q, (self.dot - q * other.dot) / other.val)
+        return Dual(self.val / other, self.dot / other)
+
+    def __rtruediv__(self, other):
+        q = other / self.val
+        return Dual(q, -q * self.dot / self.val)
+
+    def __neg__(self):
+        return Dual(-self.val, -self.dot)
+
+    def __pos__(self):
+        return self
+
+    def __pow__(self, p):
+        if isinstance(p, Dual):
+            # a^b = exp(b log a); needs a > 0
+            return exp(p * log(self))
+        if isinstance(p, (int, float)) and p == 2:
+            return Dual(self.val * self.val, 2.0 * self.val * self.dot)
+        v = self.val ** p
+        return Dual(v, p * self.val ** (p - 1) * self.dot)
+
+    def __rpow__(self, base):
+        return exp(self * np.log(base))
+
+
+def value_of(x):
+    return x.val if isinstance(x, Dual) else x
+
+
+# elementary functions, generic over float / ndarray / Dual
+
+def sin(x):
+    if isinstance(x, Dual):
+        return Dual(np.sin(x.val), np.cos(x.val) * x.dot)
+    return np.sin(x)
+
+
+def cos(x):
+    if isinstance(x, Dual):
+        return Dual(np.cos(x.val), -np.sin(x.val) * x.dot)
+    return np.cos(x)
+
+
+def exp(x):
+    if isinstance(x, Dual):
+        v = np.exp(x.val)
+        return Dual(v, v * x.dot)
+    return np.exp(x)
+
+
+def log(x):
+    if isinstance(x, Dual):
+        return Dual(np.log(x.val), x.dot / x.val)
+    return np.log(x)
+
+
+def sqrt(x):
+    if isinstance(x, Dual):
+        s = np.sqrt(x.val)
+        return Dual(s, x.dot / (2.0 * s))
+    return np.sqrt(x)
+
+
+def tanh(x):
+    if isinstance(x, Dual):
+        t = np.tanh(x.val)
+        return Dual(t, (1.0 - t * t) * x.dot)
+    return np.tanh(x)
+
+
+_FUNCS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt,
+          "tanh": tanh}
+
+
+# ---------------------------------------------------------------------------
+# the dual route through the connection: the oracle for the closed-form
+# fiber derivatives
+
+
+def _norm_from_parts(wy, yy, lam):
+    """F from the scalar pieces <y,W>_h, <y,y>_h, 1 - |W|_h^2, over
+    floats, arrays or duals."""
+    return (sqrt(wy * wy + lam * yy) - wy) / lam
+
+
+def _fiber_duals(jet, y):
+    """The fiber components as duals seeding all n fiber directions, their
+    derivative axis ahead of the batch axes, and that batch shape."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    lead = np.broadcast_shapes(jet.lam.shape, y.shape[:-1])
+    seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
+    return [Dual(y[..., i], seeds[i]) for i in range(n)], lead
+
+
+def _norm_generic(jet, y_comps):
+    """F with the fiber given as a list of generic scalars, every
+    contraction spelled out so dual slots ride through untouched."""
+    n = len(y_comps)
+    wy = sum(y_comps[i] * jet.hW[..., i] for i in range(n))
+    yy = sum(y_comps[i] * y_comps[j] * jet.h[..., i, j]
+             for i in range(n) for j in range(n))
+    return _norm_from_parts(wy, yy, jet.lam)
+
+
+def _gamma_generic(jet, y_comps):
+    """Gamma with the fiber given as a list of generic scalars (floats,
+    arrays, or duals). Returns a nested list [k][i]."""
+    n = len(y_comps)
+    f = _norm_generic(jet, y_comps)
+    return [[sum(jet.A[..., k, i, s] * y_comps[s] for s in range(n))
+             - f * jet.M[..., k, i] for i in range(n)] for k in range(n)]
+
+
+def dual_norm_grad(jet, y):
+    """F and dF/dy^i from one dual sweep seeding all fiber directions."""
+    f = _norm_generic(jet, _fiber_duals(jet, y)[0])
+    return f.val, np.moveaxis(f.dot, 0, -1)
+
+
+def _slots(a, lead):
+    """Dual derivative slots from a[..., k] = d/d(k): broadcast over the full
+    batch shape `lead` before the k axis moves first, so that a base point
+    without batch axes still pairs with every fiber of a batch."""
+    return np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:]), -1, 0)
+
+
+def dual_norm_grad_x(jet, y):
+    """dF/dx^i at fixed y, from dh and dW in one dual sweep through
+    <y,W>_h, <y,y>_h and 1 - |W|_h^2."""
+    y = np.asarray(y, dtype=float)
+    h, w, dh, dw = jet.h, jet.W, jet.dh, jet.dW
+    lead = np.broadcast_shapes(jet.lam.shape, y.shape[:-1])
+    q = "...kij,...i,...j->...k"  # contracts dh[..., k, i, j] = d_k h_ij
+    lam = Dual(jet.lam, -_slots(
+        np.einsum(q, dh, w, w)
+        + 2.0 * np.einsum("...ij,...ik,...j->...k", h, dw, w), lead))
+    wy = Dual(np.einsum("...i,...i->...", y, jet.hW), _slots(
+        np.einsum(q, dh, y, w)
+        + np.einsum("...ij,...i,...jk->...k", h, y, dw), lead))
+    yy = Dual(np.einsum("...ij,...i,...j->...", h, y, y),
+              _slots(np.einsum(q, dh, y, y), lead))
+    return np.moveaxis(_norm_from_parts(wy, yy, lam).dot, 0, -1)
+
+
+def jet_gamma_fiber_jacobian(jet, y):
+    """Gamma[..., k, i] and dGamma[..., j, k, i] = d(Gamma^k_i)/d(y^j) from
+    one dual sweep through the full coefficient evaluation that seeds all n
+    fiber directions at once (no closed-form shortcut)."""
+    comps, lead = _fiber_duals(jet, y)
+    n = len(comps)
+    rows = _gamma_generic(jet, comps)
+    gam = np.empty(lead + (n, n))
+    dgam = np.empty((n,) + lead + (n, n))
+    for k in range(n):
+        for i in range(n):
+            gam[..., k, i] = rows[k][i].val
+            dgam[..., k, i] = rows[k][i].dot
+    return gam, np.moveaxis(dgam, 0, -3)
+
+
+def dual_spray_connection(jet, y):
+    """dG^k/dy^j of the natural spray G^k = y^i Gamma^k_i / 2, that is
+    (Gamma^k_j + y^i dGamma^k_i/dy^j) / 2, from one dual sweep."""
+    y = np.asarray(y, dtype=float)
+    gam, dgam = jet_gamma_fiber_jacobian(jet, y)
+    return 0.5 * (gam + np.einsum("...jki,...i->...kj", dgam, y))
+
+
+def torsion_from_duals(nav, x, y):
+    """t[..., k, i, j] = dGamma^k_j/dy^i - dGamma^k_i/dy^j via dual sweeps;
+    the independent route that cross-checks the closed-form torsion."""
+    # axes [..., deriv dir, k, lower]
+    dg = jet_gamma_fiber_jacobian(field_jet(nav, x), y)[1]
+    term1 = np.einsum("...ikj->...kij", dg)  # dGamma^k_j / dy^i
+    term2 = np.einsum("...jki->...kij", dg)  # dGamma^k_i / dy^j
+    return term1 - term2
+
+
+# ---------------------------------------------------------------------------
+# consistency routes through the connection coefficients
+
+
+def covariant_derivative_via_connection(nav, xfield, yfield, x):
+    """The covariant derivative of navgeo.connection.covariant_derivative
+    assembled from the connection coefficients,
+    X^i (dY^k/dx^i + Gamma^k_i(x, Y))."""
+    x = np.asarray(x, dtype=float)
+    xv = xfield.value(x)
+    yv, jy = yfield.value_and_jacobian(x)
+    g = gamma_matrix(nav, x, yv)
+    return np.einsum("...ki,...i->...k", jy, xv) \
+        + np.einsum("...ki,...i->...k", g, xv)
+
+
+def autoparallel_residual(nav, path):
+    """Max norm of the along-path covariant derivative of the velocity,
+    D v^k/dt = dv^k/dt + Gamma^k_i(c, v) cdot^i with v = cdot, computed from
+    the sampled path by the five-point stencil."""
+    dv = nk.central_time_derivative(path.ys, path.dt)
+    g = gamma_matrix(nav, path.xs[2:-2], path.ys[2:-2])
+    corr = np.einsum("tki,ti->tk", g, path.ys[2:-2])
+    return float(np.linalg.norm(dv + corr, axis=1).max())
+
+
+# ---------------------------------------------------------------------------
 # the recursive expression walk: the oracle for compiled programs
 
 
@@ -157,16 +418,12 @@ class _OutOfDomain(Exception):
 
 
 def _apply(fn, arg):
-    v = nk.value_of(arg)
-    if fn == "log":
-        if np.any(v <= 0.0):
-            raise _OutOfDomain("log of a nonpositive value", v <= 0.0)
-        return nk.log(arg)
-    if fn == "sqrt":
-        if np.any(v < 0.0):
-            raise _OutOfDomain("sqrt of a negative value", v < 0.0)
-        return nk.sqrt(arg)
-    return getattr(nk, fn)(arg)
+    v = value_of(arg)
+    if fn == "log" and np.any(v <= 0.0):
+        raise _OutOfDomain("log of a nonpositive value", v <= 0.0)
+    if fn == "sqrt" and np.any(v < 0.0):
+        raise _OutOfDomain("sqrt of a negative value", v < 0.0)
+    return _FUNCS[fn](arg)
 
 
 def _eval(node, coords):
@@ -205,7 +462,7 @@ def walk_sweep(e, x, dual):
     if dual:
         # derivative slots e_i on a leading axis ahead of the batch axes
         seeds = np.eye(n).reshape((n, n) + (1,) * len(lead))
-        coords = tuple(nk.Dual(x[..., i], seeds[i]) for i in range(n))
+        coords = tuple(Dual(x[..., i], seeds[i]) for i in range(n))
         grad = np.empty(lead + (len(exprs), n))
         slots = np.moveaxis(grad, -1, 0)
     else:
@@ -220,7 +477,7 @@ def walk_sweep(e, x, dual):
                 what, bad = exc.args
                 raise DomainError(f"{what} in {ex.source!r} at "
                                   f"{xl._witness(x, bad)}") from None
-            if isinstance(raw, nk.Dual):
+            if isinstance(raw, Dual):
                 val[..., j], slots[..., j] = raw.val, raw.dot
             else:
                 val[..., j] = raw

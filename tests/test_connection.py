@@ -1,5 +1,7 @@
 """Connection coefficients, torsion, covariant derivatives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,15 @@ from navgeo import connection as cn
 from navgeo import geometry as ge
 from navgeo.errors import ZeroVector
 from navgeo.geometry import TangentSample, randers_value
+from navgeo.scenarios import builtin, builtin_names, load_scenario
 from navgeo.sprays import spray_connection_matrix
+
+from helpers import (covariant_derivative_via_connection, dual_norm_grad,
+                     dual_norm_grad_x, dual_spray_connection,
+                     jet_gamma_fiber_jacobian, torsion_from_duals)
+
+BENCH_SCENARIOS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +89,7 @@ def test_gamma_fiber_jacobian_matches_fd(sphere_cap):
     x = np.array([0.15, -0.25])
     y = np.array([0.6, 0.9])
     # [j, k, i] = d Gamma^k_i / d y^j
-    dg = cn.jet_gamma_fiber_jacobian(ge.field_jet(nav, x), y)[1]
+    dg = jet_gamma_fiber_jacobian(ge.field_jet(nav, x), y)[1]
     eps = 1e-6
     for j in range(2):
         dy = np.zeros(2)
@@ -92,16 +102,29 @@ def test_gamma_fiber_jacobian_matches_fd(sphere_cap):
 # torsion
 
 
-def test_torsion_two_routes_agree(scenarios):
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
+def test_torsion_two_routes_agree(name):
+    # the closed forms of the torsion, F_y, F_x and the spray connection
+    # against the dual route through Gamma, in dimensions 2, 3 and 4
+    path = [p for p in BENCH_SCENARIOS if p.name == name]
+    nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
     rng = np.random.default_rng(9)
-    for sc in scenarios.values():
-        nav = sc.nav
-        pts = nav.chart.sample_interior(5, margin=0.15)
-        for x in pts:
-            y = rng.normal(size=2)
-            t1 = cn.torsion_components(nav, x, y)
-            t2 = cn.torsion_from_duals(nav, x, y)
-            assert np.allclose(t1, t2, atol=1e-9), sc.name
+    pts = nav.chart.sample_interior(5, margin=0.15)
+    for x in pts:
+        y = rng.normal(size=nav.dim)
+        t1 = cn.torsion_components(nav, x, y)
+        t2 = torsion_from_duals(nav, x, y)
+        assert np.allclose(t1, t2, atol=1e-9), name
+        jet = ge.field_jet(nav, x)
+        for what, got, want in (
+                ("F_y", jet.norm_and_grad(y)[1], dual_norm_grad(jet, y)[1]),
+                ("F_x", jet.norm_grad_x(y), dual_norm_grad_x(jet, y)),
+                ("N", spray_connection_matrix(nav, x, y),
+                 dual_spray_connection(jet, y))):
+            assert got.shape == want.shape, what
+            # rtol 1e-12 relative to the largest entry
+            assert (np.abs(got - want).max()
+                    <= 1e-12 * np.abs(want).max()), (name, what)
 
 
 def test_torsion_antisymmetry(rotation_disk):
@@ -160,7 +183,7 @@ def test_covariant_derivative_two_routes(scenarios):
         nav = sc.nav
         pts = nav.chart.sample_interior(6, margin=0.2)
         d1 = cn.covariant_derivative(nav, xf, yf, pts)
-        d2 = cn.covariant_derivative_via_connection(nav, xf, yf, pts)
+        d2 = covariant_derivative_via_connection(nav, xf, yf, pts)
         assert np.allclose(d1, d2, atol=1e-10), sc.name
 
 

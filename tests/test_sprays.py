@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from navgeo import sprays as sp
-from navgeo.errors import ZeroVector
+from navgeo.errors import GradientAtZero, ZeroVector
 from navgeo.geometry import field_jet, indicatrix_points, randers_value
 from navgeo.transport import AnalyticCurve
+
+from helpers import autoparallel_residual
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,19 @@ def test_spray_connection_matrix_matches_fd(sphere_cap):
         fd = (sp.natural_spray_values(nav, x, y + dy)
               - sp.natural_spray_values(nav, x, y - dy)) / (2 * eps)
         assert np.allclose(mat[:, j], fd, atol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spray_connection_matrix_raises_at_a_zero_fiber(sphere_cap, funk_ball):
+    # N is 0-homogeneous in y, so it has no value at y = 0: a single zero
+    # fiber and a batch with one zero row raise instead of giving NaN
+    ys = np.array([[0.6, 0.8], [0.0, 0.0], [-0.3, 0.5]])
+    for sc in (sphere_cap, funk_ball):
+        x = np.array([0.15, -0.2])
+        with pytest.raises(GradientAtZero):
+            sp.spray_connection_matrix(sc.nav, x, np.zeros(2))
+        with pytest.raises(GradientAtZero):
+            sp.spray_connection_matrix(sc.nav, np.tile(x, (3, 1)), ys)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +220,7 @@ def test_autoparallel_residual_on_natural_geodesic(funk_ball):
         lambda x, y: sp.natural_spray_values(nav, x, y),
         np.array([0.05, -0.1]), np.array([0.4, 0.5]),
         time_span=1.0, dt=1e-3, chart=nav.chart)
-    assert sp.autoparallel_residual(nav, path) < 1e-9
+    assert autoparallel_residual(nav, path) < 1e-9
 
 
 def test_geodesic_csv(funk_ball):
