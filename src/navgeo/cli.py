@@ -27,9 +27,7 @@ from .geometry import TangentSample, indicatrix_points, validate
 from .holonomy import (distribution_rank_survey, holonomy_distribution_rank,
                        loop_holonomy, riemann_holonomy_matrix)
 from .scenarios import Scenario, builtin, builtin_names, load_scenario
-from .sprays import (compare_sprays, geodesic_csv, integrate_geodesic,
-                     natural_spray_values, randers_spray_values,
-                     riemann_spray_values)
+from .sprays import Spray, compare_sprays, geodesic_csv, integrate_geodesic
 from .transport import (AnalyticCurve, natural_transport, riemann_transport,
                         trajectory_csv)
 
@@ -159,10 +157,7 @@ def _cmd_transport(args) -> int:
 def _cmd_geodesic(args) -> int:
     scenario = _load(args)
     nav = scenario.nav
-    sprays = {"natural": lambda x, y: natural_spray_values(nav, x, y),
-              "randers": lambda x, y: randers_spray_values(nav, x, y),
-              "riemann": lambda x, y: riemann_spray_values(nav.metric, x, y)}
-    path = integrate_geodesic(sprays[args.spray], args.from_point,
+    path = integrate_geodesic(Spray(nav, args.spray), args.from_point,
                               args.direction, args.time, dt=args.dt,
                               chart=nav.chart, kind=args.spray)
     stream = _out_stream(args)

@@ -46,9 +46,8 @@ def jet_torsion(jet: FieldJet, y) -> np.ndarray:
     """t[..., k, i, j] = F_{y^j} M^k_i - F_{y^i} M^k_j, with F_y in closed
     form (FieldValues.norm_and_grad); see torsion_components."""
     _, fy = jet.norm_and_grad(y)
-    m = jet.M
-    return (fy[..., None, None, :] * m[..., :, :, None]
-            - fy[..., None, :, None] * m[..., :, None, :])
+    p = fy[..., None, None, :] * jet.M[..., :, :, None]  # F_{y^j} M^k_i
+    return p - np.swapaxes(p, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ writes values (and gradients) straight into stacked arrays, then makes
 one domain check (log, sqrt) and one finiteness check; only a failed check
 goes back for the first bad expression and point. Programs come from a
 bounded memo keyed on the expressions, and a single expression is a stack
-of one.
+of one. The builder's lines also render on Python floats
+(`float_function`), with the functions of `math`, which raise where NumPy
+gives inf or NaN; `stages` builds its float code this way.
 """
 from __future__ import annotations
 
@@ -293,11 +295,13 @@ class _Builder:
     (str) of a line, a constant (float), or None for a derivative that is
     structurally zero; a line is (target or None, template, references).
     Nodes are memoized by identity, which is cheap; equality is left to the
-    lines.
+    lines. With `coords` given, coordinate i is the parameter coords[i] (a
+    reference no line defines) instead of the column x[..., i].
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, coords: Optional[tuple] = None):
         self.n = n
+        self.coords = coords
         self.lines = []   # the values
         self.dlines = []  # the derivatives, which read the values
         self.vals, self.dots, self.emitted = {}, {}, {}
@@ -351,7 +355,8 @@ class _Builder:
         if isinstance(node, Num):
             ref = node.value
         elif isinstance(node, Var):
-            ref = self.emit(self.lines, f"x[..., {node.index}]")
+            ref = (self.coords[node.index] if self.coords else
+                   self.emit(self.lines, f"x[..., {node.index}]"))
         elif isinstance(node, Neg):
             a = self.value(node.arg)
             ref = -a if isinstance(a, float) else self.emit(self.lines,
@@ -425,11 +430,14 @@ class _Builder:
         return tuple(self.mul(f, x) for x in da)
 
 
-def _render(name: str, params: str, lines: list, constant) -> str:
+def _render(name: str, params: str, lines: list, constant,
+            dialect: Optional[dict] = None) -> str:
     """Source of a function running `lines` in order. SSA names become
     registers r0, r1, ... and a register is reused once the last line
     reading its value has run, so temporaries are freed as a walk frees
-    them; constant(c) names a constant."""
+    them; a name no line defines is a parameter and stays as it is;
+    constant(c) names a constant, and `dialect` maps a template to the
+    one to render instead."""
     last = {}
     for i, (_, _, args) in enumerate(lines):
         for a in args:
@@ -437,10 +445,11 @@ def _render(name: str, params: str, lines: list, constant) -> str:
                 last[a] = i
     regs, free, body, count = {}, [], [], 0
     for i, (target, template, args) in enumerate(lines):
-        text = template.format(*(regs[a] if isinstance(a, str)
+        template = (dialect or {}).get(template, template)
+        text = template.format(*(regs.get(a, a) if isinstance(a, str)
                                  else constant(a) for a in args))
         free.extend({regs[a] for a in args
-                     if isinstance(a, str) and last[a] == i})
+                     if isinstance(a, str) and a in regs and last[a] == i})
         if target is not None:
             if not free:
                 free.append(f"r{count}")
@@ -449,6 +458,43 @@ def _render(name: str, params: str, lines: list, constant) -> str:
             text = f"{regs[target]} = {text}"
         body.append(f"    {text}\n")
     return f"def {name}({params}):\n" + "".join(body)
+
+
+# The float rendering: functions from math, which raise where NumPy gives
+# inf or NaN (ValueError out of the domain, OverflowError), and powers by
+# math.pow, which raises where float ** float would give a complex number.
+_FLOAT_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
+                "pow": math.pow, "isfinite": math.isfinite}
+_FLOAT_DIALECT = {"{0} ** {1}": "pow({0}, {1})"}
+
+
+def float_function(name: str, params: str, lines: list,
+                   closure: Optional[str] = None,
+                   names: Optional[dict] = None):
+    """The function `name`(params) running builder `lines` on Python
+    floats, with constants as float literals and the global `names`. With
+    `closure` given, the function returned is make(closure), which returns
+    `name` as a closure whose lines may read that parameter."""
+    namespace = {**_FLOAT_FUNCS, **(names or {})}
+
+    def constant(c) -> str:
+        c = float(c)
+        if not math.isfinite(c):
+            label = f"k{len(namespace)}"
+            namespace[label] = c
+            return label
+        return f"({c!r})" if math.copysign(1.0, c) < 0 else repr(c)
+
+    source = _render(name, params, lines, constant, _FLOAT_DIALECT)
+    if closure is not None:
+        source = (f"def make({closure}):\n"
+                  + "".join(f"    {line}\n" for line in source.splitlines())
+                  + f"    return {name}\n")
+    exec(compile(source, "<float program>", "exec"), namespace)
+    fn = namespace["make" if closure else name]
+    fn.source = source
+    return fn
 
 
 class Program:

@@ -68,6 +68,29 @@ class Chart:
         center = 0.5 * (self.domain.hi + self.domain.lo)
         return np.all(np.abs(x - center) < half, axis=-1)
 
+    def float_contains(self):
+        """`contains` as a predicate on one point, the first `dim` entries
+        of a sequence of floats, with the same decision. A box compares
+        coordinate by coordinate, as `contains` does. A ball decides from
+        the squared distance, and asks `contains` itself within a relative
+        1e-12 of the radius, where the order of a sum could tip it."""
+        n = self.dim
+        if isinstance(self.domain, Ball):
+            c = self.domain.center.tolist()
+            near = (self.domain.radius ** 2 * (1.0 - 1e-12),
+                    self.domain.radius ** 2 * (1.0 + 1e-12))
+
+            def inside(v) -> bool:
+                d2 = sum((v[i] - c[i]) ** 2 for i in range(n))
+                if near[0] <= d2 <= near[1]:
+                    return bool(self.contains(np.array(v[:n])))
+                return d2 < near[0]
+            return inside
+        half = (0.5 * (self.domain.hi - self.domain.lo)).tolist()
+        center = (0.5 * (self.domain.hi + self.domain.lo)).tolist()
+        return lambda v: all(abs(v[i] - center[i]) < half[i]
+                             for i in range(n))
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(self.domain, Ball):
             return (self.domain.center - self.domain.radius,
@@ -340,10 +363,15 @@ class FieldJet(FieldValues):
         """dF/dx^i at fixed y, F_a da_i + F_b db_i + F_lam dlam_i, with
         the partials of `_norm_parts`, F_lam = (b/(2s) - F)/lam, and
         da_i = d_i h(y, W) + h(y, d_i W), db_i = d_i h(y, y) and
-        dlam_i = -(d_i h(W, W) + 2 h(d_i W, W))."""
+        dlam_i = -(d_i h(W, W) + 2 h(d_i W, W)). At y = 0 it is 0: F(x, 0)
+        = 0 for every x, and there s = 0 is replaced by 1 in the partials,
+        whose factors da, db and F then vanish."""
         y = np.asarray(y, dtype=float)
         h, w, dh, dw = self.h, self.W, self.dh, self.dW
         a, b, s, f = _norm_parts(self, y)
+        zero = np.all(y == 0.0, axis=-1)
+        if zero.any():
+            s = np.where(zero, 1.0, s)
         q = "...kij,...i,...j->...k"  # contracts dh[..., k, i, j] = d_k h_ij
         da = (np.einsum(q, dh, y, w)
               + np.einsum("...ij,...i,...jk->...k", h, y, dw))

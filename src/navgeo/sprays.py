@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numkernel as nk
+from . import numkernel as nk, stages
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, christoffel,
                        field_jet, indicatrix, randers_value)
@@ -113,6 +113,34 @@ def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
     return jet_randers_spray(field_jet(nav, x), y)
 
 
+@dataclass(frozen=True)
+class Spray:
+    """The spray `kind` ('natural', 'randers' or 'riemann') of navigation
+    data: a batched callable G(x, y), which `integrate_geodesics` also runs
+    as generated float code on small batches (`geodesic_rhs`)."""
+
+    nav: NavigationData
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("natural", "randers", "riemann"):
+            raise ValueError(f"unknown spray {self.kind!r}")
+
+    def __call__(self, x, y) -> np.ndarray:
+        if self.kind == "riemann":
+            return riemann_spray_values(self.nav.metric, x, y)
+        if self.kind == "natural":
+            return natural_spray_values(self.nav, x, y)
+        return randers_spray_values(self.nav, x, y)
+
+    def geodesic_rhs(self) -> Callable:
+        """rhs(s, v) -> (y, -2 G(x, y)) on a state tuple v = (x, y) of
+        floats, from the memo of `stages.geodesic_rhs`."""
+        program = (self.nav.metric.program if self.kind == "riemann"
+                   else self.nav.jet_program)
+        return stages.geodesic_rhs(program, self.kind)
+
+
 def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:
     """N^k_j = dG^k/dy^j of the natural spray G^k = y^i Gamma^k_i / 2:
 
@@ -151,7 +179,8 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
 
     A path halts (with left_domain=True) as soon as a step would leave the
     chart domain, while the others run on; each returned path contains
-    only interior samples.
+    only interior samples. A `Spray` also gives `numkernel.rk4` its float
+    form, which small batches run on; any other callable runs on NumPy.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     y0s = np.atleast_2d(np.asarray(y0s, dtype=float))
@@ -165,8 +194,13 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
         return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
 
     inside = None if chart is None else lambda st: chart.contains(st[:, :n])
+    float_rows = float_inside = None
+    if isinstance(spray, Spray):
+        float_rows = lambda: [spray.geodesic_rhs()] * len(x0s)
+        float_inside = None if chart is None else chart.float_contains()
     _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
-                           dt, keep=True, inside=inside)
+                           dt, keep=True, inside=inside,
+                           float_rows=float_rows, float_inside=float_inside)
     return [GeodesicPath(kind, dt * np.arange(last + 1), traj[b, :last + 1, :n],
                          traj[b, :last + 1, n:], dt, bool(last < steps))
             for b, last in enumerate(stop)]

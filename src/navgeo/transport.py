@@ -12,7 +12,11 @@ their ordered product (`numkernel.rk4_propagators`). The natural ODE runs
 `numkernel.rk4`, one stacked contraction of the stage table
 [-A(cdot); Q; hW^T] per stage plus the scalar norm formula. That is what
 makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
-affordable.
+affordable. A batch of at most `numkernel.SCALAR_ROWS` rows (one transport,
+the probes of a small holonomy loop), where NumPy's per-call cost would
+dominate, runs each row's stages as the generated float lines of
+`stages.natural_stage`, which read the stage rows of the row's curve as
+raw floats straight from the one contiguous table the NumPy stages read.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -32,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exprlang as xl
-from . import numkernel as nk
+from . import numkernel as nk, stages
 from .errors import CurveLeftDomain, DegenerateNorm, NonFiniteState, ZeroVector
 from .geometry import (Chart, FieldJet, MetricField, NavigationData,
                        christoffel, field_jet, randers_value)
@@ -237,19 +241,33 @@ def _natural_stage(tab: np.ndarray, aux: np.ndarray,
     return t[:, :n] + f[:, None] * aux[:, :n]
 
 
-def _run_natural(jet: FieldJet, vel: np.ndarray, rows: np.ndarray,
+def _run_natural(tab: np.ndarray, aux: np.ndarray, rows: np.ndarray,
                  v0: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on
-    the jet of the half-step samples of the distinct curves; batch row b
-    runs on curve rows[b], taking its curve's tables at every stage."""
-    # half steps first, so a stage takes its rows from one (U, ...) slice
-    tab, aux = (np.moveaxis(a, 1, 0) for a in _natural_tables(jet, vel))
-    steps = (len(tab) - 1) // 2
+    the stage tables (`_natural_tables`) of the half-step samples of the
+    distinct curves, whose jet is freed by then; batch row b runs on curve
+    rows[b], taking its curve's tables at every stage. The tables are
+    joined into one contiguous (U, 2N + 1, row) array, which the NumPy
+    stages read through views and the float stages read as raw floats."""
+    u, samples, n = tab.shape[0], tab.shape[1], v0.shape[1]
+    flat = np.concatenate([tab.reshape(u, samples, -1), aux], axis=-1)
+    del tab, aux
+    # half steps first, so a NumPy stage takes its rows from one (U, ...)
+    # slice
+    tab_s = np.moveaxis(flat[..., :-n - 1].reshape(u, samples, 2 * n + 1, n),
+                        1, 0)
+    aux_s = np.moveaxis(flat[..., -n - 1:], 1, 0)
+
+    def float_rows() -> list:
+        make = stages.natural_stage(n)
+        return [make(flat[c]) for c in rows]
+
+    steps = (samples - 1) // 2
     return nk.rk4(
-        lambda s, v: _natural_stage(tab[s].take(rows, 0), aux[s].take(rows, 0),
-                                    v),
-        v0, steps, 1.0 / steps, keep)[:2]
+        lambda s, v: _natural_stage(tab_s[s].take(rows, 0),
+                                    aux_s[s].take(rows, 0), v),
+        v0, steps, 1.0 / steps, keep, float_rows=float_rows)[:2]
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
@@ -280,7 +298,8 @@ def _natural(nav: NavigationData, curves: Sequence[AnalyticCurve], v0s,
         raise ZeroVector("natural transport starts from a nonzero vector")
     pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), nav.chart)
     if method == "ode":
-        v, traj = _run_natural(field_jet(nav, pos), vel, rows, v0s, keep)
+        v, traj = _run_natural(*_natural_tables(field_jet(nav, pos), vel),
+                               rows, v0s, keep)
     elif method == "definitional":
         v, traj = _run_definitional(nav, pos, vel, rows, v0s, keep)
     else:

@@ -282,6 +282,61 @@ class TestCompiledAgainstWalk:
             assert "point [0.5, 0.25]" in str(ei.value)
 
 
+def _float_sweep(stack, x):
+    """Values and gradients of a stack at one point from its builder
+    lines rendered on Python floats."""
+    b = xl._Builder(2, coords=("x0", "x1"))
+    refs = [b.value(e.root) for e in stack]
+    refs += [d for e in stack for d in b.gradient(e.root)]
+    ret = (None, "return (" + "".join(
+        f"{{{i}}}, " for i in range(len(refs))) + ")",
+        tuple(0.0 if r is None else r for r in refs))
+    fn = xl.float_function("f", "x0, x1", b.lines + b.dlines + [ret])
+    out = np.array(fn(*x))
+    return out[:len(stack)], out[len(stack):].reshape(len(stack), 2)
+
+
+class TestFloatRendering:
+    """The builder's lines rendered on Python floats against the NumPy
+    program: the same numbers, and a failure where NumPy gives inf or NaN."""
+
+    @given(_exprs, _exprs)
+    @settings(max_examples=80, deadline=None)
+    def test_random_stacks_match_the_program(self, a, b):
+        stack = (xl.parse(a, 2), xl.parse(b, 2))
+        for x in _BATCH:
+            val, grad = _compiled_sweep(stack, x, True)
+            got_val, got_grad = _float_sweep(stack, x)
+            np.testing.assert_allclose(got_val, val, rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-13,
+                                       atol=1e-14)
+
+    @pytest.mark.parametrize("text", ["log(x1)", "sqrt(x1)", "1/x1",
+                                      "x1^(1/3)", "x2^x1", "exp(x2)",
+                                      "x2^2", "tanh(x2) + x1^-1"])
+    def test_failures_where_numpy_is_not_finite(self, text):
+        # at x1 = 0 or -8 and x2 = 800 the program raises; the float code
+        # raises ValueError, ZeroDivisionError or OverflowError, or gives a
+        # non-finite number, and agrees with the program elsewhere
+        stack = (xl.parse(text, 2),)
+        for x in ([0.0, 800.0], [-8.0, 800.0], [0.5, 1.5]):
+            try:
+                want = _compiled_sweep(stack, np.array(x), True)
+            except (DomainError, NonFiniteValue):
+                want = None
+            try:
+                got = _float_sweep(stack, x)
+                finite = np.isfinite(np.concatenate([g.ravel() for g in got]))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                got, finite = None, np.array([False])
+            if want is None:
+                assert not finite.all(), (text, x)
+            else:
+                assert finite.all(), (text, x)
+                np.testing.assert_allclose(got[0], want[0], rtol=1e-14)
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-13)
+
+
 class TestSplitComponents:
     def test_top_level_commas_only(self):
         assert xl.split_components("0.5*t, sin(t, )") == ["0.5*t", "sin(t, )"]

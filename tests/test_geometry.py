@@ -37,6 +37,33 @@ def test_ball_contains_and_bounds():
     assert np.allclose(lo, [-0.9, -0.9]) and np.allclose(hi, [0.9, 0.9])
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("domain", ["box", "ball"])
+def test_float_contains_is_contains_at_the_boundary(dim, domain):
+    # points on the boundary and within 4 ulps of it, coordinate by
+    # coordinate, and states whose fiber part the predicate must ignore
+    rng = np.random.default_rng(dim)
+    lo, hi = -rng.uniform(0.5, 1.5, dim), rng.uniform(0.5, 1.5, dim)
+    chart = ge.Chart(dim, ge.Box(lo, hi) if domain == "box"
+                     else ge.Ball(0.1 * hi, 0.7))
+    if domain == "box":
+        on = rng.uniform(lo, hi, size=(200, dim))
+        side = rng.integers(0, dim, 200)
+        on[np.arange(200), side] = np.where(rng.uniform(size=200) < 0.5,
+                                            lo[side], hi[side])
+    else:
+        u = rng.normal(size=(200, dim))
+        on = 0.1 * hi + 0.7 * u / np.linalg.norm(u, axis=1)[:, None]
+    ulps = rng.integers(-4, 5, size=(9,) + on.shape)
+    pts = np.concatenate([on, (on + ulps * np.spacing(on)).reshape(-1, dim),
+                          rng.uniform(2 * lo, 2 * hi, size=(200, dim))])
+    inside = chart.float_contains()
+    states = np.concatenate([pts, rng.normal(size=pts.shape)], axis=1)
+    got = [inside(v) for v in states.tolist()]
+    assert got == chart.contains(pts).tolist()
+    assert 0 < sum(got) < len(got)
+
+
 def test_sample_interior_stays_inside():
     chart = ge.Chart(2, ge.Ball(np.zeros(2), 0.9))
     pts = chart.sample_interior(500, margin=0.1)
@@ -229,6 +256,21 @@ def test_randers_grad_x_matches_fd(sphere_cap):
         dx[i] = eps
         fd = (ge.randers_value(nav, x + dx, y) - ge.randers_value(nav, x - dx, y)) / (2 * eps)
         assert np.isclose(gx[i], fd, atol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_grad_x_is_zero_at_a_zero_fiber(scenarios):
+    # F(x, 0) = 0 for every x, so dF/dx = 0 at a zero fiber: a single one
+    # and one row of a batch, whose other rows keep their values
+    ys = np.array([[0.6, 0.8], [0.0, 0.0], [-0.3, 0.5]])
+    for name in ("sphere_cap", "funk_ball"):
+        jet = ge.field_jet(scenarios[name].nav, np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(jet.norm_grad_x(np.zeros(2)), 0.0)
+        got = jet.norm_grad_x(ys)
+        np.testing.assert_array_equal(got[1], 0.0)
+        for i in (0, 2):
+            np.testing.assert_allclose(got[i], jet.norm_grad_x(ys[i]),
+                                       rtol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

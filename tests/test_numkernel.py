@@ -135,21 +135,44 @@ class TestRk4:
 
     def test_row_leaving_the_predicate_freezes(self):
         # v' = 1 from 0 and 0.5 while v < 1.25: the second row stops at
-        # index 7 (v = 1.2) and the first runs on to 1.0
-        v, traj, stop = nk.rk4(lambda s, v: np.ones_like(v),
-                               np.array([[0.0], [0.5]]), 10, 0.1, keep=True,
-                               inside=lambda v: v[:, 0] < 1.25)
-        assert stop.tolist() == [10, 7]
-        assert np.allclose(v[:, 0], [1.0, 1.2], atol=1e-12)
-        assert np.allclose(traj[1, 7:, 0], 1.2, atol=1e-12)
-        assert traj.shape == (2, 11, 1)
+        # index 7 (v = 1.2) and the first runs on to 1.0, on NumPy and on
+        # floats alike, bit for bit
+        runs = [nk.rk4(lambda s, v: np.ones_like(v), np.array([[0.0], [0.5]]),
+                       10, 0.1, keep=True, inside=lambda v: v[:, 0] < 1.25,
+                       float_rows=rows, float_inside=lambda v: v[0] < 1.25)
+                for rows in (None, lambda: [lambda s, v: (1.0,)] * 2)]
+        for v, traj, stop in runs:
+            assert stop.tolist() == [10, 7]
+            assert np.allclose(v[:, 0], [1.0, 1.2], atol=1e-12)
+            assert np.allclose(traj[1, 7:, 0], 1.2, atol=1e-12)
+            assert traj.shape == (2, 11, 1)
+        for got, want in zip(runs[1], runs[0]):
+            np.testing.assert_array_equal(got, want)
 
     def test_nonfinite_state_names_the_row_and_step(self):
-        # step 2 (half steps 2..4) is the first to read s = 4
+        # step 2 (half steps 2..4) is the first to read s = 4; on floats,
+        # the step of row 1 gives inf there and is redone on NumPy
         def rhs(s, v):
             return np.where((s >= 4) & (v > 0), np.inf, v)
-        with pytest.raises(NonFiniteState, match="row 1 .* at step 2 "):
-            nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1)
+
+        def row(s, v):
+            return (np.inf,) if s >= 4 and v[0] > 0 else v
+        for rows in (None, lambda: [row] * 2):
+            with pytest.raises(NonFiniteState, match="row 1 .* at step 2 "):
+                nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1,
+                       float_rows=rows)
+
+    def test_float_steps_match_numpy_steps(self):
+        # the two renderings of one RK4 step: v' = (v2, -v1 v2) on tuples
+        # and on arrays take the same operations in the same order
+        def numpy_rhs(s, v):
+            return np.stack([v[:, 1], -v[:, 0] * v[:, 1]], axis=1)
+        v0 = np.array([[0.3, 1.0], [-1.2, 0.4], [2.0, -0.7]])
+        want = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True)
+        got = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True, float_rows=lambda: [
+            lambda s, v: (v[1], -v[0] * v[1])] * 3)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 def _smooth_tables(rng, curves, steps, m):

@@ -1,16 +1,28 @@
 """Spray coefficients, geodesics, and the spray comparison report."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from navgeo import numkernel as nk
 from navgeo import sprays as sp
-from navgeo.errors import GradientAtZero, ZeroVector
+from navgeo import transport as tr
+from navgeo.errors import (DomainError, GradientAtZero, NavGeoError,
+                           NonFiniteState, NonFiniteValue,
+                           NotPositiveDefinite, ZeroVector)
 from navgeo.geometry import field_jet, indicatrix_points, randers_value
+from navgeo.scenarios import (builtin, builtin_names, load_scenario,
+                              scenario_from_dict)
 from navgeo.transport import AnalyticCurve
 
 from helpers import autoparallel_residual
+
+BENCH_SCENARIOS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
+KERNELS = {"riemann": sp.jet_riemann_spray, "natural": sp.jet_natural_spray,
+           "randers": sp.jet_randers_spray}
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +123,27 @@ def test_spray_connection_matrix_raises_at_a_zero_fiber(sphere_cap, funk_ball):
             sp.spray_connection_matrix(sc.nav, np.tile(x, (3, 1)), ys)
 
 
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
+def test_float_sprays_match_the_einsum_kernels(name):
+    # the generated float code of each spray against its einsum kernel at
+    # 200 interior points with random fibers, in dimensions 2, 3 and 4
+    path = [p for p in BENCH_SCENARIOS if p.name == name]
+    nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
+    rng = np.random.default_rng(len(name))
+    pts = nav.chart.sample_interior(200, margin=0.02)
+    ys = rng.normal(size=pts.shape)
+    jet = field_jet(nav, pts)
+    for kind, kernel in KERNELS.items():
+        rhs = sp.Spray(nav, kind).geodesic_rhs()
+        got = np.array([rhs(0, tuple(x + y)) for x, y in
+                        zip(pts.tolist(), ys.tolist())])
+        np.testing.assert_array_equal(got[:, :nav.dim], ys)
+        want = -2.0 * kernel(jet, ys)
+        # rtol 1e-12 relative to the largest entry (exact zeros stay zero)
+        assert (np.abs(got[:, nav.dim:] - want).max()
+                <= 1e-12 * np.abs(want).max()), (name, kind)
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 
@@ -139,24 +172,101 @@ def test_geodesic_requires_positive_dt_and_nonzero_dir(funk_ball):
                               dt=0.0)
 
 
-def test_geodesic_batch_matches_singles(rotation_disk):
+def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
     # the last path dashes outward and halts at the chart edge while the
-    # others run on
+    # others run on; a bare callable runs on NumPy, a Spray on floats up to
+    # SCALAR_ROWS rows and on NumPy above, and each side halts alike
     nav = rotation_disk.nav
     x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1], [0.6, 0.0]])
     y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6], [3.0, 0.0]])
-    field = lambda x, y: sp.randers_spray_values(nav, x, y)
-    batch = sp.integrate_geodesics(field, x0s, y0s, time_span=0.5, dt=1e-2,
-                                   chart=nav.chart)
-    assert [p.left_domain for p in batch] == [False, False, False, True]
-    for i in range(4):
-        single = sp.integrate_geodesic(field, x0s[i], y0s[i], time_span=0.5,
-                                       dt=1e-2, chart=nav.chart)
-        assert batch[i].left_domain == single.left_domain
-        assert len(batch[i].ts) == len(single.ts)
-        assert np.array_equal(batch[i].ts, single.ts)
-        assert np.allclose(batch[i].xs, single.xs, atol=1e-12)
-        assert np.allclose(batch[i].ys, single.ys, atol=1e-12)
+    on_floats = []
+    rows = nk._rk4_rows
+    monkeypatch.setattr(nk, "_rk4_rows",
+                        lambda *a: on_floats.append(len(a[2])) or rows(*a))
+    spray = sp.Spray(nav, "randers")
+    big = nk.SCALAR_ROWS + 1
+    cases = [(lambda x, y: sp.randers_spray_values(nav, x, y), 4, []),
+             (spray, 4, [4]), (spray, big, [])]
+    for field, count, floats in cases:
+        on_floats.clear()
+        batch = sp.integrate_geodesics(field, np.resize(x0s, (count, 2)),
+                                       np.resize(y0s, (count, 2)),
+                                       time_span=0.5, dt=1e-2, chart=nav.chart)
+        assert on_floats == floats
+        assert [p.left_domain for p in batch] == [i % 4 == 3
+                                                  for i in range(count)]
+        for i in range(count):
+            single = sp.integrate_geodesic(field, x0s[i % 4], y0s[i % 4],
+                                           time_span=0.5, dt=1e-2,
+                                           chart=nav.chart)
+            assert batch[i].left_domain == single.left_domain
+            assert len(batch[i].ts) == len(single.ts)
+            assert np.array_equal(batch[i].ts, single.ts)
+            assert np.allclose(batch[i].xs, single.xs, atol=1e-12)
+            assert np.allclose(batch[i].ys, single.ys, atol=1e-12)
+    assert on_floats == [1] * big  # the singles of a Spray ran on floats
+
+
+def _raised(run) -> tuple:
+    """(type, message) of the NavGeoError run() raises."""
+    with pytest.raises(NavGeoError) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def _unvalidated(metric, wind) -> "NavigationData":
+    """Navigation data on the square (-1, 1)^2 whose fields are not
+    validated, so a path can run into a bad point."""
+    return scenario_from_dict(
+        {"schema": 1, "name": "straight", "dim": 2,
+         "domain": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+         "metric": metric, "wind": wind}, validate_nav=False).nav
+
+
+@pytest.mark.parametrize("kind", list(KERNELS))
+def test_float_geodesics_raise_the_numpy_errors(kind):
+    # the float path redoes a failed step on NumPy, so it raises the type
+    # and message of the NumPy path, with the same row, step or point. In
+    # the first two cases every spray vanishes on the paths, which are
+    # straight lines with the same bits on both paths, so the stage point
+    # that the domain error names is the same too.
+    cases = [
+        # sqrt(x1) at a stage point with x1 < 0 (row 1 walks left)
+        (dict.fromkeys(KERNELS, DomainError),
+         _unvalidated([["1 + 0*sqrt(x1)", "0"], ["1"]], ["0*sqrt(x1)", "0"]),
+         [[0.5, 0.0], [0.05, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
+        # h_22 = x1 + 1/2 turns nonpositive at a stage point
+        (dict.fromkeys(KERNELS, NotPositiveDefinite),
+         _unvalidated([["1", "0"], ["x1 + 0.5"]], ["0", "0"]),
+         [[0.5, 0.0], [0.2, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
+        # row 1's state overflows in its first step; the natural and randers
+        # sprays overflow at its fiber first, and the NaN they make reaches
+        # a stage point, where the wind is not finite
+        ({"riemann": NonFiniteState, "natural": NonFiniteValue,
+          "randers": NonFiniteValue},
+         _unvalidated([["1", "0"], ["1"]], ["0.1*cos(x2)", "0"]),
+         [[0.1, 0.1], [0.2, -0.1]], [[0.3, 0.2], [1.5e308, 0.0]]),
+    ]
+    for errors, nav, x0s, y0s in cases:
+        spray = sp.Spray(nav, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = (_raised(lambda: sp.integrate_geodesics(
+                field, x0s, y0s, time_span=1.0, dt=1e-2, chart=nav.chart))
+                for field in (spray, lambda x, y: spray(x, y)))
+        assert got == want and got[0] is errors[kind], (kind, got, want)
+    if kind == "riemann":
+        assert "row 1 " in got[1] and "step 1 " in got[1]
+
+
+def test_float_natural_ode_raises_the_numpy_error(funk_ball, monkeypatch):
+    seg = AnalyticCurve.from_strings(["0.5*t", "0"])
+    run = lambda: tr.natural_transport_many(
+        funk_ball.nav, [seg, seg], [[1.0, 0.0], [1e160, 0.0]], "ode", 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _raised(run)
+        monkeypatch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
+        assert got == _raised(run)
+    assert got[0] is NonFiniteState and "row 1 " in got[1]
 
 
 def test_geodesic_step_lands_on_time_span(funk_ball):

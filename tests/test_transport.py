@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from navgeo import connection as cn
 from navgeo import holonomy as ho
 from navgeo import sprays as sp
+from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, ZeroVector
 from navgeo.geometry import field_jet, randers_value
@@ -318,6 +319,11 @@ def test_natural_stage_is_the_connection_ode(name):
     dv = tr._natural_stage(tab, aux, v)
     want = -np.einsum("pki,pi->pk", cn.jet_gamma(jet, v), vel)
     assert np.abs(dv - want).max() <= 1e-13 * np.abs(want).max()
+    # its float code, on the flat stage rows that small batches read
+    rhs = stages.natural_stage(nav.dim)(
+        np.concatenate([tab.reshape(len(tab), -1), aux], axis=1))
+    got = np.array([rhs(p, tuple(vp)) for p, vp in enumerate(v.tolist())])
+    assert np.abs(got - dv).max() <= 1e-13 * np.abs(dv).max()
 
 
 @pytest.mark.parametrize("method", ["definitional", "ode"])

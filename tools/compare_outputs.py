@@ -3,12 +3,14 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each checkout serves the warm-up requests plus pass 0 of every benchmark
-workload, for seeds 1 and 2 (112 requests), and `validate` on every
-built-in and every benchmark scenario file, with the default sample and
-with `--points 2000` (22 requests, 134 in all), through its own
-`navgeo.cli.main`, in a fresh process whose working directory is that
-checkout. The request lists come from `bench/workloads.py` of the checkout
-this script lives in; nothing under `bench/` is written.
+workload, for seeds 1 and 2 (112 requests), `validate` on every built-in
+and every benchmark scenario file, with the default sample and with
+`--points 2000` (22 requests), and a fixed list of requests that reach the
+small-batch float integration where no workload does (EXTRA, 17 requests;
+151 in all), through its own `navgeo.cli.main`, in a fresh process whose
+working directory is that checkout. The workload request lists come from
+`bench/workloads.py` of the checkout this script lives in; nothing under
+`bench/` is written.
 
 The report gives the number of byte-identical outputs, every exit-code or
 stderr mismatch, every stdout whose text differs outside its numbers, and
@@ -34,9 +36,39 @@ FLOOR = 1e-12  # magnitude below which numbers compare absolutely
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+_BOX4 = ["--scenario", "bench/scenarios/rot_box_4d.json"]
+_WIND3 = ["--scenario", "bench/scenarios/constant_wind_3d.json"]
+_ROT3 = ["--scenario", "bench/scenarios/rot_ball_3d.json"]
+# Requests no workload makes: geodesics of the three sprays in 3D and 4D,
+# calm and dashing to the chart edge; the natural transport ODE in 4D; and
+# holonomy at the default 24 probes, above numkernel.SCALAR_ROWS (20), and
+# at 20 probes, on it.
+EXTRA = [
+    ["geodesic", *scen, "--spray", spray, start, direction,
+     "--time", "0.5", "--dt", "0.005"]
+    for scen, start, direction in (
+        (_BOX4, "--from=0.1,-0.2,0.3,0.05", "--dir=0.4,0.3,-0.2,0.5"),
+        (_BOX4, "--from=0.5,0.4,0.3,0.2", "--dir=1.5,1.0,0.8,0.4"),
+        (_WIND3, "--from=0.1,0.2,-0.1", "--dir=0.5,-0.3,0.2"),
+        (_WIND3, "--from=0.5,-0.4,0.3", "--dir=1.6,-1.2,0.9"))
+    for spray in ("natural", "randers", "riemann")
+] + [
+    ["transport", *_BOX4, "--curve=0.1+0.3*t,-0.2+0.1*t^2,0.3*t,0.1-0.2*t",
+     "--vector=0.5,0.2,-0.3,0.4", "--method", "ode"],
+    ["holonomy", "--builtin", "rotation_disk",
+     "--loop=0.2+0.3*cos(2*pi*t),0.1+0.3*sin(2*pi*t)"],
+    ["holonomy", "--builtin", "rotation_disk",
+     "--loop=0.2+0.3*cos(2*pi*t),0.1+0.3*sin(2*pi*t)", "--probes", "20"],
+    ["holonomy", *_ROT3, "--loop=0.1+0.3*cos(2*pi*t),0.3*sin(2*pi*t),0.05",
+     "--seed", "3"],
+    ["holonomy", *_BOX4, "--loop=0.2*cos(2*pi*t),0.2*sin(2*pi*t),0.1,-0.1",
+     "--seed", "3", "--probes", "20"],
+]
+
+
 def requests() -> list:
     """argv lists of the warm-up requests plus pass 0 of every workload,
-    then the validate requests, which no workload makes."""
+    then the validate requests and EXTRA, which no workload makes."""
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import (BUILTIN_DOMAINS, SCENARIO_DIR, WORKLOADS,
                            pass_requests, scenario_args, warmup_requests)
@@ -47,7 +79,7 @@ def requests() -> list:
         f.stem for f in SCENARIO_DIR.glob("*.json"))
     return served + [["validate", *scenario_args(sc), *points]
                      for sc in scenarios
-                     for points in ([], ["--points", "2000"])]
+                     for points in ([], ["--points", "2000"])] + EXTRA
 
 
 def serve_all(argvs: list) -> list:
