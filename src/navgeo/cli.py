@@ -11,6 +11,7 @@ scenario name, an out-of-range flag or a non-finite vector component).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -407,9 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing changes no state of it
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UnknownScenario as exc:

@@ -475,7 +475,8 @@ def float_function(name: str, params: str, lines: list,
     """The function `name`(params) running builder `lines` on Python
     floats, with constants as float literals and the global `names`. With
     `closure` given, the function returned is make(closure), which returns
-    `name` as a closure whose lines may read that parameter."""
+    `name` as a closure whose lines may read that parameter. Lines that
+    call no function run on NumPy arrays as they do on floats."""
     namespace = {**_FLOAT_FUNCS, **(names or {})}
 
     def constant(c) -> str:

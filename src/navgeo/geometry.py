@@ -7,7 +7,9 @@ shape. That convention is what makes transports and grid sweeps cheap.
 The geometry depends on the base point only through the 1-jet (h, dh, W,
 dW) of the navigation data. `field_jet` evaluates it once per batch of base
 points, and fiber-dependent quantities take `(jet, y)`: a jet built at
-x[..., None, :] broadcasts over a (..., D, n) batch of fiber vectors.
+x[..., None, :] broadcasts over a (..., D, n) batch of fiber vectors. h^-1
+and the Levi-Civita symbols, here and in the float stages, come from the
+one set of generated lines of `stages.metric_lines`.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exprlang, numkernel as nk
+from . import exprlang, numkernel as nk, stages
 from .errors import GradientAtZero, NavGeoError
 
 # ---------------------------------------------------------------------------
@@ -184,11 +186,7 @@ class VectorField:
 
 
 class MetricField:
-    """Symmetric metric field h_ij(x) given by upper-triangle expressions.
-
-    A metric whose entries read no coordinate (and evaluate cleanly) is
-    `constant`: its h and h^-1 are built once, on first use.
-    """
+    """Symmetric metric field h_ij(x) given by upper-triangle expressions."""
 
     def __init__(self, upper: Sequence[Sequence[exprlang.Expression]]):
         n = len(upper)
@@ -201,7 +199,6 @@ class MetricField:
         # index of entry (i, j) in it
         self.entries = tuple(e for row in self.upper for e in row)
         self.program = exprlang.compile_stack(self.entries)
-        self.constant = self.program.constants is not None
         iu, ju = np.triu_indices(n)
         self._sym = np.empty((n, n), dtype=int)
         self._sym[iu, ju] = self._sym[ju, iu] = np.arange(len(self.entries))
@@ -221,13 +218,6 @@ class MetricField:
         """h[..., i, j] and dh[..., k, i, j] = d(h_ij)/d(x^k) from one
         gradient sweep over the upper triangle."""
         return self._assemble(*exprlang.evaluate_dual(self.program, x))
-
-    @cached_property
-    def constant_value(self) -> tuple[np.ndarray, np.ndarray]:
-        """h and h^-1 (n, n) of a constant metric; raises
-        NotPositiveDefinite, and then caches nothing."""
-        h = self._assemble(np.array(self.program.constants))
-        return h, nk.spd_inverse(h)
 
     def _assemble(self, val: np.ndarray, grad: Optional[np.ndarray] = None):
         """h[..., i, j] from the stacked entry values val[..., m] (with grad
@@ -286,25 +276,16 @@ class NavigationData:
 # Christoffel symbols and the field jet
 
 
-def _levi_civita(hinv: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    # T[..., l, i, j] = d_i h_jl + d_j h_il - d_l h_ij
-    t = (np.einsum("...ijl->...lij", dh)
-         + np.einsum("...jil->...lij", dh)
-         - dh)
-    return 0.5 * np.einsum("...kl,...lij->...kij", hinv, t)
-
-
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients A[..., k, i, j] of the metric field.
 
-    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j);
-    zero for a constant metric, which must still be positive definite.
+    A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j),
+    from the metric's gradient sweep and the lines of
+    `stages.metric_kernel`; raises NotPositiveDefinite where h is not
+    positive definite.
     """
-    if metric.constant:
-        h, _ = metric.constant_value
-        return np.zeros(np.shape(x)[:-1] + h.shape[:1] + h.shape)
-    h, dh = metric.value_and_derivatives(x)
-    return _levi_civita(nk.spd_inverse(h), dh)
+    val, grad = exprlang.evaluate_dual(metric.program, x)
+    return stages.metric_kernel(metric.program)(val, grad)[1]
 
 
 @dataclass(frozen=True)
@@ -386,31 +367,17 @@ class FieldJet(FieldValues):
 
 def field_jet(nav: NavigationData, x) -> FieldJet:
     """The jet of nav at x (..., n), from one gradient sweep over the
-    metric's upper triangle and the wind. For a constant metric the sweep
-    covers the wind alone: h and h^-1 are the metric's own, dh = A = 0 and
-    M = dW."""
-    if nav.metric.constant:
-        w, dw = nav.wind.value_and_jacobian(x)
-        h, hinv = nav.metric.constant_value
-        shape = w.shape[:-1] + h.shape
-        zero = np.zeros(shape + h.shape[:1])
-        return FieldJet.of(np.broadcast_to(h, shape).copy(), w, dh=zero,
-                           hinv=np.broadcast_to(hinv, shape).copy(), A=zero,
-                           dW=dw, M=dw)
-    h, dh, w, dw = _jet_entries(nav, x)
-    hinv = nk.spd_inverse(h)
-    a = _levi_civita(hinv, dh)
-    return FieldJet.of(h, w, dh=dh, hinv=hinv, A=a, dW=dw,
-                       M=dw + np.einsum("...kis,...s->...ki", a, w))
-
-
-def _jet_entries(nav: NavigationData, x) -> tuple:
-    """h, dh, W, dW as contiguous arrays; the stacked sweep result is
-    dropped on return, before the Levi-Civita symbols are built."""
+    metric's upper triangle and the wind; h^-1 and the Levi-Civita symbols
+    come from the lines of `stages.metric_kernel` run on the sweep's
+    metric columns, and raise NotPositiveDefinite where h is not positive
+    definite."""
     m = len(nav.metric.entries)
     val, grad = exprlang.evaluate_dual(nav.jet_program, x)
+    hinv, a = stages.metric_kernel(nav.metric.program)(val, grad)
     h, dh = nav.metric._assemble(val[..., :m], grad[..., :m, :])
-    return h, dh, val[..., m:].copy(), grad[..., m:, :].copy()
+    w, dw = val[..., m:].copy(), grad[..., m:, :].copy()
+    return FieldJet.of(h, w, dh=dh, hinv=hinv, A=a, dW=dw,
+                       M=dw + np.einsum("...kis,...s->...ki", a, w))
 
 
 def wind_covariant_jacobian(nav: NavigationData, x) -> np.ndarray:
@@ -440,6 +407,17 @@ def _norm_parts(v: FieldValues, y, hy: Optional[np.ndarray] = None) -> tuple:
 def randers_value(nav: NavigationData, x, y) -> np.ndarray:
     """Norm F(x, y) of the navigation data; F(x, 0) = 0."""
     return field_values(nav, x).norm(y)
+
+
+def fiber_csv(nav: NavigationData, ts, xs, ys, letter: str, stream) -> None:
+    """CSV rows t, x*, <letter>*, F(x, <letter>) of base points xs (T, n)
+    with fiber vectors ys at parameters ts, numbers to 17 digits."""
+    n = xs.shape[1]
+    header = (["t"] + [f"x{i + 1}" for i in range(n)]
+              + [f"{letter}{i + 1}" for i in range(n)] + ["F"])
+    rows = np.column_stack([ts, xs, ys, randers_value(nav, xs, ys)]).tolist()
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
 
 
 def randers_alpha_beta(nav: NavigationData, x) -> tuple[np.ndarray, np.ndarray]:

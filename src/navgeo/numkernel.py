@@ -1,5 +1,5 @@
-"""Shared numeric substrate: SPD tests and inverses, RK4, numeric rank and
-time-series stencils.
+"""Shared numeric substrate: SPD tests, RK4, numeric rank and time-series
+stencils.
 
 Field derivatives are not taken here: gradients in x come from the
 compiled programs of `exprlang`, and the fiber derivatives of the
@@ -60,7 +60,8 @@ def positive_definite(h: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of a (batch of) SPD matrices; raises NotPositiveDefinite."""
+    """Inverse of a (batch of) SPD matrices; raises NotPositiveDefinite.
+    No caller in the package: metrics invert in `stages.metric_lines`."""
     h = np.asarray(h, dtype=float)
     try:
         np.linalg.cholesky(h)

@@ -26,7 +26,7 @@ import numpy as np
 from . import numkernel as nk, stages
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, christoffel,
-                       field_jet, indicatrix, randers_value)
+                       fiber_csv, field_jet, indicatrix)
 
 
 @dataclass
@@ -216,13 +216,7 @@ def integrate_geodesic(spray: Callable, x0, y0, time_span: float,
 
 def geodesic_csv(path: GeodesicPath, nav: NavigationData, stream) -> None:
     """CSV rows t, x*, y*, F(x, y) along an integrated path."""
-    n = path.xs.shape[1]
-    header = (["t"] + [f"x{i + 1}" for i in range(n)]
-              + [f"y{i + 1}" for i in range(n)] + ["F"])
-    rows = np.column_stack([path.ts, path.xs, path.ys,
-                            randers_value(nav, path.xs, path.ys)]).tolist()
-    fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
+    fiber_csv(nav, path.ts, path.xs, path.ys, "y", stream)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,23 @@
-"""Straight-line float code for the right-hand sides that small batches
-integrate row by row: the geodesic equation of each spray and the stage of
-the natural transport ODE.
+"""Straight-line code generated with the expression builder of `exprlang`
+(source transformation, Griewank & Walther, Evaluating Derivatives, ch. 6).
+
+`metric_lines` is the one definition of h^-1, from the L D L^T elimination
+of h with each pivot checked positive as `numkernel.positive_definite`
+does, and of the Levi-Civita symbols A^k_ij (i <= j). Constants fold and
+structural zeros get no line. `metric_kernel` renders these lines over the
+metric columns of a NumPy sweep, for `geometry.christoffel` and
+`field_jet`.
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
 arithmetic: one `field_jet` at a single point is dozens of them. So
 `numkernel.rk4` runs such batches row by row on Python floats, through the
-functions generated here with the expression builder of `exprlang` (source
-transformation, Griewank & Walther, Evaluating Derivatives, ch. 6). A
-geodesic right-hand side holds the value and gradient lines of the jet
-program, then the jet-level lines
-
-  h^-1 from the L D L^T elimination of h, each pivot checked positive as
-        `numkernel.positive_definite` does (for a constant metric, the
-        metric's own h^-1);
-  the Levi-Civita symbols A^k_ij (i <= j), M = dW + A W, hW and lam;
-  the navigation norm F = (sqrt(a^2 + lam b) - a) / lam,
-
-then the lines of the spray, term for term as the einsum kernels of
-`sprays` have them. Structural zeros get no line. The NumPy kernels stay
-the path of larger batches and of grids, and the oracle of these.
+right-hand sides generated here: the geodesic equation of each spray and
+the stage of the natural transport ODE. A geodesic right-hand side holds
+the value and gradient lines of the jet program, the metric lines,
+M = dW + A W, hW, lam and the navigation norm F = (sqrt(a^2 + lam b) - a)
+/ lam, then the lines of the spray, term for term as the einsum kernels
+of `sprays` have them. The NumPy kernels stay the path of larger batches
+and of grids, and the oracle of these.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -34,10 +33,15 @@ import struct
 
 import numpy as np
 
-from . import exprlang, numkernel as nk
+from . import exprlang
 from .errors import NotPositiveDefinite
 
 _FAIL = "raise ValueError"
+_PIVOT = f"if not {{0}} > 0.0: {_FAIL}"
+# The metric lines over NumPy columns: a pivot is checked at every point,
+# and a failure raises the error of the NumPy path.
+_NOT_SPD = "raise NotPositiveDefinite('metric value is not positive definite')"
+_COLUMNS = {_PIVOT: f"if not ({{0}} > 0.0).all(): {_NOT_SPD}", _FAIL: _NOT_SPD}
 
 
 def _nonzero(ref):
@@ -61,7 +65,7 @@ def _require_positive(b: exprlang._Builder, ref) -> bool:
     """Append the check that a pivot is positive; False when it is a
     constant that is not."""
     if isinstance(ref, str):
-        b.dlines.append((None, f"if not {{0}} > 0.0: {_FAIL}", (ref,)))
+        b.dlines.append((None, _PIVOT, (ref,)))
         return True
     return ref is not None and ref > 0.0
 
@@ -77,12 +81,63 @@ def _require_finite(b: exprlang._Builder, refs) -> bool:
     return bool(np.isfinite([r for r in refs if isinstance(r, float)]).all())
 
 
+def _symmetric(upper: list, n: int) -> dict:
+    """(i, j) -> upper[e] for the e-th pair (i, j), i <= j, of an upper
+    triangle given row by row, and for its mirror (j, i)."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return {**dict(zip(pairs, upper)),
+            **{(j, i): u for (i, j), u in zip(pairs, upper)}}
+
+
+def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
+    """(hinv, A), the mappings (i, j) -> h^-1 and (k, i, j) -> A^k_ij as
+    builder references, from the references h[i, j] and dh[i, j][k] =
+    d_k h_ij; None when the lines cannot succeed anywhere (a constant pivot
+    that is not positive). h^-1 = L^-T D^-1 L^-1 from h = L D L^T,
+    eliminating as numkernel.positive_definite does, each pivot checked
+    positive before it divides; A^k_ij = h^kl (d_i h_jl + d_j h_il -
+    d_l h_ij) / 2, its lines for i <= j only."""
+    n = len(dh[0, 0])
+    s = dict(h)
+    lower, inv_pivot = {}, []
+    for k in range(n):
+        if not _require_positive(b, s[k, k]):
+            return None
+        inv_pivot.append(b.div(1.0, s[k, k]))
+        for i in range(k + 1, n):
+            lower[i, k] = b.div(s[k, i], s[k, k])
+            for j in range(i, n):
+                s[i, j] = b.sub(s[i, j], b.mul(lower[i, k], s[k, j]))
+    u = {}  # L^-1, unit lower triangular
+    for k in range(n):
+        u[k, k] = 1.0
+        for i in range(k + 1, n):
+            u[i, k] = b.neg(_total(b, (b.mul(lower[i, j], u[j, k])
+                                       for j in range(k, i))))
+    hinv = {}
+    for i in range(n):
+        for j in range(i, n):
+            hinv[i, j] = hinv[j, i] = _total(b, (
+                b.mul(b.mul(u[k, i], u[k, j]), inv_pivot[k])
+                for k in range(j, n)))
+    t = {(l, i, j): b.sub(b.add(dh[j, l][i], dh[i, l][j]), dh[i, j][l])
+         for l in range(n) for i in range(n) for j in range(i, n)}
+    a = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                a[k, i, j] = a[k, j, i] = b.mul(0.5, _total(b, (
+                    b.mul(hinv[k, l], t[l, i, j]) for l in range(n))))
+    return hinv, a
+
+
 class _Jet:
     """References to the jet-level quantities at the point x0 .. x(n-1),
-    built into the builder's derivative lines: h, hinv, hW, lam (and, for
-    a jet program with a wind, W, A and M), each a mapping from index
-    tuples to a reference. `ok` is False when the lines cannot succeed
-    anywhere (a constant metric that is not positive definite)."""
+    built into the builder's derivative lines: h, then hinv and A from
+    `metric_lines`, hW, lam (and, for a jet program with a wind, W and M),
+    each a mapping from index tuples to a reference. `ok` is False when the
+    lines cannot succeed anywhere (a non-finite constant, or a constant
+    metric that is not positive definite), and the rest is then missing."""
 
     def __init__(self, b: exprlang._Builder, program: exprlang.Program):
         n = self.n = program.n
@@ -90,27 +145,20 @@ class _Jet:
         exprs = program.exprs
         vals = [_nonzero(b.value(e.root)) for e in exprs]
         grads = [[_nonzero(d) for d in b.gradient(e.root)] for e in exprs]
-        self.ok = _require_finite(b, vals + [d for g in grads for d in g])
-        at, k = {}, 0  # (i, j) -> the index of h_ij in the upper triangle
-        for i in range(n):
-            for j in range(i, n):
-                at[i, j] = at[j, i] = k
-                k += 1
-        self.h = {(i, j): vals[at[i, j]] for i in range(n) for j in range(n)}
-        dh = {(k, i, j): grads[at[i, j]][k]
-              for k in range(n) for i in range(n) for j in range(n)}
-        metric = exprlang.compile_stack(exprs[:m])
-        if metric.constants is not None:
-            self.hinv = self._constant_inverse(metric.constants, at)
-        else:
-            self.hinv = self._inverse(b)
+        self.h = _symmetric(vals, n)
+        metric = (metric_lines(b, self.h, _symmetric(grads, n))
+                  if _require_finite(b, vals + [d for g in grads for d in g])
+                  else None)
+        self.ok = metric is not None
+        if not self.ok:
+            return
+        self.hinv, self.A = metric
         self.W = vals[m:]
         if not self.W:  # the metric alone: only A is needed
             self.W = [None] * n
             dw = {(k, i): None for k in range(n) for i in range(n)}
         else:
             dw = {(k, i): grads[m + k][i] for k in range(n) for i in range(n)}
-        self.A = self._levi_civita(b, dh)
         self.M = {(k, i): b.add(dw[k, i], _total(b, (
             b.mul(self.A[k, i, s], self.W[s]) for s in range(n))))
             for k in range(n) for i in range(n)}
@@ -118,65 +166,6 @@ class _Jet:
                               for j in range(n))) for i in range(n)]
         wh = _total(b, (b.mul(self.W[i], self.hW[i]) for i in range(n)))
         self.lam = 1.0 if wh is None else b.sub(1.0, wh)
-
-    def _constant_inverse(self, constants, at) -> dict:
-        n = self.n
-        h = np.array([[constants[at[i, j]] for j in range(n)]
-                      for i in range(n)])
-        try:
-            hinv = nk.spd_inverse(h)
-        except NotPositiveDefinite:
-            self.ok = False
-            return {}
-        return {(i, j): _nonzero(float(hinv[i, j]))
-                for i in range(n) for j in range(n)}
-
-    def _inverse(self, b: exprlang._Builder) -> dict:
-        """h^-1 = L^-T D^-1 L^-1 from h = L D L^T, eliminating as
-        numkernel.positive_definite does; each pivot is checked positive
-        before it divides."""
-        n = self.n
-        s = {(i, j): self.h[i, j] for i in range(n) for j in range(i, n)}
-        lower, inv_pivot = {}, []
-        for k in range(n):
-            if not _require_positive(b, s[k, k]):
-                self.ok = False
-                return {}
-            inv_pivot.append(b.div(1.0, s[k, k]))
-            for i in range(k + 1, n):
-                lower[i, k] = b.div(s[k, i], s[k, k])
-                for j in range(i, n):
-                    s[i, j] = b.sub(s[i, j], b.mul(lower[i, k], s[k, j]))
-        u = {}  # L^-1, unit lower triangular
-        for k in range(n):
-            u[k, k] = 1.0
-            for i in range(k + 1, n):
-                u[i, k] = b.neg(_total(b, (b.mul(lower[i, j], u[j, k])
-                                           for j in range(k, i))))
-        hinv = {}
-        for i in range(n):
-            for j in range(i, n):
-                hinv[i, j] = hinv[j, i] = _total(b, (
-                    b.mul(b.mul(u[k, i], u[k, j]), inv_pivot[k])
-                    for k in range(j, n)))
-        return hinv
-
-    def _levi_civita(self, b: exprlang._Builder, dh: dict) -> dict:
-        """A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, its lines for
-        i <= j only."""
-        n = self.n
-        if not self.ok:
-            return {(k, i, j): None for k in range(n) for i in range(n)
-                    for j in range(n)}
-        t = {(l, i, j): b.sub(b.add(dh[i, j, l], dh[j, i, l]), dh[l, i, j])
-             for l in range(n) for i in range(n) for j in range(i, n)}
-        a = {}
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    a[k, i, j] = a[k, j, i] = b.mul(0.5, _total(b, (
-                        b.mul(self.hinv[k, l], t[l, i, j]) for l in range(n))))
-        return a
 
     def ayy(self, b: exprlang._Builder, y) -> list:
         """A^k_ij y^i y^j."""
@@ -267,6 +256,40 @@ def _returns(refs) -> tuple:
 
 def _unpack(names, source: str) -> tuple:
     return (None, f"{', '.join(names)}, = {source}", ())
+
+
+@functools.lru_cache(maxsize=32)
+def metric_kernel(program: exprlang.Program):
+    """kernel(val, grad) -> (hinv (..., n, n), A (..., k, i, j)): the lines
+    of `metric_lines` over the columns val[..., j] and grad[..., j, k] of a
+    sweep whose first columns are the metric `program`'s upper triangle,
+    row by row (the first column holding a line's value stands for all
+    that do). Structural zeros stay zero, and a pivot that is not positive
+    at some point raises NotPositiveDefinite. Memoized on the program; the
+    first call builds the code."""
+    n, first = program.n, {}
+    walk, b = exprlang._Builder(n), exprlang._Builder(n)
+
+    def column(ref, name):
+        return first.setdefault(ref, name) if isinstance(ref, str) else _nonzero(ref)
+
+    with np.errstate(all="ignore"):
+        vals = [column(walk.value(e.root), f"val[..., {j}]")
+                for j, e in enumerate(program.exprs)]
+        grads = [[column(d, f"grad[..., {j}, {k}]")
+                  for k, d in enumerate(walk.gradient(e.root))]
+                 for j, e in enumerate(program.exprs)]
+        metric = metric_lines(b, _symmetric(vals, n), _symmetric(grads, n))
+    lines = [(None, f"hinv = zeros(val.shape[:-1] + {(n, n)})", ()),
+             (None, f"A = zeros(val.shape[:-1] + {(n,) * 3})", ())]
+    body = b.dlines if metric else [(None, _FAIL, ())]
+    lines += [(t, _COLUMNS.get(c, c), r) for t, c, r in body]
+    for name, refs in zip(("hinv", "A"), metric or ()):
+        lines += [(None, f"{name}[..., {str(key)[1:-1]}] = {{0}}", (ref,))
+                  for key, ref in refs.items() if ref is not None]
+    return exprlang.float_function(
+        "kernel", "val, grad", lines + [(None, "return hinv, A", ())],
+        names={"zeros": np.zeros, "NotPositiveDefinite": NotPositiveDefinite})
 
 
 @functools.lru_cache(maxsize=32)

@@ -39,7 +39,7 @@ from . import exprlang as xl
 from . import numkernel as nk, stages
 from .errors import CurveLeftDomain, DegenerateNorm, NonFiniteState, ZeroVector
 from .geometry import (Chart, FieldJet, MetricField, NavigationData,
-                       christoffel, field_jet, randers_value)
+                       christoffel, fiber_csv, field_jet, randers_value)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +110,7 @@ def trajectory_csv(result: TransportResult, nav: NavigationData, stream) -> None
     """Write the recorded trajectory as CSV rows t, x*, v*, F(x, v)."""
     if result.xs is None:
         raise ValueError("transport was run without keep_trajectory")
-    n = result.xs.shape[1]
-    header = (["t"] + [f"x{i + 1}" for i in range(n)]
-              + [f"v{i + 1}" for i in range(n)] + ["F"])
-    rows = np.column_stack([result.ts, result.xs, result.vs,
-                            randers_value(nav, result.xs, result.vs)]).tolist()
-    fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
+    fiber_csv(nav, result.ts, result.xs, result.vs, "v", stream)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 routes the tests compare navgeo against.
 
 The recursive expression walk over forward-mode dual numbers here is the
-reference for the compiled expression programs of navgeo.exprlang, and the
+reference for the compiled expression programs of navgeo.exprlang, the
+LAPACK inverse and einsum Levi-Civita symbols are the reference for the
+generated metric lines of navgeo.stages, and the
 dual route through the connection coefficients is the reference for the
 closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
 connection and the torsion).
@@ -122,6 +124,18 @@ def bracket_tree_oracle(nav, z, depth, step=1e-4):
                             for j, g in enumerate(prev)
                             if prev is not base or j > i])
     return [np.stack([f(z) for f in gen], axis=1) for gen in generations]
+
+
+def einsum_levi_civita(h, dh):
+    """h^-1 by LAPACK and the Levi-Civita symbols A[..., k, i, j] =
+    h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2 by three einsums, from h
+    (..., n, n) and dh[..., k, i, j] = d_k h_ij: the reference for
+    navgeo.stages.metric_kernel."""
+    hinv = np.linalg.inv(h)
+    t = (np.einsum("...ijl->...lij", dh)
+         + np.einsum("...jil->...lij", dh)
+         - dh)
+    return hinv, 0.5 * np.einsum("...kl,...lij->...kij", hinv, t)
 
 
 def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):

@@ -1,5 +1,10 @@
-"""Command line surface: outputs, determinism, exit codes."""
+"""Command line surface: outputs, determinism, exit codes.
 
+Most cases call `navgeo.cli.main` in this process; a few run the module
+entry point `python -m navgeo.cli` as a subprocess (`run_module`)."""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,10 +13,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from navgeo import cli
 
-def run_cli(*args, **kw):
+
+def run_module(*args, **kw):
     return subprocess.run([sys.executable, "-m", "navgeo.cli", *args],
                           capture_output=True, text=True, **kw)
+
+
+def run_cli(*args):
+    """`navgeo.cli.main(args)` with its stdout and stderr captured, as the
+    result of `run_module`: a SystemExit code becomes the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +48,7 @@ def test_list_scenarios():
 
 
 def test_validate_builtin():
-    res = run_cli("validate", "--builtin", "sphere_cap")
+    res = run_module("validate", "--builtin", "sphere_cap")
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["passed"] is True
@@ -203,14 +223,14 @@ def test_compare_sprays_json():
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
-        res = run_cli("rank", "--builtin", "rotation_disk", "--samples", "4",
-                      "--out", str(out))
+        res = run_module("rank", "--builtin", "rotation_disk", "--samples",
+                         "4", "--out", str(out))
         assert res.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     for out in (c, d):
-        run_cli("geodesic", "--builtin", "rotation_disk", "--from", "0.2,0",
-                "--dir", "0,0.5", "--time", "1", "--out", str(out))
+        run_module("geodesic", "--builtin", "rotation_disk", "--from",
+                   "0.2,0", "--dir", "0,0.5", "--time", "1", "--out", str(out))
     assert c.read_bytes() == d.read_bytes()
 
 
@@ -258,8 +278,8 @@ def test_rank_at_requires_dir():
 
 
 def test_bad_vector_syntax_is_an_argparse_error():
-    res = run_cli("transport", "--builtin", "funk_ball",
-                  "--curve", "0.5*t, 0", "--vector", "0;1")
+    res = run_module("transport", "--builtin", "funk_ball",
+                     "--curve", "0.5*t, 0", "--vector", "0;1")
     assert res.returncode == 2  # argparse usage error
 
 

@@ -17,8 +17,8 @@ from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 
-from helpers import (jet_gamma_fiber_jacobian, random_curve, random_loop,
-                     walk_sweep)
+from helpers import (einsum_levi_civita, jet_gamma_fiber_jacobian,
+                     random_curve, random_loop, walk_sweep)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -115,7 +115,7 @@ def _per_entry_jet(nav, x):
     w, dw = np.empty(lead + (n,)), np.empty(lead + (n, n))
     for k, comp in enumerate(nav.wind.components):
         w[..., k], dw[..., k, :] = xl.evaluate_dual(comp, x)
-    a = ge._levi_civita(nk.spd_inverse(h), dh)
+    a = einsum_levi_civita(h, dh)[1]
     return {"h": h, "dh": dh, "W": w, "dW": dw, "A": a,
             "M": dw + np.einsum("...kis,...s->...ki", a, w)}
 
@@ -210,9 +210,9 @@ def _count_inverses(monkeypatch):
                                   "funk_ball_3d.json", "constant_wind_3d.json"])
 def test_constant_metric_skips_inverse_and_levi_civita(name, monkeypatch):
     nav = _nav(name)
-    assert nav.metric.constant
+    assert nav.metric.program.constants is not None
     pts = nav.chart.sample_interior(7, margin=0.2)
-    field_jet(nav, pts[0])  # h and h^-1 are built once, on first use
+    field_jet(nav, pts[0])  # the metric's lines are built on first use
     calls = _count_inverses(monkeypatch)
     xs = (pts[0], pts, pts[:, None, :])
     jets = [(field_jet(nav, x), ge.christoffel(nav.metric, x)) for x in xs]
@@ -229,7 +229,7 @@ def test_constant_metric_skips_inverse_and_levi_civita(name, monkeypatch):
 
 def test_curved_metric_is_not_constant():
     for name in ("sphere_cap", "conformal_flat", "rot_box_4d.json"):
-        assert not _nav(name).metric.constant
+        assert _nav(name).metric.program.constants is None
 
 
 def test_constant_indefinite_metric_still_raises():
@@ -237,12 +237,73 @@ def test_constant_indefinite_metric_still_raises():
             "domain": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
             "metric": [["1", "2"], ["1"]], "wind": ["0.1*x2", "0"]}
     nav = scenario_from_dict(data, validate_nav=False).nav
-    assert nav.metric.constant
-    for _ in range(2):  # a failed inverse is not cached
+    assert nav.metric.program.constants is not None
+    for _ in range(2):  # the memoized lines raise on every call
         with pytest.raises(NotPositiveDefinite):
             field_jet(nav, np.array([0.1, 0.2]))
         with pytest.raises(NotPositiveDefinite):
             ge.christoffel(nav.metric, np.array([[0.1, 0.2]]))
+
+
+def test_curved_metric_indefinite_at_one_point_raises():
+    # h = [[1 + 0.1 x2^2, x1], [x1, 1]] is indefinite at the third point
+    # only, and the whole batch fails with the one message
+    data = {"schema": 1, "name": "indefinite_at_one", "dim": 2,
+            "domain": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+            "metric": [["1 + 0.1*x2^2", "x1"], ["1"]], "wind": ["0.1*x2", "0"]}
+    nav = scenario_from_dict(data, validate_nav=False).nav
+    pts = np.array([[0.1, 0.2], [0.3, -0.1], [1.5, 0.2], [0.2, 0.1]])
+    message = "^metric value is not positive definite$"
+    for x in (pts, pts[:, None, :], pts[2]):
+        with pytest.raises(NotPositiveDefinite, match=message):
+            field_jet(nav, x)
+        with pytest.raises(NotPositiveDefinite, match=message):
+            ge.christoffel(nav.metric, x)
+    good = pts[[0, 1, 3]]
+    assert np.all(nk.positive_definite(nav.metric.value(good)))
+    np.testing.assert_array_equal(field_jet(nav, good).A,
+                                  ge.christoffel(nav.metric, good))
+
+
+# an off-diagonal entry everywhere, positive definite on the box by
+# diagonal dominance
+DENSE_4D = {"schema": 1, "name": "dense_4d", "dim": 4,
+            "domain": {"kind": "box", "lo": [-0.5] * 4, "hi": [0.5] * 4},
+            "metric": [["2 + 0.2*x2^2", "0.3*sin(x1)", "0.1*x3", "0.2"],
+                       ["2 + 0.1*x1*x4", "0.25*cos(x2)", "0.1*x1"],
+                       ["2 + exp(0.2*x3)", "0.15*x2*x3"],
+                       ["2.5 + 0.3*x4^2"]],
+            "wind": ["-0.3*x2", "0.3*x1", "0.1*x4", "-0.1*x3"]}
+ORACLE_CASES = (builtin_names() + [p.name for p in BENCH_SCENARIOS]
+                + ["curved_3d", "curved_4d", "dense_4d"])
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_metric_lines_match_the_einsum_route(name):
+    # h^-1 and A from the generated lines against LAPACK's inverse and the
+    # einsum Levi-Civita symbols: bitwise on a diagonal metric (every metric
+    # of the built-ins and the benchmark scenarios), else within 1e-13 of
+    # the largest entry (L D L^T against LU)
+    data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4],
+            "dense_4d": DENSE_4D}.get(name)
+    nav = scenario_from_dict(data).nav if data else _nav(name)
+    for count in (1, 20, 1000):
+        x = nav.chart.sample_interior(count, margin=0.02)
+        x = x[0] if count == 1 else x
+        h, dh = nav.metric.value_and_derivatives(x)
+        want = einsum_levi_civita(h, dh)
+        jet = field_jet(nav, x)
+        diagonal = data is None
+        assert not diagonal or np.all(h[..., ~np.eye(nav.dim, dtype=bool)] == 0.0)
+        for key, got, ref in (("hinv", jet.hinv, want[0]), ("A", jet.A, want[1]),
+                              ("christoffel", ge.christoffel(nav.metric, x),
+                               want[1])):
+            assert got.shape == ref.shape, (key, count)
+            if diagonal:
+                np.testing.assert_array_equal(got, ref, err_msg=f"{key} {count}")
+            else:
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                assert err <= 1e-13, (key, count, err)
 
 
 def test_identical_entries_compile_to_one_subtree():
