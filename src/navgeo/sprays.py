@@ -1,14 +1,21 @@
 """Geodesic sprays of navigation data and their comparison.
 
 Three sprays live here, all as coefficient functions G^k(x, y) with the
-geodesic equation xdd^k = -2 G^k(x, xd):
+geodesic equation xdd^k = -2 G^k(x, xd). Each is the metric spray
+A^k_ij y^i y^j / 2 plus a wind term of its own, defined once:
 
-  riemann   G^k = A^k_ij y^i y^j / 2 for the metric alone;
-  natural   the spray of the nonlinear wind connection,
-            G^k = (A^k_ij y^i y^j - F y^i A^k_ij W^j - F y^i dW^k/dx^i) / 2,
-            which also equals y^i Gamma^k_i / 2 identically;
-  randers   the full variational spray of the induced norm, assembled from
-            the symmetric/antisymmetric parts of the lowered wind derivative.
+  riemann   no wind term: the spray of the metric alone;
+  natural   the spray of the nonlinear wind connection, wind term
+            -F M y / 2 with M = nabla W (natural_wind_term), so that
+            G^k = y^i Gamma^k_i / 2 identically;
+  randers   the full variational spray of the induced norm, wind term
+            assembled from the symmetric/antisymmetric parts of the
+            lowered wind derivative (randers_wind_term).
+
+The comparison over a grid never forms A y y: natural - randers and
+natural - riemann are differences of wind terms, at one F. Every fiber
+contraction on a grid is a batched matmul with the fiber axis as the row
+axis, fibers (P, D, n) @ per-point matrices (P, n, m).
 
 Convention pinned throughout (and guarded by the variational residual test):
 the lowered wind derivative is D_ij = h_ik (nabla_j W)^k with the derivative
@@ -25,8 +32,8 @@ import numpy as np
 
 from . import numkernel as nk, stages
 from .errors import ZeroVector, ZeroVelocity
-from .geometry import (FieldJet, MetricField, NavigationData, christoffel,
-                       fiber_csv, field_jet, indicatrix)
+from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
+                       christoffel, fiber_csv, field_jet, indicatrix)
 
 
 @dataclass
@@ -43,6 +50,18 @@ class GeodesicPath:
 # spray coefficients on a field jet (fiber axes broadcast against the jet's)
 
 
+def _fiber_matmul(y, mat) -> np.ndarray:
+    """y^i mat[..., i, j] for fibers y (..., n) and per-point matrices mat
+    (..., n, m), as a batched matmul with the fiber axis as the row axis.
+    A jet built at x[..., None, :] (or at a single point) shares its
+    matrices over a whole fiber axis, so ys (P, D, n) @ mat (P, n, m) is
+    one (D, n) @ (n, m) product per point; a jet with one base point per
+    fiber vector multiplies each fiber as a row of its own."""
+    if mat.ndim > 2 and (mat.shape[-3] != 1 or y.ndim < 2):
+        return (y[..., None, :] @ mat)[..., 0, :]
+    return y @ (mat if mat.ndim == 2 else mat[..., 0, :, :])
+
+
 def _ayy(a, y) -> np.ndarray:
     return np.einsum("...kij,...i,...j->...k", a, y, y)
 
@@ -52,46 +71,55 @@ def jet_riemann_spray(jet: FieldJet, y) -> np.ndarray:
     return 0.5 * _ayy(jet.A, np.asarray(y, dtype=float))
 
 
-def jet_natural_spray(jet: FieldJet, y) -> np.ndarray:
-    """Natural-connection spray coefficients (A y y - F M y) / 2."""
-    y = np.asarray(y, dtype=float)
-    my = np.einsum("...ki,...i->...k", jet.M, y)
-    return 0.5 * (_ayy(jet.A, y) - jet.norm(y)[..., None] * my)
+def natural_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
+    """-F M y / 2, the natural spray minus the metric one, given F(y)."""
+    return -0.5 * f[..., None] * _fiber_matmul(y, np.swapaxes(jet.M, -1, -2))
 
 
 def rs_split(jet: FieldJet) -> tuple[np.ndarray, np.ndarray]:
     """R = sym D and S = antisym D of the lowered wind derivative
     D_ij = h_ik M^k_j (derivative slot second)."""
-    dp = np.einsum("...ik,...kj->...ij", jet.h, jet.M)
+    dp = jet.h @ jet.M
     dpt = np.swapaxes(dp, -1, -2)
     return 0.5 * (dp + dpt), 0.5 * (dp - dpt)
+
+
+def randers_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
+    """The variational spray minus the metric one, given F(y) (zero fibers
+    not allowed):
+
+        (r_0 - F r / 2 - r_00 / (2 F)) y + (r_00 / 2 + F^2 r / 2 - F r_0) W
+            - F^2 (S^i + R^i) / 2 - F S^i_0,
+
+    with R_j = W^i R_ij, r = R_j W^j, R^i = h^ij R_j (and S^i alike),
+    r_0 = R_j y^j = (R y)_i W^i, r_00 = (R y)_i y^i and S^i_0 = h^il S_lj y^j.
+    """
+    r, s = rs_split(jet)
+    w, hinv = jet.W, jet.hinv
+    r_j = np.einsum("...i,...ij->...j", w, r)
+    r_sc = np.einsum("...j,...j->...", w, r_j)[..., None]
+    up = np.einsum("...ij,...j->...i", hinv,
+                   r_j + np.einsum("...i,...ij->...j", w, s))
+    ry = _fiber_matmul(y, r)  # R symmetric: the row y R is R y
+    r_0 = np.einsum("...i,...i->...", ry, w)[..., None]
+    r_00 = np.einsum("...i,...i->...", ry, y)[..., None]
+    s_i0 = _fiber_matmul(y, np.swapaxes(hinv @ s, -1, -2))
+    f = f[..., None]
+    return ((r_0 - 0.5 * f * r_sc - r_00 / (2.0 * f)) * y
+            + (0.5 * r_00 + 0.5 * f * f * r_sc - f * r_0) * w
+            - 0.5 * f * f * up - f * s_i0)
+
+
+def jet_natural_spray(jet: FieldJet, y) -> np.ndarray:
+    """Natural-connection spray coefficients (A y y - F M y) / 2."""
+    y = np.asarray(y, dtype=float)
+    return jet_riemann_spray(jet, y) + natural_wind_term(jet, y, jet.norm(y))
 
 
 def jet_randers_spray(jet: FieldJet, y) -> np.ndarray:
     """Variational spray of the induced norm (zero fibers not allowed)."""
     y = np.asarray(y, dtype=float)
-    r, s = rs_split(jet)
-    w, hinv = jet.W, jet.hinv
-    f = jet.norm(y)
-
-    def pieces(t):
-        t_j = np.einsum("...i,...ij->...j", w, t)
-        t_scalar = np.einsum("...j,...j->...", w, t_j)
-        t_up = np.einsum("...ij,...j->...i", hinv, t_j)
-        t_0 = np.einsum("...i,...i->...", y, t_j)
-        t_i0 = np.einsum("...il,...lj,...j->...i", hinv, t, y)
-        t_00 = np.einsum("...i,...ij,...j->...", y, t, y)
-        return t_j, t_scalar, t_up, t_0, t_i0, t_00
-
-    r_j, r_sc, r_up, r_0, r_i0, r_00 = pieces(r)
-    s_j, s_sc, s_up, s_0, s_i0, s_00 = pieces(s)
-    fcol = f[..., None]
-    return (0.5 * _ayy(jet.A, y)
-            + r_0[..., None] * y
-            + 0.5 * r_00[..., None] * w
-            - 0.5 * fcol * fcol * (s_up + r_up - r_sc[..., None] * w)
-            - fcol * (s_i0 + 0.5 * r_sc[..., None] * y + r_0[..., None] * w)
-            - (r_00 / (2.0 * f))[..., None] * y)
+    return jet_riemann_spray(jet, y) + randers_wind_term(jet, y, jet.norm(y))
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +333,14 @@ def compare_sprays(nav: NavigationData, points: Optional[np.ndarray] = None,
 def jet_compare_sprays(jet: FieldJet, points: np.ndarray, n_dirs: int = 16,
                        tol_coincide: float = 1e-8,
                        tol_projective: float = 1e-6) -> ComparisonReport:
-    """compare_sprays on a jet built at points[:, None, :]."""
+    """compare_sprays on a jet built at points[:, None, :]. The three
+    sprays share A y y / 2, so the differences come from the wind terms
+    alone, at F computed once."""
     ys = indicatrix(jet, n_dirs)  # (P, D, n)
-    g_nat = jet_natural_spray(jet, ys)
-    g_ran = jet_randers_spray(jet, ys)
-    g_rie = jet_riemann_spray(jet, ys)
-    sup_nr = float(np.abs(g_nat - g_ran).max())
+    f = _norm_parts(jet, ys, _fiber_matmul(ys, jet.h))[3]  # 1 up to round-off
+    d = natural_wind_term(jet, ys, f)  # natural - riemann
+    sup_nr = float(np.abs(d - randers_wind_term(jet, ys, f)).max())
 
-    d = g_nat - g_rie
-    f = jet.norm(ys)  # unit by construction, kept explicit
     denom = f * np.einsum("pdi,pdi->pd", ys, ys)
     phi = -2.0 * np.einsum("pdi,pdi->pd", d, ys) / denom
     phi_hat = phi.mean(axis=1)

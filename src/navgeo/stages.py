@@ -15,9 +15,9 @@ right-hand sides generated here: the geodesic equation of each spray and
 the stage of the natural transport ODE. A geodesic right-hand side holds
 the value and gradient lines of the jet program, the metric lines,
 M = dW + A W, hW, lam and the navigation norm F = (sqrt(a^2 + lam b) - a)
-/ lam, then the lines of the spray, term for term as the einsum kernels
-of `sprays` have them. The NumPy kernels stay the path of larger batches
-and of grids, and the oracle of these.
+/ lam, then the lines of the spray, term for term as the einsum sprays
+that tests/helpers.py keeps as their oracle. The NumPy kernels of `sprays`
+stay the path of larger batches and of grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -205,7 +205,8 @@ def _natural(b, jet: _Jet, y) -> list:
 
 
 def _randers(b, jet: _Jet, y) -> list:
-    """The variational spray, term for term as sprays.jet_randers_spray."""
+    """The variational spray, term for term as the einsum oracle
+    helpers.einsum_randers_spray of the tests."""
     n, w, hinv = jet.n, jet.W, jet.hinv
     dp = {(i, j): _total(b, (b.mul(jet.h[i, k], jet.M[k, j])
                              for k in range(n)))

@@ -4,7 +4,9 @@ routes the tests compare navgeo against.
 The recursive expression walk over forward-mode dual numbers here is the
 reference for the compiled expression programs of navgeo.exprlang, the
 LAPACK inverse and einsum Levi-Civita symbols are the reference for the
-generated metric lines of navgeo.stages, and the
+generated metric lines of navgeo.stages, the einsum sprays are the
+reference for the generated float sprays and for the wind terms and grid
+kernels of navgeo.sprays and navgeo.classify, and the
 dual route through the connection coefficients is the reference for the
 closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
 connection and the torsion).
@@ -16,10 +18,10 @@ import numpy as np
 
 from navgeo import exprlang as xl
 from navgeo import numkernel as nk
-from navgeo.connection import gamma_matrix
+from navgeo.connection import gamma_matrix, jet_torsion
 from navgeo.errors import DomainError
-from navgeo.geometry import field_jet, field_values
-from navgeo.sprays import spray_connection_matrix
+from navgeo.geometry import field_jet, field_values, indicatrix
+from navgeo.sprays import ComparisonReport, spray_connection_matrix
 from navgeo.transport import AnalyticCurve
 
 
@@ -136,6 +138,92 @@ def einsum_levi_civita(h, dh):
          + np.einsum("...jil->...lij", dh)
          - dh)
     return hinv, 0.5 * np.einsum("...kl,...lij->...kij", hinv, t)
+
+
+# ---------------------------------------------------------------------------
+# the einsum sprays and the full-spray comparison: the oracle for the wind
+# terms of navgeo.sprays and the grid kernels of navgeo.classify
+
+
+def _einsum_ayy(a, y):
+    return np.einsum("...kij,...i,...j->...k", a, y, y)
+
+
+def einsum_riemann_spray(jet, y):
+    """A^k_ij y^i y^j / 2 by one einsum."""
+    return 0.5 * _einsum_ayy(jet.A, np.asarray(y, dtype=float))
+
+
+def einsum_natural_spray(jet, y):
+    """(A y y - F M y) / 2 by einsums."""
+    y = np.asarray(y, dtype=float)
+    my = np.einsum("...ki,...i->...k", jet.M, y)
+    return 0.5 * (_einsum_ayy(jet.A, y) - jet.norm(y)[..., None] * my)
+
+
+def einsum_randers_spray(jet, y):
+    """The variational spray of the navigation norm from the R/S pieces of
+    the lowered wind derivative, every contraction an einsum; the order of
+    terms is the one navgeo.stages generates for its float code."""
+    y = np.asarray(y, dtype=float)
+    dp = np.einsum("...ik,...kj->...ij", jet.h, jet.M)
+    dpt = np.swapaxes(dp, -1, -2)
+    r, s = 0.5 * (dp + dpt), 0.5 * (dp - dpt)
+    w, hinv = jet.W, jet.hinv
+    f = jet.norm(y)
+
+    def pieces(t):
+        t_j = np.einsum("...i,...ij->...j", w, t)
+        t_scalar = np.einsum("...j,...j->...", w, t_j)
+        t_up = np.einsum("...ij,...j->...i", hinv, t_j)
+        t_0 = np.einsum("...i,...i->...", y, t_j)
+        t_i0 = np.einsum("...il,...lj,...j->...i", hinv, t, y)
+        t_00 = np.einsum("...i,...ij,...j->...", y, t, y)
+        return t_scalar, t_up, t_0, t_i0, t_00
+
+    r_sc, r_up, r_0, _, r_00 = pieces(r)
+    _, s_up, _, s_i0, _ = pieces(s)
+    fcol = f[..., None]
+    return (0.5 * _einsum_ayy(jet.A, y)
+            + r_0[..., None] * y
+            + 0.5 * r_00[..., None] * w
+            - 0.5 * fcol * fcol * (s_up + r_up - r_sc[..., None] * w)
+            - fcol * (s_i0 + 0.5 * r_sc[..., None] * y + r_0[..., None] * w)
+            - (r_00 / (2.0 * f))[..., None] * y)
+
+
+def compare_sprays_oracle(jet, points, n_dirs=16, tol_coincide=1e-8,
+                          tol_projective=1e-6):
+    """navgeo.sprays.jet_compare_sprays from the three full einsum sprays
+    and their differences."""
+    ys = indicatrix(jet, n_dirs)
+    g_nat = einsum_natural_spray(jet, ys)
+    g_ran = einsum_randers_spray(jet, ys)
+    g_rie = einsum_riemann_spray(jet, ys)
+    sup_nr = float(np.abs(g_nat - g_ran).max())
+    d = g_nat - g_rie
+    f = jet.norm(ys)
+    denom = f * np.einsum("pdi,pdi->pd", ys, ys)
+    phi = -2.0 * np.einsum("pdi,pdi->pd", d, ys) / denom
+    phi_hat = phi.mean(axis=1)
+    spread = np.abs(phi - phi_hat[:, None]).max(axis=1)
+    resid = d + 0.5 * phi_hat[:, None, None] * f[..., None] * ys
+    resid_max = float(np.linalg.norm(resid, axis=2).max())
+    return ComparisonReport(
+        n_points=len(points), n_dirs=n_dirs, sup_natural_vs_randers=sup_nr,
+        phi_min=float(phi_hat.min()), phi_max=float(phi_hat.max()),
+        phi_mean=float(phi_hat.mean()), phi_spread_max=float(spread.max()),
+        projective_residual=resid_max,
+        sprays_coincide=bool(sup_nr < tol_coincide),
+        projectively_riemannian=bool(spread.max() < 1e-6
+                                     and resid_max < tol_projective),
+        tol_coincide=tol_coincide, tol_projective=tol_projective,
+        points=points, phi_hat=phi_hat)
+
+
+def torsion_residual_oracle(jet, dirs):
+    """Sup of |t^k_ij| over every entry of the full torsion array."""
+    return float(np.abs(jet_torsion(jet, dirs)).max())
 
 
 def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):

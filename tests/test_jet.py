@@ -2,6 +2,7 @@
 gives the same geometry as evaluating every (point, direction) pair alone,
 and its one stacked sweep gives the same arrays as one walk per entry."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,18 @@ from navgeo import connection as cn
 from navgeo import exprlang as xl
 from navgeo import geometry as ge
 from navgeo import numkernel as nk
+from navgeo import classify as cl
 from navgeo import sprays as sp
 from navgeo.errors import NotPositiveDefinite
 from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 
-from helpers import (einsum_levi_civita, jet_gamma_fiber_jacobian,
-                     random_curve, random_loop, walk_sweep)
+from helpers import (compare_sprays_oracle, einsum_levi_civita,
+                     einsum_natural_spray, einsum_randers_spray,
+                     einsum_riemann_spray, jet_gamma_fiber_jacobian,
+                     random_curve, random_loop, torsion_residual_oracle,
+                     walk_sweep)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -332,3 +337,86 @@ def test_field_jet_is_one_dual_sweep(monkeypatch):
     field_jet(nav, nav.chart.sample_interior(5, margin=0.2))
     assert len(calls) == 1
     assert len(calls[0].exprs) == len(nav.metric.entries) + nav.dim == 14
+
+
+# ---------------------------------------------------------------------------
+# the sprays as the metric spray plus one wind term each, and the grid
+# kernels built on them, against the einsum oracle
+
+
+def _shape_cases(nav, rng):
+    """(base points, fibers) pairs: a batch of rows with a point each, a
+    grid jet with a fiber axis of one against a (P, D, n) batch, against
+    shared (D, n) directions and against one fiber, and a single point
+    against a fiber batch as long as the dimension and one longer."""
+    n = nav.dim
+    xs = nav.chart.sample_interior(6, margin=0.2)
+    cases = [(xs, rng.normal(size=(6, n))),
+             (xs[:, None, :], rng.normal(size=(6, 5, n))),
+             (xs[:, None, :], rng.normal(size=(5, n))),
+             (xs[:, None, :], rng.normal(size=n))]
+    return cases + [(xs[0], rng.normal(size=(count, n)))
+                    for count in (n, n + 1)]
+
+
+@pytest.mark.parametrize("case", ["sphere_cap", "curved_3d", "curved_4d"])
+def test_each_spray_is_the_metric_spray_plus_its_wind_term(case):
+    data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(case)
+    nav = scenario_from_dict(data).nav if data else builtin(case).nav
+    for x, y in _shape_cases(nav, np.random.default_rng(nav.dim)):
+        jet = field_jet(nav, x)
+        f = jet.norm(y)
+        riemann = einsum_riemann_spray(jet, y)
+        for label, term, oracle, kernel in (
+                ("natural", sp.natural_wind_term, einsum_natural_spray,
+                 sp.jet_natural_spray),
+                ("randers", sp.randers_wind_term, einsum_randers_spray,
+                 sp.jet_randers_spray)):
+            want = oracle(jet, y)
+            got = term(jet, y, f)
+            assert got.shape == want.shape, (label, x.shape, y.shape)
+            # each to 1e-13 of the largest entry
+            diff = want - riemann
+            assert (np.abs(got - diff).max()
+                    <= 1e-13 * np.abs(diff).max()), (label, x.shape, y.shape)
+            assert (np.abs(kernel(jet, y) - want).max()
+                    <= 1e-13 * np.abs(want).max()), (label, x.shape, y.shape)
+
+
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
+                         + ["curved_3d", "curved_4d"])
+def test_grid_kernels_match_the_full_spray_oracle(name):
+    # the comparison from the wind terms against the one from the three
+    # full einsum sprays, and the torsion verdict over the pairs i < j
+    # against the sup of the whole torsion array, bit for bit
+    data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(name)
+    nav = scenario_from_dict(data).nav if data else _nav(name)
+    grid = nav.chart.grid(6, margin=0.05)
+    jet = field_jet(nav, grid[:, None, :])
+    got = sp.jet_compare_sprays(jet, grid)
+    want = compare_sprays_oracle(jet, grid)
+    for key, ref in want.as_dict().items():
+        value = got.as_dict()[key]
+        if isinstance(ref, bool):
+            assert value == ref, key
+        else:
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), key
+    assert np.all(np.abs(got.phi_hat - want.phi_hat)
+                  <= 1e-12 * np.maximum(1.0, np.abs(want.phi_hat)))
+    dirs = cl._fiber_directions(nav, 8)
+    verdict = cl.torsion_vanishing_test(nav, grid)
+    assert verdict.residual == torsion_residual_oracle(jet, dirs)
+    assert verdict.residual == cl.classification_report(
+        nav, grid).torsion_vanishes.residual
+
+
+def test_grid_torsion_residual_keeps_a_nan():
+    # a NaN in the wind derivative must reach the verdict, not be maxed away
+    nav = builtin("rotation_disk").nav
+    grid = nav.chart.grid(4)
+    jet = field_jet(nav, grid[:, None, :])
+    m = jet.M.copy()
+    m[1, 0, 1, 0] = np.nan
+    dirs = cl._fiber_directions(nav, 8)
+    verdict = cl._torsion_vanishes(replace(jet, M=m), dirs, 1e-8)
+    assert np.isnan(verdict.residual) and not verdict.passed

@@ -17,12 +17,13 @@ from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 from navgeo.transport import AnalyticCurve
 
-from helpers import autoparallel_residual
+from helpers import (autoparallel_residual, einsum_natural_spray,
+                     einsum_randers_spray, einsum_riemann_spray)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
-KERNELS = {"riemann": sp.jet_riemann_spray, "natural": sp.jet_natural_spray,
-           "randers": sp.jet_randers_spray}
+ORACLES = {"riemann": einsum_riemann_spray, "natural": einsum_natural_spray,
+           "randers": einsum_randers_spray}
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +126,16 @@ def test_spray_connection_matrix_raises_at_a_zero_fiber(sphere_cap, funk_ball):
 
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
 def test_float_sprays_match_the_einsum_kernels(name):
-    # the generated float code of each spray against its einsum kernel at
-    # 200 interior points with random fibers, in dimensions 2, 3 and 4
+    # the generated float code of each spray against the einsum oracle it
+    # follows term for term, at 200 interior points with random fibers, in
+    # dimensions 2, 3 and 4
     path = [p for p in BENCH_SCENARIOS if p.name == name]
     nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
     rng = np.random.default_rng(len(name))
     pts = nav.chart.sample_interior(200, margin=0.02)
     ys = rng.normal(size=pts.shape)
     jet = field_jet(nav, pts)
-    for kind, kernel in KERNELS.items():
+    for kind, kernel in ORACLES.items():
         rhs = sp.Spray(nav, kind).geodesic_rhs()
         got = np.array([rhs(0, tuple(x + y)) for x, y in
                         zip(pts.tolist(), ys.tolist())])
@@ -223,7 +225,7 @@ def _unvalidated(metric, wind) -> "NavigationData":
          "metric": metric, "wind": wind}, validate_nav=False).nav
 
 
-@pytest.mark.parametrize("kind", list(KERNELS))
+@pytest.mark.parametrize("kind", list(ORACLES))
 def test_float_geodesics_raise_the_numpy_errors(kind):
     # the float path redoes a failed step on NumPy, so it raises the type
     # and message of the NumPy path, with the same row, step or point. In
@@ -232,11 +234,11 @@ def test_float_geodesics_raise_the_numpy_errors(kind):
     # that the domain error names is the same too.
     cases = [
         # sqrt(x1) at a stage point with x1 < 0 (row 1 walks left)
-        (dict.fromkeys(KERNELS, DomainError),
+        (dict.fromkeys(ORACLES, DomainError),
          _unvalidated([["1 + 0*sqrt(x1)", "0"], ["1"]], ["0*sqrt(x1)", "0"]),
          [[0.5, 0.0], [0.05, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
         # h_22 = x1 + 1/2 turns nonpositive at a stage point
-        (dict.fromkeys(KERNELS, NotPositiveDefinite),
+        (dict.fromkeys(ORACLES, NotPositiveDefinite),
          _unvalidated([["1", "0"], ["x1 + 0.5"]], ["0", "0"]),
          [[0.5, 0.0], [0.2, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
         # row 1's state overflows in its first step; the natural and randers

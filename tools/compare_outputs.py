@@ -6,9 +6,10 @@ Each checkout serves the warm-up requests plus pass 0 of every benchmark
 workload, for seeds 1 and 2 (112 requests), `validate` on every built-in
 and every benchmark scenario file, with the default sample and with
 `--points 2000` (22 requests), and a fixed list of requests that reach the
-small-batch float integration where no workload does (EXTRA, 17 requests;
-151 in all), through its own `navgeo.cli.main`, in a fresh process whose
-working directory is that checkout. The workload request lists come from
+small-batch float integration or the torsion and classification kernels
+where no workload does (EXTRA, 21 requests; 155 in all), through its own
+`navgeo.cli.main`, in a fresh process whose working directory is that
+checkout. The workload request lists come from
 `bench/workloads.py` of the checkout this script lives in; nothing under
 `bench/` is written.
 
@@ -16,8 +17,11 @@ The report gives the number of byte-identical outputs, every exit-code or
 stderr mismatch, every stdout whose text differs outside its numbers, and
 the largest relative change |a - b| / max(|a|, |b|) of any printed number.
 Numbers below FLOOR in magnitude in both outputs are compared by their
-absolute change instead, reported on its own line. The exit status is 0
-when exit codes, stderr and the non-numeric text all agree.
+absolute change instead, reported on its own line. Each stderr mismatch
+says whether it differs only in its numbers and, if so, gives its largest
+relative change and its largest absolute change below FLOOR by the same
+rule. The exit status is 0 when exit codes, stderr and the non-numeric
+text all agree.
 """
 from __future__ import annotations
 
@@ -40,9 +44,10 @@ _BOX4 = ["--scenario", "bench/scenarios/rot_box_4d.json"]
 _WIND3 = ["--scenario", "bench/scenarios/constant_wind_3d.json"]
 _ROT3 = ["--scenario", "bench/scenarios/rot_ball_3d.json"]
 # Requests no workload makes: geodesics of the three sprays in 3D and 4D,
-# calm and dashing to the chart edge; the natural transport ODE in 4D; and
+# calm and dashing to the chart edge; the natural transport ODE in 4D;
 # holonomy at the default 24 probes, above numkernel.SCALAR_ROWS (20), and
-# at 20 probes, on it.
+# at 20 probes, on it; torsion at one tangent vector in 2D, 3D and 4D; and
+# classify on the 4D scenario at its default grid.
 EXTRA = [
     ["geodesic", *scen, "--spray", spray, start, direction,
      "--time", "0.5", "--dt", "0.005"]
@@ -63,6 +68,10 @@ EXTRA = [
      "--seed", "3"],
     ["holonomy", *_BOX4, "--loop=0.2*cos(2*pi*t),0.2*sin(2*pi*t),0.1,-0.1",
      "--seed", "3", "--probes", "20"],
+    ["torsion", "--builtin", "rotation_disk", "--at=0.1,-0.2", "--dir=0.6,0.3"],
+    ["torsion", *_ROT3, "--at=0.1,0.2,-0.1", "--dir=0.5,-0.3,0.2"],
+    ["torsion", *_BOX4, "--at=0.1,-0.2,0.3,0.05", "--dir=0.4,0.3,-0.2,0.5"],
+    ["classify", *_BOX4],
 ]
 
 
@@ -146,7 +155,12 @@ def main(argv=None) -> int:
         if rc0 != rc1:
             problems.append(f"exit code {rc0} -> {rc1}: {label}")
         if err0 != err1:
-            problems.append(f"stderr differs: {label}")
+            changes = number_changes(err0, err1)
+            problems.append(
+                f"stderr differs: {label}: " + (
+                    "outside its numbers" if changes is None else
+                    f"numbers only, largest relative change {changes[0]:.3g}, "
+                    f"largest absolute change below {FLOOR:g} {changes[1]:.3g}"))
         if out0 == out1:
             identical += rc0 == rc1 and err0 == err1
             continue
