@@ -13,6 +13,7 @@ one set of generated lines of `stages.metric_lines`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -61,32 +62,45 @@ class Chart:
             raise ValueError("supported dimensions are 2, 3, 4")
 
     def contains(self, x, margin: float = 0.0):
-        """Strict interior test; margin shrinks the domain toward its center."""
+        """Strict interior test; margin shrinks the domain toward its center.
+
+        Reads the coordinate columns x[..., i], so a coordinate-major
+        (n, N) block passed as its transpose is read row by row. A ball
+        sums (x_i - c_i)^2 in coordinate order, as np.linalg.norm does on
+        a last axis of 2-4, and compares the root with the shrunk radius;
+        a box compares every |x_i - center_i| with its shrunk half-width.
+        """
         x = np.asarray(x, dtype=float)
         if isinstance(self.domain, Ball):
-            r = np.linalg.norm(x - self.domain.center, axis=-1)
-            return r < self.domain.radius * (1.0 - margin)
+            c = self.domain.center
+            d = x[..., 0] - c[0]
+            d2 = d * d
+            for i in range(1, self.dim):
+                d = x[..., i] - c[i]
+                d2 += d * d
+            return np.sqrt(d2) < self.domain.radius * (1.0 - margin)
         half = 0.5 * (self.domain.hi - self.domain.lo) * (1.0 - margin)
         center = 0.5 * (self.domain.hi + self.domain.lo)
-        return np.all(np.abs(x - center) < half, axis=-1)
+        inside = np.abs(x[..., 0] - center[0]) < half[0]
+        for i in range(1, self.dim):
+            inside &= np.abs(x[..., i] - center[i]) < half[i]
+        return inside
 
     def float_contains(self):
         """`contains` as a predicate on one point, the first `dim` entries
-        of a sequence of floats, with the same decision. A box compares
-        coordinate by coordinate, as `contains` does. A ball decides from
-        the squared distance, and asks `contains` itself within a relative
-        1e-12 of the radius, where the order of a sum could tip it."""
+        of a sequence of floats, with the same decision: the same sums,
+        products and correctly rounded root in the same order."""
         n = self.dim
         if isinstance(self.domain, Ball):
             c = self.domain.center.tolist()
-            near = (self.domain.radius ** 2 * (1.0 - 1e-12),
-                    self.domain.radius ** 2 * (1.0 + 1e-12))
+            radius = self.domain.radius
 
             def inside(v) -> bool:
-                d2 = sum((v[i] - c[i]) ** 2 for i in range(n))
-                if near[0] <= d2 <= near[1]:
-                    return bool(self.contains(np.array(v[:n])))
-                return d2 < near[0]
+                d2 = 0.0
+                for i in range(n):
+                    d = v[i] - c[i]
+                    d2 += d * d
+                return math.sqrt(d2) < radius
             return inside
         half = (0.5 * (self.domain.hi - self.domain.lo)).tolist()
         center = (0.5 * (self.domain.hi + self.domain.lo)).tolist()
@@ -102,23 +116,29 @@ class Chart:
     def sample_interior(self, count: int, margin: float = 0.0) -> np.ndarray:
         """Deterministic quasi-random interior points: the first `count`
         points of a Kronecker sequence over the bounding box that lie in
-        the (shrunk) domain. The sequence is drawn in blocks, each sized by
-        the share of candidates kept so far."""
+        the (shrunk) domain, as a (count, n) view of a coordinate-major
+        array. The sequence is drawn in blocks, each sized by the share of
+        candidates kept so far. A block is built coordinate by coordinate,
+        each coordinate one contiguous row of k * alpha_i + 0.5 reduced
+        mod 1 and mapped onto [lo_i, hi_i): the operations of the former
+        point-major (N, n) blocks, now the test oracle, in the same order,
+        so the points are the same bit for bit."""
         lo, hi = self.bounding_box()
-        alpha = _kronecker_alphas(self.dim)
-        kept, have, k, block = [np.empty((0, self.dim))], 0, 0, max(count, 64)
+        alpha = _kronecker_alphas(self.dim)[:, None]
+        span, lo = (hi - lo)[:, None], lo[:, None]
+        kept, have, k, block = [np.empty((self.dim, 0))], 0, 0, max(count, 64)
         while have < count:
-            u = np.arange(k, k + block, dtype=float)[:, None] * alpha
+            u = alpha * np.arange(k, k + block, dtype=float)
             u += 0.5
             u -= np.floor(u)  # the fractional part, as np.mod(u, 1) for u > 0
-            u *= hi - lo
+            u *= span
             u += lo
-            inside = self.contains(u, margin)
-            kept.append(u if inside.all() else u[inside])
-            have += len(kept[-1])
+            inside = self.contains(u.T, margin)
+            kept.append(u if inside.all() else u[:, inside])
+            have += kept[-1].shape[1]
             k += block
             block = max(int(1.1 * (count - have) * k / max(have, 1)), 64)
-        return np.concatenate(kept)[:count]
+        return np.concatenate(kept, axis=1)[:, :count].T
 
     @property
     def default_per_axis(self) -> int:
@@ -514,8 +534,9 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
         i = int(bad_metric[0])
         failures.append({"kind": "metric_not_positive", "point": points[i].tolist(),
                          "value": float(np.linalg.eigvalsh(h[i]).min())})
-    v = FieldValues.of(h, nav.wind.value(points))
-    wnorm2 = np.einsum("...i,...i->...", v.W, v.hW)
+    w = nav.wind.value(points)
+    # the two einsums of FieldValues.of, so min_lambda is its lam bit for bit
+    wnorm2 = np.einsum("...i,...i->...", w, np.einsum("...ij,...j->...i", h, w))
     wnorm = np.sqrt(np.maximum(wnorm2, 0.0))
     bad_wind = np.nonzero(wnorm >= 1.0 - margin)[0]
     if bad_wind.size:
@@ -527,7 +548,7 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
         n_points=len(points),
         margin=margin,
         max_wind_norm=float(wnorm.max()),
-        min_lambda=float(v.lam.min()),
+        min_lambda=float((1.0 - wnorm2).min()),
         metric=h,
         failures=failures,
     )

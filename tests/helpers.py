@@ -9,7 +9,9 @@ reference for the generated float sprays and for the wind terms and grid
 kernels of navgeo.sprays and navgeo.classify, and the
 dual route through the connection coefficients is the reference for the
 closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
-connection and the torsion).
+connection and the torsion). The point-major Kronecker blocks, kept by
+the np.linalg.norm / np.all row rule, are the reference for the
+coordinate-major lattice of navgeo.geometry.Chart.sample_interior.
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
@@ -20,7 +22,8 @@ from navgeo import exprlang as xl
 from navgeo import numkernel as nk
 from navgeo.connection import gamma_matrix, jet_torsion
 from navgeo.errors import DomainError
-from navgeo.geometry import field_jet, field_values, indicatrix
+from navgeo.geometry import (Ball, _kronecker_alphas, field_jet, field_values,
+                             indicatrix)
 from navgeo.sprays import ComparisonReport, spray_connection_matrix
 from navgeo.transport import AnalyticCurve
 
@@ -252,6 +255,39 @@ def reference_validate(nav, points=None, n_points=10_000, margin=1e-6):
             "margin": float(margin), "min_metric_eigenvalue": float(eigs.min()),
             "max_wind_norm": float(wnorm.max()),
             "min_lambda": float(v.lam.min()), "failures": failures}
+
+
+def reference_contains(chart, x, margin=0.0):
+    """The row rule of navgeo.geometry.Chart.contains: np.linalg.norm of
+    x - center over the last axis for a ball, np.all over it for a box."""
+    x = np.asarray(x, dtype=float)
+    d = chart.domain
+    if isinstance(d, Ball):
+        return np.linalg.norm(x - d.center, axis=-1) < d.radius * (1.0 - margin)
+    half = 0.5 * (d.hi - d.lo) * (1.0 - margin)
+    return np.all(np.abs(x - 0.5 * (d.hi + d.lo)) < half, axis=-1)
+
+
+def lattice_oracle(chart, count, margin=0.0):
+    """The point-major route to navgeo.geometry.Chart.sample_interior:
+    blocks of (N, n) candidates k * alpha + 0.5 mod 1 over the bounding
+    box, kept by reference_contains, each block sized by the share of
+    candidates kept so far."""
+    lo, hi = chart.bounding_box()
+    alpha = _kronecker_alphas(chart.dim)
+    kept, have, k, block = [np.empty((0, chart.dim))], 0, 0, max(count, 64)
+    while have < count:
+        u = np.arange(k, k + block, dtype=float)[:, None] * alpha
+        u += 0.5
+        u -= np.floor(u)
+        u *= hi - lo
+        u += lo
+        inside = reference_contains(chart, u, margin)
+        kept.append(u if inside.all() else u[inside])
+        have += len(kept[-1])
+        k += block
+        block = max(int(1.1 * (count - have) * k / max(have, 1)), 64)
+    return np.concatenate(kept)[:count]
 
 
 # ---------------------------------------------------------------------------

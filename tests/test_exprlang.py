@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import walk_sweep
+from helpers import Dual, walk_sweep
 from navgeo import exprlang as xl
 from navgeo.errors import (ArityError, DomainError, ExpressionSyntaxError,
                            NonFiniteValue, UnknownIdentifier)
@@ -296,20 +296,90 @@ def _float_sweep(stack, x):
     return out[:len(stack)], out[len(stack):].reshape(len(stack), 2)
 
 
+# f, f', |f'| as the derivative line forms it with its sum over absolute
+# values (tanh's line is 1 - t * t), and f'', for the functions the
+# strategy draws
+_CURVES = {
+    "sin": (np.sin, np.cos, lambda a: np.abs(np.cos(a)), lambda a: -np.sin(a)),
+    "cos": (np.cos, lambda a: -np.sin(a), lambda a: np.abs(np.sin(a)),
+            lambda a: -np.cos(a)),
+    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2,
+             lambda a: 1.0 + np.tanh(a) ** 2,
+             lambda a: -2.0 * np.tanh(a) * (1.0 - np.tanh(a) ** 2)),
+}
+
+
+def _running_error(node, x):
+    """(value, magnitude) of a strategy expression at one point x, each a
+    Dual over the two coordinates: the value with its gradient, and the
+    running-error magnitude of both.
+
+    The float rendering and the NumPy program do the same operations in
+    the same order and differ only where math.sin, math.cos or math.tanh
+    and their NumPy twins differ by an ulp. A later sum can cancel such an
+    ulp down to a small result. The magnitude takes every sum, of values
+    and of the gradient's product-rule terms, over absolute values; a
+    function passes on its argument's slack, magnitude - |value|, times
+    |f'| (and |f''| times the gradient, in the gradient). Where nothing
+    cancels the slack is 0 and the magnitude is |value|."""
+    if isinstance(node, xl.Num):
+        return Dual(node.value, np.zeros(2)), Dual(abs(node.value), np.zeros(2))
+    if isinstance(node, xl.Var):
+        seed = np.eye(2)[node.index]
+        return Dual(x[node.index], seed), Dual(abs(x[node.index]), seed)
+    if isinstance(node, xl.Binary):
+        va, ma = _running_error(node.lhs, x)
+        vb, mb = _running_error(node.rhs, x)
+        if node.op == "*":
+            return va * vb, ma * mb
+        return (va + vb if node.op == "+" else va - vb), ma + mb
+    f, df, df_line, ddf = _CURVES[node.fn]
+    v, m = _running_error(node.arg, x)
+    slack = m.val - abs(v.val)
+    return (Dual(f(v.val), df(v.val) * v.dot),
+            Dual(abs(f(v.val)) + abs(df(v.val)) * slack,
+                 df_line(v.val) * m.dot + abs(ddf(v.val) * v.dot) * slack))
+
+
+def _assert_float_code_matches_the_program(stack, x):
+    """The float rendering against the NumPy program, to 1e-14 of the
+    running-error magnitude of each value and 1e-14 + 1e-13 of that of
+    each gradient entry: allclose(rtol=1e-14) and allclose(rtol=1e-13,
+    atol=1e-14) wherever no sum cancels."""
+    val, grad = _compiled_sweep(stack, x, True)
+    got_val, got_grad = _float_sweep(stack, x)
+    mags = [_running_error(e.root, x)[1] for e in stack]
+    mag_val = np.array([m.val for m in mags])
+    mag_grad = np.array([m.dot for m in mags])
+    assert np.all(np.abs(got_val - val) <= 1e-14 * mag_val + 1e-300), (
+        stack, x, got_val, val, mag_val)
+    assert np.all(np.abs(got_grad - grad) <= 1e-13 * mag_grad + 1e-14), (
+        stack, x, got_grad, grad, mag_grad)
+
+
 class TestFloatRendering:
     """The builder's lines rendered on Python floats against the NumPy
     program: the same numbers, and a failure where NumPy gives inf or NaN."""
 
     @given(_exprs, _exprs)
+    @example(a="(x1 + (x1 + tanh(x2)))", b="x2")
     @settings(max_examples=80, deadline=None)
     def test_random_stacks_match_the_program(self, a, b):
         stack = (xl.parse(a, 2), xl.parse(b, 2))
         for x in _BATCH:
-            val, grad = _compiled_sweep(stack, x, True)
-            got_val, got_grad = _float_sweep(stack, x)
-            np.testing.assert_allclose(got_val, val, rtol=1e-14, atol=1e-300)
-            np.testing.assert_allclose(got_grad, grad, rtol=1e-13,
-                                       atol=1e-14)
+            _assert_float_code_matches_the_program(stack, x)
+
+    def test_a_sum_that_cancels_a_tanh_ulp(self):
+        # math.tanh(-0.7) and np.tanh(-0.7) may differ by an ulp, and
+        # x1 + (x1 + tanh(x2)) cancels at (0.3, -0.7) to -0.00437: a
+        # relative difference of up to 5e-14, past rtol 1e-14, but within
+        # 1e-14 of the magnitude 0.3 + 0.3 + |tanh(-0.7)|
+        stack = (xl.parse("x1 + (x1 + tanh(x2))", 2),)
+        x = np.array([0.3, -0.7])
+        value, mag = _running_error(stack[0].root, x)
+        assert abs(value.val) < 0.005
+        assert mag.val == 0.3 + (0.3 + abs(np.tanh(-0.7)))
+        _assert_float_code_matches_the_program(stack, x)
 
     @pytest.mark.parametrize("text", ["log(x1)", "sqrt(x1)", "1/x1",
                                       "x1^(1/3)", "x2^x1", "exp(x2)",

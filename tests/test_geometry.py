@@ -1,15 +1,18 @@
 """Metric fields, wind fields, the navigation norm, and validation."""
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navgeo import geometry as ge
-from navgeo.scenarios import load_scenario
+from navgeo import cli, geometry as ge
+from navgeo.scenarios import load_scenario, scenario_from_dict
 
-from helpers import reference_validate
+from helpers import lattice_oracle, reference_contains, reference_validate
 
 BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
@@ -87,6 +90,68 @@ def test_sample_interior_is_the_kronecker_sequence(dim, domain):
     for margin in (0.0, 0.1):
         want = cand[chart.contains(cand, margin)][:3000]
         assert np.array_equal(chart.sample_interior(3000, margin), want)
+
+
+def _lattice_charts(scenarios):
+    """The 7 built-in charts, the 4 bench/scenarios charts (read only), and
+    a box and an off-center ball in each of dimensions 2, 3 and 4."""
+    charts = [sc.nav.chart for sc in scenarios.values()]
+    charts += [load_scenario(str(f), validate_nav=False).nav.chart
+               for f in sorted(BENCH_SCENARIOS.glob("*.json"))]
+    for dim in (2, 3, 4):
+        lo, hi = -np.linspace(0.5, 1.2, dim), np.linspace(0.8, 1.9, dim)
+        charts += [ge.Chart(dim, ge.Box(lo, hi)),
+                   ge.Chart(dim, ge.Ball(0.3 * hi, 0.85))]
+    return charts
+
+
+@pytest.mark.parametrize("count", [1, 5, 64, 1000, 10_000])
+def test_sample_interior_is_the_point_major_lattice(scenarios, count):
+    # the coordinate-major blocks give the points of the point-major ones
+    # kept by the np.linalg.norm / np.all row rule, bit for bit
+    charts = _lattice_charts(scenarios)
+    assert len(charts) == 17
+    for chart in charts:
+        for margin in (0.0, 0.02, 0.1):
+            got = chart.sample_interior(count, margin)
+            assert got.shape == (count, chart.dim)
+            assert np.array_equal(got, lattice_oracle(chart, count, margin)), (
+                chart, count, margin)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("domain", ["box", "ball"])
+def test_contains_is_the_row_rule_within_ulps_of_the_boundary(dim, domain):
+    # points on the boundary of the shrunk domain and within 4 ulps of it,
+    # coordinate by coordinate, in C and Fortran order, one at a time and
+    # as a (N, 1, n) stack
+    rng = np.random.default_rng(10 + dim)
+    lo, hi = -rng.uniform(0.5, 1.5, dim), rng.uniform(0.5, 1.5, dim)
+    chart = ge.Chart(dim, ge.Box(lo, hi) if domain == "box"
+                     else ge.Ball(0.1 * hi, 0.7))
+    for margin in (0.0, 0.02, 0.1):
+        if domain == "box":
+            center = 0.5 * (hi + lo)
+            half = 0.5 * (hi - lo) * (1.0 - margin)
+            on = rng.uniform(center - half, center + half, size=(200, dim))
+            side = rng.integers(0, dim, 200)
+            on[np.arange(200), side] = np.where(
+                rng.uniform(size=200) < 0.5, (center - half)[side],
+                (center + half)[side])
+        else:
+            u = rng.normal(size=(200, dim))
+            on = 0.1 * hi + 0.7 * (1.0 - margin) * u / np.linalg.norm(
+                u, axis=1)[:, None]
+        ulps = rng.integers(-4, 5, size=(9,) + on.shape)
+        pts = np.concatenate([on, (on + ulps * np.spacing(on)).reshape(-1, dim),
+                              rng.uniform(2 * lo, 2 * hi, size=(200, dim))])
+        want = reference_contains(chart, pts, margin)
+        assert 0 < want.sum() < len(want)
+        for layout in (pts, np.asfortranarray(pts)):
+            assert np.array_equal(chart.contains(layout, margin), want)
+        assert [chart.contains(p, margin) for p in pts] == want.tolist()
+        assert np.array_equal(chart.contains(pts[:, None], margin),
+                              want[:, None])
 
 
 def test_grid_is_inside_and_deterministic():
@@ -411,6 +476,41 @@ def test_validate_finds_the_reference_witness_in_an_indefinite_corner(dim):
     witness = np.array(report.failures[0]["point"])
     assert witness.mean() > 2.0 / 3.0
     assert report.failures[0]["value"] < 0.0
+
+
+def _strong_wind_ball(dim):
+    """Scenario data: the ball of radius 0.9 with metric (1 + r^2/2) I and
+    the radial wind 1.5 x, whose |W|_h = 1.5 r sqrt(1 + r^2/2) passes 1
+    at r = 0.61, so only the lattice points near the edge fail."""
+    r2 = "+".join(f"x{k + 1}^2" for k in range(dim))
+    rows = [[f"1+0.5*({r2})" if j == i else "0" for j in range(i, dim)]
+            for i in range(dim)]
+    return {"schema": 1, "name": f"strong_wind_ball_{dim}d", "dim": dim,
+            "domain": {"kind": "ball", "center": [0.0] * dim, "radius": 0.9},
+            "metric": rows, "wind": [f"1.5*x{k + 1}" for k in range(dim)]}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_validate_finds_the_reference_witness_of_a_strong_wind_on_a_ball(
+        dim, tmp_path):
+    data = _strong_wind_ball(dim)
+    nav = scenario_from_dict(data, validate_nav=False).nav
+    report = ge.validate(nav)
+    want = reference_validate(nav)
+    assert report.as_dict() == want
+    assert [f["kind"] for f in report.failures] == ["wind_too_strong"]
+    witness = np.array(report.failures[0]["point"])
+    assert 0.6 < np.linalg.norm(witness) < 0.9
+    assert report.failures[0]["value"] >= 1.0 - 1e-6
+    # the command line loads the file without validating it, validates,
+    # prints the same report and exits 1
+    path = tmp_path / "strong_wind.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["validate", "--scenario", str(path)])
+    assert code == 1
+    assert json.loads(out.getvalue()) == {"scenario": data["name"], **want}
 
 
 def test_validate_matches_the_eigenvalue_reference(scenarios):

@@ -7,9 +7,11 @@ workload, for seeds 1 and 2 (112 requests), `validate` on every built-in
 and every benchmark scenario file, with the default sample and with
 `--points 2000` (22 requests), and a fixed list of requests that reach the
 small-batch float integration or the torsion and classification kernels
-where no workload does (EXTRA, 21 requests; 155 in all), through its own
-`navgeo.cli.main`, in a fresh process whose working directory is that
-checkout. The workload request lists come from
+where no workload does, or that print a validation witness (EXTRA, 25
+requests; 159 in all), through its own `navgeo.cli.main`, in a fresh
+process whose working directory is that checkout. The scenario files of
+the witness requests are written once to a temporary directory outside
+both checkouts. The workload request lists come from
 `bench/workloads.py` of the checkout this script lives in; nothing under
 `bench/` is written.
 
@@ -32,6 +34,7 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,12 +75,48 @@ EXTRA = [
     ["torsion", *_ROT3, "--at=0.1,0.2,-0.1", "--dir=0.5,-0.3,0.2"],
     ["torsion", *_BOX4, "--at=0.1,-0.2,0.3,0.05", "--dir=0.4,0.3,-0.2,0.5"],
     ["classify", *_BOX4],
+] + [
+    ["validate", "--scenario", "{witness_dir}/" + name, *points]
+    for name, points in (("strong_wind_ball_3d.json", []),
+                         ("strong_wind_ball_4d.json", []),
+                         ("indefinite_corner_4d.json", []),
+                         ("strong_wind_ball_2d.json", ["--points", "37"]))
 ]
 
 
-def requests() -> list:
+def _strong_wind_ball(dim: int) -> dict:
+    """The ball of radius 0.9 with metric (1 + r^2/2) I and the radial wind
+    1.5 x, whose |W|_h passes 1 at r = 0.61: the lattice points near the
+    edge fail."""
+    r2 = "+".join(f"x{k + 1}^2" for k in range(dim))
+    return {"schema": 1, "name": f"strong_wind_ball_{dim}d", "dim": dim,
+            "domain": {"kind": "ball", "center": [0.0] * dim, "radius": 0.9},
+            "metric": [[f"1+0.5*({r2})" if j == i else "0"
+                        for j in range(i, dim)] for i in range(dim)],
+            "wind": [f"1.5*x{k + 1}" for k in range(dim)]}
+
+
+# The scenario files the validate requests of EXTRA read. Each lattice
+# rejects a point, so a change in which point is printed as the witness
+# shows as a mismatch. The 4D box is flat except one entry coupling the
+# last two axes, which makes h indefinite where the mean coordinate
+# exceeds 2/3.
+WITNESS_FILES = {
+    **{f"strong_wind_ball_{dim}d.json": _strong_wind_ball(dim)
+       for dim in (2, 3, 4)},
+    "indefinite_corner_4d.json": {
+        "schema": 1, "name": "indefinite_corner_4d", "dim": 4,
+        "domain": {"kind": "box", "lo": [-1.0] * 4, "hi": [1.0] * 4},
+        "metric": [["1", "0", "0", "0"], ["1", "0", "0"],
+                   ["1", "0.6*(1 + (x1+x2+x3+x4)/4)"], ["1"]],
+        "wind": ["0.1"] * 4},
+}
+
+
+def requests(witness_dir: Path) -> list:
     """argv lists of the warm-up requests plus pass 0 of every workload,
-    then the validate requests and EXTRA, which no workload makes."""
+    then the validate requests and EXTRA, which no workload makes, its
+    witness requests reading WITNESS_FILES from witness_dir."""
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import (BUILTIN_DOMAINS, SCENARIO_DIR, WORKLOADS,
                            pass_requests, scenario_args, warmup_requests)
@@ -88,7 +127,8 @@ def requests() -> list:
         f.stem for f in SCENARIO_DIR.glob("*.json"))
     return served + [["validate", *scenario_args(sc), *points]
                      for sc in scenarios
-                     for points in ([], ["--points", "2000"])] + EXTRA
+                     for points in ([], ["--points", "2000"])] + [
+        [arg.format(witness_dir=witness_dir) for arg in argv] for argv in EXTRA]
 
 
 def serve_all(argvs: list) -> list:
@@ -145,9 +185,12 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None:
         ap.error("PARENT_DIR and CHANGE_DIR are required")
 
-    argvs = requests()
-    old = outputs_of(args.parent.resolve(), argvs)
-    new = outputs_of(args.change.resolve(), argvs)
+    with tempfile.TemporaryDirectory() as witness_dir:
+        for name, data in WITNESS_FILES.items():
+            (Path(witness_dir) / name).write_text(json.dumps(data))
+        argvs = requests(Path(witness_dir))
+        old = outputs_of(args.parent.resolve(), argvs)
+        new = outputs_of(args.change.resolve(), argvs)
     identical, rel, small, problems = 0, 0.0, 0.0, []
     worst = None
     for argv, (rc0, out0, err0), (rc1, out1, err1) in zip(argvs, old, new):
