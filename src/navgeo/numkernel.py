@@ -13,15 +13,15 @@ right-hand sides: geodesics, wind flows and the natural transport ODE. Its
 step has two renderings of one source text: over (B, m) arrays, and per
 component over Python floats. A batch of at most SCALAR_ROWS rows whose
 right-hand side comes with a float form (the generated code of `stages`
-for the three sprays and the natural-ODE stage) runs on floats, row by row
-within each step, because at that size NumPy calls, not arithmetic, set
-the cost; a float step that fails is redone on NumPy, so errors are the
-NumPy path's. Every other batch runs on NumPy. Linear systems whose
-matrices are tabled before the loop starts (the metric
-transport, the definitional route's inner transport) use `rk4_linear`,
-which builds the step maps of the same tableau at once and applies them
-instead of evaluating a right-hand side; `rk4_propagators` multiplies them
-out into the transport matrix.
+for the three sprays and the natural-ODE stage) runs on floats, each row
+on its own, because at that size NumPy calls, not arithmetic, set the
+cost. A float run that fails is dropped and the whole batch runs again on
+NumPy, so results and errors on failure are the NumPy path's. Every
+other batch runs on NumPy. Linear systems whose matrices are tabled
+before the loop starts (the metric transport, the definitional route's
+inner transport) use `rk4_linear`, which builds the step maps of the
+same tableau at once and applies them instead of evaluating a right-hand
+side; `rk4_propagators` multiplies them out into the transport matrix.
 """
 from __future__ import annotations
 
@@ -171,10 +171,11 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     The float form of the right-hand side, float_rows() -> one f(s, v) per
     row on tuples of floats (with float_inside(v) -> bool, the decision of
     inside on one state, when inside is given), runs a batch of at most
-    SCALAR_ROWS rows on Python floats, step by step and row by row. A float
-    step that raises ValueError, ZeroDivisionError or OverflowError, or
-    gives a non-finite state, is redone on NumPy for the whole batch: that
-    raises what the NumPy path raises, or gives the state to go on from.
+    SCALAR_ROWS rows on Python floats, each row on its own. Rows never
+    interact, so that gives the lockstep result. When a float step raises
+    ValueError, ZeroDivisionError or OverflowError, or gives a non-finite
+    state, the whole batch runs again from v0 in the lockstep loop on
+    NumPy, so the result or the error is the NumPy path's.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -182,8 +183,9 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     v = np.array(v0, dtype=float)
     if (float_rows is not None and len(v) <= SCALAR_ROWS
             and (inside is None or float_inside is not None)):
-        return _rk4_rows(rhs, float_rows(), v, steps, sizes, keep,
-                         float_inside)
+        done = _rk4_rows(float_rows(), v, steps, sizes, keep, float_inside)
+        if done is not None:
+            return done
     traj = [v] if keep else None
     stop = np.full(v.shape[0], steps)
     live = np.ones(v.shape[0], dtype=bool)
@@ -202,42 +204,38 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     return v, np.stack(traj, axis=1) if keep else None, stop
 
 
-def _rk4_rows(rhs: Callable, fs: list, v: np.ndarray, steps: int,
-              sizes: tuple, keep: bool, inside: Optional[Callable]):
-    """`rk4` on Python floats: step j advances each live row b by the float
-    step of fs[b], then applies the halt rule as the lockstep loop does."""
+def _rk4_rows(fs: list, v: np.ndarray, steps: int, sizes: tuple, keep: bool,
+              inside: Optional[Callable]):
+    """`rk4` on Python floats: row b runs the float step of fs[b] until its
+    last step or until its new state leaves inside; a halted row's
+    trajectory repeats its last state up to the batch's last kept step, as
+    the lockstep loop freezes it. None at the first failed float step."""
     step = _float_step(v.shape[1])
-    rows = [tuple(r) for r in v.tolist()]
-    traj = array.array("d", v.tobytes()) if keep else None  # (steps, B, m)
-    stop = [steps] * len(rows)
-    live = list(range(len(rows)))
-    for j in range(steps):
-        new = list(rows)
+    rows, runs, stop = [], [], []
+    for f, state in zip(fs, v.tolist()):
+        state, run, last = tuple(state), array.array("d", state), steps
         try:
-            for b in live:
-                new[b] = step(fs[b], 2 * j, rows[b], *sizes)
-                if not math.isfinite(sum(new[b])):
-                    raise ValueError
-        except (ValueError, ZeroDivisionError, OverflowError):
-            mask = np.zeros(len(rows), dtype=bool)
-            mask[live] = True
-            redone = _advance(rhs, j, np.array(rows), mask, *sizes).tolist()
-            for b in live:
-                new[b] = tuple(redone[b])
-        if inside is not None:
-            left = [b for b in live if not inside(new[b])]
-            if left:
-                for b in left:
-                    stop[b], new[b] = j, rows[b]
-                live = [b for b in live if b not in left]
-                if not live:
+            for j in range(steps):
+                new = step(f, 2 * j, state, *sizes)
+                if not math.isfinite(sum(new)):
+                    return None
+                if inside is not None and not inside(new):
+                    last = j
                     break
-        rows = new
-        if keep:
-            for r in rows:
-                traj.extend(r)
+                state = new
+                if keep:
+                    run.extend(state)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return None
+        rows.append(state)
+        runs.append(run)
+        stop.append(last)
+    traj = None
     if keep:
-        traj = np.frombuffer(traj).reshape(-1, *v.shape).swapaxes(0, 1)
+        traj = np.empty((len(v), max(stop) + 1, v.shape[1]))
+        for b, run in enumerate(runs):
+            traj[b, :stop[b] + 1] = np.frombuffer(run).reshape(-1, v.shape[1])
+            traj[b, stop[b] + 1:] = traj[b, stop[b]]
     return np.array(rows), traj, np.array(stop)
 
 

@@ -10,21 +10,22 @@ metric columns of a NumPy sweep, for `geometry.christoffel` and
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
 arithmetic: one `field_jet` at a single point is dozens of them. So
-`numkernel.rk4` runs such batches row by row on Python floats, through the
-right-hand sides generated here: the geodesic equation of each spray and
-the stage of the natural transport ODE. A geodesic right-hand side holds
-the value and gradient lines of the jet program, the metric lines,
-M = dW + A W, hW, lam and the navigation norm F = (sqrt(a^2 + lam b) - a)
-/ lam, then the lines of the spray, term for term as the einsum sprays
-that tests/helpers.py keeps as their oracle. The NumPy kernels of `sprays`
-stay the path of larger batches and of grids.
+`numkernel.rk4` runs such batches one row at a time on Python floats,
+through the right-hand sides generated here: the geodesic equation of
+each spray and the stage of the natural transport ODE. A geodesic
+right-hand side holds the value and gradient lines of the jet program,
+the metric lines, M = dW + A W, hW, lam and the navigation norm
+F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines
+it: the metric spray A y y / 2 plus the spray's wind term, grouped as
+`sprays.natural_wind_term` or `sprays.randers_wind_term`. The NumPy
+kernels of `sprays` stay the path of larger batches and of grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
 ZeroDivisionError, math.exp and math.pow raise OverflowError, and a
 nonpositive pivot or a non-finite field value or gradient raises
-ValueError. `numkernel.rk4` then redoes the step with NumPy, which raises
-the error the NumPy code raises or gives the state to go on from.
+ValueError. `numkernel.rk4` then runs the whole batch again on NumPy,
+so the error, or the result where NumPy has none, is the NumPy path's.
 """
 from __future__ import annotations
 
@@ -197,17 +198,17 @@ def _riemann(b, jet: _Jet, y) -> list:
     return [b.mul(0.5, g) for g in jet.ayy(b, y)]
 
 
-def _natural(b, jet: _Jet, y) -> list:
-    """(A y y - F M y) / 2."""
-    f = jet.norm(b, y)
-    my = _contract(b, jet.M, y, jet.n)
-    return [b.mul(0.5, b.sub(g, b.mul(f, m))) for g, m in zip(jet.ayy(b, y), my)]
+def _natural_wind(b, jet: _Jet, y, f) -> list:
+    """-F M y / 2, as `sprays.natural_wind_term`."""
+    half_f = b.mul(-0.5, f)
+    return [b.mul(half_f, m) for m in _contract(b, jet.M, y, jet.n)]
 
 
-def _randers(b, jet: _Jet, y) -> list:
-    """The variational spray, term for term as the einsum oracle
-    helpers.einsum_randers_spray of the tests."""
-    n, w, hinv = jet.n, jet.W, jet.hinv
+def _randers_wind(b, jet: _Jet, y, f) -> list:
+    """(r_0 - F r / 2 - r_00 / (2 F)) y + (r_00 / 2 + F^2 r / 2 - F r_0) W
+    - F^2 (S^i + R^i) / 2 - F S^i_0, its terms grouped as
+    `sprays.randers_wind_term` and S^i_0 taken as h^il (S y)_l."""
+    n, w = jet.n, jet.W
     dp = {(i, j): _total(b, (b.mul(jet.h[i, k], jet.M[k, j])
                              for k in range(n)))
           for i in range(n) for j in range(n)}
@@ -215,37 +216,27 @@ def _randers(b, jet: _Jet, y) -> list:
          for i in range(n) for j in range(n)}
     s = {(i, j): b.mul(0.5, b.sub(dp[i, j], dp[j, i]))
          for i in range(n) for j in range(n)}
-    f = jet.norm(b, y)
-
-    def pieces(t):
-        t_j = [_total(b, (b.mul(w[i], t[i, j]) for i in range(n)))
-               for j in range(n)]
-        t_scalar = _total(b, (b.mul(w[j], t_j[j]) for j in range(n)))
-        t_up = _contract(b, hinv, t_j, n)
-        t_0 = _total(b, (b.mul(y[i], t_j[i]) for i in range(n)))
-        ty = _contract(b, t, y, n)
-        t_i0 = _contract(b, hinv, ty, n)
-        t_00 = _total(b, (b.mul(y[i], ty[i]) for i in range(n)))
-        return t_scalar, t_up, t_0, t_i0, t_00
-
-    r_sc, r_up, r_0, r_i0, r_00 = pieces(r)
-    _, s_up, _, s_i0, _ = pieces(s)
-    half_ff = b.mul(b.mul(0.5, f), f)
-    tail = b.div(r_00, b.mul(2.0, f))
-    out = []
-    for k, ayy in enumerate(jet.ayy(b, y)):
-        g = b.add(b.add(b.mul(0.5, ayy), b.mul(r_0, y[k])),
-                  b.mul(b.mul(0.5, r_00), w[k]))
-        g = b.sub(g, b.mul(half_ff, b.sub(b.add(s_up[k], r_up[k]),
-                                          b.mul(r_sc, w[k]))))
-        g = b.sub(g, b.mul(f, b.add(b.add(s_i0[k], b.mul(b.mul(0.5, r_sc),
-                                                          y[k])),
-                                    b.mul(r_0, w[k]))))
-        out.append(b.sub(g, b.mul(tail, y[k])))
-    return out
+    r_j = [_total(b, (b.mul(w[i], r[i, j]) for i in range(n)))
+           for j in range(n)]
+    r_sc = _total(b, (b.mul(w[j], r_j[j]) for j in range(n)))
+    up = _contract(b, jet.hinv, [b.add(r_j[j], _total(b, (
+        b.mul(w[i], s[i, j]) for i in range(n)))) for j in range(n)], n)
+    ry = _contract(b, r, y, n)  # R symmetric: (y R)_j = (R y)_j
+    r_0 = _total(b, (b.mul(ry[i], w[i]) for i in range(n)))
+    r_00 = _total(b, (b.mul(ry[i], y[i]) for i in range(n)))
+    s_i0 = _contract(b, jet.hinv, _contract(b, s, y, n), n)
+    half_f = b.mul(0.5, f)
+    half_ff = b.mul(half_f, f)
+    on_y = b.sub(b.sub(r_0, b.mul(half_f, r_sc)),
+                 b.div(r_00, b.mul(2.0, f)))
+    on_w = b.sub(b.add(b.mul(0.5, r_00), b.mul(half_ff, r_sc)),
+                 b.mul(f, r_0))
+    return [b.sub(b.sub(b.add(b.mul(on_y, y[k]), b.mul(on_w, w[k])),
+                        b.mul(half_ff, up[k])), b.mul(f, s_i0[k]))
+            for k in range(n)]
 
 
-_SPRAYS = {"riemann": _riemann, "natural": _natural, "randers": _randers}
+_WIND_TERMS = {"natural": _natural_wind, "randers": _randers_wind}
 
 
 def _returns(refs) -> tuple:
@@ -307,7 +298,10 @@ def geodesic_rhs(program: exprlang.Program, kind: str):
     with np.errstate(all="ignore"):
         jet = _Jet(b, program)
         if jet.ok:
-            g = [b.mul(-2.0, gk) for gk in _SPRAYS[kind](b, jet, y)]
+            g = _riemann(b, jet, y)
+            if kind in _WIND_TERMS:
+                g = map(b.add, g, _WIND_TERMS[kind](b, jet, y, jet.norm(b, y)))
+            g = [b.mul(-2.0, gk) for gk in g]
     lines = ([_unpack(x + tuple(y), "v")] + b.lines + b.dlines
              + [_returns(y + g) if jet.ok else (None, _FAIL, ())])
     return exprlang.float_function("rhs", "s, v", lines)

@@ -166,8 +166,9 @@ def einsum_natural_spray(jet, y):
 
 def einsum_randers_spray(jet, y):
     """The variational spray of the navigation norm from the R/S pieces of
-    the lowered wind derivative, every contraction an einsum; the order of
-    terms is the one navgeo.stages generates for its float code."""
+    the lowered wind derivative, every contraction an einsum, grouped
+    otherwise than navgeo.sprays.randers_wind_term (which the float code
+    of navgeo.stages follows), so that the two routes check each other."""
     y = np.asarray(y, dtype=float)
     dp = np.einsum("...ik,...kj->...ij", jet.h, jet.M)
     dpt = np.swapaxes(dp, -1, -2)

@@ -385,6 +385,28 @@ def test_each_spray_is_the_metric_spray_plus_its_wind_term(case):
 
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
                          + ["curved_3d", "curved_4d"])
+def test_float_sprays_are_the_metric_spray_plus_the_wind_terms(name):
+    # the generated float code of each spray against the NumPy spray, the
+    # metric spray plus natural_wind_term or randers_wind_term, at the same
+    # random states
+    data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(name)
+    nav = scenario_from_dict(data).nav if data else _nav(name)
+    rng = np.random.default_rng(len(name))
+    pts = nav.chart.sample_interior(50, margin=0.02)
+    ys = rng.normal(size=pts.shape)
+    for kind in ("riemann", "natural", "randers"):
+        spray = sp.Spray(nav, kind)
+        rhs = spray.geodesic_rhs()
+        got = np.array([rhs(0, tuple(x + y)) for x, y in
+                        zip(pts.tolist(), ys.tolist())])[:, nav.dim:]
+        want = -2.0 * spray(pts, ys)
+        # to 1e-13 of the largest entry
+        assert (np.abs(got - want).max()
+                <= 1e-13 * np.abs(want).max()), (name, kind)
+
+
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
+                         + ["curved_3d", "curved_4d"])
 def test_grid_kernels_match_the_full_spray_oracle(name):
     # the comparison from the wind terms against the one from the three
     # full einsum sprays, and the torsion verdict over the pairs i < j

@@ -8,6 +8,7 @@ import pytest
 
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
+from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import (DomainError, GradientAtZero, NavGeoError,
                            NonFiniteState, NonFiniteValue,
@@ -126,9 +127,8 @@ def test_spray_connection_matrix_raises_at_a_zero_fiber(sphere_cap, funk_ball):
 
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
 def test_float_sprays_match_the_einsum_kernels(name):
-    # the generated float code of each spray against the einsum oracle it
-    # follows term for term, at 200 interior points with random fibers, in
-    # dimensions 2, 3 and 4
+    # the generated float code of each spray against its einsum oracle, at
+    # 200 interior points with random fibers, in dimensions 2, 3 and 4
     path = [p for p in BENCH_SCENARIOS if p.name == name]
     nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
     rng = np.random.default_rng(len(name))
@@ -184,7 +184,7 @@ def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
     on_floats = []
     rows = nk._rk4_rows
     monkeypatch.setattr(nk, "_rk4_rows",
-                        lambda *a: on_floats.append(len(a[2])) or rows(*a))
+                        lambda *a: on_floats.append(len(a[1])) or rows(*a))
     spray = sp.Spray(nav, "randers")
     big = nk.SCALAR_ROWS + 1
     cases = [(lambda x, y: sp.randers_spray_values(nav, x, y), 4, []),
@@ -258,6 +258,61 @@ def test_float_geodesics_raise_the_numpy_errors(kind):
         assert got == want and got[0] is errors[kind], (kind, got, want)
     if kind == "riemann":
         assert "row 1 " in got[1] and "step 1 " in got[1]
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_float_geodesics_fail_late_as_numpy_does(kind):
+    # sqrt(x1) turns negative at a stage point after some 60 steps of a
+    # curved path. By then the randers states of the float and NumPy paths
+    # differ in their last bits (from step 37 on), so the float path must
+    # run the batch again from its start on NumPy to name the NumPy
+    # witness point.
+    nav = _unvalidated([["exp(0.4*x2) + 0.3*sin(3*x1) + 0*sqrt(x1)",
+                         "0.1*x1*x2"], ["1 + 0.2*cos(2*x1)"]],
+                       ["0.2 - 0.3*x2", "0.3*x1"])
+    spray = sp.Spray(nav, kind)
+    got, want = (_raised(lambda: sp.integrate_geodesics(
+        field, [[0.5, 0.1], [0.3, -0.2]], [[-0.8, 0.3], [0.2, 0.5]],
+        time_span=2.0, dt=1e-2, chart=nav.chart))
+        for field in (spray, lambda x, y: spray(x, y)))
+    assert got == want and got[0] is DomainError, (kind, got, want)
+
+
+def test_float_natural_ode_reruns_on_numpy_after_a_halt():
+    # natural-ODE stages on made-up tables: A cdot a rotation, Q = I,
+    # hW = 0, M cdot = (0.1, 0.2), so F(v) = |v|. Row 0 leaves v1 < 0.9
+    # at step 5; with lam = 0 from half step 20 on, row 1 then fails at
+    # step 10. Floats and NumPy give the same trajectories and halts until
+    # then, and the same error at the end.
+    n, steps = 2, 15
+    tab = np.zeros((2, 2 * steps + 1, 2 * n + 1, n))
+    tab[..., :n, :] = [[0.0, -1.0], [1.0, 0.0]]
+    tab[..., n:2 * n, :] = np.eye(n)
+    aux = np.zeros((2, 2 * steps + 1, n + 1))
+    aux[...] = [0.1, 0.2, 1.0]
+    v0 = np.array([[1.0, 0.5], [-1.0, 0.0]])
+    inside = dict(inside=lambda v: v[:, 1] < 0.9,
+                  float_inside=lambda v: v[1] < 0.9)
+
+    def run(aux, float_rows):
+        flat = np.ascontiguousarray(np.concatenate(
+            [tab.reshape(2, 2 * steps + 1, -1), aux], axis=-1))
+        make = stages.natural_stage(n)
+        return nk.rk4(lambda s, v: tr._natural_stage(tab[:, s], aux[:, s], v),
+                      v0, steps, 1.0 / steps, keep=True, **inside,
+                      float_rows=(lambda: [make(f) for f in flat])
+                      if float_rows else None)
+
+    on_floats = run(aux, True)
+    for got, want in zip(on_floats, run(aux, False)):
+        np.testing.assert_array_equal(got, want)
+    assert on_floats[2].tolist() == [5, steps]
+    bad = aux.copy()
+    bad[1, 20:, -1] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, want = (_raised(lambda: run(bad, rows)) for rows in (True, False))
+    assert got == want and got[0] is NonFiniteState, (got, want)
+    assert "row 1 " in got[1] and "step 10 " in got[1]
 
 
 def test_float_natural_ode_raises_the_numpy_error(funk_ball, monkeypatch):

@@ -1,19 +1,27 @@
 """Compare the CLI outputs of two navgeo checkouts on the benchmark requests.
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_outputs.py --write PATH
 
 Each checkout serves the warm-up requests plus pass 0 of every benchmark
 workload, for seeds 1 and 2 (112 requests), `validate` on every built-in
 and every benchmark scenario file, with the default sample and with
 `--points 2000` (22 requests), and a fixed list of requests that reach the
 small-batch float integration or the torsion and classification kernels
-where no workload does, or that print a validation witness (EXTRA, 25
-requests; 159 in all), through its own `navgeo.cli.main`, in a fresh
-process whose working directory is that checkout. The scenario files of
-the witness requests are written once to a temporary directory outside
-both checkouts. The workload request lists come from
-`bench/workloads.py` of the checkout this script lives in; nothing under
-`bench/` is written.
+where no workload does, that print a validation witness, or whose float
+integration fails (EXTRA, 26 requests; 160 in all), through its own
+`navgeo.cli.main`, in a fresh process whose working directory is that
+checkout. The scenario files of the witness requests are written once to
+a temporary directory outside both checkouts. The workload request lists
+come from `bench/workloads.py` of the checkout this script lives in;
+nothing under `bench/` is written.
+
+With --write, the checkout in the working directory serves the same
+requests in this process, and PATH receives them as gzip JSON: the
+Python and NumPy versions, and per request its argv (the witness
+directory written as WITNESS_DIR), exit code, stdout and stderr.
+`tests/test_golden.py` compares the outputs of the tree against such a
+file by `number_changes`.
 
 The report gives the number of byte-identical outputs, every exit-code or
 stderr mismatch, every stdout whose text differs outside its numbers, and
@@ -29,8 +37,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gzip
 import io
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -40,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 FLOOR = 1e-12  # magnitude below which numbers compare absolutely
+WITNESS_DIR = "{witness_dir}"  # the witness directory in EXTRA and --write
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -49,8 +60,10 @@ _ROT3 = ["--scenario", "bench/scenarios/rot_ball_3d.json"]
 # Requests no workload makes: geodesics of the three sprays in 3D and 4D,
 # calm and dashing to the chart edge; the natural transport ODE in 4D;
 # holonomy at the default 24 probes, above numkernel.SCALAR_ROWS (20), and
-# at 20 probes, on it; torsion at one tangent vector in 2D, 3D and 4D; and
-# classify on the 4D scenario at its default grid.
+# at 20 probes, on it; torsion at one tangent vector in 2D, 3D and 4D;
+# classify on the 4D scenario at its default grid; and a geodesic whose
+# float integration fails at a stage point where sqrt(x1) has no value,
+# on a straight path, so that float and NumPy states agree bit for bit.
 EXTRA = [
     ["geodesic", *scen, "--spray", spray, start, direction,
      "--time", "0.5", "--dt", "0.005"]
@@ -75,8 +88,10 @@ EXTRA = [
     ["torsion", *_ROT3, "--at=0.1,0.2,-0.1", "--dir=0.5,-0.3,0.2"],
     ["torsion", *_BOX4, "--at=0.1,-0.2,0.3,0.05", "--dir=0.4,0.3,-0.2,0.5"],
     ["classify", *_BOX4],
+    ["geodesic", "--scenario", WITNESS_DIR + "/sqrt_edge_2d.json",
+     "--from=0.5,0.1", "--dir=-3,0", "--time", "1", "--dt", "0.01"],
 ] + [
-    ["validate", "--scenario", "{witness_dir}/" + name, *points]
+    ["validate", "--scenario", WITNESS_DIR + "/" + name, *points]
     for name, points in (("strong_wind_ball_3d.json", []),
                          ("strong_wind_ball_4d.json", []),
                          ("indefinite_corner_4d.json", []),
@@ -96,11 +111,13 @@ def _strong_wind_ball(dim: int) -> dict:
             "wind": [f"1.5*x{k + 1}" for k in range(dim)]}
 
 
-# The scenario files the validate requests of EXTRA read. Each lattice
+# The scenario files the requests of EXTRA read. Each validate lattice
 # rejects a point, so a change in which point is printed as the witness
 # shows as a mismatch. The 4D box is flat except one entry coupling the
 # last two axes, which makes h indefinite where the mean coordinate
-# exceeds 2/3.
+# exceeds 2/3. The flat square sqrt_edge_2d reads sqrt(x1), which has a
+# value on its whole domain x1 > 0 but not at the stage points of a step
+# that leaves it through x1 = 0.
 WITNESS_FILES = {
     **{f"strong_wind_ball_{dim}d.json": _strong_wind_ball(dim)
        for dim in (2, 3, 4)},
@@ -110,7 +127,17 @@ WITNESS_FILES = {
         "metric": [["1", "0", "0", "0"], ["1", "0", "0"],
                    ["1", "0.6*(1 + (x1+x2+x3+x4)/4)"], ["1"]],
         "wind": ["0.1"] * 4},
+    "sqrt_edge_2d.json": {
+        "schema": 1, "name": "sqrt_edge_2d", "dim": 2,
+        "domain": {"kind": "box", "lo": [0.0, -1.0], "hi": [1.0, 1.0]},
+        "metric": [["1 + 0*sqrt(x1)", "0"], ["1"]],
+        "wind": ["0*sqrt(x1)", "0"]},
 }
+
+
+def write_witness_files(witness_dir: Path) -> None:
+    for name, data in WITNESS_FILES.items():
+        (witness_dir / name).write_text(json.dumps(data))
 
 
 def requests(witness_dir: Path) -> list:
@@ -128,7 +155,8 @@ def requests(witness_dir: Path) -> list:
     return served + [["validate", *scenario_args(sc), *points]
                      for sc in scenarios
                      for points in ([], ["--points", "2000"])] + [
-        [arg.format(witness_dir=witness_dir) for arg in argv] for argv in EXTRA]
+        [arg.replace(WITNESS_DIR, str(witness_dir)) for arg in argv]
+        for argv in EXTRA]
 
 
 def serve_all(argvs: list) -> list:
@@ -148,6 +176,26 @@ def serve_all(argvs: list) -> list:
     return outputs
 
 
+def write_reference(path: Path) -> int:
+    """Serve the requests in this process and write them with their
+    outputs to path as gzip JSON (see the module docstring)."""
+    import numpy
+    with tempfile.TemporaryDirectory() as witness_dir:
+        write_witness_files(Path(witness_dir))
+        argvs = requests(Path(witness_dir))
+        outputs = serve_all(argvs)
+        served = [{"argv": [a.replace(witness_dir, WITNESS_DIR) for a in argv],
+                   "exit": rc, "stdout": out.replace(witness_dir, WITNESS_DIR),
+                   "stderr": err.replace(witness_dir, WITNESS_DIR)}
+                  for argv, (rc, out, err) in zip(argvs, outputs)]
+    text = json.dumps({"versions": {"python": platform.python_version(),
+                                    "numpy": numpy.__version__},
+                       "requests": served})
+    path.write_bytes(gzip.compress(text.encode(), mtime=0))
+    print(f"wrote {len(served)} requests to {path}")
+    return 0
+
+
 def outputs_of(checkout: Path, argvs: list) -> list:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--serve"],
@@ -160,6 +208,8 @@ def number_changes(a: str, b: str):
     """(largest relative change, largest absolute change below the floor)
     of the numbers of two texts, or None when the texts differ outside
     their numbers."""
+    if a == b:
+        return 0.0, 0.0
     if NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return None
     rel = small = 0.0
@@ -178,16 +228,20 @@ def main(argv=None) -> int:
     ap.add_argument("parent", nargs="?", type=Path)
     ap.add_argument("change", nargs="?", type=Path)
     ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--write", type=Path, metavar="PATH",
+                    help="write the outputs of the checkout in the working "
+                         "directory to PATH as gzip JSON")
     args = ap.parse_args(argv)
     if args.serve:
         json.dump(serve_all(json.load(sys.stdin)), sys.stdout)
         return 0
+    if args.write is not None:
+        return write_reference(args.write)
     if args.parent is None or args.change is None:
         ap.error("PARENT_DIR and CHANGE_DIR are required")
 
     with tempfile.TemporaryDirectory() as witness_dir:
-        for name, data in WITNESS_FILES.items():
-            (Path(witness_dir) / name).write_text(json.dumps(data))
+        write_witness_files(Path(witness_dir))
         argvs = requests(Path(witness_dir))
         old = outputs_of(args.parent.resolve(), argvs)
         new = outputs_of(args.change.resolve(), argvs)
