@@ -57,10 +57,10 @@ def _grid_jet(nav: NavigationData, grid, per_axis: Optional[int]) -> FieldJet:
     return field_jet(nav, _default_grid(nav, grid, per_axis)[:, None, :])
 
 
-def _fiber_directions(nav: NavigationData, n_dirs: int) -> np.ndarray:
-    # torsion is 0-homogeneous in the fiber, so the directions need no
-    # normalization
-    return fiber_directions(nav.dim, n_dirs, np.random.default_rng(11))
+def _fiber_directions(nav: NavigationData) -> np.ndarray:
+    # 8 of them; torsion is 0-homogeneous in the fiber, so the directions
+    # need no normalization
+    return fiber_directions(nav.dim, 8, np.random.default_rng(11))
 
 
 # Each verdict reads a jet, so that classification_report evaluates the
@@ -119,25 +119,24 @@ def _isotropic_s(jet: FieldJet, tol: float) -> Verdict:
 
 
 def torsion_vanishing_test(nav: NavigationData, grid=None, tol: float = 1e-8,
-                           per_axis: Optional[int] = None,
-                           n_dirs: int = 8) -> Verdict:
+                           per_axis: Optional[int] = None) -> Verdict:
     """Sup of |torsion components| over grid points and fiber directions."""
     return _torsion_vanishes(_grid_jet(nav, grid, per_axis),
-                             _fiber_directions(nav, n_dirs), tol)
+                             _fiber_directions(nav), tol)
 
 
-def concircular_test(nav: NavigationData, grid=None, tol: float = 1e-8,
+def concircular_test(nav: NavigationData,
                      per_axis: Optional[int] = None) -> Verdict:
-    """Concircularity verdict over the grid; see _concircular."""
-    return _concircular(_grid_jet(nav, grid, per_axis), tol)
+    """Concircularity verdict at tolerance 1e-8 over the default grid; see
+    _concircular."""
+    return _concircular(_grid_jet(nav, None, per_axis), 1e-8)
 
 
-def wind_integral_curves(nav: NavigationData, x0s, time_span: float,
-                         dt: float = 1e-3) -> list:
+def wind_integral_curves(nav: NavigationData, x0s, time_span: float) -> list:
     """Integrate the wind flow xd = W(x) from each row of x0s, in lockstep
-    with a step of about dt that lands on time_span; a curve stops early at
-    the chart edge. Returns one (ts, xs) per start, xs sampled every step."""
-    steps, dt = nk.uniform_steps(time_span, dt)
+    with a step of about 1e-3 that lands on time_span; a curve stops early
+    at the chart edge. Returns one (ts, xs) per start, sampled per step."""
+    steps, dt = nk.uniform_steps(time_span, 1e-3)
     _, traj, stop = nk.rk4(lambda s, x: nav.wind.value(x), np.atleast_2d(x0s),
                            steps, dt, keep=True, inside=nav.chart.contains)
     return [(dt * np.arange(last + 1), traj[b, :last + 1])
@@ -205,20 +204,19 @@ def _decisively(verdict_residual: float, tol: float):
 
 
 def classification_report(nav: NavigationData, grid=None,
-                          per_axis: Optional[int] = None,
-                          tol: float = 1e-8, n_dirs: int = 8,
+                          per_axis: Optional[int] = None, tol: float = 1e-8,
                           comparison: Optional[ComparisonReport] = None) -> ClassificationReport:
     """Run every class test plus the spray comparison and cross-check the
     equivalences the tests are supposed to observe."""
     grid = _default_grid(nav, grid, per_axis)
     jet = field_jet(nav, grid[:, None, :])
     wp = _wind_parallel(jet, tol)
-    tv = _torsion_vanishes(jet, _fiber_directions(nav, n_dirs), tol)
+    tv = _torsion_vanishes(jet, _fiber_directions(nav), tol)
     wg = _wagner(np.sqrt(np.einsum("...i,...i->...", jet.W, jet.hW)), tol)
     cc = _concircular(jet, tol)
     iso = _isotropic_s(jet, tol)
     if comparison is None:
-        comparison = jet_compare_sprays(jet, grid)
+        comparison = jet_compare_sprays(jet)
     bw = Verdict("berwald", wp.passed, wp.residual, wp.tol,
                  detail=dict(wp.detail))
 

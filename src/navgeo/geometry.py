@@ -196,10 +196,6 @@ class VectorField:
     def value(self, x) -> np.ndarray:
         return exprlang.evaluate(self.program, x)
 
-    def jacobian(self, x) -> np.ndarray:
-        """J[..., k, i] = d(component k)/d(x^i), from the gradient program."""
-        return self.value_and_jacobian(x)[1]
-
     def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Value [..., k] and Jacobian [..., k, i] from one gradient sweep."""
         return exprlang.evaluate_dual(self.program, x)
@@ -229,15 +225,6 @@ class MetricField:
 
     def value(self, x) -> np.ndarray:
         return self._assemble(exprlang.evaluate(self.program, x))
-
-    def derivatives(self, x) -> np.ndarray:
-        """dh[..., k, i, j] = d(h_ij)/d(x^k), from the gradient program."""
-        return self.value_and_derivatives(x)[1]
-
-    def value_and_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """h[..., i, j] and dh[..., k, i, j] = d(h_ij)/d(x^k) from one
-        gradient sweep over the upper triangle."""
-        return self._assemble(*exprlang.evaluate_dual(self.program, x))
 
     def _assemble(self, val: np.ndarray, grad: Optional[np.ndarray] = None):
         """h[..., i, j] from the stacked entry values val[..., m] (with grad
@@ -400,11 +387,6 @@ def field_jet(nav: NavigationData, x) -> FieldJet:
                        M=dw + np.einsum("...kis,...s->...ki", a, w))
 
 
-def wind_covariant_jacobian(nav: NavigationData, x) -> np.ndarray:
-    """M[..., k, i] = (covariant derivative of the wind along d/dx^i)^k."""
-    return field_jet(nav, x).M
-
-
 # ---------------------------------------------------------------------------
 # the navigation (Randers-type) norm
 
@@ -484,6 +466,9 @@ def indicatrix_points(nav: NavigationData, x, count: int = 24,
 # ---------------------------------------------------------------------------
 # validation
 
+# the wind must stay this far inside the unit h-ball: |W|_h < 1 - WIND_MARGIN
+WIND_MARGIN = 1e-6
+
 
 @dataclass
 class ValidationReport:
@@ -514,19 +499,17 @@ class ValidationReport:
         }
 
 
-def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
-             n_points: int = 10_000, margin: float = 1e-6) -> ValidationReport:
-    """Sample the chart and check positivity of h and the wind bound.
+def validate(nav: NavigationData, n_points: int = 10_000) -> ValidationReport:
+    """Sample the chart at n_points interior points and check positivity
+    of h and the wind bound.
 
     h must be positive definite at every sampled point, decided by
     Sylvester's criterion on its L D L^T pivots, and the wind must satisfy
-    |W|_h < 1 - margin there; the report carries witnesses for every
+    |W|_h < 1 - WIND_MARGIN there; the report carries witnesses for every
     violation kind found. Eigenvalues are computed only for the report
     (min_metric_eigenvalue) and for a witness's value.
     """
-    if points is None:
-        points = nav.chart.sample_interior(n_points)
-    points = np.asarray(points, dtype=float)
+    points = nav.chart.sample_interior(n_points)
     h = nav.metric.value(points)
     failures = []
     bad_metric = np.nonzero(~nk.positive_definite(h))[0]
@@ -538,7 +521,7 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
     # the two einsums of FieldValues.of, so min_lambda is its lam bit for bit
     wnorm2 = np.einsum("...i,...i->...", w, np.einsum("...ij,...j->...i", h, w))
     wnorm = np.sqrt(np.maximum(wnorm2, 0.0))
-    bad_wind = np.nonzero(wnorm >= 1.0 - margin)[0]
+    bad_wind = np.nonzero(wnorm >= 1.0 - WIND_MARGIN)[0]
     if bad_wind.size:
         i = int(bad_wind[0])
         failures.append({"kind": "wind_too_strong", "point": points[i].tolist(),
@@ -546,7 +529,7 @@ def validate(nav: NavigationData, points: Optional[np.ndarray] = None,
     return ValidationReport(
         passed=not failures,
         n_points=len(points),
-        margin=margin,
+        margin=WIND_MARGIN,
         max_wind_norm=float(wnorm.max()),
         min_lambda=float((1.0 - wnorm2).min()),
         metric=h,

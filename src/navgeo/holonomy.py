@@ -156,6 +156,11 @@ def correspondence_inverse(nav: NavigationData, base, action: Callable,
 # ---------------------------------------------------------------------------
 # holonomy distribution rank
 
+# central-difference step of the Lie brackets, and the singular values
+# below RANK_TOL times the largest that count as zero
+BRACKET_STEP = 1e-4
+RANK_TOL = 1e-7
+
 
 @dataclass
 class RankReport:
@@ -228,42 +233,54 @@ def _bracket_generations(nav: NavigationData, z: np.ndarray, depth: int,
 
 
 def _rank_reports(nav: NavigationData, xs: np.ndarray, ys: np.ndarray,
-                  depth: int, step: float, tol: float) -> list:
+                  depth: int) -> list:
     """Rank reports at the rows of (xs, ys), one bracket tree evaluated on
     all of them at once. Past depth 3 the brackets' smallest singular
-    values are finite-difference round-off, so deeper trees are refused."""
+    values are finite-difference round-off, so deeper trees are refused.
+    H_1..H_n alone span n directions, so a rank below n is round-off and
+    raises DegenerateWind."""
     if not 1 <= depth <= 3:
         raise ValueError("depth must be 1, 2 or 3")
     if not np.all(np.any(ys != 0.0, axis=1)):
         raise ZeroVector("the horizontal distribution lives over nonzero y")
+    n = xs.shape[1]
     vectors = np.concatenate(_bracket_generations(
-        nav, np.concatenate([xs, ys], axis=1), depth, step), axis=1)
-    return [RankReport(at=TangentSample(x, y), generated_vectors=vec,
-                       rank=nk.numeric_rank(vec, tol), depth=depth)
-            for x, y, vec in zip(xs, ys, vectors)]
+        nav, np.concatenate([xs, ys], axis=1), depth, BRACKET_STEP), axis=1)
+    reports = [RankReport(at=TangentSample(x, y), generated_vectors=vec,
+                          rank=nk.numeric_rank(vec, RANK_TOL), depth=depth)
+               for x, y, vec in zip(xs, ys, vectors)]
+    for r in (r for r in reports if r.rank < n):
+        sv = np.linalg.svd(r.generated_vectors, compute_uv=False)
+        raise DegenerateWind(
+            f"bracket rank {r.rank} is below the dimension {n} at x = "
+            f"{r.at.x.tolist()}, y = {r.at.y.tolist()}: sigma_n/sigma_1 = "
+            f"{sv[n - 1] / sv[0]:.3g} < RANK_TOL = {RANK_TOL:g}, as the "
+            "brackets dwarf the horizontal fields where the wind nears 1")
+    return reports
 
 
 def holonomy_distribution_rank(nav: NavigationData, s: TangentSample,
-                               depth: int = 3, step: float = 1e-4,
-                               tol: float = 1e-7) -> RankReport:
+                               depth: int = 3) -> RankReport:
     """Rank at (x, y) of the span of the spray-connection horizontal fields
-    together with their iterated Lie brackets up to the given depth.
+    together with their iterated Lie brackets up to the given depth, the
+    brackets central differences at BRACKET_STEP and the rank counted at
+    RANK_TOL relative to the largest singular value.
 
     Rank n means the brackets stay horizontal (integrable distribution);
     rank 2n means they fill the whole slit tangent bundle, which rules out
     any nonconstant function invariant under the loop transports.
     """
-    return _rank_reports(nav, s.x[None], s.y[None], depth, step, tol)[0]
+    return _rank_reports(nav, s.x[None], s.y[None], depth)[0]
 
 
 def distribution_rank_survey(nav: NavigationData, n_samples: int = 20,
-                             depth: int = 3, step: float = 1e-4,
-                             tol: float = 1e-7,
+                             depth: int = 3,
                              rng: Optional[np.random.Generator] = None) -> list:
-    """Rank reports at a spread of interior points with h-unit directions."""
+    """holonomy_distribution_rank's reports at a spread of interior points
+    with h-unit directions."""
     n = nav.dim
     xs = nav.chart.sample_interior(n_samples, margin=0.1)
     rng = rng or np.random.default_rng(7)
     dirs = rng.normal(size=(n_samples, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return _rank_reports(nav, xs, dirs, depth, step, tol)
+    return _rank_reports(nav, xs, dirs, depth)

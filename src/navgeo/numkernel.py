@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteState, NotPositiveDefinite
+from .errors import NonFiniteState
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +57,6 @@ def positive_definite(h: np.ndarray) -> np.ndarray:
                     s[i, j] = s[i, j] - l_ki * s[k, j]
             ok &= s[k + 1, k + 1] > 0.0
     return ok
-
-
-def spd_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of a (batch of) SPD matrices; raises NotPositiveDefinite.
-    No caller in the package: metrics invert in `stages.metric_lines`."""
-    h = np.asarray(h, dtype=float)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("metric value is not positive definite") from None
-    return np.linalg.inv(h)
 
 
 # ---------------------------------------------------------------------------

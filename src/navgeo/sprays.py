@@ -275,6 +275,9 @@ def el_residual(nav: NavigationData, path: GeodesicPath) -> float:
 # ---------------------------------------------------------------------------
 # spray comparison over a grid
 
+TOL_COINCIDE = 1e-8
+TOL_PROJECTIVE = 1e-6
+
 
 @dataclass
 class ComparisonReport:
@@ -290,7 +293,6 @@ class ComparisonReport:
     projectively_riemannian: bool
     tol_coincide: float
     tol_projective: float
-    points: Optional[np.ndarray] = None
     phi_hat: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
@@ -310,29 +312,21 @@ class ComparisonReport:
         }
 
 
-def compare_sprays(nav: NavigationData, points: Optional[np.ndarray] = None,
-                   per_axis: Optional[int] = None, n_dirs: int = 16,
-                   tol_coincide: float = 1e-8,
-                   tol_projective: float = 1e-6,
-                   margin: float = 0.05) -> ComparisonReport:
-    """Compare the natural spray against the variational one over a grid of
-    base points and norm-unit fiber directions.
+def compare_sprays(nav: NavigationData, per_axis: Optional[int] = None,
+                   n_dirs: int = 16) -> ComparisonReport:
+    """Compare the natural spray against the variational one over the
+    chart's grid at margin 0.05 and norm-unit fiber directions.
 
     Verdicts: sprays_coincide when the sup difference stays below
-    tol_coincide; projectively_riemannian when (natural - riemann) fits
+    TOL_COINCIDE; projectively_riemannian when (natural - riemann) fits
     -phi(x) F y / 2 with a per-point factor that is consistent across the
-    fiber directions (spread below 1e-6) and residual below tol_projective.
+    fiber directions (spread below 1e-6) and residual below TOL_PROJECTIVE.
     """
-    if points is None:
-        points = nav.chart.grid(per_axis, margin)
-    points = np.asarray(points, dtype=float)
-    return jet_compare_sprays(field_jet(nav, points[:, None, :]), points,
-                              n_dirs, tol_coincide, tol_projective)
+    points = nav.chart.grid(per_axis, 0.05)
+    return jet_compare_sprays(field_jet(nav, points[:, None, :]), n_dirs)
 
 
-def jet_compare_sprays(jet: FieldJet, points: np.ndarray, n_dirs: int = 16,
-                       tol_coincide: float = 1e-8,
-                       tol_projective: float = 1e-6) -> ComparisonReport:
+def jet_compare_sprays(jet: FieldJet, n_dirs: int = 16) -> ComparisonReport:
     """compare_sprays on a jet built at points[:, None, :]. The three
     sprays share A y y / 2, so the differences come from the wind terms
     alone, at F computed once."""
@@ -348,16 +342,16 @@ def jet_compare_sprays(jet: FieldJet, points: np.ndarray, n_dirs: int = 16,
     resid = d + 0.5 * phi_hat[:, None, None] * f[..., None] * ys
     resid_max = float(np.linalg.norm(resid, axis=2).max())
 
-    coincide = sup_nr < tol_coincide
-    projective = bool(spread.max() < 1e-6 and resid_max < tol_projective)
+    coincide = sup_nr < TOL_COINCIDE
+    projective = bool(spread.max() < 1e-6 and resid_max < TOL_PROJECTIVE)
     return ComparisonReport(
-        n_points=len(points), n_dirs=n_dirs,
+        n_points=len(jet.W), n_dirs=n_dirs,
         sup_natural_vs_randers=sup_nr,
         phi_min=float(phi_hat.min()), phi_max=float(phi_hat.max()),
         phi_mean=float(phi_hat.mean()), phi_spread_max=float(spread.max()),
         projective_residual=resid_max,
         sprays_coincide=bool(coincide),
         projectively_riemannian=projective,
-        tol_coincide=tol_coincide, tol_projective=tol_projective,
-        points=points, phi_hat=phi_hat,
+        tol_coincide=TOL_COINCIDE, tol_projective=TOL_PROJECTIVE,
+        phi_hat=phi_hat,
     )

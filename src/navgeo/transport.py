@@ -72,8 +72,8 @@ class AnalyticCurve:
                    for c in self.components]
         return AnalyticCurve(flipped)
 
-    def is_closed(self, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.norm(self.point(0.0) - self.point(1.0)) <= tol)
+    def is_closed(self) -> bool:
+        return bool(np.linalg.norm(self.point(0.0) - self.point(1.0)) <= 1e-12)
 
 
 def _reverse_param(node):

@@ -222,7 +222,7 @@ def compare_sprays_oracle(jet, points, n_dirs=16, tol_coincide=1e-8,
         projectively_riemannian=bool(spread.max() < 1e-6
                                      and resid_max < tol_projective),
         tol_coincide=tol_coincide, tol_projective=tol_projective,
-        points=points, phi_hat=phi_hat)
+        phi_hat=phi_hat)
 
 
 def torsion_residual_oracle(jet, dirs):

@@ -87,7 +87,7 @@ def test_contradictory_evidence_is_rejected(rotation_disk):
         projective_residual=honest.projective_residual,
         sprays_coincide=True, projectively_riemannian=False,
         tol_coincide=honest.tol_coincide, tol_projective=honest.tol_projective,
-        points=honest.points, phi_hat=honest.phi_hat)
+        phi_hat=honest.phi_hat)
     with pytest.raises(InconsistentVerdicts):
         cl.classification_report(rotation_disk.nav, per_axis=6,
                                  comparison=doctored)

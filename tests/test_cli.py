@@ -277,6 +277,32 @@ def test_rank_at_requires_dir():
     assert "--dir" in res.stderr
 
 
+def test_rank_below_the_dimension_exits_1(tmp_path):
+    # near the wind bound the brackets reach ~7e7 and the rank tolerance
+    # drops H_1..H_n, which alone span n directions: a rank under n is
+    # refused, by the library and the CLI, while 0.9995 still reports one
+    from navgeo.errors import DegenerateWind
+    from navgeo.geometry import TangentSample
+    from navgeo.holonomy import distribution_rank_survey, holonomy_distribution_rank
+    from navgeo.scenarios import load_scenario
+    path = tmp_path / "near_bound.json"
+    path.write_text(json.dumps({
+        "schema": 1, "name": "near_bound", "dim": 2,
+        "domain": {"kind": "box", "lo": [-0.9999, -0.9999], "hi": [0.9999, 0.9999]},
+        "metric": [["1", "0"], ["1"]], "wind": ["x1/0.99995", "0"]}))
+    nav = load_scenario(str(path)).nav
+    y = np.array([0.0, 1.0])
+    for x1 in (0.9998, 0.99989):
+        with pytest.raises(DegenerateWind, match="rank 1 is below the dimension 2"):
+            holonomy_distribution_rank(nav, TangentSample(np.array([x1, 0.0]), y))
+        res = run_cli("rank", "--scenario", str(path), "--at", f"{x1},0", "--dir", "0,1")
+        assert res.returncode == 1 and res.stdout == ""
+        assert "DegenerateWind" in res.stderr and f"x = [{x1}, 0.0]" in res.stderr
+    assert holonomy_distribution_rank(
+        nav, TangentSample(np.array([0.9995, 0.0]), y)).rank == 3
+    assert min(r.rank for r in distribution_rank_survey(nav, 5)) >= 2
+
+
 def test_bad_vector_syntax_is_an_argparse_error():
     res = run_module("transport", "--builtin", "funk_ball",
                      "--curve", "0.5*t, 0", "--vector", "0;1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navgeo import cli, geometry as ge
+from navgeo import cli, exprlang as xl, geometry as ge
 from navgeo.scenarios import load_scenario, scenario_from_dict
 
 from helpers import lattice_oracle, reference_contains, reference_validate
@@ -179,14 +179,14 @@ def test_vector_field_value_and_jacobian():
     vf = ge.VectorField.from_strings(["-x2", "x1"], 2)
     x = np.array([0.3, -0.2])
     assert np.allclose(vf.value(x), [0.2, 0.3])
-    j = vf.jacobian(x)
+    j = vf.value_and_jacobian(x)[1]
     assert np.allclose(j, [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_vector_field_jacobian_matches_fd():
     vf = ge.VectorField.from_strings(["sin(x1)*x2", "exp(x2) - x1^2"], 2)
     x = np.array([0.4, -0.3])
-    j = vf.jacobian(x)
+    j = vf.value_and_jacobian(x)[1]
     eps = 1e-6
     for i in range(2):
         dx = np.zeros(2)
@@ -202,7 +202,7 @@ def test_vector_field_value_and_derivative_consistent():
     v, jac = vf.value_and_jacobian(x)
     dv = jac @ d
     assert np.allclose(v, vf.value(x))
-    assert np.allclose(dv, vf.jacobian(x) @ d)
+    assert np.allclose(dv, [0.25 * 0.7 + 0.5 * -0.1, 0.7 - 2 * 0.25 * -0.1])
 
 
 def test_metric_field_value_symmetry_and_batch():
@@ -220,13 +220,16 @@ def test_metric_field_value_symmetry_and_batch():
 def test_metric_field_derivatives_match_fd():
     mf = ge.MetricField.from_strings([["1 + x1^2", "x1*x2"], ["2 + sin(x2)"]], 2)
     x = np.array([0.3, -0.4])
-    dh = mf.derivatives(x)  # dh[k, i, j] = d_k h_ij
+    # the gradient sweep field_jet and christoffel read: grad[m, k] is the
+    # d_k derivative of entry m of the upper triangle, row by row
+    _, grad = xl.evaluate_dual(mf.program, x)
+    upper = np.triu_indices(2)
     eps = 1e-6
     for k in range(2):
         dx = np.zeros(2)
         dx[k] = eps
         fd = (mf.value(x + dx) - mf.value(x - dx)) / (2 * eps)
-        assert np.allclose(dh[k], fd, atol=1e-9)
+        assert np.allclose(grad[:, k], fd[upper], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +268,10 @@ def test_christoffel_symmetric_and_batched(sphere_cap):
 
 def test_wind_covariant_jacobian_flat_cases(funk_ball, rotation_disk, constant_wind):
     x = np.array([0.2, -0.1])
-    assert np.allclose(ge.wind_covariant_jacobian(funk_ball.nav, x), -np.eye(2))
-    assert np.allclose(ge.wind_covariant_jacobian(rotation_disk.nav, x),
+    assert np.allclose(ge.field_jet(funk_ball.nav, x).M, -np.eye(2))
+    assert np.allclose(ge.field_jet(rotation_disk.nav, x).M,
                        [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(ge.wind_covariant_jacobian(constant_wind.nav, x), 0.0)
+    assert np.allclose(ge.field_jet(constant_wind.nav, x).M, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,10 @@ def test_stacked_sweep_matches_single_expressions(name):
             np.testing.assert_array_equal(got, want, err_msg=f"{key} {x.shape}")
         if name == "funk_ball":  # a flat metric: constant entries only
             assert np.all(jet.h == np.eye(n)) and np.all(jet.dh == 0.0)
-    # the metric and wind fields alone take the same stacked routes, the
-    # value-only ones against one value walk per entry
-    h, dh = nav.metric.value_and_derivatives(pts)
+    # the wind field alone takes the same stacked route, and the value-only
+    # ones go against one value walk per entry
     w, dw = nav.wind.value_and_jacobian(pts)
-    for got, key in ((h, "h"), (dh, "dh"), (w, "W"), (dw, "dW")):
+    for got, key in ((w, "W"), (dw, "dW")):
         np.testing.assert_array_equal(got, ref[key][:, 0], err_msg=key)
     h = np.empty((len(pts), n, n))
     for i in range(n):
@@ -206,7 +205,6 @@ def _count_inverses(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    monkeypatch.setattr(nk, "spd_inverse", counted(nk.spd_inverse))
     monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv))
     return calls
 
@@ -295,11 +293,10 @@ def test_metric_lines_match_the_einsum_route(name):
     for count in (1, 20, 1000):
         x = nav.chart.sample_interior(count, margin=0.02)
         x = x[0] if count == 1 else x
-        h, dh = nav.metric.value_and_derivatives(x)
-        want = einsum_levi_civita(h, dh)
         jet = field_jet(nav, x)
+        want = einsum_levi_civita(jet.h, jet.dh)
         diagonal = data is None
-        assert not diagonal or np.all(h[..., ~np.eye(nav.dim, dtype=bool)] == 0.0)
+        assert not diagonal or np.all(jet.h[..., ~np.eye(nav.dim, dtype=bool)] == 0.0)
         for key, got, ref in (("hinv", jet.hinv, want[0]), ("A", jet.A, want[1]),
                               ("christoffel", ge.christoffel(nav.metric, x),
                                want[1])):
@@ -415,7 +412,7 @@ def test_grid_kernels_match_the_full_spray_oracle(name):
     nav = scenario_from_dict(data).nav if data else _nav(name)
     grid = nav.chart.grid(6, margin=0.05)
     jet = field_jet(nav, grid[:, None, :])
-    got = sp.jet_compare_sprays(jet, grid)
+    got = sp.jet_compare_sprays(jet)
     want = compare_sprays_oracle(jet, grid)
     for key, ref in want.as_dict().items():
         value = got.as_dict()[key]
@@ -425,7 +422,7 @@ def test_grid_kernels_match_the_full_spray_oracle(name):
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), key
     assert np.all(np.abs(got.phi_hat - want.phi_hat)
                   <= 1e-12 * np.maximum(1.0, np.abs(want.phi_hat)))
-    dirs = cl._fiber_directions(nav, 8)
+    dirs = cl._fiber_directions(nav)
     verdict = cl.torsion_vanishing_test(nav, grid)
     assert verdict.residual == torsion_residual_oracle(jet, dirs)
     assert verdict.residual == cl.classification_report(
@@ -439,6 +436,6 @@ def test_grid_torsion_residual_keeps_a_nan():
     jet = field_jet(nav, grid[:, None, :])
     m = jet.M.copy()
     m[1, 0, 1, 0] = np.nan
-    dirs = cl._fiber_directions(nav, 8)
+    dirs = cl._fiber_directions(nav)
     verdict = cl._torsion_vanishes(replace(jet, M=m), dirs, 1e-8)
     assert np.isnan(verdict.residual) and not verdict.passed

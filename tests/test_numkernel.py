@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from navgeo import numkernel as nk
-from navgeo.errors import NonFiniteState, NotPositiveDefinite
+from navgeo.errors import NonFiniteState
 
 import helpers as hp
 
@@ -53,21 +53,6 @@ class TestDual:
     def test_value_of(self):
         assert hp.value_of(hp.Dual(2.5, 1.0)) == 2.5
         assert hp.value_of(3.25) == 3.25
-
-
-class TestSpdSolvers:
-    def test_spd_inverse_batched(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 2, 2))
-        ms = np.einsum("bij,bkj->bik", a, a) + 2 * np.eye(2)
-        inv = nk.spd_inverse(ms)
-        eye = np.einsum("bij,bjk->bik", ms, inv)
-        assert np.allclose(eye, np.eye(2), atol=1e-12)
-
-    def test_spd_inverse_rejects_indefinite_in_batch(self):
-        ms = np.stack([np.eye(2), -np.eye(2)])
-        with pytest.raises(NotPositiveDefinite):
-            nk.spd_inverse(ms)
 
 
 class TestPositiveDefinite:
