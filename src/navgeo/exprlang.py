@@ -430,13 +430,13 @@ class _Builder:
         return tuple(self.mul(f, x) for x in da)
 
 
-def _render(name: str, params: str, lines: list, constant,
-            dialect: Optional[dict] = None) -> str:
-    """Source of a function running `lines` in order. SSA names become
-    registers r0, r1, ... and a register is reused once the last line
-    reading its value has run, so temporaries are freed as a walk frees
-    them; a name no line defines is a parameter and stays as it is;
-    constant(c) names a constant, and `dialect` maps a template to the
+def _render(lines: list, constant, dialect: Optional[dict] = None,
+            indent: str = "    ") -> str:
+    """Statements running `lines` in order, one per line at `indent`. SSA
+    names become registers r0, r1, ... and a register is reused once the
+    last line reading its value has run, so temporaries are freed as a
+    walk frees them; a name no line defines is a parameter and stays as it
+    is; constant(c) names a constant, and `dialect` maps a template to the
     one to render instead."""
     last = {}
     for i, (_, _, args) in enumerate(lines):
@@ -456,8 +456,8 @@ def _render(name: str, params: str, lines: list, constant,
                 count += 1
             regs[target] = free.pop()
             text = f"{regs[target]} = {text}"
-        body.append(f"    {text}\n")
-    return f"def {name}({params}):\n" + "".join(body)
+        body.append(f"{indent}{text}\n")
+    return "".join(body)
 
 
 # The float rendering: functions from math, which raise where NumPy gives
@@ -470,13 +470,13 @@ _FLOAT_DIALECT = {"{0} ** {1}": "pow({0}, {1})"}
 
 
 def float_function(name: str, params: str, lines: list,
-                   closure: Optional[str] = None,
-                   names: Optional[dict] = None):
+                   names: Optional[dict] = None, frame: Optional[str] = None):
     """The function `name`(params) running builder `lines` on Python
     floats, with constants as float literals and the global `names`. With
-    `closure` given, the function returned is make(closure), which returns
-    `name` as a closure whose lines may read that parameter. Lines that
-    call no function run on NumPy arrays as they do on floats."""
+    `frame` given, the function's body is that text, in which the lines
+    run at the place and indentation of its line `{body}` (inside loops,
+    say). Lines that call no function run on NumPy arrays as they do on
+    floats."""
     namespace = {**_FLOAT_FUNCS, **(names or {})}
 
     def constant(c) -> str:
@@ -487,13 +487,16 @@ def float_function(name: str, params: str, lines: list,
             return label
         return f"({c!r})" if math.copysign(1.0, c) < 0 else repr(c)
 
-    source = _render(name, params, lines, constant, _FLOAT_DIALECT)
-    if closure is not None:
-        source = (f"def make({closure}):\n"
-                  + "".join(f"    {line}\n" for line in source.splitlines())
-                  + f"    return {name}\n")
+    if frame is None:
+        body = _render(lines, constant, _FLOAT_DIALECT)
+    else:
+        at = re.search(r"^( *)\{body\}\n", frame, re.M)
+        body = (frame[:at.start()]
+                + _render(lines, constant, _FLOAT_DIALECT, at.group(1))
+                + frame[at.end():])
+    source = f"def {name}({params}):\n{body}"
     exec(compile(source, "<float program>", "exec"), namespace)
-    fn = namespace["make" if closure else name]
+    fn = namespace[name]
     fn.source = source
     return fn
 
@@ -542,9 +545,10 @@ class Program:
             return names[id(c)]
 
         self.source = (
-            _render("values", "x, val", b.lines + writes + tail, constant)
-            + _render("gradients", "x, val, grad",
-                      b.lines + b.dlines + writes + gwrites + tail, constant))
+            "def values(x, val):\n"
+            + _render(b.lines + writes + tail, constant)
+            + "def gradients(x, val, grad):\n"
+            + _render(b.lines + b.dlines + writes + gwrites + tail, constant))
         exec(compile(self.source, "<exprlang program>", "exec"), namespace)
         self._values, self._gradients = namespace["values"], namespace["gradients"]
 

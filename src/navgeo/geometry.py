@@ -134,7 +134,7 @@ class Chart:
             u *= span
             u += lo
             inside = self.contains(u.T, margin)
-            kept.append(u if inside.all() else u[:, inside])
+            kept.append(u if inside.all() else np.compress(inside, u, axis=1))
             have += kept[-1].shape[1]
             k += block
             block = max(int(1.1 * (count - have) * k / max(have, 1)), 64)

@@ -10,18 +10,21 @@ is hidden inside field evaluations. The one stencil here,
 One RK4 tableau integrates everything, on batches advanced in lockstep (a
 single item is a batch of one). `rk4` is the one loop for nonlinear
 right-hand sides: geodesics, wind flows and the natural transport ODE. Its
-step has two renderings of one source text: over (B, m) arrays, and per
-component over Python floats. A batch of at most SCALAR_ROWS rows whose
-right-hand side comes with a float form (the generated code of `stages`
-for the three sprays and the natural-ODE stage) runs on floats, each row
-on its own, because at that size NumPy calls, not arithmetic, set the
-cost. A float run that fails is dropped and the whole batch runs again on
-NumPy, so results and errors on failure are the NumPy path's. Every
-other batch runs on NumPy. Linear systems whose matrices are tabled
-before the loop starts (the metric transport, the definitional route's
-inner transport) use `rk4_linear`, which builds the step maps of the
-same tableau at once and applies them instead of evaluating a right-hand
-side; `rk4_propagators` multiplies them out into the transport matrix.
+step is one source text, the tableau `_STAGES` and `_UPDATE`, rendered
+over (B, m) arrays, per component over Python floats, and by
+`stages.natural_run`, inline in the generated runner of the natural ODE.
+A batch of at most SCALAR_ROWS rows that comes with a float run runs on
+floats, because at that size NumPy calls, not arithmetic, set the cost:
+a geodesic batch row by row on the float sprays of `stages`
+(`float_rows`), a natural-ODE batch on that runner, the rows of each
+curve in lockstep. A float run that fails is dropped and the whole batch
+runs again on NumPy, so results and errors on failure are the NumPy
+path's. Every other batch runs on NumPy. Linear systems whose matrices
+are tabled before the loop starts (the metric transport, the
+definitional route's inner transport) use `rk4_linear`, which builds the
+step maps of the same tableau at once and applies them instead of
+evaluating a right-hand side; `rk4_propagators` multiplies them out into
+the transport matrix.
 """
 from __future__ import annotations
 
@@ -86,15 +89,18 @@ _STAGES = (("k1", 0, "v"), ("k2", 1, "v + half * k1"),
 _UPDATE = "v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)"
 _SLOT = re.compile(r"\b(v|k[1-4])\b")
 
-# A batch of at most this many rows whose right-hand side has a float form
-# runs row by row on Python floats; a larger one runs in lockstep on NumPy.
-# Measured on natural holonomy probes around one rotation_disk loop (2D
-# natural transport ODE, 1000 steps; 2 vCPUs, Python 3.11, NumPy 2.4, best
-# of 5, two runs), NumPy lockstep against float rows: 1 row 79 vs 8.5 ms,
-# 16 rows 85-93 vs 76-80 ms, 20 rows 106-107 vs 88-98 ms, 22 rows 84-107
-# vs 91-109 ms, 24 rows 75-110 vs 89-117 ms, 32 rows 104 vs 153 ms. A
-# randers geodesic on sphere_cap crosses later: at 32 rows (100 steps) it
-# takes 136 ms on NumPy and 81 ms on floats.
+# A batch of at most this many rows with a float run runs on Python floats;
+# a larger one runs in lockstep on NumPy. Measured on natural holonomy
+# probes around one loop (natural transport ODE, 1000 steps; 2 vCPUs,
+# Python 3.11, NumPy 2.4, best of 5, two runs), NumPy lockstep against the
+# fused float runner, in ms. On rotation_disk (2D): 1 row 67-72 vs 3.4-4.5,
+# 8 rows 66-89 vs 25-29, 16 rows 87-95 vs 40-50, 20 rows 97-108 vs 58-67,
+# 24 rows 97-103 vs 71-73, 32 rows 103-112 vs 95-97. On rot_ball_3d (3D):
+# 1 row 75-80 vs 5.8-6.9, 8 rows 87-93 vs 43, 16 rows 88-95 vs 71-85,
+# 20 rows 98-100 vs 76-105, 24 rows 100-106 vs 114-127, 32 rows 69-105 vs
+# 123-140. A randers geodesic on sphere_cap, run row by row, crosses
+# later: at 32 rows (100 steps) it takes 136 ms on NumPy and 81 ms on
+# floats.
 SCALAR_ROWS = 20
 
 
@@ -144,8 +150,7 @@ def _advance(rhs: Callable, j: int, v: np.ndarray, live: np.ndarray,
 
 def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
         inside: Optional[Callable] = None,
-        float_rows: Optional[Callable] = None,
-        float_inside: Optional[Callable] = None):
+        float_run: Optional[Callable] = None):
     """Classical RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.1) for
     dv/dt = rhs(s, v) on a (B, m) batch advanced in lockstep, s indexing
     half steps: step j evaluates rhs at s = 2j, 2j + 1 and 2j + 2.
@@ -157,22 +162,24 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     trajectory has shape (B, stop.max() + 1, m). Raises NonFiniteState
     naming the step when a live row goes non-finite.
 
-    The float form of the right-hand side, float_rows() -> one f(s, v) per
-    row on tuples of floats (with float_inside(v) -> bool, the decision of
-    inside on one state, when inside is given), runs a batch of at most
-    SCALAR_ROWS rows on Python floats, each row on its own. Rows never
-    interact, so that gives the lockstep result. When a float step raises
-    ValueError, ZeroDivisionError or OverflowError, or gives a non-finite
-    state, the whole batch runs again from v0 in the lockstep loop on
-    NumPy, so the result or the error is the NumPy path's.
+    float_run(v, steps, sizes, keep) -> (v, trajectory, stop) or None, the
+    same run on Python floats (sizes = (dt / 2, dt, dt / 6); it halts rows
+    as inside does), takes a batch of at most SCALAR_ROWS rows: `float_rows`
+    for a right-hand side with a float form, or the generated runner of
+    the natural transport ODE. When it returns None (a non-finite state)
+    or raises ValueError, ZeroDivisionError or OverflowError, the whole
+    batch runs again from v0 in the lockstep loop on NumPy, so the result
+    or the error is the NumPy path's.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     sizes = (0.5 * dt, dt, dt / 6.0)  # half, dt, sixth
     v = np.array(v0, dtype=float)
-    if (float_rows is not None and len(v) <= SCALAR_ROWS
-            and (inside is None or float_inside is not None)):
-        done = _rk4_rows(float_rows(), v, steps, sizes, keep, float_inside)
+    if float_run is not None and len(v) <= SCALAR_ROWS:
+        try:
+            done = float_run(v, steps, sizes, keep)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            done = None
         if done is not None:
             return done
     traj = [v] if keep else None
@@ -193,39 +200,54 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     return v, np.stack(traj, axis=1) if keep else None, stop
 
 
-def _rk4_rows(fs: list, v: np.ndarray, steps: int, sizes: tuple, keep: bool,
-              inside: Optional[Callable]):
-    """`rk4` on Python floats: row b runs the float step of fs[b] until its
-    last step or until its new state leaves inside; a halted row's
-    trajectory repeats its last state up to the batch's last kept step, as
-    the lockstep loop freezes it. None at the first failed float step."""
+def float_rows(fs: Sequence[Callable],
+               inside: Optional[Callable] = None) -> Callable:
+    """The float_run of `rk4` in which row b runs the float step of
+    fs[b](s, v) on tuples of floats, each row on its own, halting where
+    inside(v) -> bool, the decision of rk4's inside on one state, is
+    False. Rows never interact, so that gives the lockstep result."""
+    return lambda v, steps, sizes, keep: _rk4_rows(fs, v, steps, sizes, keep,
+                                                   inside)
+
+
+def float_result(states: list, runs: Optional[list], stop: list) -> tuple:
+    """`rk4`'s (v, trajectory or None, stop) from the last float states
+    of the rows, each row's kept states (an array('d'), or runs None) and
+    stop: a halted row's trajectory repeats its last state up to the
+    batch's last kept step, as the lockstep loop freezes it."""
+    traj = None
+    if runs is not None:
+        m = len(states[0])
+        traj = np.empty((len(runs), max(stop) + 1, m))
+        for b, run in enumerate(runs):
+            traj[b, :stop[b] + 1] = np.frombuffer(run).reshape(-1, m)
+            traj[b, stop[b] + 1:] = traj[b, stop[b]]
+    return np.array(states), traj, np.array(stop)
+
+
+def _rk4_rows(fs: Sequence[Callable], v: np.ndarray, steps: int, sizes: tuple,
+              keep: bool, inside: Optional[Callable]):
+    """`rk4` on Python floats, row b running the float step of fs[b] until
+    its last step or until its new state leaves inside; None at the first
+    non-finite state."""
     step = _float_step(v.shape[1])
     rows, runs, stop = [], [], []
     for f, state in zip(fs, v.tolist()):
         state, run, last = tuple(state), array.array("d", state), steps
-        try:
-            for j in range(steps):
-                new = step(f, 2 * j, state, *sizes)
-                if not math.isfinite(sum(new)):
-                    return None
-                if inside is not None and not inside(new):
-                    last = j
-                    break
-                state = new
-                if keep:
-                    run.extend(state)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return None
+        for j in range(steps):
+            new = step(f, 2 * j, state, *sizes)
+            if not math.isfinite(sum(new)):
+                return None
+            if inside is not None and not inside(new):
+                last = j
+                break
+            state = new
+            if keep:
+                run.extend(state)
         rows.append(state)
         runs.append(run)
         stop.append(last)
-    traj = None
-    if keep:
-        traj = np.empty((len(v), max(stop) + 1, v.shape[1]))
-        for b, run in enumerate(runs):
-            traj[b, :stop[b] + 1] = np.frombuffer(run).reshape(-1, v.shape[1])
-            traj[b, stop[b] + 1:] = traj[b, stop[b]]
-    return np.array(rows), traj, np.array(stop)
+    return float_result(rows, runs if keep else None, stop)
 
 
 def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:

@@ -222,13 +222,13 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
         return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
 
     inside = None if chart is None else lambda st: chart.contains(st[:, :n])
-    float_rows = float_inside = None
+    float_run = None
     if isinstance(spray, Spray):
-        float_rows = lambda: [spray.geodesic_rhs()] * len(x0s)
-        float_inside = None if chart is None else chart.float_contains()
+        float_run = nk.float_rows(
+            [spray.geodesic_rhs()] * len(x0s),
+            None if chart is None else chart.float_contains())
     _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
-                           dt, keep=True, inside=inside,
-                           float_rows=float_rows, float_inside=float_inside)
+                           dt, keep=True, inside=inside, float_run=float_run)
     return [GeodesicPath(kind, dt * np.arange(last + 1), traj[b, :last + 1, :n],
                          traj[b, :last + 1, n:], dt, bool(last < steps))
             for b, last in enumerate(stop)]

@@ -10,15 +10,20 @@ metric columns of a NumPy sweep, for `geometry.christoffel` and
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
 arithmetic: one `field_jet` at a single point is dozens of them. So
-`numkernel.rk4` runs such batches one row at a time on Python floats,
-through the right-hand sides generated here: the geodesic equation of
-each spray and the stage of the natural transport ODE. A geodesic
-right-hand side holds the value and gradient lines of the jet program,
-the metric lines, M = dW + A W, hW, lam and the navigation norm
-F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines
-it: the metric spray A y y / 2 plus the spray's wind term, grouped as
-`sprays.natural_wind_term` or `sprays.randers_wind_term`. The NumPy
-kernels of `sprays` stay the path of larger batches and of grids.
+`numkernel.rk4` runs such batches on Python floats, through the code
+generated here. Geodesics run one row at a time on the geodesic equation
+of each spray (`geodesic_rhs`), which holds the value and gradient lines
+of the jet program, the metric lines, M = dW + A W, hW, lam and the
+navigation norm F = (sqrt(a^2 + lam b) - a) / lam, then the spray as
+`sprays` defines it: the metric spray A y y / 2 plus the spray's wind
+term, grouped as `sprays.natural_wind_term` or
+`sprays.randers_wind_term`. The natural transport ODE runs on one fused
+runner per dimension (`natural_run`): every RK4 step of all the rows on
+one curve, the stage lines of `natural_stage_lines` inlined four times
+between the lines of numkernel's tableau text, so each stage row of the
+curve's table is unpacked once per step for all its rows. The NumPy
+kernels of `sprays` and `transport` stay the path of larger batches and
+of grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -34,7 +39,7 @@ import struct
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, numkernel as nk
 from .errors import NotPositiveDefinite
 
 _FAIL = "raise ValueError"
@@ -307,25 +312,81 @@ def geodesic_rhs(program: exprlang.Program, kind: str):
     return exprlang.float_function("rhs", "s, v", lines)
 
 
-@functools.lru_cache(maxsize=4)
-def natural_stage(n: int):
-    """make(tab) -> rhs(s, v): the natural transport stage
-    -A(cdot, v) + F(v) M cdot of `transport._natural_stage` as float code
-    in dimension n. tab (2N + 1, row) is a C-contiguous float64 array of
-    one curve's stage rows, read as raw floats (no Python float is kept per
-    entry): row s holds the table [-A(cdot); Q; hW^T] (2n + 1, n) row by
-    row, then M cdot and lam, at half step s."""
-    b = exprlang._Builder(n)
+def natural_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
+    """The natural transport stage -A(cdot, v) + F(v) M cdot of
+    `transport._natural_stage` as lines of builder b, from the references
+    p of one stage row and v of the state; returns its n references. A
+    stage row holds the table [-A(cdot); Q; hW^T] (2n + 1, n) row by row,
+    then M cdot and lam, at one half step."""
+    n = len(v)
     rows = 2 * n + 1
-    p = [f"p{i}" for i in range(rows * n + n + 1)]
-    v = [f"v{i}" for i in range(n)]
     t = [_total(b, (b.mul(p[r * n + c], v[c]) for c in range(n)))
          for r in range(rows)]
     q = _total(b, (b.mul(v[i], t[n + i]) for i in range(n)))
     f = b.div(b.sub(_sqrt(b, q), t[-1]), p[-1])
-    out = [b.add(t[k], b.mul(f, p[rows * n + k])) for k in range(n)]
-    lines = ([_unpack(p, f"unpack(tab, s * {8 * len(p)})"), _unpack(v, "v")]
-             + b.dlines + [_returns(out)])
+    return [b.add(t[k], b.mul(f, p[rows * n + k])) for k in range(n)]
+
+
+def stage_width(n: int) -> int:
+    """Entries of one stage row in dimension n."""
+    return (2 * n + 1) * n + n + 1
+
+
+def _tableau(b: exprlang._Builder, text: str, i: int, slots: dict):
+    """Component i of a tableau text of `numkernel` (a stage argument or
+    the update) as a reference of builder b, reading slot v or k1 .. k4
+    from slots[name][i]."""
+    args = []
+
+    def put(match) -> str:
+        args.append(slots[match.group(1)][i])
+        return f"{{{len(args) - 1}}}"
+    template = nk._SLOT.sub(put, text)
+    return args[0] if template == "{0}" else b.emit(b.dlines, template, *args)
+
+
+@functools.lru_cache(maxsize=4)
+def natural_run(n: int):
+    """run(tab, states, runs, steps, half, dt, sixth): the RK4 steps of
+    the natural transport ODE in dimension n, as float code, for the
+    states (a list of sequences of n floats) of all batch rows on one
+    curve, in lockstep. tab (2N + 1, stage_width(n)) is the curve's C-contiguous
+    float64 stage table, read as raw floats: step j unpacks half-step rows
+    2j + 1 and 2j + 2 once, row 2j carrying over from the step before, and
+    advances each state through the four stages of `natural_stage_lines`
+    and the update, both inlined from numkernel's tableau text, so each
+    row takes the operations of `numkernel.rk4`'s float step. Each new
+    state is appended to runs[r] (an array('d')) unless runs is None.
+    Returns states, updated in place, or None at the first non-finite
+    state; a float error (ValueError, ZeroDivisionError) propagates.
+    Memoized per dimension; the first call builds the code."""
+    width = stage_width(n)
+    rows = [[f"p{at}_{i}" for i in range(width)] for at in range(3)]
+    b = exprlang._Builder(n)
+    slots = {"v": [f"v_{i}" for i in range(n)]}
+    for k, at, arg in nk._STAGES:
+        slots[k] = natural_stage_lines(
+            b, rows[at], [_tableau(b, arg, i, slots) for i in range(n)])
+    new = [_tableau(b, nk._UPDATE, i, slots) for i in range(n)]
+    lines = b.dlines + [(None, "new = (" + "".join(
+        f"{{{i}}}, " for i in range(n)) + ")", tuple(new))]
+    unpacked = [", ".join(names) + "," for names in rows]
+    frame = "".join(f"{line}\n" for line in (
+        f"    {unpacked[0]} = unpack(tab, 0)",
+        "    for j in range(steps):",
+        f"        at = {16 * width} * j",
+        f"        {unpacked[1]} = unpack(tab, at + {8 * width})",
+        f"        {unpacked[2]} = end = unpack(tab, at + {16 * width})",
+        f"        for row, ({', '.join(slots['v'])},) in enumerate(states):",
+        "            {body}",
+        "            if not isfinite(sum(new)):",
+        "                return None",
+        "            states[row] = new",
+        "            if runs is not None:",
+        "                runs[row].extend(new)",
+        f"        {unpacked[0]} = end",
+        "    return states"))
     return exprlang.float_function(
-        "rhs", "s, v", lines, closure="tab",
-        names={"unpack": struct.Struct(f"{len(p)}d").unpack_from})
+        "run", "tab, states, runs, steps, half, dt, sixth", lines,
+        names={"unpack": struct.Struct(f"{width}d").unpack_from},
+        frame=frame)

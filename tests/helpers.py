@@ -11,15 +11,22 @@ dual route through the connection coefficients is the reference for the
 closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
 connection and the torsion). The point-major Kronecker blocks, kept by
 the np.linalg.norm / np.all row rule, are the reference for the
-coordinate-major lattice of navgeo.geometry.Chart.sample_interior.
+coordinate-major lattice of navgeo.geometry.Chart.sample_interior. The
+natural-ODE stage as a closure per row, stepped by numkernel's per-row
+float loop, is the reference for the fused runner of
+navgeo.stages.natural_run.
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
 """
+import functools
+import struct
+
 import numpy as np
 
 from navgeo import exprlang as xl
 from navgeo import numkernel as nk
+from navgeo import stages
 from navgeo.connection import gamma_matrix, jet_torsion
 from navgeo.errors import DomainError
 from navgeo.geometry import (Ball, _kronecker_alphas, field_jet, field_values,
@@ -129,6 +136,37 @@ def bracket_tree_oracle(nav, z, depth, step=1e-4):
                             for j, g in enumerate(prev)
                             if prev is not base or j > i])
     return [np.stack([f(z) for f in gen], axis=1) for gen in generations]
+
+
+def natural_stage_rows(n):
+    """make(tab) -> rhs(s, v): the natural transport stage of
+    navgeo.stages.natural_stage_lines in dimension n as a closure over one
+    curve's stage table tab (2N + 1, row), unpacking stage row s of it on
+    every call."""
+    b = xl._Builder(n)
+    p = [f"p{i}" for i in range(stages.stage_width(n))]
+    v = [f"v{i}" for i in range(n)]
+    out = stages.natural_stage_lines(b, p, v)
+    lines = ([(None, f"{', '.join(p)}, = unpack(tab, s * {8 * len(p)})", ()),
+              (None, f"{', '.join(v)}, = v", ())] + b.dlines
+             + [(None, "return (" + "".join(f"{{{i}}}, " for i in range(n))
+                 + ")", tuple(out))])
+    rhs = xl.float_function(
+        "rhs", "tab, s, v", lines,
+        names={"unpack": struct.Struct(f"{len(p)}d").unpack_from})
+    return lambda tab: functools.partial(rhs, tab)
+
+
+def natural_rows_oracle(flat, rows, v0, keep):
+    """(v, trajectory or None, stop) of the natural ODE on the stage rows
+    flat (U, 2N + 1, row) of `transport._run_natural`, batch row b on
+    curve rows[b], each row on its own through the per-row stage closure
+    and numkernel's float step; None at a non-finite state."""
+    make = natural_stage_rows(v0.shape[1])
+    steps = (flat.shape[1] - 1) // 2
+    dt = 1.0 / steps
+    return nk.float_rows([make(flat[c]) for c in rows])(
+        np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
 
 
 def einsum_levi_civita(h, dh):

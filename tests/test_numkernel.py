@@ -124,8 +124,9 @@ class TestRk4:
         # floats alike, bit for bit
         runs = [nk.rk4(lambda s, v: np.ones_like(v), np.array([[0.0], [0.5]]),
                        10, 0.1, keep=True, inside=lambda v: v[:, 0] < 1.25,
-                       float_rows=rows, float_inside=lambda v: v[0] < 1.25)
-                for rows in (None, lambda: [lambda s, v: (1.0,)] * 2)]
+                       float_run=run)
+                for run in (None, nk.float_rows([lambda s, v: (1.0,)] * 2,
+                                                lambda v: v[0] < 1.25))]
         for v, traj, stop in runs:
             assert stop.tolist() == [10, 7]
             assert np.allclose(v[:, 0], [1.0, 1.2], atol=1e-12)
@@ -142,10 +143,10 @@ class TestRk4:
 
         def row(s, v):
             return (np.inf,) if s >= 4 and v[0] > 0 else v
-        for rows in (None, lambda: [row] * 2):
+        for run in (None, nk.float_rows([row] * 2)):
             with pytest.raises(NonFiniteState, match="row 1 .* at step 2 "):
                 nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1,
-                       float_rows=rows)
+                       float_run=run)
 
     def test_float_steps_match_numpy_steps(self):
         # the two renderings of one RK4 step: v' = (v2, -v1 v2) on tuples
@@ -154,8 +155,9 @@ class TestRk4:
             return np.stack([v[:, 1], -v[:, 0] * v[:, 1]], axis=1)
         v0 = np.array([[0.3, 1.0], [-1.2, 0.4], [2.0, -0.7]])
         want = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True)
-        got = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True, float_rows=lambda: [
-            lambda s, v: (v[1], -v[0] * v[1])] * 3)
+        got = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True,
+                     float_run=nk.float_rows(
+                         [lambda s, v: (v[1], -v[0] * v[1])] * 3))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 

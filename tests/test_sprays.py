@@ -8,7 +8,6 @@ import pytest
 
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
-from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import (DomainError, GradientAtZero, NavGeoError,
                            NonFiniteState, NonFiniteValue,
@@ -19,7 +18,8 @@ from navgeo.scenarios import (builtin, builtin_names, load_scenario,
 from navgeo.transport import AnalyticCurve
 
 from helpers import (autoparallel_residual, einsum_natural_spray,
-                     einsum_randers_spray, einsum_riemann_spray)
+                     einsum_randers_spray, einsum_riemann_spray,
+                     natural_stage_rows)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -282,8 +282,9 @@ def test_float_natural_ode_reruns_on_numpy_after_a_halt():
     # natural-ODE stages on made-up tables: A cdot a rotation, Q = I,
     # hW = 0, M cdot = (0.1, 0.2), so F(v) = |v|. Row 0 leaves v1 < 0.9
     # at step 5; with lam = 0 from half step 20 on, row 1 then fails at
-    # step 10. Floats and NumPy give the same trajectories and halts until
-    # then, and the same error at the end.
+    # step 10. The per-row float stages (the reference of the fused
+    # runner, which never halts) and NumPy give the same trajectories and
+    # halts until then, and the same error at the end.
     n, steps = 2, 15
     tab = np.zeros((2, 2 * steps + 1, 2 * n + 1, n))
     tab[..., :n, :] = [[0.0, -1.0], [1.0, 0.0]]
@@ -291,17 +292,17 @@ def test_float_natural_ode_reruns_on_numpy_after_a_halt():
     aux = np.zeros((2, 2 * steps + 1, n + 1))
     aux[...] = [0.1, 0.2, 1.0]
     v0 = np.array([[1.0, 0.5], [-1.0, 0.0]])
-    inside = dict(inside=lambda v: v[:, 1] < 0.9,
-                  float_inside=lambda v: v[1] < 0.9)
 
-    def run(aux, float_rows):
+    def run(aux, on_floats):
         flat = np.ascontiguousarray(np.concatenate(
             [tab.reshape(2, 2 * steps + 1, -1), aux], axis=-1))
-        make = stages.natural_stage(n)
+        make = natural_stage_rows(n)
         return nk.rk4(lambda s, v: tr._natural_stage(tab[:, s], aux[:, s], v),
-                      v0, steps, 1.0 / steps, keep=True, **inside,
-                      float_rows=(lambda: [make(f) for f in flat])
-                      if float_rows else None)
+                      v0, steps, 1.0 / steps, keep=True,
+                      inside=lambda v: v[:, 1] < 0.9,
+                      float_run=nk.float_rows([make(f) for f in flat],
+                                              lambda v: v[1] < 0.9)
+                      if on_floats else None)
 
     on_floats = run(aux, True)
     for got, want in zip(on_floats, run(aux, False)):

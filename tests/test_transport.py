@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from navgeo import connection as cn
 from navgeo import holonomy as ho
+from navgeo import numkernel as nk
 from navgeo import sprays as sp
-from navgeo import stages
 from navgeo import transport as tr
-from navgeo.errors import CurveLeftDomain, ZeroVector
+from navgeo.errors import CurveLeftDomain, NonFiniteState, ZeroVector
 from navgeo.geometry import field_jet, randers_value
 from navgeo.scenarios import builtin, load_scenario, scenario_from_dict
 from navgeo.transport import AnalyticCurve
 
-from helpers import random_curve, random_loop, random_vectors
+from helpers import (natural_rows_oracle, natural_stage_rows, random_curve,
+                     random_loop, random_vectors)
 
 
 SEG = AnalyticCurve.from_strings(["0.5*t", "0"])
@@ -320,7 +321,7 @@ def test_natural_stage_is_the_connection_ode(name):
     want = -np.einsum("pki,pi->pk", cn.jet_gamma(jet, v), vel)
     assert np.abs(dv - want).max() <= 1e-13 * np.abs(want).max()
     # its float code, on the flat stage rows that small batches read
-    rhs = stages.natural_stage(nav.dim)(
+    rhs = natural_stage_rows(nav.dim)(
         np.concatenate([tab.reshape(len(tab), -1), aux], axis=1))
     got = np.array([rhs(p, tuple(vp)) for p, vp in enumerate(v.tolist())])
     assert np.abs(got - dv).max() <= 1e-13 * np.abs(dv).max()
@@ -345,6 +346,99 @@ def test_loop_probes_share_the_tables(sphere_cap, method):
 
     ho.loop_holonomy(nav, loop, probes[:1], dt=2e-3, method=method)  # warm up
     assert peak(probes) <= 1.5 * peak(probes[:1])
+
+
+# ---------------------------------------------------------------------------
+# the fused float runner of the natural ODE
+
+RUNNER_NAVS = {2: lambda: builtin("sphere_cap").nav,
+               3: lambda: load_scenario(str(BENCH_SCENARIOS
+                                            / "rot_ball_3d.json")).nav,
+               4: lambda: load_scenario(str(BENCH_SCENARIOS
+                                            / "rot_box_4d.json")).nav}
+# row -> curve maps that repeat curves out of order
+RUNNER_ROWS = {1: [2], 8: [2, 0, 2, 1, 0, 1, 1, 2], 20: [2, 0, 2, 1, 0] * 4}
+
+
+def _stage_rows(nav, curves, dt):
+    """(tab, aux, flat): the stage tables of the distinct curves and the
+    contiguous rows (U, 2N + 1, row) that `_run_natural` joins them into."""
+    pos, vel, _ = tr._sample_tables(curves, tr._steps_from_dt(dt), nav.chart)
+    tab, aux = tr._natural_tables(field_jet(nav, pos), vel)
+    u, samples = tab.shape[:2]
+    return tab, aux, np.concatenate([tab.reshape(u, samples, -1), aux],
+                                    axis=-1)
+
+
+def _on_floats(flat, rows, v0, keep):
+    steps = (flat.shape[1] - 1) // 2
+    dt = 1.0 / steps
+    return tr._natural_on_floats(flat, np.asarray(rows), v0, steps,
+                                 (0.5 * dt, dt, dt / 6.0), keep)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 8, 20])
+@pytest.mark.parametrize("keep", [False, True])
+def test_natural_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
+    # bit for bit the per-row float stages, within round-off the NumPy
+    # lockstep loop, and each row as it runs alone on its curve
+    nav = RUNNER_NAVS[dim]()
+    rng = np.random.default_rng(10 * dim + batch)
+    curves = [random_curve(nav.chart, rng) for _ in range(3)]
+    tab, aux, flat = _stage_rows(nav, curves, 0.02)
+    rows = np.array(RUNNER_ROWS[batch])
+    v0 = random_vectors(rng, batch, dim)
+    got = _on_floats(flat, rows, v0, keep)
+    want = natural_rows_oracle(flat, rows, v0, keep)
+    assert (got[1] is None) == (want[1] is None) == (not keep)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert got[2].tolist() == [50] * batch
+    ran = tr._run_natural(tab, aux, rows, v0, keep)
+    for a, b in zip(ran, got):
+        np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
+    v, traj = tr._run_natural(tab, aux, rows, v0, keep)
+    assert np.abs(v - got[0]).max() <= 1e-13 * np.abs(got[0]).max()
+    if keep:
+        assert np.abs(traj - got[1]).max() <= 1e-13 * np.abs(got[1]).max()
+    for b, c in enumerate(rows):
+        alone = _on_floats(flat, [c], v0[b:b + 1], keep)
+        np.testing.assert_array_equal(alone[0][0], got[0][b])
+        if keep:
+            np.testing.assert_array_equal(alone[1][0], got[1][b])
+
+
+def test_natural_runner_fails_as_numpy_in_a_later_group(monkeypatch):
+    # made-up tables: A cdot a rotation at unit rate, hW = 0, M cdot = 0.
+    # Curve 0 has Q = I; curve 1 has Q = diag(1, -1), so v.Qv < 0 once a
+    # state turns past 45 degrees. Of the rows on curve 1 (rows 0 and 2,
+    # the second group run), only row 2, starting at 0.3 rad, gets there
+    # (at t = 0.485): on floats sqrt raises, and the batch runs again on
+    # NumPy, which names row 2 at step 8 of 15.
+    n, steps = 2, 15
+    tab = np.zeros((2, 2 * steps + 1, 2 * n + 1, n))
+    tab[..., :n, :] = [[0.0, -1.0], [1.0, 0.0]]
+    tab[..., n:2 * n, :] = np.eye(n)
+    tab[1, :, n:2 * n, :] = np.diag([1.0, -1.0])
+    aux = np.zeros((2, 2 * steps + 1, n + 1))
+    aux[..., -1] = 1.0
+    flat = np.concatenate([tab.reshape(2, 2 * steps + 1, -1), aux], axis=-1)
+    rows = np.array([1, 0, 1, 0])
+    angles = np.array([-0.7, 0.1, 0.3, -0.2])
+    v0 = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    with pytest.raises(ValueError):
+        _on_floats(flat, rows, v0, False)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteState) as on_floats:
+            tr._run_natural(tab, aux, rows, v0, False)
+        monkeypatch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
+        with pytest.raises(NonFiniteState) as on_numpy:
+            tr._run_natural(tab, aux, rows, v0, False)
+    assert str(on_floats.value) == str(on_numpy.value)
+    assert "row 2 " in str(on_numpy.value)
+    assert "at step 8 " in str(on_numpy.value)
 
 
 # ---------------------------------------------------------------------------
