@@ -448,8 +448,9 @@ def _render(lines: list, constant, dialect: Optional[dict] = None,
         template = (dialect or {}).get(template, template)
         text = template.format(*(regs.get(a, a) if isinstance(a, str)
                                  else constant(a) for a in args))
-        free.extend({regs[a] for a in args
-                     if isinstance(a, str) and a in regs and last[a] == i})
+        # in argument order, so the text does not depend on string hashing
+        free.extend(dict.fromkeys(regs[a] for a in args if isinstance(a, str)
+                                  and a in regs and last[a] == i))
         if target is not None:
             if not free:
                 free.append(f"r{count}")
@@ -512,9 +513,7 @@ class Program:
     Each writes its results into the stacked arrays and returns None, or,
     when a log or sqrt argument left its domain somewhere, those arguments,
     from which the DomainError of the first bad expression is rebuilt. One
-    finiteness check follows. Structural facts: `constants` holds the values
-    when no expression reads a coordinate and every one is finite and in
-    its domain (else None), and `source` is the generated code.
+    finiteness check follows. `source` is the generated code.
     """
 
     def __init__(self, exprs: tuple):
@@ -524,17 +523,13 @@ class Program:
         with np.errstate(all="ignore"):
             outs = [b.value(e.root) for e in exprs]
             grads = [b.gradient(e.root) for e in exprs]
-        tail, bad_constant = self._domain_check(b)
+        tail = self._domain_check(b)
         writes = [(None, f"val[..., {j}] = {{0}}", (r,))
                   for j, r in enumerate(outs)]
         gwrites = [(None, f"grad[..., {j}, {k}] = {{0}}", (d,))
                    for j, ds in enumerate(grads) for k, d in enumerate(ds)
                    if d is not None]
         self._zeros = len(gwrites) < len(exprs) * n
-        self.constants = None
-        if (all(isinstance(r, float) for r in outs) and not bad_constant
-                and np.isfinite(outs).all()):
-            self.constants = tuple(outs)
 
         namespace, names = dict(_FUNCS), {}
 
@@ -552,10 +547,10 @@ class Program:
         exec(compile(self.source, "<exprlang program>", "exec"), namespace)
         self._values, self._gradients = namespace["values"], namespace["gradients"]
 
-    def _domain_check(self, b: _Builder) -> tuple[list, bool]:
+    def _domain_check(self, b: _Builder) -> list:
         """The last line of both functions, which returns the arguments of
-        every log and sqrt call when one of them is out of its domain, and
-        whether a constant one always is. Records in self._checks each
+        every log and sqrt call when one of them is out of its domain
+        (always, when a constant one is). Records in self._checks each
         expression's calls in evaluation order, as (function, index of the
         argument among those returned)."""
         args, where, self._checks = [], {}, []
@@ -576,11 +571,11 @@ class Program:
                            if isinstance(args[i], float))
         ret = "return (" + "".join(f"{{{i}}}, " for i in range(len(args))) + ")"
         if bad_constant:
-            return [(None, ret, tuple(args))], True
+            return [(None, ret, tuple(args))]
         if tests:
             return [(None, f"if {' or '.join(tests)}:\n        {ret}",
-                     tuple(args))], False
-        return [], False
+                     tuple(args))]
+        return []
 
     def sweep(self, x: np.ndarray, dual: bool):
         """Values val[..., j] at x (..., n), and with dual=True gradients

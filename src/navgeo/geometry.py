@@ -512,7 +512,7 @@ def validate(nav: NavigationData, n_points: int = 10_000) -> ValidationReport:
     points = nav.chart.sample_interior(n_points)
     h = nav.metric.value(points)
     failures = []
-    bad_metric = np.nonzero(~nk.positive_definite(h))[0]
+    bad_metric = np.nonzero(~stages.positive_definite(h))[0]
     if bad_metric.size:
         i = int(bad_metric[0])
         failures.append({"kind": "metric_not_positive", "point": points[i].tolist(),

@@ -1,5 +1,5 @@
-"""Shared numeric substrate: SPD tests, RK4, numeric rank and time-series
-stencils.
+"""Shared numeric substrate: RK4, numeric rank and time-series stencils,
+all NumPy code.
 
 Field derivatives are not taken here: gradients in x come from the
 compiled programs of `exprlang`, and the fiber derivatives of the
@@ -11,55 +11,25 @@ One RK4 tableau integrates everything, on batches advanced in lockstep (a
 single item is a batch of one). `rk4` is the one loop for nonlinear
 right-hand sides: geodesics, wind flows and the natural transport ODE. Its
 step is one source text, the tableau `_STAGES` and `_UPDATE`, rendered
-over (B, m) arrays, per component over Python floats, and by
-`stages.natural_run`, inline in the generated runner of the natural ODE.
-A batch of at most SCALAR_ROWS rows that comes with a float run runs on
-floats, because at that size NumPy calls, not arithmetic, set the cost:
-a geodesic batch row by row on the float sprays of `stages`
-(`float_rows`), a natural-ODE batch on that runner, the rows of each
-curve in lockstep. A float run that fails is dropped and the whole batch
-runs again on NumPy, so results and errors on failure are the NumPy
-path's. Every other batch runs on NumPy. Linear systems whose matrices
-are tabled before the loop starts (the metric transport, the
-definitional route's inner transport) use `rk4_linear`, which builds the
-step maps of the same tableau at once and applies them instead of
-evaluating a right-hand side; `rk4_propagators` multiplies them out into
-the transport matrix.
+here over (B, m) arrays and by `stages`, inline in the generated float
+runners of the geodesic equations and the natural ODE. A batch of at
+most SCALAR_ROWS rows that comes with a float run runs on such a runner,
+because at that size NumPy calls, not arithmetic, set the cost. A float
+run that fails is dropped and the whole batch runs again on NumPy, so
+results and errors on failure are the NumPy path's. Every other batch
+runs on NumPy. Linear systems whose matrices are tabled before the loop
+starts (the metric transport, the definitional route's inner transport)
+use `rk4_linear`, which builds the step maps of the same tableau at once
+and applies them instead of evaluating a right-hand side;
+`rk4_propagators` multiplies them out into the transport matrix.
 """
 from __future__ import annotations
 
-import array
-import functools
-import math
-import re
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteState
-
-
-# ---------------------------------------------------------------------------
-# small dense linear algebra
-
-def positive_definite(h: np.ndarray) -> np.ndarray:
-    """Mask (...) of the symmetric matrices h (..., n, n), n <= 4, that are
-    positive definite, by Sylvester's criterion: every pivot of h = L D L^T
-    is positive. The elimination is unrolled over the upper triangle, each
-    step one ufunc on a whole-batch column. A matrix fails at its first
-    nonpositive pivot; a zero pivot turns the later ones inf or NaN, which
-    cannot undo that and raise no warning."""
-    n = h.shape[-1]
-    s = {(i, j): h[..., i, j] for i in range(n) for j in range(i, n)}
-    ok = s[0, 0] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n - 1):
-            for i in range(k + 1, n):
-                l_ki = s[k, i] / s[k, k]
-                for j in range(i, n):
-                    s[i, j] = s[i, j] - l_ki * s[k, j]
-            ok &= s[k + 1, k + 1] > 0.0
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +51,12 @@ def _nonfinite(row: int, step: int, dt: float) -> NonFiniteState:
 
 # The RK4 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.1) as
 # source: each stage's offset in half steps and its argument, then the
-# update. It is rendered once over (B, m) arrays and once per component
-# over Python floats, so both paths take the same operations in the same
-# order.
+# update. It is rendered here over (B, m) arrays and by `stages` per
+# component over Python floats, so both paths take the same operations in
+# the same order.
 _STAGES = (("k1", 0, "v"), ("k2", 1, "v + half * k1"),
            ("k3", 1, "v + half * k2"), ("k4", 2, "v + dt * k3"))
 _UPDATE = "v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)"
-_SLOT = re.compile(r"\b(v|k[1-4])\b")
 
 # A batch of at most this many rows with a float run runs on Python floats;
 # a larger one runs in lockstep on NumPy. Measured on natural holonomy
@@ -98,42 +67,25 @@ _SLOT = re.compile(r"\b(v|k[1-4])\b")
 # 24 rows 97-103 vs 71-73, 32 rows 103-112 vs 95-97. On rot_ball_3d (3D):
 # 1 row 75-80 vs 5.8-6.9, 8 rows 87-93 vs 43, 16 rows 88-95 vs 71-85,
 # 20 rows 98-100 vs 76-105, 24 rows 100-106 vs 114-127, 32 rows 69-105 vs
-# 123-140. A randers geodesic on sphere_cap, run row by row, crosses
-# later: at 32 rows (100 steps) it takes 136 ms on NumPy and 81 ms on
-# floats.
+# 123-140. A randers geodesic on sphere_cap (100 steps, no row halting)
+# crosses later: on its lockstep runner (best of 5, two runs) 20 rows
+# take 51-60 ms on NumPy and 25-27 ms on floats, 32 rows 56-58 vs 37-39.
 SCALAR_ROWS = 20
 
 
-def _render_step(m: Optional[int] = None):
+def _render_step():
     """step(f, s, v, half, dt, sixth): one RK4 step of dv/dt = f(s, v) from
-    half step s, over a (B, m) array (m None) or over a tuple of m floats
-    (then f takes and gives tuples)."""
-    def per(text: str) -> str:
-        if m is None:
-            return text
-        return "(" + "".join(_SLOT.sub(rf"\1_{i}", text) + ", "
-                             for i in range(m)) + ")"
-
-    def names(k: str) -> str:
-        return k + " " if m is None else "".join(f"{k}_{i}, " for i in range(m))
-
-    body = [] if m is None else [f"{names('v')}= v"]
-    body += [f"{names(k)}= f(s + {at}, {'v' if arg == 'v' else per(arg)})"
-             for k, at, arg in _STAGES]
+    half step s over a (B, m) array."""
     source = ("def step(f, s, v, half, dt, sixth):\n"
-              + "".join(f"    {line}\n" for line in body)
-              + f"    return {per(_UPDATE)}\n")
+              + "".join(f"    {k} = f(s + {at}, {arg})\n"
+                        for k, at, arg in _STAGES)
+              + f"    return {_UPDATE}\n")
     namespace = {}
     exec(compile(source, "<rk4 step>", "exec"), namespace)
     return namespace["step"]
 
 
 _STEP = _render_step()
-
-
-@functools.lru_cache(maxsize=8)
-def _float_step(m: int):
-    return _render_step(m)
 
 
 def _advance(rhs: Callable, j: int, v: np.ndarray, live: np.ndarray,
@@ -164,12 +116,11 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
 
     float_run(v, steps, sizes, keep) -> (v, trajectory, stop) or None, the
     same run on Python floats (sizes = (dt / 2, dt, dt / 6); it halts rows
-    as inside does), takes a batch of at most SCALAR_ROWS rows: `float_rows`
-    for a right-hand side with a float form, or the generated runner of
-    the natural transport ODE. When it returns None (a non-finite state)
-    or raises ValueError, ZeroDivisionError or OverflowError, the whole
-    batch runs again from v0 in the lockstep loop on NumPy, so the result
-    or the error is the NumPy path's.
+    as inside does), takes a batch of at most SCALAR_ROWS rows: in
+    navgeo, `stages.float_run` on a generated runner. When it returns None
+    (a non-finite state) or raises ValueError, ZeroDivisionError or
+    OverflowError, the whole batch runs again from v0 in the lockstep loop
+    on NumPy, so the result or the error is the NumPy path's.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -200,16 +151,6 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     return v, np.stack(traj, axis=1) if keep else None, stop
 
 
-def float_rows(fs: Sequence[Callable],
-               inside: Optional[Callable] = None) -> Callable:
-    """The float_run of `rk4` in which row b runs the float step of
-    fs[b](s, v) on tuples of floats, each row on its own, halting where
-    inside(v) -> bool, the decision of rk4's inside on one state, is
-    False. Rows never interact, so that gives the lockstep result."""
-    return lambda v, steps, sizes, keep: _rk4_rows(fs, v, steps, sizes, keep,
-                                                   inside)
-
-
 def float_result(states: list, runs: Optional[list], stop: list) -> tuple:
     """`rk4`'s (v, trajectory or None, stop) from the last float states
     of the rows, each row's kept states (an array('d'), or runs None) and
@@ -223,31 +164,6 @@ def float_result(states: list, runs: Optional[list], stop: list) -> tuple:
             traj[b, :stop[b] + 1] = np.frombuffer(run).reshape(-1, m)
             traj[b, stop[b] + 1:] = traj[b, stop[b]]
     return np.array(states), traj, np.array(stop)
-
-
-def _rk4_rows(fs: Sequence[Callable], v: np.ndarray, steps: int, sizes: tuple,
-              keep: bool, inside: Optional[Callable]):
-    """`rk4` on Python floats, row b running the float step of fs[b] until
-    its last step or until its new state leaves inside; None at the first
-    non-finite state."""
-    step = _float_step(v.shape[1])
-    rows, runs, stop = [], [], []
-    for f, state in zip(fs, v.tolist()):
-        state, run, last = tuple(state), array.array("d", state), steps
-        for j in range(steps):
-            new = step(f, 2 * j, state, *sizes)
-            if not math.isfinite(sum(new)):
-                return None
-            if inside is not None and not inside(new):
-                last = j
-                break
-            state = new
-            if keep:
-                run.extend(state)
-        rows.append(state)
-        runs.append(run)
-        stop.append(last)
-    return float_result(rows, runs if keep else None, stop)
 
 
 def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:

@@ -17,6 +17,11 @@ natural - riemann are differences of wind terms, at one F. Every fiber
 contraction on a grid is a batched matmul with the fiber axis as the row
 axis, fibers (P, D, n) @ per-point matrices (P, n, m).
 
+Geodesics integrate in lockstep through `numkernel.rk4`. A small batch of
+a `Spray` runs on the generated float runner of its geodesic equation
+(`stages.geodesic_run`), which is looked up only when a batch runs on
+floats.
+
 Convention pinned throughout (and guarded by the variational residual test):
 the lowered wind derivative is D_ij = h_ik (nabla_j W)^k with the derivative
 slot SECOND; R = sym D, S = antisym D; contractions with the wind hit the
@@ -30,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numkernel as nk, stages
+from . import exprlang, numkernel as nk, stages
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
                        christoffel, fiber_csv, field_jet, indicatrix)
@@ -144,8 +149,9 @@ def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
 @dataclass(frozen=True)
 class Spray:
     """The spray `kind` ('natural', 'randers' or 'riemann') of navigation
-    data: a batched callable G(x, y), which `integrate_geodesics` also runs
-    as generated float code on small batches (`geodesic_rhs`)."""
+    data: a batched callable G(x, y), whose geodesic equation
+    `integrate_geodesics` also runs as generated float code on small
+    batches (`stages.geodesic_run`)."""
 
     nav: NavigationData
     kind: str
@@ -161,12 +167,12 @@ class Spray:
             return natural_spray_values(self.nav, x, y)
         return randers_spray_values(self.nav, x, y)
 
-    def geodesic_rhs(self) -> Callable:
-        """rhs(s, v) -> (y, -2 G(x, y)) on a state tuple v = (x, y) of
-        floats, from the memo of `stages.geodesic_rhs`."""
-        program = (self.nav.metric.program if self.kind == "riemann"
-                   else self.nav.jet_program)
-        return stages.geodesic_rhs(program, self.kind)
+    @property
+    def program(self) -> exprlang.Program:
+        """The fields the spray reads: the metric's program for 'riemann',
+        else the jet program of the navigation data."""
+        return (self.nav.metric.program if self.kind == "riemann"
+                else self.nav.jet_program)
 
 
 def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:
@@ -208,7 +214,8 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
     A path halts (with left_domain=True) as soon as a step would leave the
     chart domain, while the others run on; each returned path contains
     only interior samples. A `Spray` also gives `numkernel.rk4` its float
-    form, which small batches run on; any other callable runs on NumPy.
+    run, the generated runner of its geodesic equation, which small
+    batches run on; any other callable runs on NumPy.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     y0s = np.atleast_2d(np.asarray(y0s, dtype=float))
@@ -224,9 +231,9 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
     inside = None if chart is None else lambda st: chart.contains(st[:, :n])
     float_run = None
     if isinstance(spray, Spray):
-        float_run = nk.float_rows(
-            [spray.geodesic_rhs()] * len(x0s),
-            None if chart is None else chart.float_contains())
+        float_run = stages.float_run(
+            stages.geodesic_run, (spray.program, spray.kind),
+            inside=None if chart is None else chart.float_contains())
     _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
                            dt, keep=True, inside=inside, float_run=float_run)
     return [GeodesicPath(kind, dt * np.arange(last + 1), traj[b, :last + 1, :n],

@@ -1,29 +1,32 @@
 """Straight-line code generated with the expression builder of `exprlang`
 (source transformation, Griewank & Walther, Evaluating Derivatives, ch. 6).
 
-`metric_lines` is the one definition of h^-1, from the L D L^T elimination
-of h with each pivot checked positive as `numkernel.positive_definite`
-does, and of the Levi-Civita symbols A^k_ij (i <= j). Constants fold and
-structural zeros get no line. `metric_kernel` renders these lines over the
-metric columns of a NumPy sweep, for `geometry.christoffel` and
-`field_jet`.
+The L D L^T elimination of h, each pivot checked positive, is written
+once (`_pivots`). `metric_lines` builds on it the one definition of h^-1
+and of the Levi-Civita symbols A^k_ij (i <= j). Constants fold and
+structural zeros get no line. `metric_kernel` renders these lines over
+the metric columns of a NumPy sweep, for `geometry.christoffel` and
+`field_jet`; `positive_definite` renders the pivot checks alone over
+matrix columns as a mask, for `geometry.validate`.
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
 arithmetic: one `field_jet` at a single point is dozens of them. So
-`numkernel.rk4` runs such batches on Python floats, through the code
-generated here. Geodesics run one row at a time on the geodesic equation
-of each spray (`geodesic_rhs`), which holds the value and gradient lines
-of the jet program, the metric lines, M = dW + A W, hW, lam and the
-navigation norm F = (sqrt(a^2 + lam b) - a) / lam, then the spray as
-`sprays` defines it: the metric spray A y y / 2 plus the spray's wind
-term, grouped as `sprays.natural_wind_term` or
-`sprays.randers_wind_term`. The natural transport ODE runs on one fused
-runner per dimension (`natural_run`): every RK4 step of all the rows on
-one curve, the stage lines of `natural_stage_lines` inlined four times
-between the lines of numkernel's tableau text, so each stage row of the
-curve's table is unpacked once per step for all its rows. The NumPy
-kernels of `sprays` and `transport` stay the path of larger batches and
-of grids.
+`numkernel.rk4` runs such batches on Python floats, on runners generated
+here by one generator (`_runner`): every RK4 step of a group of rows in
+lockstep, with the lines of one stage inlined four times between the
+lines of numkernel's tableau text. It has two stages. The geodesic
+equation of each spray (`geodesic_stage_lines`, runner `geodesic_run`)
+walks the jet program afresh at every stage: its value and gradient
+lines, the metric lines, M = dW + A W, hW, lam and the navigation norm
+F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines
+it: the metric spray A y y / 2 plus the spray's wind term, grouped as
+`sprays.natural_wind_term` or `sprays.randers_wind_term`; a row halts
+where it leaves the chart. The natural transport ODE
+(`natural_stage_lines`, runner `natural_run`) reads the stage rows of
+one curve's table, each unpacked once per step for all the rows on that
+curve. `float_run` adapts a runner to `numkernel.rk4`. The NumPy kernels
+of `sprays` and `transport` stay the path of larger batches and of
+grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -34,7 +37,9 @@ so the error, or the result where NumPy has none, is the NumPy path's.
 """
 from __future__ import annotations
 
+import array
 import functools
+import re
 import struct
 
 import numpy as np
@@ -48,6 +53,10 @@ _PIVOT = f"if not {{0}} > 0.0: {_FAIL}"
 # and a failure raises the error of the NumPy path.
 _NOT_SPD = "raise NotPositiveDefinite('metric value is not positive definite')"
 _COLUMNS = {_PIVOT: f"if not ({{0}} > 0.0).all(): {_NOT_SPD}", _FAIL: _NOT_SPD}
+# The pivot checks over the matrix columns of a batch make a mask.
+_MASK = {_PIVOT: "ok &= {0} > 0.0"}
+# The slots of numkernel's tableau text.
+_SLOT = re.compile(r"\b(v|k[1-4])\b")
 
 
 def _nonzero(ref):
@@ -95,25 +104,38 @@ def _symmetric(upper: list, n: int) -> dict:
             **{(j, i): u for (i, j), u in zip(pairs, upper)}}
 
 
-def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
-    """(hinv, A), the mappings (i, j) -> h^-1 and (k, i, j) -> A^k_ij as
-    builder references, from the references h[i, j] and dh[i, j][k] =
-    d_k h_ij; None when the lines cannot succeed anywhere (a constant pivot
-    that is not positive). h^-1 = L^-T D^-1 L^-1 from h = L D L^T,
-    eliminating as numkernel.positive_definite does, each pivot checked
-    positive before it divides; A^k_ij = h^kl (d_i h_jl + d_j h_il -
-    d_l h_ij) / 2, its lines for i <= j only."""
-    n = len(dh[0, 0])
+def _pivots(b: exprlang._Builder, h: dict, n: int):
+    """(pivots, lower): the pivots of h = L D L^T and the entries (i, k),
+    i > k, of the unit lower triangular L, as builder references from the
+    references h[i, j] (i <= j read), by elimination over the upper
+    triangle, each pivot checked positive (a `_PIVOT` line) before it
+    divides; None when a constant pivot is not positive."""
     s = dict(h)
-    lower, inv_pivot = {}, []
+    pivots, lower = [], {}
     for k in range(n):
         if not _require_positive(b, s[k, k]):
             return None
-        inv_pivot.append(b.div(1.0, s[k, k]))
+        pivots.append(s[k, k])
         for i in range(k + 1, n):
             lower[i, k] = b.div(s[k, i], s[k, k])
             for j in range(i, n):
                 s[i, j] = b.sub(s[i, j], b.mul(lower[i, k], s[k, j]))
+    return pivots, lower
+
+
+def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
+    """(hinv, A), the mappings (i, j) -> h^-1 and (k, i, j) -> A^k_ij as
+    builder references, from the references h[i, j] and dh[i, j][k] =
+    d_k h_ij; None when the lines cannot succeed anywhere (a constant pivot
+    that is not positive). h^-1 = L^-T D^-1 L^-1 from the elimination
+    h = L D L^T of `_pivots`; A^k_ij = h^kl (d_i h_jl + d_j h_il -
+    d_l h_ij) / 2, its lines for i <= j only."""
+    n = len(dh[0, 0])
+    ldl = _pivots(b, h, n)
+    if ldl is None:
+        return None
+    pivots, lower = ldl
+    inv_pivot = [b.div(1.0, d) for d in pivots]
     u = {}  # L^-1, unit lower triangular
     for k in range(n):
         u[k, k] = 1.0
@@ -244,17 +266,6 @@ def _randers_wind(b, jet: _Jet, y, f) -> list:
 _WIND_TERMS = {"natural": _natural_wind, "randers": _randers_wind}
 
 
-def _returns(refs) -> tuple:
-    """The line returning the tuple of refs (a structural zero as 0.0)."""
-    refs = tuple(0.0 if r is None else r for r in refs)
-    return (None, "return (" + "".join(f"{{{i}}}, " for i in range(len(refs)))
-            + ")", refs)
-
-
-def _unpack(names, source: str) -> tuple:
-    return (None, f"{', '.join(names)}, = {source}", ())
-
-
 @functools.lru_cache(maxsize=32)
 def metric_kernel(program: exprlang.Program):
     """kernel(val, grad) -> (hinv (..., n, n), A (..., k, i, j)): the lines
@@ -289,27 +300,53 @@ def metric_kernel(program: exprlang.Program):
         names={"zeros": np.zeros, "NotPositiveDefinite": NotPositiveDefinite})
 
 
-@functools.lru_cache(maxsize=32)
-def geodesic_rhs(program: exprlang.Program, kind: str):
-    """rhs(s, v) -> the tuple (y, -2 G(x, y)) at the state v = (x, y), as
-    float code, for the spray `kind` ('riemann', 'natural' or 'randers')
-    of the fields of `program`: the jet program of navigation data, or the
-    metric's own program for 'riemann'. Memoized on (program, kind); the
-    first call builds the code."""
-    n = program.n
-    x = tuple(f"x{i}" for i in range(n))
-    y = [f"y{i}" for i in range(n)]
-    b = exprlang._Builder(n, coords=x)
+@functools.lru_cache(maxsize=4)
+def _pivot_mask(n: int):
+    b = exprlang._Builder(n)
+    _pivots(b, {(i, j): f"h[..., {i}, {j}]"
+                for i in range(n) for j in range(i, n)}, n)
+    lines = [(t, _MASK.get(c, c), r) for t, c, r in b.dlines]
+    return exprlang.float_function(
+        "mask", "h", [(None, "ok = True", ())] + lines
+        + [(None, "return ok", ())])
+
+
+def positive_definite(h: np.ndarray) -> np.ndarray:
+    """Mask (...) of the symmetric matrices h (..., n, n) that are positive
+    definite, by Sylvester's criterion: every pivot of the elimination of
+    `_pivots` is positive. Its lines run over the columns h[..., i, j],
+    each one ufunc on a whole-batch column; memoized per dimension. A
+    matrix fails at its first nonpositive pivot; a zero pivot turns the
+    later ones inf or NaN, which cannot undo that and raise no warning."""
     with np.errstate(all="ignore"):
-        jet = _Jet(b, program)
-        if jet.ok:
-            g = _riemann(b, jet, y)
-            if kind in _WIND_TERMS:
-                g = map(b.add, g, _WIND_TERMS[kind](b, jet, y, jet.norm(b, y)))
-            g = [b.mul(-2.0, gk) for gk in g]
-    lines = ([_unpack(x + tuple(y), "v")] + b.lines + b.dlines
-             + [_returns(y + g) if jet.ok else (None, _FAIL, ())])
-    return exprlang.float_function("rhs", "s, v", lines)
+        return _pivot_mask(h.shape[-1])(h)
+
+
+def geodesic_stage_lines(program: exprlang.Program, kind: str,
+                         b: exprlang._Builder, p: list, v: list) -> list:
+    """The geodesic equation (x, y)' = (y, -2 G(x, y)) of the spray `kind`
+    ('riemann', 'natural' or 'randers') of the fields of `program` (the
+    jet program of navigation data, or the metric's own program for
+    'riemann') as lines of builder b, from the references v = (x, y) of
+    the state; p, the stage row, is empty. b walks the program afresh:
+    its coordinates become x and its memos of values and gradients are
+    cleared. The lines are the jet program's value and gradient lines,
+    the metric lines, M, hW, lam and F, then the spray as `sprays` defines
+    it, A y y / 2 plus the wind term grouped as `sprays.natural_wind_term`
+    or `sprays.randers_wind_term`. Returns the 2n references, a
+    structural zero as 0.0."""
+    n = program.n
+    b.n, b.coords, b.vals, b.dots = n, tuple(v[:n]), {}, {}
+    y = v[n:]
+    jet = _Jet(b, program)
+    if not jet.ok:
+        b.dlines.append((None, _FAIL, ()))
+        return [0.0] * (2 * n)
+    g = _riemann(b, jet, y)
+    if kind in _WIND_TERMS:
+        g = map(b.add, g, _WIND_TERMS[kind](b, jet, y, jet.norm(b, y)))
+    return [0.0 if r is None else r
+            for r in y + [b.mul(-2.0, gk) for gk in g]]
 
 
 def natural_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
@@ -341,52 +378,108 @@ def _tableau(b: exprlang._Builder, text: str, i: int, slots: dict):
     def put(match) -> str:
         args.append(slots[match.group(1)][i])
         return f"{{{len(args) - 1}}}"
-    template = nk._SLOT.sub(put, text)
+    template = _SLOT.sub(put, text)
     return args[0] if template == "{0}" else b.emit(b.dlines, template, *args)
+
+
+def _runner(m: int, stage, width: int = 0):
+    """run(tab, inside, states, runs, stop, steps, half, dt, sixth): the
+    RK4 steps of the ODE whose right-hand side is stage(b, p, v) (lines of
+    builder b from the references p of a stage row and v of the state),
+    as float code, for the states (a list of sequences of m floats) of a
+    group of batch rows, in lockstep. The stage lines are inlined four
+    times between the lines of numkernel's tableau text, so each row takes
+    the operations of `numkernel.rk4`'s NumPy step. Each new state is
+    appended to runs[row] (an array('d')) unless runs is None.
+
+    With width > 0, tab (2N + 1, width) is a C-contiguous float64 table of
+    stage rows, read as raw floats: step j unpacks half-step rows 2j + 1
+    and 2j + 2 once for all the rows, row 2j carrying over from the step
+    before. With width 0 (no table), a row whose new state fails
+    inside(new) keeps its state and records stop[row] = j, and the run
+    ends when no row is live. Returns states, updated in place, or None at
+    the first non-finite state; a float error propagates."""
+    rows = [[f"p{at}_{i}" for i in range(width)] for at in range(3)]
+    b = exprlang._Builder(m)
+    b.lines = b.dlines  # value and derivative lines in one ordered list
+    slots = {"v": [f"v_{i}" for i in range(m)]}
+    with np.errstate(all="ignore"):
+        for k, at, arg in nk._STAGES:
+            slots[k] = stage(b, rows[at],
+                             [_tableau(b, arg, i, slots) for i in range(m)])
+        new = [_tableau(b, nk._UPDATE, i, slots) for i in range(m)]
+    lines = b.dlines + [(None, "new = (" + "".join(
+        f"{{{i}}}, " for i in range(m)) + ")", tuple(new))]
+    start = table = turn = skip = halt = []
+    if width:  # the table's stage rows, unpacked once per step
+        p = [", ".join(names) + "," for names in rows]
+        start = [f"{p[0]} = unpack(tab, 0)"]
+        table = [f"    at = {16 * width} * j",
+                 f"    {p[1]} = unpack(tab, at + {8 * width})",
+                 f"    {p[2]} = end = unpack(tab, at + {16 * width})"]
+        turn = [f"    {p[0]} = end"]
+    else:  # halted rows are skipped
+        skip = ["        if stop[row] < steps:", "            continue"]
+        halt = ["        if inside is not None and not inside(new):",
+                "            stop[row] = j",
+                "            if steps not in stop:",
+                "                return states",
+                "            continue"]
+    frame = (start + ["for j in range(steps):"] + table
+             + [f"    for row, ({', '.join(slots['v'])},) in enumerate(states):"]
+             + skip + ["        {body}",
+                       "        if not isfinite(sum(new)):",
+                       "            return None"]
+             + halt + ["        states[row] = new",
+                       "        if runs is not None:",
+                       "            runs[row].extend(new)"]
+             + turn + ["return states"])
+    return exprlang.float_function(
+        "run", "tab, inside, states, runs, stop, steps, half, dt, sixth",
+        lines, names={"unpack": struct.Struct(f"{width}d").unpack_from}
+        if width else None, frame="".join(f"    {line}\n" for line in frame))
+
+
+@functools.lru_cache(maxsize=32)
+def geodesic_run(program: exprlang.Program, kind: str):
+    """The runner (`_runner`) of the geodesic equation of the spray `kind`
+    of the fields of `program` (`geodesic_stage_lines`): no table, and
+    rows halt on inside. Memoized on (program, kind); the first call
+    builds the code."""
+    return _runner(2 * program.n,
+                   functools.partial(geodesic_stage_lines, program, kind))
 
 
 @functools.lru_cache(maxsize=4)
 def natural_run(n: int):
-    """run(tab, states, runs, steps, half, dt, sixth): the RK4 steps of
-    the natural transport ODE in dimension n, as float code, for the
-    states (a list of sequences of n floats) of all batch rows on one
-    curve, in lockstep. tab (2N + 1, stage_width(n)) is the curve's C-contiguous
-    float64 stage table, read as raw floats: step j unpacks half-step rows
-    2j + 1 and 2j + 2 once, row 2j carrying over from the step before, and
-    advances each state through the four stages of `natural_stage_lines`
-    and the update, both inlined from numkernel's tableau text, so each
-    row takes the operations of `numkernel.rk4`'s float step. Each new
-    state is appended to runs[r] (an array('d')) unless runs is None.
-    Returns states, updated in place, or None at the first non-finite
-    state; a float error (ValueError, ZeroDivisionError) propagates.
-    Memoized per dimension; the first call builds the code."""
-    width = stage_width(n)
-    rows = [[f"p{at}_{i}" for i in range(width)] for at in range(3)]
-    b = exprlang._Builder(n)
-    slots = {"v": [f"v_{i}" for i in range(n)]}
-    for k, at, arg in nk._STAGES:
-        slots[k] = natural_stage_lines(
-            b, rows[at], [_tableau(b, arg, i, slots) for i in range(n)])
-    new = [_tableau(b, nk._UPDATE, i, slots) for i in range(n)]
-    lines = b.dlines + [(None, "new = (" + "".join(
-        f"{{{i}}}, " for i in range(n)) + ")", tuple(new))]
-    unpacked = [", ".join(names) + "," for names in rows]
-    frame = "".join(f"{line}\n" for line in (
-        f"    {unpacked[0]} = unpack(tab, 0)",
-        "    for j in range(steps):",
-        f"        at = {16 * width} * j",
-        f"        {unpacked[1]} = unpack(tab, at + {8 * width})",
-        f"        {unpacked[2]} = end = unpack(tab, at + {16 * width})",
-        f"        for row, ({', '.join(slots['v'])},) in enumerate(states):",
-        "            {body}",
-        "            if not isfinite(sum(new)):",
-        "                return None",
-        "            states[row] = new",
-        "            if runs is not None:",
-        "                runs[row].extend(new)",
-        f"        {unpacked[0]} = end",
-        "    return states"))
-    return exprlang.float_function(
-        "run", "tab, states, runs, steps, half, dt, sixth", lines,
-        names={"unpack": struct.Struct(f"{width}d").unpack_from},
-        frame=frame)
+    """The runner (`_runner`) of the natural transport ODE in dimension n
+    on one curve's table of stage rows (`natural_stage_lines`); its rows
+    never halt. Memoized per dimension; the first call builds the code."""
+    return _runner(n, natural_stage_lines, stage_width(n))
+
+
+def float_run(runner, key: tuple, tables=(None,), rows=None, inside=None):
+    """The float_run of `numkernel.rk4` on the runner runner(*key) of
+    `_runner`, looked up when a batch first runs on floats: the batch rows
+    on each of `tables` (row b on tables[rows[b]]; every row on the one
+    table when rows is None) run in lockstep, halting on inside, and come
+    back in batch order as rk4's (v, trajectory or None, stop); None at
+    the first non-finite state."""
+    def run(v, steps, sizes, keep):
+        go = runner(*key)
+        states = v.tolist()
+        runs = [array.array("d", s) for s in states] if keep else None
+        stop = [steps] * len(states)
+        for c, table in enumerate(tables):
+            group = (range(len(states)) if rows is None
+                     else np.flatnonzero(rows == c).tolist())
+            last = [steps] * len(group)
+            done = go(table, inside, [states[b] for b in group],
+                      None if runs is None else [runs[b] for b in group],
+                      last, steps, *sizes)
+            if done is None:
+                return None
+            for b, state, halt in zip(group, done, last):
+                states[b], stop[b] = state, halt
+        return nk.float_result(states, runs, stop)
+    return run

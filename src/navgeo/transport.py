@@ -14,10 +14,11 @@ their ordered product (`numkernel.rk4_propagators`). The natural ODE runs
 makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
 affordable. A batch of at most `numkernel.SCALAR_ROWS` rows (one transport,
 the probes of a small holonomy loop), where NumPy's per-call cost would
-dominate, runs on the generated float runner `stages.natural_run`, one
-call per curve for all the rows on it in lockstep: it reads the curve's
-stage rows as raw floats straight from the one contiguous table the
-NumPy stages read, unpacking each of them once for all those rows.
+dominate, runs on the generated float runner `stages.natural_run`
+through `stages.float_run`, one call per curve for all the rows on it in
+lockstep: it reads the curve's stage rows as raw floats straight from the
+one contiguous table the NumPy stages read, unpacking each of them once
+for all those rows.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -31,8 +32,6 @@ evaluates F at every stage state and never linearises around v0.
 """
 from __future__ import annotations
 
-import array
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -238,27 +237,6 @@ def _natural_stage(tab: np.ndarray, aux: np.ndarray,
     return t[:, :n] + f[:, None] * aux[:, :n]
 
 
-def _natural_on_floats(flat: np.ndarray, rows: np.ndarray, v: np.ndarray,
-                       steps: int, sizes: tuple, keep: bool):
-    """The float_run of `numkernel.rk4` for the natural ODE on the stage
-    rows flat (U, 2N + 1, row): the batch rows on each curve run through
-    `stages.natural_run` in lockstep, on that curve's table, and come back
-    in batch order; None at the first non-finite state."""
-    run = stages.natural_run(v.shape[1])
-    states = v.tolist()
-    runs = [array.array("d", s) for s in states] if keep else None
-    for c, table in enumerate(flat):
-        group = np.flatnonzero(rows == c).tolist()
-        done = run(table, [states[b] for b in group],
-                   None if runs is None else [runs[b] for b in group],
-                   steps, *sizes)
-        if done is None:
-            return None
-        for b, state in zip(group, done):
-            states[b] = state
-    return nk.float_result(states, runs, [steps] * len(states))
-
-
 def _run_natural(tab: np.ndarray, aux: np.ndarray, rows: np.ndarray,
                  v0: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -281,7 +259,7 @@ def _run_natural(tab: np.ndarray, aux: np.ndarray, rows: np.ndarray,
         lambda s, v: _natural_stage(tab_s[s].take(rows, 0),
                                     aux_s[s].take(rows, 0), v),
         v0, steps, 1.0 / steps, keep,
-        float_run=functools.partial(_natural_on_floats, flat, rows))[:2]
+        float_run=stages.float_run(stages.natural_run, (n,), flat, rows))[:2]
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,

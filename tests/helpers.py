@@ -12,14 +12,20 @@ closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
 connection and the torsion). The point-major Kronecker blocks, kept by
 the np.linalg.norm / np.all row rule, are the reference for the
 coordinate-major lattice of navgeo.geometry.Chart.sample_interior. The
-natural-ODE stage as a closure per row, stepped by numkernel's per-row
-float loop, is the reference for the fused runner of
-navgeo.stages.natural_run.
+per-row float loop, each row on its own through one RK4 step rendered
+per component from numkernel's tableau text, is the bit-for-bit
+reference for the lockstep runners of navgeo.stages: it steps the
+natural-ODE stage as a closure per row against navgeo.stages.natural_run,
+and the one-stage float spray of navgeo.stages.geodesic_stage_lines
+(also the float spray the einsum sprays check) against
+navgeo.stages.geodesic_run.
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
 """
+import array
 import functools
+import math
 import struct
 
 import numpy as np
@@ -138,6 +144,84 @@ def bracket_tree_oracle(nav, z, depth, step=1e-4):
     return [np.stack([f(z) for f in gen], axis=1) for gen in generations]
 
 
+@functools.lru_cache(maxsize=8)
+def float_step(m):
+    """step(f, s, v, half, dt, sixth): one RK4 step of dv/dt = f(s, v) from
+    half step s over a tuple of m floats (f takes and gives tuples),
+    rendered per component from numkernel's tableau text."""
+    def per(text):
+        return "(" + "".join(stages._SLOT.sub(rf"\1_{i}", text) + ", "
+                             for i in range(m)) + ")"
+
+    def names(k):
+        return "".join(f"{k}_{i}, " for i in range(m))
+
+    body = [f"{names('v')}= v"] + [
+        f"{names(k)}= f(s + {at}, {'v' if arg == 'v' else per(arg)})"
+        for k, at, arg in nk._STAGES]
+    source = ("def step(f, s, v, half, dt, sixth):\n"
+              + "".join(f"    {line}\n" for line in body)
+              + f"    return {per(nk._UPDATE)}\n")
+    namespace = {}
+    exec(compile(source, "<rk4 step>", "exec"), namespace)
+    return namespace["step"]
+
+
+def float_rows(fs, inside=None):
+    """A float_run of numkernel.rk4 in which row b runs `float_step` of
+    fs[b](s, v) on its own, to its last step or until its new state fails
+    inside(v) -> bool; None at the first non-finite state. Rows never
+    interact, so that gives the lockstep result."""
+    def run(v, steps, sizes, keep):
+        step = float_step(v.shape[1])
+        rows, runs, stop = [], [], []
+        for f, state in zip(fs, v.tolist()):
+            state, trail, last = tuple(state), array.array("d", state), steps
+            for j in range(steps):
+                new = step(f, 2 * j, state, *sizes)
+                if not math.isfinite(sum(new)):
+                    return None
+                if inside is not None and not inside(new):
+                    last = j
+                    break
+                state = new
+                if keep:
+                    trail.extend(state)
+            rows.append(state)
+            runs.append(trail)
+            stop.append(last)
+        return nk.float_result(rows, runs if keep else None, stop)
+    return run
+
+
+def _returns(refs):
+    return (None, "return (" + "".join(f"{{{i}}}, " for i in range(len(refs)))
+            + ")", tuple(refs))
+
+
+def geodesic_stage(program, kind):
+    """rhs(s, v) -> the tuple (y, -2 G(x, y)) at the state v = (x, y) of
+    floats: the lines of navgeo.stages.geodesic_stage_lines for the spray
+    `kind` of the fields of `program`, as one float function."""
+    v = [f"v{i}" for i in range(2 * program.n)]
+    b = xl._Builder(program.n)
+    b.lines = b.dlines
+    with np.errstate(all="ignore"):
+        out = stages.geodesic_stage_lines(program, kind, b, [], v)
+    return xl.float_function("rhs", "s, v", [(None, f"{', '.join(v)}, = v", ())]
+                             + b.dlines + [_returns(out)])
+
+
+def geodesic_rows_oracle(spray, v0, steps, dt, keep, inside=None):
+    """(v, trajectory or None, stop) of the geodesic equation of the
+    navgeo.sprays.Spray `spray` from the states v0 (B, 2n), each row on
+    its own through `geodesic_stage` and `float_step`, halting where
+    inside(v) -> bool fails; None at a non-finite state."""
+    rhs = geodesic_stage(spray.program, spray.kind)
+    return float_rows([rhs] * len(v0), inside)(
+        np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
+
+
 def natural_stage_rows(n):
     """make(tab) -> rhs(s, v): the natural transport stage of
     navgeo.stages.natural_stage_lines in dimension n as a closure over one
@@ -148,9 +232,7 @@ def natural_stage_rows(n):
     v = [f"v{i}" for i in range(n)]
     out = stages.natural_stage_lines(b, p, v)
     lines = ([(None, f"{', '.join(p)}, = unpack(tab, s * {8 * len(p)})", ()),
-              (None, f"{', '.join(v)}, = v", ())] + b.dlines
-             + [(None, "return (" + "".join(f"{{{i}}}, " for i in range(n))
-                 + ")", tuple(out))])
+              (None, f"{', '.join(v)}, = v", ())] + b.dlines + [_returns(out)])
     rhs = xl.float_function(
         "rhs", "tab, s, v", lines,
         names={"unpack": struct.Struct(f"{len(p)}d").unpack_from})
@@ -161,11 +243,11 @@ def natural_rows_oracle(flat, rows, v0, keep):
     """(v, trajectory or None, stop) of the natural ODE on the stage rows
     flat (U, 2N + 1, row) of `transport._run_natural`, batch row b on
     curve rows[b], each row on its own through the per-row stage closure
-    and numkernel's float step; None at a non-finite state."""
+    and `float_step`; None at a non-finite state."""
     make = natural_stage_rows(v0.shape[1])
     steps = (flat.shape[1] - 1) // 2
     dt = 1.0 / steps
-    return nk.float_rows([make(flat[c]) for c in rows])(
+    return float_rows([make(flat[c]) for c in rows])(
         np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
 
 

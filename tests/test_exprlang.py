@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -414,3 +419,25 @@ class TestSplitComponents:
     def test_nested_calls_kept_whole(self):
         parts = xl.split_components("cos(2*pi*t), 0.3")
         assert parts == ["cos(2*pi*t)", "0.3"]
+
+
+# One program and one float runner, printed by a fresh process.
+_SOURCES = """
+from navgeo import sprays, stages
+from navgeo.scenarios import builtin
+spray = sprays.Spray(builtin("sphere_cap").nav, "randers")
+print(spray.program.source)
+print(stages.geodesic_run(spray.program, spray.kind).source)
+"""
+
+
+def test_generated_source_does_not_depend_on_string_hashing():
+    # registers are freed in the order of a line's arguments, so the text
+    # of every program and runner is the same under any PYTHONHASHSEED
+    env = {**os.environ, "PYTHONPATH": str(Path(xl.__file__).parents[1])}
+    texts = [subprocess.run([sys.executable, "-c", _SOURCES], check=True,
+                            capture_output=True, text=True,
+                            env={**env, "PYTHONHASHSEED": seed}).stdout
+             for seed in ("1", "2")]
+    assert "def gradients(" in texts[0] and "def run(" in texts[0]
+    assert texts[0] == texts[1]

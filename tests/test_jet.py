@@ -11,9 +11,9 @@ import pytest
 from navgeo import connection as cn
 from navgeo import exprlang as xl
 from navgeo import geometry as ge
-from navgeo import numkernel as nk
 from navgeo import classify as cl
 from navgeo import sprays as sp
+from navgeo import stages
 from navgeo.errors import NotPositiveDefinite
 from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
@@ -21,9 +21,9 @@ from navgeo.scenarios import (builtin, builtin_names, load_scenario,
 
 from helpers import (compare_sprays_oracle, einsum_levi_civita,
                      einsum_natural_spray, einsum_randers_spray,
-                     einsum_riemann_spray, jet_gamma_fiber_jacobian,
-                     random_curve, random_loop, torsion_residual_oracle,
-                     walk_sweep)
+                     einsum_riemann_spray, geodesic_stage,
+                     jet_gamma_fiber_jacobian, random_curve, random_loop,
+                     torsion_residual_oracle, walk_sweep)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -213,7 +213,7 @@ def _count_inverses(monkeypatch):
                                   "funk_ball_3d.json", "constant_wind_3d.json"])
 def test_constant_metric_skips_inverse_and_levi_civita(name, monkeypatch):
     nav = _nav(name)
-    assert nav.metric.program.constants is not None
+    assert "x[" not in nav.metric.program.source  # reads no coordinate
     pts = nav.chart.sample_interior(7, margin=0.2)
     field_jet(nav, pts[0])  # the metric's lines are built on first use
     calls = _count_inverses(monkeypatch)
@@ -232,7 +232,7 @@ def test_constant_metric_skips_inverse_and_levi_civita(name, monkeypatch):
 
 def test_curved_metric_is_not_constant():
     for name in ("sphere_cap", "conformal_flat", "rot_box_4d.json"):
-        assert _nav(name).metric.program.constants is None
+        assert "x[" in _nav(name).metric.program.source
 
 
 def test_constant_indefinite_metric_still_raises():
@@ -240,7 +240,7 @@ def test_constant_indefinite_metric_still_raises():
             "domain": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
             "metric": [["1", "2"], ["1"]], "wind": ["0.1*x2", "0"]}
     nav = scenario_from_dict(data, validate_nav=False).nav
-    assert nav.metric.program.constants is not None
+    assert "x[" not in nav.metric.program.source
     for _ in range(2):  # the memoized lines raise on every call
         with pytest.raises(NotPositiveDefinite):
             field_jet(nav, np.array([0.1, 0.2]))
@@ -263,7 +263,7 @@ def test_curved_metric_indefinite_at_one_point_raises():
         with pytest.raises(NotPositiveDefinite, match=message):
             ge.christoffel(nav.metric, x)
     good = pts[[0, 1, 3]]
-    assert np.all(nk.positive_definite(nav.metric.value(good)))
+    assert np.all(stages.positive_definite(nav.metric.value(good)))
     np.testing.assert_array_equal(field_jet(nav, good).A,
                                   ge.christoffel(nav.metric, good))
 
@@ -393,7 +393,7 @@ def test_float_sprays_are_the_metric_spray_plus_the_wind_terms(name):
     ys = rng.normal(size=pts.shape)
     for kind in ("riemann", "natural", "randers"):
         spray = sp.Spray(nav, kind)
-        rhs = spray.geodesic_rhs()
+        rhs = geodesic_stage(spray.program, kind)
         got = np.array([rhs(0, tuple(x + y)) for x, y in
                         zip(pts.tolist(), ys.tolist())])[:, nav.dim:]
         want = -2.0 * spray(pts, ys)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from navgeo import numkernel as nk
+from navgeo import stages
 from navgeo.errors import NonFiniteState
 
 import helpers as hp
@@ -72,7 +73,7 @@ class TestPositiveDefinite:
         h = self._spectral(rng, 4000, n, 1e-2, 3.0)
         want = np.linalg.eigvalsh(h).min(axis=-1) > 0.0
         assert 0 < want.sum() < len(h)
-        assert np.array_equal(nk.positive_definite(h), want)
+        assert np.array_equal(stages.positive_definite(h), want)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_last_pivot_alone_can_fail(self, n):
@@ -91,13 +92,13 @@ class TestPositiveDefinite:
         assert np.all(np.linalg.eigvalsh(a) > 0.0)
         want = np.linalg.eigvalsh(h).min(axis=-1) > 0.0
         assert np.array_equal(want, c < 0.0)
-        assert np.array_equal(nk.positive_definite(h), want)
+        assert np.array_equal(stages.positive_definite(h), want)
 
     def test_zero_pivot_fails_without_warnings(self):
         h = np.array([[[0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]],
                       [[2.0, 0.5], [0.5, 1.0]]])
         with np.errstate(all="raise"):
-            assert nk.positive_definite(h).tolist() == [False, False, True]
+            assert stages.positive_definite(h).tolist() == [False, False, True]
 
 
 class TestRk4:
@@ -125,7 +126,7 @@ class TestRk4:
         runs = [nk.rk4(lambda s, v: np.ones_like(v), np.array([[0.0], [0.5]]),
                        10, 0.1, keep=True, inside=lambda v: v[:, 0] < 1.25,
                        float_run=run)
-                for run in (None, nk.float_rows([lambda s, v: (1.0,)] * 2,
+                for run in (None, hp.float_rows([lambda s, v: (1.0,)] * 2,
                                                 lambda v: v[0] < 1.25))]
         for v, traj, stop in runs:
             assert stop.tolist() == [10, 7]
@@ -143,7 +144,7 @@ class TestRk4:
 
         def row(s, v):
             return (np.inf,) if s >= 4 and v[0] > 0 else v
-        for run in (None, nk.float_rows([row] * 2)):
+        for run in (None, hp.float_rows([row] * 2)):
             with pytest.raises(NonFiniteState, match="row 1 .* at step 2 "):
                 nk.rk4(rhs, np.array([[-1.0], [1.0]]), 5, 0.1,
                        float_run=run)
@@ -156,7 +157,7 @@ class TestRk4:
         v0 = np.array([[0.3, 1.0], [-1.2, 0.4], [2.0, -0.7]])
         want = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True)
         got = nk.rk4(numpy_rhs, v0, 50, 0.02, keep=True,
-                     float_run=nk.float_rows(
+                     float_run=hp.float_rows(
                          [lambda s, v: (v[1], -v[0] * v[1])] * 3))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

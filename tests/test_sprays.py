@@ -8,6 +8,7 @@ import pytest
 
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
+from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import (DomainError, GradientAtZero, NavGeoError,
                            NonFiniteState, NonFiniteValue,
@@ -18,8 +19,9 @@ from navgeo.scenarios import (builtin, builtin_names, load_scenario,
 from navgeo.transport import AnalyticCurve
 
 from helpers import (autoparallel_residual, einsum_natural_spray,
-                     einsum_randers_spray, einsum_riemann_spray,
-                     natural_stage_rows)
+                     einsum_randers_spray, einsum_riemann_spray, float_rows,
+                     geodesic_rows_oracle, geodesic_stage, natural_stage_rows,
+                     random_vectors)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -136,7 +138,7 @@ def test_float_sprays_match_the_einsum_kernels(name):
     ys = rng.normal(size=pts.shape)
     jet = field_jet(nav, pts)
     for kind, kernel in ORACLES.items():
-        rhs = sp.Spray(nav, kind).geodesic_rhs()
+        rhs = geodesic_stage(sp.Spray(nav, kind).program, kind)
         got = np.array([rhs(0, tuple(x + y)) for x, y in
                         zip(pts.tolist(), ys.tolist())])
         np.testing.assert_array_equal(got[:, :nav.dim], ys)
@@ -182,9 +184,13 @@ def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
     x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1], [0.6, 0.0]])
     y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6], [3.0, 0.0]])
     on_floats = []
-    rows = nk._rk4_rows
-    monkeypatch.setattr(nk, "_rk4_rows",
-                        lambda *a: on_floats.append(len(a[1])) or rows(*a))
+    runner = stages.geodesic_run
+
+    def counted(*key):
+        run = runner(*key)
+        return lambda tab, inside, states, *rest: (
+            on_floats.append(len(states)) or run(tab, inside, states, *rest))
+    monkeypatch.setattr(stages, "geodesic_run", counted)
     spray = sp.Spray(nav, "randers")
     big = nk.SCALAR_ROWS + 1
     cases = [(lambda x, y: sp.randers_spray_values(nav, x, y), 4, []),
@@ -207,6 +213,115 @@ def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
             assert np.allclose(batch[i].xs, single.xs, atol=1e-12)
             assert np.allclose(batch[i].ys, single.ys, atol=1e-12)
     assert on_floats == [1] * big  # the singles of a Spray ran on floats
+
+
+GEODESIC_NAVS = {
+    2: lambda: builtin("rotation_disk").nav,
+    3: lambda: load_scenario(str(BENCH_SCENARIOS[0].parent
+                                 / "rot_ball_3d.json")).nav,
+    4: lambda: load_scenario(str(BENCH_SCENARIOS[0].parent
+                                 / "rot_box_4d.json")).nav}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 4, 20])
+@pytest.mark.parametrize("keep", [False, True])
+def test_geodesic_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
+    # the lockstep runner of each spray against the per-row float stages,
+    # bit for bit, and the NumPy lockstep loop, within round-off and with
+    # the same halts: rows halting at different steps while row 0, slow
+    # from the center, never does; then a batch in which every row halts
+    # early, so the trajectory ends at the last halt
+    nav = GEODESIC_NAVS[dim]()
+    chart = nav.chart
+    rng = np.random.default_rng(10 * dim + batch)
+    lo, hi = chart.bounding_box()
+    x0 = chart.sample_interior(batch, margin=0.1).copy()
+    x0[0] = 0.5 * (lo + hi)
+    y0 = random_vectors(rng, batch, dim)
+    y0 /= np.linalg.norm(y0, axis=1, keepdims=True)
+    slow = y0 * rng.uniform(0.5, 3.0, size=(batch, 1))
+    slow[0] *= 0.05
+    steps, dt = 40, 0.025
+    sizes = (0.5 * dt, dt, dt / 6.0)
+    for kind in ("riemann", "natural", "randers"):
+        spray = sp.Spray(nav, kind)
+        run = stages.float_run(stages.geodesic_run, (spray.program, kind),
+                               inside=chart.float_contains())
+        for y, early in ((slow, False), (3.0 * y0, True)):
+            v0 = np.concatenate([x0, y], axis=1)
+            got = run(v0, steps, sizes, keep)
+            want = geodesic_rows_oracle(spray, v0, steps, dt, keep,
+                                        chart.float_contains())
+            assert (got[1] is None) == (want[1] is None) == (not keep)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            stop = got[2]
+            if keep:
+                assert got[1].shape == (batch, stop.max() + 1, 2 * dim)
+            if early:
+                assert stop.max() < steps, (kind, stop)
+            else:
+                assert stop[0] == steps
+                if batch > 1:
+                    assert len(set(stop[stop < steps].tolist())) >= 2, stop
+            ran = sp.integrate_geodesics(spray, x0, y, steps * dt, dt, chart)
+            with monkeypatch.context() as patch:
+                patch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
+                numpy = sp.integrate_geodesics(spray, x0, y, steps * dt, dt,
+                                               chart)
+            for b, (path, lock) in enumerate(zip(ran, numpy)):
+                assert len(path.ts) == len(lock.ts) == stop[b] + 1
+                np.testing.assert_array_equal(path.xs[-1], got[0][b, :dim])
+                np.testing.assert_array_equal(path.ys[-1], got[0][b, dim:])
+                assert np.allclose(path.xs, lock.xs, rtol=1e-12, atol=1e-12)
+                assert np.allclose(path.ys, lock.ys, rtol=1e-12, atol=1e-12)
+
+
+def test_geodesic_runner_fails_as_numpy_after_a_halt():
+    # a flat metric with the wind W = (x1, 0), which grows past unit
+    # length at x1 = 1: the norm's root a^2 + lam b turns negative there
+    # for a fiber across the wind. Row 0 dashes up and leaves the chart at
+    # step 2; row 1 drifts past x1 = 1 and, at the last step, math.sqrt
+    # raises on floats where the NumPy path goes NaN, so the batch runs
+    # again on NumPy, which names row 1 at step 40.
+    data = {"schema": 1, "name": "strong_wind", "dim": 2,
+            "domain": {"kind": "box", "lo": [-3.0, -1.5], "hi": [3.0, 1.5]},
+            "metric": [["1", "0"], ["1"]], "wind": ["x1", "0"]}
+    nav = scenario_from_dict(data, validate_nav=False).nav
+    spray = sp.Spray(nav, "natural")
+    x0 = np.array([[0.0, 0.0], [0.9, -1.0]])
+    y0 = np.array([[0.0, 20.0], [0.1, 1.0]])
+    inside = nav.chart.float_contains()
+    run = stages.float_run(stages.geodesic_run, (spray.program, "natural"),
+                           inside=inside)
+    v0 = np.concatenate([x0, y0], axis=1)
+    with pytest.raises(ValueError):
+        run(v0, 40, (0.0125, 0.025, 0.025 / 6.0), True)
+    with pytest.raises(ValueError):
+        geodesic_rows_oracle(spray, v0, 40, 0.025, True, inside)
+    with np.errstate(invalid="ignore"):
+        got = _raised(lambda: sp.integrate_geodesics(spray, x0, y0, 1.0,
+                                                     0.025, nav.chart))
+        want = _raised(lambda: sp.integrate_geodesics(
+            lambda x, y: spray(x, y), x0, y0, 1.0, 0.025, nav.chart))
+    assert got == want and got[0] is NonFiniteState, (got, want)
+    assert "row 1 " in got[1] and "step 40 " in got[1], got
+    assert len(sp.integrate_geodesics(spray, x0[:1], y0[:1], 1.0, 0.025,
+                                      nav.chart)[0].ts) == 3
+
+
+def test_large_spray_batch_builds_no_float_runner(sphere_cap):
+    # a batch above SCALAR_ROWS runs on NumPy and never looks its runner up
+    nav = sphere_cap.nav
+    count = nk.SCALAR_ROWS + 1
+    x0 = nav.chart.sample_interior(count, margin=0.2)
+    y0 = np.tile([0.3, 0.1], (count, 1))
+    before = stages.geodesic_run.cache_info()
+    paths = sp.integrate_geodesics(sp.Spray(nav, "randers"), x0, y0, 0.1,
+                                   1e-2, nav.chart)
+    assert len(paths) == count
+    assert stages.geodesic_run.cache_info() == before
 
 
 def _raised(run) -> tuple:
@@ -300,8 +415,8 @@ def test_float_natural_ode_reruns_on_numpy_after_a_halt():
         return nk.rk4(lambda s, v: tr._natural_stage(tab[:, s], aux[:, s], v),
                       v0, steps, 1.0 / steps, keep=True,
                       inside=lambda v: v[:, 1] < 0.9,
-                      float_run=nk.float_rows([make(f) for f in flat],
-                                              lambda v: v[1] < 0.9)
+                      float_run=float_rows([make(f) for f in flat],
+                                           lambda v: v[1] < 0.9)
                       if on_floats else None)
 
     on_floats = run(aux, True)

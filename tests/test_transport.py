@@ -12,6 +12,7 @@ from navgeo import connection as cn
 from navgeo import holonomy as ho
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
+from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, NonFiniteState, ZeroVector
 from navgeo.geometry import field_jet, randers_value
@@ -373,8 +374,9 @@ def _stage_rows(nav, curves, dt):
 def _on_floats(flat, rows, v0, keep):
     steps = (flat.shape[1] - 1) // 2
     dt = 1.0 / steps
-    return tr._natural_on_floats(flat, np.asarray(rows), v0, steps,
-                                 (0.5 * dt, dt, dt / 6.0), keep)
+    run = stages.float_run(stages.natural_run, (v0.shape[1],), flat,
+                           np.asarray(rows))
+    return run(v0, steps, (0.5 * dt, dt, dt / 6.0), keep)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
