@@ -160,7 +160,7 @@ def _cmd_geodesic(args) -> int:
     nav = scenario.nav
     path = integrate_geodesic(Spray(nav, args.spray), args.from_point,
                               args.direction, args.time, dt=args.dt,
-                              chart=nav.chart, kind=args.spray)
+                              chart=nav.chart)
     stream = _out_stream(args)
     geodesic_csv(path, nav, stream)
     if stream is not sys.stdout:

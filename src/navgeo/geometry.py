@@ -4,12 +4,14 @@ Everything here is vectorized over leading batch axes: a point argument may
 be a single (n,) vector or any (..., n) stack, and results keep the leading
 shape. That convention is what makes transports and grid sweeps cheap.
 
-The geometry depends on the base point only through the 1-jet (h, dh, W,
-dW) of the navigation data. `field_jet` evaluates it once per batch of base
-points, and fiber-dependent quantities take `(jet, y)`: a jet built at
-x[..., None, :] broadcasts over a (..., D, n) batch of fiber vectors. h^-1
-and the Levi-Civita symbols, here and in the float stages, come from the
-one set of generated lines of `stages.metric_lines`.
+The geometry depends on the base point only through the covariant 1-jet
+(h, W, h^-1, A, M) of the navigation data: the values, the Levi-Civita
+symbols A and the covariant wind derivative M = nabla W. `field_jet`
+evaluates it once per batch of base points, and fiber-dependent
+quantities take `(jet, y)`: a jet built at x[..., None, :] broadcasts
+over a (..., D, n) batch of fiber vectors. h^-1 and the Levi-Civita
+symbols, here and in the float stages, come from the one set of
+generated lines of `stages.metric_lines`.
 """
 from __future__ import annotations
 
@@ -226,16 +228,12 @@ class MetricField:
     def value(self, x) -> np.ndarray:
         return self._assemble(exprlang.evaluate(self.program, x))
 
-    def _assemble(self, val: np.ndarray, grad: Optional[np.ndarray] = None):
-        """h[..., i, j] from the stacked entry values val[..., m] (with grad
-        [..., m, k] also dh[..., k, i, j]), gathered into fresh contiguous
-        arrays. The indices are in range by construction, and mode="clip"
-        gathers faster than the default bounds-checked mode."""
-        h = np.take(val, self._sym, axis=-1, mode="clip")
-        if grad is None:
-            return h
-        return h, np.take(np.swapaxes(grad, -1, -2), self._sym, axis=-1,
-                          mode="clip")
+    def _assemble(self, val: np.ndarray) -> np.ndarray:
+        """h[..., i, j] from the stacked entry values val[..., m], gathered
+        into a fresh contiguous array. The indices are in range by
+        construction, and mode="clip" gathers faster than the default
+        bounds-checked mode."""
+        return np.take(val, self._sym, axis=-1, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -336,40 +334,15 @@ def field_values(nav: NavigationData, x) -> FieldValues:
 
 @dataclass(frozen=True)
 class FieldJet(FieldValues):
-    """The 1-jet of navigation data at a batch of base points: the values
-    plus hinv = h^-1, dh[..., k, i, j] = d_k h_ij, the Levi-Civita symbols
-    A[..., k, i, j], dW[..., k, i] = d_i W^k and the covariant wind
-    derivative M[..., k, i] = (nabla_i W)^k."""
+    """The covariant 1-jet of navigation data at a batch of base points:
+    the values plus hinv = h^-1, the Levi-Civita symbols A[..., k, i, j]
+    and the covariant wind derivative M[..., k, i] = (nabla_i W)^k. The
+    raw derivatives of h and W are not kept: an x-derivative of F comes
+    from the connection, as dF/dx^i = Gamma^k_i dF/dy^k."""
 
-    dh: np.ndarray
     hinv: np.ndarray
     A: np.ndarray
-    dW: np.ndarray
     M: np.ndarray
-
-    def norm_grad_x(self, y) -> np.ndarray:
-        """dF/dx^i at fixed y, F_a da_i + F_b db_i + F_lam dlam_i, with
-        the partials of `_norm_parts`, F_lam = (b/(2s) - F)/lam, and
-        da_i = d_i h(y, W) + h(y, d_i W), db_i = d_i h(y, y) and
-        dlam_i = -(d_i h(W, W) + 2 h(d_i W, W)). At y = 0 it is 0: F(x, 0)
-        = 0 for every x, and there s = 0 is replaced by 1 in the partials,
-        whose factors da, db and F then vanish."""
-        y = np.asarray(y, dtype=float)
-        h, w, dh, dw = self.h, self.W, self.dh, self.dW
-        a, b, s, f = _norm_parts(self, y)
-        zero = np.all(y == 0.0, axis=-1)
-        if zero.any():
-            s = np.where(zero, 1.0, s)
-        q = "...kij,...i,...j->...k"  # contracts dh[..., k, i, j] = d_k h_ij
-        da = (np.einsum(q, dh, y, w)
-              + np.einsum("...ij,...i,...jk->...k", h, y, dw))
-        db = np.einsum(q, dh, y, y)
-        dlam = -(np.einsum(q, dh, w, w)
-                 + 2.0 * np.einsum("...ij,...ik,...j->...k", h, dw, w))
-        f_a = (a / s - 1.0) / self.lam
-        f_lam = (0.5 * b / s - f) / self.lam
-        return (f_a[..., None] * da + (0.5 / s)[..., None] * db
-                + f_lam[..., None] * dlam)
 
 
 def field_jet(nav: NavigationData, x) -> FieldJet:
@@ -381,10 +354,10 @@ def field_jet(nav: NavigationData, x) -> FieldJet:
     m = len(nav.metric.entries)
     val, grad = exprlang.evaluate_dual(nav.jet_program, x)
     hinv, a = stages.metric_kernel(nav.metric.program)(val, grad)
-    h, dh = nav.metric._assemble(val[..., :m], grad[..., :m, :])
-    w, dw = val[..., m:].copy(), grad[..., m:, :].copy()
-    return FieldJet.of(h, w, dh=dh, hinv=hinv, A=a, dW=dw,
-                       M=dw + np.einsum("...kis,...s->...ki", a, w))
+    w = val[..., m:].copy()
+    m_cov = grad[..., m:, :] + np.einsum("...kis,...s->...ki", a, w)
+    return FieldJet.of(nav.metric._assemble(val[..., :m]), w, hinv=hinv, A=a,
+                       M=m_cov)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,17 @@ _STEP = _render_step()
 def _advance(rhs: Callable, j: int, v: np.ndarray, live: np.ndarray,
              half: float, dt: float, sixth: float) -> np.ndarray:
     """Step j of the (B, m) batch v on NumPy; raises NonFiniteState naming
-    the first live row whose new state is not finite."""
-    new = _STEP(rhs, 2 * j, v, half, dt, sixth)
-    if not np.isfinite(new).all():
-        bad = live & ~np.isfinite(new).all(axis=1)
-        if bad.any():
-            raise _nonfinite(int(np.argmax(bad)), j + 1, dt)
-    return new
+    the first live row whose stage or new state is not finite, so that a
+    non-finite stage never reaches the next evaluation of rhs."""
+    def check(u: np.ndarray) -> np.ndarray:
+        if not np.isfinite(u).all():
+            bad = live & ~np.isfinite(u).all(axis=1)
+            if bad.any():
+                raise _nonfinite(int(np.argmax(bad)), j + 1, dt)
+        return u
+
+    return check(_STEP(lambda s, u: check(rhs(s, u)), 2 * j, v, half, dt,
+                       sixth))
 
 
 def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
@@ -112,7 +116,8 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     live. Returns (v, trajectory or None, stop): stop[b] is the index of
     row b's last state inside (steps for rows that never left) and the
     trajectory has shape (B, stop.max() + 1, m). Raises NonFiniteState
-    naming the step when a live row goes non-finite.
+    naming the row and the step when a stage or the new state of a live
+    row is not finite.
 
     float_run(v, steps, sizes, keep) -> (v, trajectory, stop) or None, the
     same run on Python floats (sizes = (dt / 2, dt, dt / 6); it halts rows
@@ -136,18 +141,20 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     traj = [v] if keep else None
     stop = np.full(v.shape[0], steps)
     live = np.ones(v.shape[0], dtype=bool)
-    for j in range(steps):
-        new = _advance(rhs, j, v, live, *sizes)
-        if inside is not None:
-            left = live & ~inside(new)
-            stop[left] = j
-            live &= ~left
-            if not live.any():
-                break
-            new = np.where(live[:, None], new, v)
-        v = new
-        if keep:
-            traj.append(v)
+    # a non-finite value is reported as NonFiniteState, not as a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(steps):
+            new = _advance(rhs, j, v, live, *sizes)
+            if inside is not None:
+                left = live & ~inside(new)
+                stop[left] = j
+                live &= ~left
+                if not live.any():
+                    break
+                new = np.where(live[:, None], new, v)
+            v = new
+            if keep:
+                traj.append(v)
     return v, np.stack(traj, axis=1) if keep else None, stop
 
 

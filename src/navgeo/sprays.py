@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exprlang, numkernel as nk, stages
+from .connection import jet_gamma
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
                        christoffel, fiber_csv, field_jet, indicatrix)
@@ -43,7 +44,6 @@ from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
 
 @dataclass
 class GeodesicPath:
-    kind: str
     ts: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
@@ -205,8 +205,7 @@ def spray_connection_matrix(nav: NavigationData, x, y) -> np.ndarray:
 
 
 def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
-                        dt: float = 1e-3, chart=None,
-                        kind: str = "geodesic") -> list[GeodesicPath]:
+                        dt: float = 1e-3, chart=None) -> list[GeodesicPath]:
     """Integrate xdd = -2 G(x, xd) from each row of (x0s, y0s) over
     [0, time_span], all paths in lockstep with a step of about dt that
     lands on time_span.
@@ -236,17 +235,15 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
             inside=None if chart is None else chart.float_contains())
     _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
                            dt, keep=True, inside=inside, float_run=float_run)
-    return [GeodesicPath(kind, dt * np.arange(last + 1), traj[b, :last + 1, :n],
+    return [GeodesicPath(dt * np.arange(last + 1), traj[b, :last + 1, :n],
                          traj[b, :last + 1, n:], dt, bool(last < steps))
             for b, last in enumerate(stop)]
 
 
 def integrate_geodesic(spray: Callable, x0, y0, time_span: float,
-                       dt: float = 1e-3, chart=None,
-                       kind: str = "geodesic") -> GeodesicPath:
+                       dt: float = 1e-3, chart=None) -> GeodesicPath:
     """integrate_geodesics on a batch of one path."""
-    return integrate_geodesics(spray, [x0], [y0], time_span, dt, chart,
-                               kind)[0]
+    return integrate_geodesics(spray, [x0], [y0], time_span, dt, chart)[0]
 
 
 def geodesic_csv(path: GeodesicPath, nav: NavigationData, stream) -> None:
@@ -273,7 +270,9 @@ def el_residual(nav: NavigationData, path: GeodesicPath) -> float:
     jet = field_jet(nav, path.xs)
     f, fy = jet.norm_and_grad(path.ys)
     ey = f[:, None] * fy
-    ex = f[:, None] * jet.norm_grad_x(path.ys)
+    # F is parallel for the natural connection, dF/dx^i = Gamma^k_i dF/dy^k,
+    # so E_x = F F_x = E_y Gamma
+    ex = np.einsum("tk,tki->ti", ey, jet_gamma(jet, path.ys))
     dey = nk.central_time_derivative(ey, path.dt)
     resid = dey - ex[2:-2]
     return float(np.linalg.norm(resid, axis=1).max())

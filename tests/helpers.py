@@ -8,8 +8,10 @@ generated metric lines of navgeo.stages, the einsum sprays are the
 reference for the generated float sprays and for the wind terms and grid
 kernels of navgeo.sprays and navgeo.classify, and the
 dual route through the connection coefficients is the reference for the
-closed-form fiber derivatives of the navigation norm (F_y, F_x, the spray
-connection and the torsion). The point-major Kronecker blocks, kept by
+closed-form fiber derivatives of the navigation norm (F_y, the spray
+connection and the torsion). A dual sweep through the raw derivatives of
+h and W, which navgeo's field jet does not keep, is the reference for
+dF/dx = F_y Gamma. The point-major Kronecker blocks, kept by
 the np.linalg.norm / np.all row rule, are the reference for the
 coordinate-major lattice of navgeo.geometry.Chart.sample_interior. The
 per-row float loop, each row on its own through one RK4 step rendered
@@ -249,6 +251,18 @@ def natural_rows_oracle(flat, rows, v0, keep):
     dt = 1.0 / steps
     return float_rows([make(flat[c]) for c in rows])(
         np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
+
+
+def raw_jet(nav, x):
+    """h, dh[..., k, i, j] = d_k h_ij, W and dW[..., k, i] = d_i W^k at x
+    (..., n) from one gradient sweep of the navigation data's stack,
+    gathered by the metric's symmetric index: the raw derivatives that
+    navgeo.geometry.FieldJet does not keep."""
+    m = len(nav.metric.entries)
+    val, grad = xl.evaluate_dual(nav.jet_program, x)
+    sym = nav.metric._sym
+    return (val[..., sym], np.moveaxis(grad[..., sym, :], -1, -3),
+            val[..., m:], grad[..., m:, :])
 
 
 def einsum_levi_civita(h, dh):
@@ -590,17 +604,19 @@ def _slots(a, lead):
     return np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:]), -1, 0)
 
 
-def dual_norm_grad_x(jet, y):
-    """dF/dx^i at fixed y, from dh and dW in one dual sweep through
-    <y,W>_h, <y,y>_h and 1 - |W|_h^2."""
+def dual_norm_grad_x(nav, x, y):
+    """dF/dx^i at fixed y, from the raw dh and dW of `raw_jet` in one dual
+    sweep through <y,W>_h, <y,y>_h and 1 - |W|_h^2."""
     y = np.asarray(y, dtype=float)
-    h, w, dh, dw = jet.h, jet.W, jet.dh, jet.dW
-    lead = np.broadcast_shapes(jet.lam.shape, y.shape[:-1])
+    h, dh, w, dw = raw_jet(nav, np.asarray(x, dtype=float))
+    hw = np.einsum("...ij,...j->...i", h, w)
+    lam0 = 1.0 - np.einsum("...i,...i->...", w, hw)
+    lead = np.broadcast_shapes(lam0.shape, y.shape[:-1])
     q = "...kij,...i,...j->...k"  # contracts dh[..., k, i, j] = d_k h_ij
-    lam = Dual(jet.lam, -_slots(
+    lam = Dual(lam0, -_slots(
         np.einsum(q, dh, w, w)
         + 2.0 * np.einsum("...ij,...ik,...j->...k", h, dw, w), lead))
-    wy = Dual(np.einsum("...i,...i->...", y, jet.hW), _slots(
+    wy = Dual(np.einsum("...i,...i->...", y, hw), _slots(
         np.einsum(q, dh, y, w)
         + np.einsum("...ij,...i,...jk->...k", h, y, dw), lead))
     yy = Dual(np.einsum("...ij,...i,...j->...", h, y, y),

@@ -123,7 +123,7 @@ def test_geodesic_csv_matches_library_spray(tmp_path, spray):
                   "--out", str(out))
     assert res.returncode == 0, res.stderr
     path = sp.integrate_geodesic(values[spray], x0, y0, 0.3, dt=1e-3,
-                                 chart=nav.chart, kind=spray)
+                                 chart=nav.chart)
     buf = io.StringIO()
     sp.geodesic_csv(path, nav, buf)
     assert out.read_bytes() == buf.getvalue().encode()

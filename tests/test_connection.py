@@ -104,8 +104,10 @@ def test_gamma_fiber_jacobian_matches_fd(sphere_cap):
 
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS])
 def test_torsion_two_routes_agree(name):
-    # the closed forms of the torsion, F_y, F_x and the spray connection
-    # against the dual route through Gamma, in dimensions 2, 3 and 4
+    # the closed forms of the torsion, F_y and the spray connection against
+    # the dual route through Gamma, and F_x = F_y Gamma (F is parallel for
+    # the natural connection) against the dual route through the raw
+    # derivatives of h and W, in dimensions 2, 3 and 4
     path = [p for p in BENCH_SCENARIOS if p.name == name]
     nav = (load_scenario(str(path[0])) if path else builtin(name)).nav
     rng = np.random.default_rng(9)
@@ -116,9 +118,10 @@ def test_torsion_two_routes_agree(name):
         t2 = torsion_from_duals(nav, x, y)
         assert np.allclose(t1, t2, atol=1e-9), name
         jet = ge.field_jet(nav, x)
+        fy = jet.norm_and_grad(y)[1]
         for what, got, want in (
-                ("F_y", jet.norm_and_grad(y)[1], dual_norm_grad(jet, y)[1]),
-                ("F_x", jet.norm_grad_x(y), dual_norm_grad_x(jet, y)),
+                ("F_y", fy, dual_norm_grad(jet, y)[1]),
+                ("F_x", fy @ cn.jet_gamma(jet, y), dual_norm_grad_x(nav, x, y)),
                 ("N", spray_connection_matrix(nav, x, y),
                  dual_spray_connection(jet, y))):
             assert got.shape == want.shape, what

