@@ -14,9 +14,10 @@ writes values (and gradients) straight into stacked arrays, then makes
 one domain check (log, sqrt) and one finiteness check; only a failed check
 goes back for the first bad expression and point. Programs come from a
 bounded memo keyed on the expressions, and a single expression is a stack
-of one. The builder's lines also render on Python floats
-(`float_function`), with the functions of `math`, which raise where NumPy
-gives inf or NaN; `stages` builds its float code this way.
+of one. `stages` renders builder lines over NumPy arrays too
+(`numpy_function`, with the domain tests of `domain_tests`) and on Python
+floats (`float_function`), whose `math` functions raise where NumPy gives
+inf or NaN.
 """
 from __future__ import annotations
 
@@ -495,11 +496,57 @@ def float_function(name: str, params: str, lines: list,
         body = (frame[:at.start()]
                 + _render(lines, constant, _FLOAT_DIALECT, at.group(1))
                 + frame[at.end():])
-    source = f"def {name}({params}):\n{body}"
-    exec(compile(source, "<float program>", "exec"), namespace)
+    return _define(f"def {name}({params}):\n{body}", name, namespace)
+
+
+def numpy_function(name: str, params: str, lines: list,
+                   names: Optional[dict] = None):
+    """The function `name`(params) running builder `lines` on NumPy arrays,
+    with the functions of NumPy, each constant a named float64, and the
+    global `names`."""
+    namespace, labels = {**_FUNCS, **(names or {})}, {}
+
+    def constant(c) -> str:
+        label = labels.setdefault(id(c), f"k{len(labels)}")
+        namespace[label] = c
+        return label
+
+    return _define(f"def {name}({params}):\n{_render(lines, constant)}",
+                   name, namespace)
+
+
+def _define(source: str, name: str, namespace: dict):
+    """The function `name` defined by `source` in `namespace`, text kept."""
+    exec(compile(source, "<generated>", "exec"), namespace)
     fn = namespace[name]
     fn.source = source
     return fn
+
+
+def domain_tests(exprs: tuple, b: _Builder) -> tuple[list, list, str]:
+    """(args, checks, test): the distinct arguments of the log and sqrt
+    calls of a stack walked by builder b, each expression's calls in
+    evaluation order as (function, index in args), and the condition, a
+    template over args, that one is out of its domain ("True" when a
+    constant one is, "False" when none can be)."""
+    args, where, checks = [], {}, []
+    for e in exprs:
+        calls = []
+        for call in _domain_calls(e.root):
+            a = b.vals[id(call.arg)]
+            key = a if isinstance(a, str) else id(a)
+            if key not in where:
+                where[key] = len(args)
+                args.append(a)
+            calls.append((call.fn, where[key]))
+        checks.append(tuple(calls))
+    calls = [c for calls in checks for c in calls]
+    if any(_DOMAIN[fn][2](args[i], 0.0) for fn, i in calls
+           if isinstance(args[i], float)):
+        return args, checks, "True"
+    tests = dict.fromkeys(f"({{{i}}} {_DOMAIN[fn][1]} 0.0).any()"
+                          for fn, i in calls if isinstance(args[i], str))
+    return args, checks, " or ".join(tests) or "False"
 
 
 class Program:
@@ -511,9 +558,10 @@ class Program:
       gradients(x, val, grad)  the same value lines, then grad[..., j, i].
 
     Each writes its results into the stacked arrays and returns None, or,
-    when a log or sqrt argument left its domain somewhere, those arguments,
-    from which the DomainError of the first bad expression is rebuilt. One
-    finiteness check follows. `source` is the generated code.
+    when a log or sqrt argument left its domain somewhere (`domain_tests`),
+    those arguments, from which the DomainError of the first bad
+    expression is rebuilt. One finiteness check follows. `source` is the
+    generated code.
     """
 
     def __init__(self, exprs: tuple):
@@ -523,59 +571,20 @@ class Program:
         with np.errstate(all="ignore"):
             outs = [b.value(e.root) for e in exprs]
             grads = [b.gradient(e.root) for e in exprs]
-        tail = self._domain_check(b)
+        args, self._checks, test = domain_tests(exprs, b)
+        ret = "return (" + "".join(f"{{{i}}}, " for i in range(len(args))) + ")"
+        tail = [(None, f"if {test}:\n        {ret}", tuple(args))]
         writes = [(None, f"val[..., {j}] = {{0}}", (r,))
                   for j, r in enumerate(outs)]
         gwrites = [(None, f"grad[..., {j}, {k}] = {{0}}", (d,))
                    for j, ds in enumerate(grads) for k, d in enumerate(ds)
                    if d is not None]
         self._zeros = len(gwrites) < len(exprs) * n
-
-        namespace, names = dict(_FUNCS), {}
-
-        def constant(c) -> str:
-            if id(c) not in names:
-                names[id(c)] = f"k{len(names)}"
-                namespace[names[id(c)]] = c
-            return names[id(c)]
-
-        self.source = (
-            "def values(x, val):\n"
-            + _render(b.lines + writes + tail, constant)
-            + "def gradients(x, val, grad):\n"
-            + _render(b.lines + b.dlines + writes + gwrites + tail, constant))
-        exec(compile(self.source, "<exprlang program>", "exec"), namespace)
-        self._values, self._gradients = namespace["values"], namespace["gradients"]
-
-    def _domain_check(self, b: _Builder) -> list:
-        """The last line of both functions, which returns the arguments of
-        every log and sqrt call when one of them is out of its domain
-        (always, when a constant one is). Records in self._checks each
-        expression's calls in evaluation order, as (function, index of the
-        argument among those returned)."""
-        args, where, self._checks = [], {}, []
-        for e in self.exprs:
-            calls = []
-            for call in _domain_calls(e.root):
-                a = b.vals[id(call.arg)]
-                key = a if isinstance(a, str) else id(a)
-                if key not in where:
-                    where[key] = len(args)
-                    args.append(a)
-                calls.append((call.fn, where[key]))
-            self._checks.append(tuple(calls))
-        calls = [c for checks in self._checks for c in checks]
-        tests = dict.fromkeys(f"({{{i}}} {_DOMAIN[fn][1]} 0.0).any()"
-                              for fn, i in calls if isinstance(args[i], str))
-        bad_constant = any(_DOMAIN[fn][2](args[i], 0.0) for fn, i in calls
-                           if isinstance(args[i], float))
-        ret = "return (" + "".join(f"{{{i}}}, " for i in range(len(args))) + ")"
-        if bad_constant:
-            return [(None, ret, tuple(args))]
-        if tests:
-            return [(None, f"if {' or '.join(tests)}:\n        {ret}",
-                     tuple(args))]
-        return []
+        self._values = numpy_function("values", "x, val",
+                                      b.lines + writes + tail)
+        self._gradients = numpy_function("gradients", "x, val, grad", b.lines
+                                         + b.dlines + writes + gwrites + tail)
+        self.source = self._values.source + self._gradients.source
 
     def sweep(self, x: np.ndarray, dual: bool):
         """Values val[..., j] at x (..., n), and with dual=True gradients

@@ -9,9 +9,9 @@ The geometry depends on the base point only through the covariant 1-jet
 symbols A and the covariant wind derivative M = nabla W. `field_jet`
 evaluates it once per batch of base points, and fiber-dependent
 quantities take `(jet, y)`: a jet built at x[..., None, :] broadcasts
-over a (..., D, n) batch of fiber vectors. h^-1 and the Levi-Civita
-symbols, here and in the float stages, come from the one set of
-generated lines of `stages.metric_lines`.
+over a (..., D, n) batch of fiber vectors. The jet, the values, the
+Levi-Civita symbols and the metric are each one call of a generated
+program (`stages.field_program`) whose lines the float stages share.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exprlang, numkernel as nk, stages
+from . import exprlang, stages
 from .errors import GradientAtZero, NavGeoError
 
 # ---------------------------------------------------------------------------
@@ -213,27 +213,16 @@ class MetricField:
                 raise ValueError("upper triangle rows must shrink by one")
         self.dim = n
         self.upper = tuple(tuple(row) for row in upper)
-        # the upper triangle row by row, one stack for every sweep, and the
-        # index of entry (i, j) in it
+        # the upper triangle row by row, one stack for every sweep
         self.entries = tuple(e for row in self.upper for e in row)
         self.program = exprlang.compile_stack(self.entries)
-        iu, ju = np.triu_indices(n)
-        self._sym = np.empty((n, n), dtype=int)
-        self._sym[iu, ju] = self._sym[ju, iu] = np.arange(len(self.entries))
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]], n: int) -> "MetricField":
         return cls([[exprlang.parse(s, n) for s in row] for row in rows])
 
     def value(self, x) -> np.ndarray:
-        return self._assemble(exprlang.evaluate(self.program, x))
-
-    def _assemble(self, val: np.ndarray) -> np.ndarray:
-        """h[..., i, j] from the stacked entry values val[..., m], gathered
-        into a fresh contiguous array. The indices are in range by
-        construction, and mode="clip" gathers faster than the default
-        bounds-checked mode."""
-        return np.take(val, self._sym, axis=-1, mode="clip")
+        return stages.field_program(self.program, ("h",))(x)[0]
 
 
 @dataclass(frozen=True)
@@ -285,12 +274,10 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients A[..., k, i, j] of the metric field.
 
     A^k_ij = h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2, symmetric in (i, j),
-    from the metric's gradient sweep and the lines of
-    `stages.metric_kernel`; raises NotPositiveDefinite where h is not
-    positive definite.
+    from the metric's own field program; raises NotPositiveDefinite, naming
+    the first point, where h is not positive definite.
     """
-    val, grad = exprlang.evaluate_dual(metric.program, x)
-    return stages.metric_kernel(metric.program)(val, grad)[1]
+    return stages.field_program(metric.program, ("A",))(x)[0]
 
 
 @dataclass(frozen=True)
@@ -302,13 +289,6 @@ class FieldValues:
     W: np.ndarray
     hW: np.ndarray
     lam: np.ndarray
-
-    @classmethod
-    def of(cls, h, w, **derivatives):
-        """Values from h and W; a subclass passes its derivative fields."""
-        hw = np.einsum("...ij,...j->...i", h, w)
-        return cls(h=h, W=w, hW=hw, lam=1.0 - np.einsum("...i,...i->...", w, hw),
-                   **derivatives)
 
     def norm(self, y) -> np.ndarray:
         """F(x, y); F(x, 0) = 0."""
@@ -328,8 +308,9 @@ class FieldValues:
 
 
 def field_values(nav: NavigationData, x) -> FieldValues:
-    """The values of nav at x (..., n), from value walks only."""
-    return FieldValues.of(nav.metric.value(x), nav.wind.value(x))
+    """The values of nav at x (..., n), from the jet program's values."""
+    return FieldValues(*stages.field_program(nav.jet_program,
+                                             stages.JET_FIELDS[:4])(x))
 
 
 @dataclass(frozen=True)
@@ -346,18 +327,11 @@ class FieldJet(FieldValues):
 
 
 def field_jet(nav: NavigationData, x) -> FieldJet:
-    """The jet of nav at x (..., n), from one gradient sweep over the
-    metric's upper triangle and the wind; h^-1 and the Levi-Civita symbols
-    come from the lines of `stages.metric_kernel` run on the sweep's
-    metric columns, and raise NotPositiveDefinite where h is not positive
-    definite."""
-    m = len(nav.metric.entries)
-    val, grad = exprlang.evaluate_dual(nav.jet_program, x)
-    hinv, a = stages.metric_kernel(nav.metric.program)(val, grad)
-    w = val[..., m:].copy()
-    m_cov = grad[..., m:, :] + np.einsum("...kis,...s->...ki", a, w)
-    return FieldJet.of(nav.metric._assemble(val[..., :m]), w, hinv=hinv, A=a,
-                       M=m_cov)
+    """The jet of nav at x (..., n), from the jet program's values and
+    gradients; raises NotPositiveDefinite, naming the first point, where h
+    is not positive definite."""
+    return FieldJet(*stages.field_program(nav.jet_program,
+                                          stages.JET_FIELDS)(x))
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +457,14 @@ def validate(nav: NavigationData, n_points: int = 10_000) -> ValidationReport:
     (min_metric_eigenvalue) and for a witness's value.
     """
     points = nav.chart.sample_interior(n_points)
-    h = nav.metric.value(points)
+    v = field_values(nav, points)
     failures = []
-    bad_metric = np.nonzero(~stages.positive_definite(h))[0]
+    bad_metric = np.nonzero(~stages.positive_definite(v.h))[0]
     if bad_metric.size:
         i = int(bad_metric[0])
         failures.append({"kind": "metric_not_positive", "point": points[i].tolist(),
-                         "value": float(np.linalg.eigvalsh(h[i]).min())})
-    w = nav.wind.value(points)
-    # the two einsums of FieldValues.of, so min_lambda is its lam bit for bit
-    wnorm2 = np.einsum("...i,...i->...", w, np.einsum("...ij,...j->...i", h, w))
-    wnorm = np.sqrt(np.maximum(wnorm2, 0.0))
+                         "value": float(np.linalg.eigvalsh(v.h[i]).min())})
+    wnorm = np.sqrt(np.maximum(np.einsum("...i,...i->...", v.W, v.hW), 0.0))
     bad_wind = np.nonzero(wnorm >= 1.0 - WIND_MARGIN)[0]
     if bad_wind.size:
         i = int(bad_wind[0])
@@ -504,7 +475,7 @@ def validate(nav: NavigationData, n_points: int = 10_000) -> ValidationReport:
         n_points=len(points),
         margin=WIND_MARGIN,
         max_wind_norm=float(wnorm.max()),
-        min_lambda=float((1.0 - wnorm2).min()),
-        metric=h,
+        min_lambda=float(v.lam.min()),
+        metric=v.h,
         failures=failures,
     )

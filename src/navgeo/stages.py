@@ -3,30 +3,30 @@
 
 The L D L^T elimination of h, each pivot checked positive, is written
 once (`_pivots`). `metric_lines` builds on it the one definition of h^-1
-and of the Levi-Civita symbols A^k_ij (i <= j). Constants fold and
-structural zeros get no line. `metric_kernel` renders these lines over
-the metric columns of a NumPy sweep, for `geometry.christoffel` and
-`field_jet`; `positive_definite` renders the pivot checks alone over
-matrix columns as a mask, for `geometry.validate`.
+and of the Levi-Civita symbols A^k_ij (i <= j), and `_Jet` the field jet:
+a program's value and gradient lines, the metric lines, M = dW + A W, hW
+and lam. Constants fold and structural zeros get no line. `field_program`
+renders the jet lines over NumPy arrays, one function of x per (program,
+outputs), for the jet, values, Christoffel symbols and metric of
+`geometry`; `positive_definite` renders the pivot checks alone over
+matrix columns as the mask `geometry.validate` reads.
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
-arithmetic: one `field_jet` at a single point is dozens of them. So
-`numkernel.rk4` runs such batches on Python floats, on runners generated
-here by one generator (`_runner`): every RK4 step of a group of rows in
-lockstep, with the lines of one stage inlined four times between the
-lines of numkernel's tableau text. It has two stages. The geodesic
-equation of each spray (`geodesic_stage_lines`, runner `geodesic_run`)
-walks the jet program afresh at every stage: its value and gradient
-lines, the metric lines, M = dW + A W, hW, lam and the navigation norm
-F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines
-it: the metric spray A y y / 2 plus the spray's wind term, grouped as
-`sprays.natural_wind_term` or `sprays.randers_wind_term`; a row halts
-where it leaves the chart. The natural transport ODE
-(`natural_stage_lines`, runner `natural_run`) reads the stage rows of
-one curve's table, each unpacked once per step for all the rows on that
-curve. `float_run` adapts a runner to `numkernel.rk4`. The NumPy kernels
-of `sprays` and `transport` stay the path of larger batches and of
-grids.
+arithmetic. So `numkernel.rk4` runs such batches on Python floats, on
+runners generated here by one generator (`_runner`): every RK4 step of a
+group of rows in lockstep, with the lines of one stage inlined four times
+between the lines of numkernel's tableau text. It has two stages. The
+geodesic equation of each spray (`geodesic_stage_lines`, runner
+`geodesic_run`) walks the jet program afresh at every stage: the jet
+lines and the navigation norm F = (sqrt(a^2 + lam b) - a) / lam, then
+the spray as `sprays` defines it: the metric spray A y y / 2 plus the
+spray's wind term, grouped as `sprays.natural_wind_term` or
+`sprays.randers_wind_term`; a row halts where it leaves the chart. The
+natural transport ODE (`natural_stage_lines`, runner `natural_run`)
+reads the stage rows of one curve's table, each unpacked once per step
+for all the rows on that curve. `float_run` adapts a runner to
+`numkernel.rk4`. The NumPy kernels of `sprays` and `transport` stay the
+path of larger batches and of grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -49,12 +49,10 @@ from .errors import NotPositiveDefinite
 
 _FAIL = "raise ValueError"
 _PIVOT = f"if not {{0}} > 0.0: {_FAIL}"
-# The metric lines over NumPy columns: a pivot is checked at every point,
-# and a failure raises the error of the NumPy path.
-_NOT_SPD = "raise NotPositiveDefinite('metric value is not positive definite')"
-_COLUMNS = {_PIVOT: f"if not ({{0}} > 0.0).all(): {_NOT_SPD}", _FAIL: _NOT_SPD}
-# The pivot checks over the matrix columns of a batch make a mask.
-_MASK = {_PIVOT: "ok &= {0} > 0.0"}
+_FINITE = f"if not isfinite({{0}}): {_FAIL}"
+# Over NumPy columns the pivot checks make a mask, and the finiteness
+# check a flag.
+_MASK = {_PIVOT: "ok &= {0} > 0.0", _FINITE: "fin = isfinite({0}).all()"}
 # The slots of numkernel's tableau text.
 _SLOT = re.compile(r"\b(v|k[1-4])\b")
 
@@ -80,7 +78,8 @@ def _require_positive(b: exprlang._Builder, ref) -> bool:
     """Append the check that a pivot is positive; False when it is a
     constant that is not."""
     if isinstance(ref, str):
-        b.dlines.append((None, _PIVOT, (ref,)))
+        if (None, _PIVOT, (ref,)) not in b.dlines:
+            b.dlines.append((None, _PIVOT, (ref,)))
         return True
     return ref is not None and ref > 0.0
 
@@ -89,10 +88,9 @@ def _require_finite(b: exprlang._Builder, refs) -> bool:
     """Append the check that the line references among refs are finite
     (one test on their sum: inf - inf is NaN); False when a constant among
     them is not."""
-    names = tuple(r for r in refs if isinstance(r, str))
+    names = dict.fromkeys(r for r in refs if isinstance(r, str))
     if names:
-        b.dlines.append((None, "if not isfinite(" + " + ".join(
-            f"{{{i}}}" for i in range(len(names))) + f"): {_FAIL}", names))
+        b.dlines.append((None, _FINITE, (_total(b, names),)))
     return bool(np.isfinite([r for r in refs if isinstance(r, float)]).all())
 
 
@@ -160,38 +158,35 @@ def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
 
 
 class _Jet:
-    """References to the jet-level quantities at the point x0 .. x(n-1),
-    built into the builder's derivative lines: h, then hinv and A from
-    `metric_lines`, hW, lam (and, for a jet program with a wind, W and M),
-    each a mapping from index tuples to a reference. `ok` is False when the
-    lines cannot succeed anywhere (a non-finite constant, or a constant
-    metric that is not positive definite), and the rest is then missing."""
+    """References to the jet quantities at the point x0 .. x(n-1), built
+    into the builder's lines: the program's values (and, with dual, its
+    gradients) checked finite, h and W (0 for a metric's own program), with
+    dual hinv and A (`metric_lines`) and M, then hW and lam. `ok` is False,
+    and hinv onwards missing, when the lines cannot succeed anywhere (a
+    non-finite constant, or a constant metric that is not positive
+    definite)."""
 
-    def __init__(self, b: exprlang._Builder, program: exprlang.Program):
+    def __init__(self, b: exprlang._Builder, program: exprlang.Program,
+                 dual: bool = True):
         n = self.n = program.n
         m = n * (n + 1) // 2
-        exprs = program.exprs
-        vals = [_nonzero(b.value(e.root)) for e in exprs]
-        grads = [[_nonzero(d) for d in b.gradient(e.root)] for e in exprs]
+        vals = [_nonzero(b.value(e.root)) for e in program.exprs]
+        grads = [[_nonzero(d) for d in b.gradient(e.root)]
+                 for e in program.exprs] if dual else []
         self.h = _symmetric(vals, n)
-        metric = (metric_lines(b, self.h, _symmetric(grads, n))
-                  if _require_finite(b, vals + [d for g in grads for d in g])
-                  else None)
-        self.ok = metric is not None
-        if not self.ok:
-            return
-        self.hinv, self.A = metric
-        self.W = vals[m:]
-        if not self.W:  # the metric alone: only A is needed
-            self.W = [None] * n
-            dw = {(k, i): None for k in range(n) for i in range(n)}
-        else:
-            dw = {(k, i): grads[m + k][i] for k in range(n) for i in range(n)}
-        self.M = {(k, i): b.add(dw[k, i], _total(b, (
-            b.mul(self.A[k, i, s], self.W[s]) for s in range(n))))
-            for k in range(n) for i in range(n)}
-        self.hW = [_total(b, (b.mul(self.h[i, j], self.W[j])
-                              for j in range(n))) for i in range(n)]
+        self.W = vals[m:] or [None] * n
+        self.ok = _require_finite(b, vals + [d for g in grads for d in g])
+        if dual and self.ok:
+            metric = metric_lines(b, self.h, _symmetric(grads, n))
+            self.ok = metric is not None
+            if not self.ok:
+                return
+            self.hinv, self.A = metric
+            dw = grads[m:] or [[None] * n] * n
+            self.M = {(k, i): b.add(dw[k][i], _total(b, (
+                b.mul(self.A[k, i, s], self.W[s]) for s in range(n))))
+                for k in range(n) for i in range(n)}
+        self.hW = _contract(b, self.h, self.W, n)
         wh = _total(b, (b.mul(self.W[i], self.hW[i]) for i in range(n)))
         self.lam = 1.0 if wh is None else b.sub(1.0, wh)
 
@@ -207,8 +202,7 @@ class _Jet:
         s = sqrt(a^2 + lam b)."""
         n = self.n
         a = _total(b, (b.mul(y[i], self.hW[i]) for i in range(n)))
-        hy = [_total(b, (b.mul(self.h[i, j], y[j]) for j in range(n)))
-              for i in range(n)]
+        hy = _contract(b, self.h, y, n)
         bb = _total(b, (b.mul(y[i], hy[i]) for i in range(n)))
         s = _sqrt(b, b.add(b.mul(a, a), b.mul(self.lam, bb)))
         return b.div(b.sub(s, a), self.lam)
@@ -266,38 +260,59 @@ def _randers_wind(b, jet: _Jet, y, f) -> list:
 _WIND_TERMS = {"natural": _natural_wind, "randers": _randers_wind}
 
 
-@functools.lru_cache(maxsize=32)
-def metric_kernel(program: exprlang.Program):
-    """kernel(val, grad) -> (hinv (..., n, n), A (..., k, i, j)): the lines
-    of `metric_lines` over the columns val[..., j] and grad[..., j, k] of a
-    sweep whose first columns are the metric `program`'s upper triangle,
-    row by row (the first column holding a line's value stands for all
-    that do). Structural zeros stay zero, and a pivot that is not positive
-    at some point raises NotPositiveDefinite. Memoized on the program; the
-    first call builds the code."""
-    n, first = program.n, {}
-    walk, b = exprlang._Builder(n), exprlang._Builder(n)
+# The jet quantities a field program returns, by name.
+JET_FIELDS = ("h", "W", "hW", "lam", "hinv", "A", "M")
 
-    def column(ref, name):
-        return first.setdefault(ref, name) if isinstance(ref, str) else _nonzero(ref)
 
+@functools.lru_cache(maxsize=64)
+def field_program(program: exprlang.Program, outputs: tuple):
+    """run(x) -> fresh arrays of the jet quantities `outputs` at x (..., n)
+    from one generated NumPy function of x running the `_Jet` lines of
+    `program` (gradient and metric lines only when an output needs them).
+    Its checks are the sweep's, the domain tests of every log and sqrt
+    argument (`exprlang.domain_tests`) and the finiteness of the values
+    and gradients (one test on their sum), and the pivots of `_pivots` as
+    a mask. On a failure run repeats the program's sweep, which raises the
+    error of `evaluate` (`evaluate_dual`); if it raises nothing, a failed
+    pivot raises NotPositiveDefinite naming the first failing point.
+    Memoized on (program, outputs)."""
+    n = program.n
+    dual = not {"hinv", "A", "M"}.isdisjoint(outputs)
+    b = exprlang._Builder(n)
     with np.errstate(all="ignore"):
-        vals = [column(walk.value(e.root), f"val[..., {j}]")
-                for j, e in enumerate(program.exprs)]
-        grads = [[column(d, f"grad[..., {j}, {k}]")
-                  for k, d in enumerate(walk.gradient(e.root))]
-                 for j, e in enumerate(program.exprs)]
-        metric = metric_lines(b, _symmetric(vals, n), _symmetric(grads, n))
-    lines = [(None, f"hinv = zeros(val.shape[:-1] + {(n, n)})", ()),
-             (None, f"A = zeros(val.shape[:-1] + {(n,) * 3})", ())]
-    body = b.dlines if metric else [(None, _FAIL, ())]
-    lines += [(t, _COLUMNS.get(c, c), r) for t, c, r in body]
-    for name, refs in zip(("hinv", "A"), metric or ()):
-        lines += [(None, f"{name}[..., {str(key)[1:-1]}] = {{0}}", (ref,))
+        jet = _Jet(b, program, dual)
+    args, _, test = exprlang.domain_tests(program.exprs, b)
+    lines = (b.lines + [(None, f"bad = {test}", tuple(args)),
+                        (None, f"ok, fin = {jet.ok}, True", ())]
+             + [(t, _MASK.get(c, c), r) for t, c, r in b.dlines])
+    outputs = outputs if jet.ok else ()
+    for name in outputs:
+        refs = getattr(jet, name)
+        if not isinstance(refs, dict):  # W, hW and lam by index tuple too
+            refs = dict(np.ndenumerate(np.array(refs, dtype=object)))
+        alloc = "zeros" if None in refs.values() else "empty"
+        shape = (n,) * len(next(iter(refs)))
+        lines.append((name, f"{alloc}(x.shape[:-1] + {shape})", ()))
+        lines += [(None, f"{{0}}[{', '.join(('...',) + tuple(map(str, key)))}]"
+                   " = {1}", (name, ref))
                   for key, ref in refs.items() if ref is not None]
-    return exprlang.float_function(
-        "kernel", "val, grad", lines + [(None, "return hinv, A", ())],
-        names={"zeros": np.zeros, "NotPositiveDefinite": NotPositiveDefinite})
+    fn = exprlang.numpy_function(
+        "field", "x", lines + [(None, "return ok, bad, fin, (" + "".join(
+            f"{{{i}}}, " for i in range(len(outputs))) + ")", outputs)],
+        names={"empty": np.empty, "zeros": np.zeros, "isfinite": np.isfinite})
+
+    def run(x) -> tuple:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            ok, bad, fin, out = fn(x)
+        if bad or not fin or not np.all(ok):
+            program.sweep(x, dual)
+            if not np.all(ok):
+                raise NotPositiveDefinite(
+                    "metric value is not positive definite at "
+                    + exprlang._witness(x, np.logical_not(ok)))
+        return out
+    return run
 
 
 @functools.lru_cache(maxsize=4)

@@ -50,7 +50,7 @@ from .geometry import (Chart, FieldJet, MetricField, NavigationData,
 
 class AnalyticCurve:
     """Curve with one expression per coordinate in the parameter t;
-    point(t) and velocity(t) are vectorized over t arrays."""
+    point(t) and point_and_velocity(t) are vectorized over t arrays."""
 
     def __init__(self, components: Sequence[xl.Expression]):
         self.components = tuple(components)
@@ -64,10 +64,11 @@ class AnalyticCurve:
     def point(self, t):
         return xl.evaluate(self.program, np.asarray(t, dtype=float)[..., None])
 
-    def velocity(self, t):
-        grad = xl.evaluate_dual(self.program,
-                                np.asarray(t, dtype=float)[..., None])[1]
-        return np.ascontiguousarray(grad[..., 0])
+    def point_and_velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """point(t), bit for bit, and the velocity from one gradient sweep."""
+        val, grad = xl.evaluate_dual(self.program,
+                                     np.asarray(t, dtype=float)[..., None])
+        return val, grad[..., 0]
 
     def reversed(self) -> "AnalyticCurve":
         flipped = [xl.Expression(_reverse_param(c.root), c.var_names)
@@ -129,14 +130,15 @@ def _sample_tables(curves: Sequence[AnalyticCurve], steps: int,
                    chart: Optional[Chart]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions and velocities of each distinct curve object on the
-    half-step grid, and rows[b], the index of batch entry b's curve in them
-    (the first curve is the first of them)."""
+    half-step grid, from one gradient sweep per curve, and rows[b], the
+    index of batch entry b's curve in them (the first curve is the first
+    of them)."""
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     first: dict[int, int] = {}  # curve id -> its index among the distinct
     rows = np.array([first.setdefault(id(c), len(first)) for c in curves])
     distinct = list({id(c): c for c in curves}.values())
-    pos = np.stack([c.point(ts) for c in distinct])
-    vel = np.stack([c.velocity(ts) for c in distinct])
+    pos, vel = map(np.stack, zip(*(c.point_and_velocity(ts)
+                                   for c in distinct)))
     if chart is not None:
         inside = chart.contains(pos)
         if not np.all(inside):

@@ -4,7 +4,9 @@ routes the tests compare navgeo against.
 The recursive expression walk over forward-mode dual numbers here is the
 reference for the compiled expression programs of navgeo.exprlang, the
 LAPACK inverse and einsum Levi-Civita symbols are the reference for the
-generated metric lines of navgeo.stages, the einsum sprays are the
+generated metric lines of navgeo.stages, the four-step route (a sweep,
+the metric lines over its columns, einsums) is the reference for the
+field programs of navgeo.stages, the einsum sprays are the
 reference for the generated float sprays and for the wind terms and grid
 kernels of navgeo.sprays and navgeo.classify, and the
 dual route through the connection coefficients is the reference for the
@@ -36,7 +38,7 @@ from navgeo import exprlang as xl
 from navgeo import numkernel as nk
 from navgeo import stages
 from navgeo.connection import gamma_matrix, jet_torsion
-from navgeo.errors import DomainError
+from navgeo.errors import DomainError, NotPositiveDefinite
 from navgeo.geometry import (Ball, _kronecker_alphas, field_jet, field_values,
                              indicatrix)
 from navgeo.sprays import ComparisonReport, spray_connection_matrix
@@ -253,6 +255,15 @@ def natural_rows_oracle(flat, rows, v0, keep):
         np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
 
 
+def symmetric_index(n):
+    """sym[i, j], the index of entry (i, j) of a symmetric n x n matrix in
+    its upper triangle given row by row."""
+    iu, ju = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=int)
+    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+    return sym
+
+
 def raw_jet(nav, x):
     """h, dh[..., k, i, j] = d_k h_ij, W and dW[..., k, i] = d_i W^k at x
     (..., n) from one gradient sweep of the navigation data's stack,
@@ -260,16 +271,98 @@ def raw_jet(nav, x):
     navgeo.geometry.FieldJet does not keep."""
     m = len(nav.metric.entries)
     val, grad = xl.evaluate_dual(nav.jet_program, x)
-    sym = nav.metric._sym
+    sym = symmetric_index(nav.dim)
     return (val[..., sym], np.moveaxis(grad[..., sym, :], -1, -3),
             val[..., m:], grad[..., m:, :])
+
+
+# ---------------------------------------------------------------------------
+# the four-step route to the field jet: the oracle for the field programs
+# of navgeo.stages. A sweep writes val and grad arrays, the metric lines
+# run over their columns, an einsum forms M, and h is gathered by the
+# symmetric index and hW and lam come from two einsums.
+
+_NOT_SPD = "raise NotPositiveDefinite('metric value is not positive definite')"
+_COLUMNS = {stages._PIVOT: f"if not ({{0}} > 0.0).all(): {_NOT_SPD}"}
+
+
+@functools.lru_cache(maxsize=32)
+def metric_kernel(program):
+    """kernel(val, grad) -> (hinv (..., n, n), A (..., k, i, j)): the lines
+    of navgeo.stages.metric_lines over the columns val[..., j] and
+    grad[..., j, k] of a sweep whose first columns are the metric
+    `program`'s upper triangle (the first column holding a line's value
+    stands for all that do); a pivot that is not positive at some point
+    raises NotPositiveDefinite without a witness."""
+    n, first = program.n, {}
+    walk, b = xl._Builder(n), xl._Builder(n)
+
+    def column(ref, name):
+        return (first.setdefault(ref, name) if isinstance(ref, str)
+                else stages._nonzero(ref))
+
+    with np.errstate(all="ignore"):
+        vals = [column(walk.value(e.root), f"val[..., {j}]")
+                for j, e in enumerate(program.exprs)]
+        grads = [[column(d, f"grad[..., {j}, {k}]")
+                  for k, d in enumerate(walk.gradient(e.root))]
+                 for j, e in enumerate(program.exprs)]
+        metric = stages.metric_lines(b, stages._symmetric(vals, n),
+                                     stages._symmetric(grads, n))
+    lines = [(None, f"hinv = zeros(val.shape[:-1] + {(n, n)})", ()),
+             (None, f"A = zeros(val.shape[:-1] + {(n,) * 3})", ())]
+    body = b.dlines if metric else [(None, _NOT_SPD, ())]
+    lines += [(t, _COLUMNS.get(c, c), r) for t, c, r in body]
+    for name, refs in zip(("hinv", "A"), metric or ()):
+        lines += [(None, f"{name}[..., {str(key)[1:-1]}] = {{0}}", (ref,))
+                  for key, ref in refs.items() if ref is not None]
+    return xl.float_function(
+        "kernel", "val, grad", lines + [(None, "return hinv, A", ())],
+        names={"zeros": np.zeros, "NotPositiveDefinite": NotPositiveDefinite})
+
+
+def _values_of(h, w):
+    """h, W, hW and lam from h and W by the two einsums."""
+    hw = np.einsum("...ij,...j->...i", h, w)
+    return h, w, hw, 1.0 - np.einsum("...i,...i->...", w, hw)
+
+
+def four_step_field_jet(nav, x):
+    """navgeo.geometry.field_jet by the four-step route, as the tuple
+    (h, W, hW, lam, hinv, A, M)."""
+    m = len(nav.metric.entries)
+    val, grad = xl.evaluate_dual(nav.jet_program, x)
+    hinv, a = metric_kernel(nav.metric.program)(val, grad)
+    w = val[..., m:].copy()
+    m_cov = grad[..., m:, :] + np.einsum("...kis,...s->...ki", a, w)
+    h = np.take(val, symmetric_index(nav.dim), axis=-1)
+    return _values_of(h, w) + (hinv, a, m_cov)
+
+
+def four_step_metric_value(metric, x):
+    """navgeo.geometry.MetricField.value by a value sweep and a gather."""
+    return np.take(xl.evaluate(metric.program, x), symmetric_index(metric.dim),
+                   axis=-1)
+
+
+def four_step_field_values(nav, x):
+    """navgeo.geometry.field_values from a value sweep of the metric and
+    one of the wind, as the tuple (h, W, hW, lam)."""
+    return _values_of(four_step_metric_value(nav.metric, x),
+                      nav.wind.value(x))
+
+
+def four_step_christoffel(metric, x):
+    """navgeo.geometry.christoffel from a gradient sweep of the metric."""
+    return metric_kernel(metric.program)(*xl.evaluate_dual(metric.program,
+                                                            x))[1]
 
 
 def einsum_levi_civita(h, dh):
     """h^-1 by LAPACK and the Levi-Civita symbols A[..., k, i, j] =
     h^kl (d_i h_jl + d_j h_il - d_l h_ij) / 2 by three einsums, from h
     (..., n, n) and dh[..., k, i, j] = d_k h_ij: the reference for
-    navgeo.stages.metric_kernel."""
+    navgeo.stages.metric_lines."""
     hinv = np.linalg.inv(h)
     t = (np.einsum("...ijl->...lij", dh)
          + np.einsum("...jil->...lij", dh)

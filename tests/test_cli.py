@@ -6,6 +6,7 @@ entry point `python -m navgeo.cli` as a subprocess (`run_module`)."""
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from navgeo import cli
+from navgeo.errors import NotPositiveDefinite
 
 
 def run_module(*args, **kw):
@@ -301,6 +303,38 @@ def test_rank_below_the_dimension_exits_1(tmp_path):
     assert holonomy_distribution_rank(
         nav, TangentSample(np.array([0.9995, 0.0]), y)).rank == 3
     assert min(r.rank for r in distribution_rank_survey(nav, 5)) >= 2
+
+
+# a metric that is indefinite on a small disc around (0.0123, 0.0456),
+# between the points that validation samples
+BUMP = {"schema": 1, "name": "bump", "dim": 2,
+        "domain": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+        "metric": [["1 - 1.5*exp(-40000*((x1-0.0123)^2 + (x2-0.0456)^2))",
+                    "0"], ["1"]],
+        "wind": ["0.3", "0"]}
+
+
+def test_indefinite_metric_names_a_point(tmp_path):
+    # the NumPy transport and the NumPy rerun of a failed float geodesic
+    # both stop at a point where the metric is not positive definite
+    from navgeo.geometry import field_jet
+    from navgeo.scenarios import load_scenario
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(BUMP))
+    nav = load_scenario(str(path), validate_nav=False).nav
+    for argv in (("transport", "--curve=t-0.5,0.0456", "--vector=1,0",
+                  "--mode", "natural"),
+                 ("geodesic", "--from=-0.5,0.0456", "--dir=1,0", "--time", "1",
+                  "--spray", "randers")):
+        res = run_cli(argv[0], "--scenario", str(path), *argv[1:])
+        assert res.returncode == 1 and res.stdout == "", argv
+        said = re.search(r"NotPositiveDefinite: metric value is not positive "
+                         r"definite at point \[(.*), (.*)\]$", res.stderr.strip())
+        assert said, res.stderr
+        h = nav.metric.value(np.array([float(v) for v in said.groups()]))
+        assert h[0, 0] <= 0.0
+    with pytest.raises(NotPositiveDefinite, match=r"at point \[0.0123, 0.0456\]"):
+        field_jet(nav, np.array([[0.5, 0.5], [0.0123, 0.0456]]))
 
 
 def test_bad_vector_syntax_is_an_argparse_error():

@@ -14,14 +14,16 @@ from navgeo import geometry as ge
 from navgeo import classify as cl
 from navgeo import sprays as sp
 from navgeo import stages
-from navgeo.errors import NotPositiveDefinite
+from navgeo.errors import NavGeoError, NonFiniteValue, NotPositiveDefinite
 from navgeo.geometry import field_jet, field_values, randers_value
 from navgeo.scenarios import (builtin, builtin_names, load_scenario,
                               scenario_from_dict)
 
 from helpers import (compare_sprays_oracle, einsum_levi_civita,
                      einsum_natural_spray, einsum_randers_spray,
-                     einsum_riemann_spray, geodesic_stage,
+                     einsum_riemann_spray, four_step_christoffel,
+                     four_step_field_jet, four_step_field_values,
+                     four_step_metric_value, geodesic_stage,
                      jet_gamma_fiber_jacobian, random_curve, random_loop,
                      raw_jet, torsion_residual_oracle, walk_sweep)
 
@@ -257,13 +259,13 @@ def test_constant_indefinite_metric_still_raises():
 
 def test_curved_metric_indefinite_at_one_point_raises():
     # h = [[1 + 0.1 x2^2, x1], [x1, 1]] is indefinite at the third point
-    # only, and the whole batch fails with the one message
+    # only, and the whole batch fails with the one message, which names it
     data = {"schema": 1, "name": "indefinite_at_one", "dim": 2,
             "domain": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
             "metric": [["1 + 0.1*x2^2", "x1"], ["1"]], "wind": ["0.1*x2", "0"]}
     nav = scenario_from_dict(data, validate_nav=False).nav
     pts = np.array([[0.1, 0.2], [0.3, -0.1], [1.5, 0.2], [0.2, 0.1]])
-    message = "^metric value is not positive definite$"
+    message = r"^metric value is not positive definite at point \[1\.5, 0\.2\]$"
     for x in (pts, pts[:, None, :], pts[2]):
         with pytest.raises(NotPositiveDefinite, match=message):
             field_jet(nav, x)
@@ -329,18 +331,133 @@ def test_identical_entries_compile_to_one_subtree():
 
 
 def test_field_jet_is_one_dual_sweep(monkeypatch):
+    # on success one call of the jet program's field program and no
+    # exprlang sweep; on a failure exactly one sweep, which raises
     nav = scenario_from_dict(CURVED[4]).nav
-    calls = []
-    sweep = xl.evaluate_dual
+    runs, sweeps = [], []
+    build, sweep = stages.field_program, xl.Program.sweep
 
-    def counted(e, x):
-        calls.append(e)
-        return sweep(e, x)
+    def counted_build(program, outputs):
+        run = build(program, outputs)
 
-    monkeypatch.setattr(xl, "evaluate_dual", counted)
+        def counted_run(x):
+            runs.append((program, outputs))
+            return run(x)
+        return counted_run
+
+    def counted_sweep(program, x, dual):
+        sweeps.append((program, dual))
+        return sweep(program, x, dual)
+
+    monkeypatch.setattr(stages, "field_program", counted_build)
+    monkeypatch.setattr(xl.Program, "sweep", counted_sweep)
     field_jet(nav, nav.chart.sample_interior(5, margin=0.2))
-    assert len(calls) == 1
-    assert len(calls[0].exprs) == len(nav.metric.entries) + nav.dim == 14
+    assert runs == [(nav.jet_program, stages.JET_FIELDS)] and sweeps == []
+    assert len(nav.jet_program.exprs) == len(nav.metric.entries) + nav.dim == 14
+    with pytest.raises(NonFiniteValue, match="'0.05\\*x4'"):
+        field_jet(nav, np.array([[0.1, 0.2, 0.3, np.nan]]))
+    assert sweeps == [(nav.jet_program, True)]
+
+
+# ---------------------------------------------------------------------------
+# the field programs against the four-step route of tests/helpers.py
+
+
+def _routes(nav):
+    """(name, field program route, four-step route) of each call that runs
+    a field program; each route gives a tuple of arrays."""
+    return (("field_jet", lambda x: tuple(vars(field_jet(nav, x)).values()),
+             lambda x: four_step_field_jet(nav, x)),
+            ("field_values",
+             lambda x: tuple(vars(field_values(nav, x)).values()),
+             lambda x: four_step_field_values(nav, x)),
+            ("christoffel", lambda x: (ge.christoffel(nav.metric, x),),
+             lambda x: (four_step_christoffel(nav.metric, x),)),
+            ("value", lambda x: (nav.metric.value(x),),
+             lambda x: (four_step_metric_value(nav.metric, x),)))
+
+
+@pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
+                         + ["curved_3d", "curved_4d"])
+def test_field_programs_match_the_four_step_route(name):
+    # bit for bit in 2D; in 3D and 4D h, W, hinv and A still are, and hW,
+    # lam and M, summed left to right here and in einsum's order there,
+    # agree to 1e-15 of the largest entry (measured: 2.1e-16)
+    data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(name)
+    nav = scenario_from_dict(data).nav if data else _nav(name)
+    pts = nav.chart.sample_interior(40, margin=0.02)
+    for x in (pts[0], pts, pts[:, None, :]):
+        for route, got, want in _routes(nav):
+            got, want = got(x), want(x)
+            fields = stages.JET_FIELDS if len(got) > 1 else (route,)
+            for key, a, b in zip(fields, got, want):
+                assert a.shape == b.shape, (route, key, x.shape)
+                if nav.dim == 2 or key not in ("hW", "lam", "M"):
+                    np.testing.assert_array_equal(a, b, err_msg=(route, key))
+                else:
+                    assert (np.abs(a - b).max()
+                            <= 1e-15 * np.abs(b).max()), (route, key)
+
+
+def _metric_case(metric, wind=("0.1", "0")):
+    return scenario_from_dict(
+        {"schema": 1, "name": "case", "dim": 2,
+         "domain": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+         "metric": metric, "wind": list(wind)}, validate_nav=False).nav
+
+
+# navigation data bad at the third of ERROR_POINTS only (or everywhere)
+ERROR_CASES = {
+    "log out of its domain": _metric_case(
+        [["1", "0"], ["1"]], ("0.1*log(x2)", "0")),
+    "sqrt out of its domain": _metric_case([["1 + 0.1*sqrt(x1)", "0"], ["1"]]),
+    "masked by ^0": _metric_case([["1 + sqrt(x1)^0", "0"], ["1"]]),
+    "non-finite value": _metric_case([["1 + 0.1/(x1 + 0.5)", "0"], ["1"]]),
+    "non-finite value, finite gradient": _metric_case(
+        [["1e308*2 + x1", "0"], ["1"]]),
+    "non-finite gradient": _metric_case(
+        [["1 + sqrt((x1 + 0.5)^2)", "0"], ["1"]]),
+    "indefinite at one point": _metric_case([["1 + 0.1*x2^2", "3*x1"], ["1"]]),
+    "constant indefinite": _metric_case([["1", "2"], ["1"]]),
+}
+ERROR_POINTS = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, -0.2], [0.2, -0.3]])
+
+
+def _outcome(route, x):
+    try:
+        return route(x), None
+    except NavGeoError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_field_programs_raise_the_errors_of_the_four_step_route(case):
+    # the same error type and message as the four-step route, whose
+    # NotPositiveDefinite names no point: a field program's names the
+    # first point where the smallest eigenvalue of h is not positive
+    nav, pts = ERROR_CASES[case], ERROR_POINTS
+    raised = set()
+    for x in (pts, pts[:, None, :], pts[2]):
+        for route, got, want in _routes(nav):
+            (a, err), (b, ref) = _outcome(got, x), _outcome(want, x)
+            assert type(err) is type(ref), (route, x.shape, err, ref)
+            if ref is None:
+                for u, v in zip(a, b):
+                    np.testing.assert_array_equal(u, v, err_msg=route)
+                continue
+            raised.add(type(err).__name__)
+            message = str(ref)
+            if isinstance(ref, NotPositiveDefinite):
+                h = nav.metric.value(x)
+                first = np.argwhere(np.linalg.eigvalsh(h).min(axis=-1) <= 0.0)[0]
+                message += f" at point {x[tuple(first)].tolist()}"
+            assert str(err) == message, (route, x.shape)
+    assert raised == {"indefinite at one point": {"NotPositiveDefinite"},
+                      "constant indefinite": {"NotPositiveDefinite"},
+                      "non-finite value": {"NonFiniteValue"},
+                      "non-finite value, finite gradient": {"NonFiniteValue"},
+                      "non-finite gradient": {"NonFiniteValue"}}.get(
+        case, {"DomainError"}), case
 
 
 # ---------------------------------------------------------------------------

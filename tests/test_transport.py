@@ -39,7 +39,9 @@ FUNK_BALL_3D = {"schema": 1, "name": "funk_ball_3d", "dim": 3,
 def test_analytic_curve_point_velocity():
     c = AnalyticCurve.from_strings(["sin(t)", "t^2"])
     assert np.allclose(c.point(0.5), [np.sin(0.5), 0.25])
-    assert np.allclose(c.velocity(0.5), [np.cos(0.5), 1.0])
+    assert np.allclose(c.point_and_velocity(0.5)[1], [np.cos(0.5), 1.0])
+    ts = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(c.point_and_velocity(ts)[0], c.point(ts))
     assert not c.is_closed()
     assert AnalyticCurve.from_strings(["cos(2*pi*t)", "sin(2*pi*t)"]).is_closed()
 
@@ -49,7 +51,8 @@ def test_analytic_curve_reversed():
     r = c.reversed()
     for t in (0.0, 0.25, 0.8, 1.0):
         assert np.allclose(r.point(t), c.point(1.0 - t))
-    assert np.allclose(r.velocity(0.3), -c.velocity(0.7))
+    assert np.allclose(r.point_and_velocity(0.3)[1],
+                       -c.point_and_velocity(0.7)[1])
 
 
 def test_curve_leaving_chart_is_rejected(funk_ball):
