@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exprlang, stages
-from .errors import GradientAtZero, NavGeoError
+from .errors import GradientAtZero, NavGeoError, NonFiniteState
 
 # ---------------------------------------------------------------------------
 # chart domains
@@ -360,11 +360,19 @@ def randers_value(nav: NavigationData, x, y) -> np.ndarray:
 
 def fiber_csv(nav: NavigationData, ts, xs, ys, letter: str, stream) -> None:
     """CSV rows t, x*, <letter>*, F(x, <letter>) of base points xs (T, n)
-    with fiber vectors ys at parameters ts, numbers to 17 digits."""
+    with fiber vectors ys at parameters ts, numbers to 17 digits; before
+    any row, NonFiniteState names the first sample whose F is not finite."""
     n = xs.shape[1]
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"{letter}{i + 1}" for i in range(n)] + ["F"])
-    rows = np.column_stack([ts, xs, ys, randers_value(nav, xs, ys)]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = randers_value(nav, xs, ys)
+    if not np.isfinite(f).all():
+        j = np.argmin(np.isfinite(f))
+        raise NonFiniteState(
+            f"navigation norm of sample {j} (t={ts[j]:.6g}, point "
+            f"{xs[j].tolist()}, {letter} {ys[j].tolist()}) is not finite")
+    rows = np.column_stack([ts, xs, ys, f]).tolist()
     fmt = ",".join(["%.17g"] * len(header)) + "\n"
     stream.write(",".join(header) + "\n" + "".join(fmt % tuple(r) for r in rows))
 

@@ -8,20 +8,20 @@ is hidden inside field evaluations. The one stencil here,
 `central_time_derivative`, differentiates sampled paths.
 
 One RK4 tableau integrates everything, on batches advanced in lockstep (a
-single item is a batch of one). `rk4` is the one loop for nonlinear
-right-hand sides: geodesics, wind flows and the natural transport ODE. Its
-step is one source text, the tableau `_STAGES` and `_UPDATE`, rendered
-here over (B, m) arrays and by `stages`, inline in the generated float
-runners of the geodesic equations and the natural ODE. A batch of at
-most SCALAR_ROWS rows that comes with a float run runs on such a runner,
-because at that size NumPy calls, not arithmetic, set the cost. A float
-run that fails is dropped and the whole batch runs again on NumPy, so
-results and errors on failure are the NumPy path's. Every other batch
-runs on NumPy. Linear systems whose matrices are tabled before the loop
-starts (the metric transport, the definitional route's inner transport)
-use `rk4_linear`, which builds the step maps of the same tableau at once
-and applies them instead of evaluating a right-hand side;
-`rk4_propagators` multiplies them out into the transport matrix.
+single item is a batch of one). `rk4` is the one loop over steps:
+geodesics, wind flows, the natural transport ODE and the trajectories of
+the metric transport. Its step is one source text, the tableau `_STAGES`
+and `_UPDATE`, rendered here over (B, m) arrays and by `stages`, inline
+in the generated float runners of the geodesic equations and of the
+tabled transport stages. A batch of at most SCALAR_ROWS rows that comes
+with a float run runs on such a runner, because at that size NumPy calls,
+not arithmetic, set the cost. A float run that fails is dropped and the
+whole batch runs again on NumPy, so results and errors on failure are the
+NumPy path's. Every other batch runs on NumPy. A linear system whose
+matrices are tabled before the loop starts (the metric transport) also
+has `rk4_propagators`: the step maps of the same tableau, built at once
+and multiplied out into the transport matrix, which gives endpoints
+without stepping.
 """
 from __future__ import annotations
 
@@ -187,68 +187,20 @@ def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _ordered_product(maps: np.ndarray) -> np.ndarray:
-    """maps[..., N-1, :, :] @ ... @ maps[..., 0, :, :], multiplying
-    neighbours pairwise, so N maps take about log2(N) batched products."""
-    while maps.shape[-3] > 1:
-        even = maps.shape[-3] // 2 * 2
-        paired = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
-        maps = np.concatenate([paired, maps[..., even:, :, :]], axis=-3)
-    return maps[..., 0, :, :]
-
-
-def _apply_in_order(maps: np.ndarray, rows: np.ndarray, v0: np.ndarray,
-                    dt: float) -> np.ndarray:
-    """Trajectory (B, N + 1, m) of row b of v0 under the step maps of table
-    rows[b]; raises NonFiniteState as `rk4` does, naming the first step at
-    which a state is non-finite and the first such row."""
-    traj = np.empty((len(v0), maps.shape[1] + 1, v0.shape[1]))
-    traj[:, 0] = v = v0
-    for j in range(maps.shape[1]):
-        v = np.einsum("bkl,bl->bk", maps[rows, j], v)
-        traj[:, j + 1] = v
-    if not np.isfinite(traj).all():
-        bad = ~np.isfinite(traj).all(axis=2)
-        step = int(np.argmax(bad.any(axis=0)))
-        raise _nonfinite(int(np.argmax(bad[:, step])), step, dt)
-    return traj
-
-
-def rk4_linear(k: np.ndarray, dt: float, v0: np.ndarray, rows: np.ndarray,
-               keep: bool = False):
-    """`rk4` for linear systems dv/dt = k[u, s] v whose matrices are tabled
-    at the half steps s = 0 .. 2N of each of U systems, k (U, 2N + 1, m, m),
-    without evaluating a right-hand side: every step map is built at once,
-    then applied in order. Row b of the (B, m) batch v0 runs on system
-    rows[b]; returns (v, trajectory (B, N + 1, m) or None). A non-finite
-    state raises NonFiniteState naming the row and the step, as `rk4` does.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    # overflow is reported as NonFiniteState, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = _apply_in_order(_step_maps(k, dt), rows, v0, dt)
-    return traj[:, -1], traj if keep else None
-
-
 def rk4_propagators(k: np.ndarray, dt: float) -> np.ndarray:
-    """The propagators (U, m, m) of the systems of `rk4_linear` over their
-    N steps: the ordered products of the step maps, so column i is what
-    `rk4` makes of basis vector i. A non-finite entry raises NonFiniteState
-    naming row u * m + i (basis vector i of system u) and the step; the
-    in-order search for it runs only on failure.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    """The propagators (U, m, m) of the linear systems dv/dt = k[u, s] v,
+    k (U, 2N + 1, m, m) tabled at half steps: the ordered products
+    P_N-1 ... P_0 of their step maps, neighbours multiplied pairwise (about
+    log2(N) batched products), so column i is what `rk4` makes of basis
+    vector i, up to round-off. Overflow gives non-finite entries, with no
+    warning; the caller checks them."""
     with np.errstate(over="ignore", invalid="ignore"):
         maps = _step_maps(k, dt)
-        prop = _ordered_product(maps)
-        if np.isfinite(prop).all():
-            return prop
-        u, m = prop.shape[:2]
-        traj = _apply_in_order(maps, np.repeat(np.arange(u), m),
-                               np.tile(np.eye(m), (u, 1)), dt)
-    return np.swapaxes(traj[:, -1].reshape(u, m, m), 1, 2)
+        while maps.shape[-3] > 1:
+            even = maps.shape[-3] // 2 * 2
+            paired = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
+            maps = np.concatenate([paired, maps[..., even:, :, :]], axis=-3)
+    return maps[..., 0, :, :]
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:

@@ -5,28 +5,30 @@ The L D L^T elimination of h, each pivot checked positive, is written
 once (`_pivots`). `metric_lines` builds on it the one definition of h^-1
 and of the Levi-Civita symbols A^k_ij (i <= j), and `_Jet` the field jet:
 a program's value and gradient lines, the metric lines, M = dW + A W, hW
-and lam. Constants fold and structural zeros get no line. `field_program`
-renders the jet lines over NumPy arrays, one function of x per (program,
-outputs), for the jet, values, Christoffel symbols and metric of
-`geometry`; `positive_definite` renders the pivot checks alone over
-matrix columns as the mask `geometry.validate` reads.
+and lam. Constants fold, structural zeros get no line, and (a + a) - a is
+a. `field_program` renders the jet lines over NumPy arrays, one function
+of x per (program, outputs), for the jet, values, Christoffel symbols and
+metric of `geometry`; `positive_definite` renders the pivot checks alone
+over matrix columns as the mask `geometry.validate` reads.
 
 On a batch of a few rows, NumPy code spends its time in calls, not in
 arithmetic. So `numkernel.rk4` runs such batches on Python floats, on
 runners generated here by one generator (`_runner`): every RK4 step of a
 group of rows in lockstep, with the lines of one stage inlined four times
-between the lines of numkernel's tableau text. It has two stages. The
-geodesic equation of each spray (`geodesic_stage_lines`, runner
-`geodesic_run`) walks the jet program afresh at every stage: the jet
-lines and the navigation norm F = (sqrt(a^2 + lam b) - a) / lam, then
-the spray as `sprays` defines it: the metric spray A y y / 2 plus the
-spray's wind term, grouped as `sprays.natural_wind_term` or
-`sprays.randers_wind_term`; a row halts where it leaves the chart. The
-natural transport ODE (`natural_stage_lines`, runner `natural_run`)
-reads the stage rows of one curve's table, each unpacked once per step
-for all the rows on that curve. `float_run` adapts a runner to
-`numkernel.rk4`. The NumPy kernels of `sprays` and `transport` stay the
-path of larger batches and of grids.
+between the lines of numkernel's tableau text. The geodesic equation of
+each spray (`geodesic_stage_lines`, runner `geodesic_run`) walks the jet
+program afresh at every stage: the jet lines and the navigation norm
+F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines it:
+the metric spray A y y / 2 plus the spray's wind term, grouped as
+`sprays.natural_wind_term` or `sprays.randers_wind_term`; a row halts
+where it leaves the chart. The two transport stages read the stage rows
+of one curve's table, each unpacked once per step for all the rows on
+that curve (runner `table_run`): the metric transport's K v with
+K = -A(cdot) (`linear_stage_lines`), and the natural transport ODE
+(`natural_stage_lines`), which builds its table product on the linear
+stage's lines. `float_run` adapts a runner to `numkernel.rk4`. The NumPy
+kernels of `sprays` and `transport` stay the path of larger batches and
+of grids.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -146,8 +148,12 @@ def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
             hinv[i, j] = hinv[j, i] = _total(b, (
                 b.mul(b.mul(u[k, i], u[k, j]), inv_pivot[k])
                 for k in range(j, n)))
-    t = {(l, i, j): b.sub(b.add(dh[j, l][i], dh[i, l][j]), dh[i, j][l])
-         for l in range(n) for i in range(n) for j in range(i, n)}
+    # one line name three times is d_i h_ii: (a + a) - a is exactly a,
+    # barring overflow
+    t = {(l, i, j): p if isinstance(p, str) and p == q == r
+         else b.sub(b.add(p, q), r)
+         for l in range(n) for i in range(n) for j in range(i, n)
+         for p, q, r in [(dh[j, l][i], dh[i, l][j], dh[i, j][l])]}
     a = {}
     for k in range(n):
         for i in range(n):
@@ -364,24 +370,34 @@ def geodesic_stage_lines(program: exprlang.Program, kind: str,
             for r in y + [b.mul(-2.0, gk) for gk in g]]
 
 
+def linear_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
+    """K v as lines of builder b, K held row by row in the references p of
+    a stage row, v the references of the state; its len(p) // len(v)
+    references. The metric transport's stage: K = -A(cdot) (n, n)."""
+    n = len(v)
+    return [_total(b, (b.mul(p[r * n + c], v[c]) for c in range(n)))
+            for r in range(len(p) // n)]
+
+
 def natural_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
     """The natural transport stage -A(cdot, v) + F(v) M cdot of
     `transport._natural_stage` as lines of builder b, from the references
     p of one stage row and v of the state; returns its n references. A
     stage row holds the table [-A(cdot); Q; hW^T] (2n + 1, n) row by row,
-    then M cdot and lam, at one half step."""
+    then M cdot and lam, at one half step; `linear_stage_lines` forms the
+    table's product with v."""
     n = len(v)
     rows = 2 * n + 1
-    t = [_total(b, (b.mul(p[r * n + c], v[c]) for c in range(n)))
-         for r in range(rows)]
+    t = linear_stage_lines(b, p[:rows * n], v)
     q = _total(b, (b.mul(v[i], t[n + i]) for i in range(n)))
     f = b.div(b.sub(_sqrt(b, q), t[-1]), p[-1])
     return [b.add(t[k], b.mul(f, p[rows * n + k])) for k in range(n)]
 
 
-def stage_width(n: int) -> int:
-    """Entries of one stage row in dimension n."""
-    return (2 * n + 1) * n + n + 1
+def stage_width(n: int, stage) -> int:
+    """Entries of one stage row of `stage` (`linear_stage_lines` or
+    `natural_stage_lines`) in dimension n."""
+    return n * n if stage is linear_stage_lines else (2 * n + 1) * n + n + 1
 
 
 def _tableau(b: exprlang._Builder, text: str, i: int, slots: dict):
@@ -465,12 +481,13 @@ def geodesic_run(program: exprlang.Program, kind: str):
                    functools.partial(geodesic_stage_lines, program, kind))
 
 
-@functools.lru_cache(maxsize=4)
-def natural_run(n: int):
-    """The runner (`_runner`) of the natural transport ODE in dimension n
-    on one curve's table of stage rows (`natural_stage_lines`); its rows
-    never halt. Memoized per dimension; the first call builds the code."""
-    return _runner(n, natural_stage_lines, stage_width(n))
+@functools.lru_cache(maxsize=8)
+def table_run(n: int, stage):
+    """The runner (`_runner`) of the ODE whose right-hand side is the
+    tabled stage `stage` (`linear_stage_lines` or `natural_stage_lines`)
+    in dimension n, on one curve's table of stage rows; its rows never
+    halt. Memoized on (n, stage); the first call builds the code."""
+    return _runner(n, stage, stage_width(n, stage))
 
 
 def float_run(runner, key: tuple, tables=(None,), rows=None, inside=None):

@@ -5,20 +5,21 @@ the fixed step 1 / round(1 / dt); all per-point field quantities along a
 curve are evaluated before stepping, once per distinct curve object in a
 batch, and each (curve, vector) row reads its curve's tables by index at
 every stage, so probes sent around one loop share one field table and no
-table is copied per probe. The linear transports evaluate no right-hand
-side: their RK4 step maps are built from the tabled -A(cdot) at once and
-applied in order (`numkernel.rk4_linear`), and the transport matrix is
-their ordered product (`numkernel.rk4_propagators`). The natural ODE runs
-`numkernel.rk4`, one stacked contraction of the stage table
-[-A(cdot); Q; hW^T] per stage plus the scalar norm formula. That is what
-makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
-affordable. A batch of at most `numkernel.SCALAR_ROWS` rows (one transport,
-the probes of a small holonomy loop), where NumPy's per-call cost would
-dominate, runs on the generated float runner `stages.natural_run`
-through `stages.float_run`, one call per curve for all the rows on it in
+table is copied per probe. Every trajectory runs `numkernel.rk4` on a
+tabled stage (`_run_tabled`): the metric transport's -A(cdot) v, and the
+natural ODE's one stacked contraction of the stage table
+[-A(cdot); Q; hW^T] plus the scalar norm formula. A batch of at most
+`numkernel.SCALAR_ROWS` rows (one transport, the probes of a small
+holonomy loop), where NumPy's per-call cost would dominate, runs on the
+generated float runner of its stage (`stages.table_run`) through
+`stages.float_run`, one call per curve for all the rows on it in
 lockstep: it reads the curve's stage rows as raw floats straight from the
-one contiguous table the NumPy stages read, unpacking each of them once
-for all those rows.
+one contiguous table the NumPy stages read. The metric transport's
+endpoints need no trajectory: they are the transport matrix of each curve
+(`numkernel.rk4_propagators`) applied to the start vectors, and the
+transport matrix is the endpoint transport of the basis vectors. That is
+what makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
+affordable.
 
 The natural transport comes in two interchangeable flavors:
 
@@ -155,12 +156,6 @@ def _linear_rhs_tables(a: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return -np.einsum("...kil,...i->...kl", a, vel)
 
 
-def _linear_dt(k: np.ndarray) -> float:
-    """The step of tables k (U, 2N + 1, n, n) sampled at the half steps of
-    [0, 1]."""
-    return 1.0 / ((k.shape[1] - 1) // 2)
-
-
 def _result(mode: str, pos: np.ndarray, v: np.ndarray,
             traj: Optional[np.ndarray]) -> TransportResult:
     """TransportResult of the first pair of a batch (pos[0] holds its
@@ -175,16 +170,50 @@ def _result(mode: str, pos: np.ndarray, v: np.ndarray,
     return res
 
 
+def _run_tabled(stage, numpy_stage: Callable, flat: np.ndarray,
+                rows: np.ndarray, v0: np.ndarray,
+                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(v, trajectory or None) of `numkernel.rk4` over [0, 1] on the stage
+    rows flat (U, 2N + 1, width), a C-contiguous table of the half-step
+    samples of the distinct curves, batch row b on curve rows[b]: the
+    tabled stage `stage` of `stages` on floats, numpy_stage(p, v) on NumPy
+    with the batch's stage rows p (B, width)."""
+    steps = (flat.shape[1] - 1) // 2
+    by_step = np.moveaxis(flat, 1, 0)  # a stage takes rows of one slice
+    return nk.rk4(lambda s, v: numpy_stage(by_step[s].take(rows, 0), v), v0,
+                  steps, 1.0 / steps, keep, float_run=stages.float_run(
+                      stages.table_run, (v0.shape[1], stage), flat, rows))[:2]
+
+
+def _run_linear(k: np.ndarray, rows: np.ndarray, v0: np.ndarray,
+                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The metric transport dv/dt = k v on the tables k (U, 2N + 1, n, n)
+    of `_linear_rhs_tables`, as `_run_tabled` runs it. An endpoint is the
+    transport matrix of its curve applied to its start vector; when one is
+    not finite, the batch runs through `_run_tabled`, which names the row
+    and the step."""
+    u, samples, n = k.shape[:3]
+    if not keep:
+        prop = nk.rk4_propagators(k, 1.0 / ((samples - 1) // 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.matmul(prop[rows], v0[:, :, None])[:, :, 0]
+        if np.isfinite(v).all():
+            return v, None
+    return _run_tabled(
+        stages.linear_stage_lines,
+        lambda p, v: np.matmul(p.reshape(-1, n, n), v[:, :, None])[:, :, 0],
+        np.ascontiguousarray(k.reshape(u, samples, n * n)), rows, v0, keep)
+
+
 def _riemann(metric: MetricField, curves: Sequence[AnalyticCurve], v0s,
              dt: float, chart: Optional[Chart], keep: bool):
     """(half-step positions of the distinct curves, endpoint values,
     trajectories or None) of the metric transport for a batch of (curve,
     start vector) pairs."""
     pos, vel, rows = _sample_tables(curves, _steps_from_dt(dt), chart)
-    k = _linear_rhs_tables(christoffel(metric, pos), vel)
-    v, traj = nk.rk4_linear(k, _linear_dt(k),
-                            np.atleast_2d(np.asarray(v0s, dtype=float)), rows,
-                            keep)
+    v, traj = _run_linear(_linear_rhs_tables(christoffel(metric, pos), vel),
+                          rows, np.atleast_2d(np.asarray(v0s, dtype=float)),
+                          keep)
     return pos, v, traj
 
 
@@ -209,10 +238,10 @@ def riemann_transport_matrix(metric: MetricField, curve: AnalyticCurve,
                              dt: float = 1e-3,
                              chart: Optional[Chart] = None) -> np.ndarray:
     """Matrix of the (linear) metric transport along the curve, columns =
-    transported basis vectors: the ordered product of its RK4 step maps."""
-    pos, vel, _ = _sample_tables([curve], _steps_from_dt(dt), chart)
-    k = _linear_rhs_tables(christoffel(metric, pos), vel)
-    return nk.rk4_propagators(k, _linear_dt(k))[0]
+    transported basis vectors: their endpoint transport, batch row i for
+    basis vector i."""
+    n = curve.dim
+    return riemann_transport_many(metric, [curve] * n, np.eye(n), dt, chart).T
 
 
 def _natural_tables(jet: FieldJet, vel: np.ndarray
@@ -251,17 +280,11 @@ def _run_natural(tab: np.ndarray, aux: np.ndarray, rows: np.ndarray,
     u, samples, n = tab.shape[0], tab.shape[1], v0.shape[1]
     flat = np.concatenate([tab.reshape(u, samples, -1), aux], axis=-1)
     del tab, aux
-    # half steps first, so a NumPy stage takes its rows from one (U, ...)
-    # slice
-    tab_s = np.moveaxis(flat[..., :-n - 1].reshape(u, samples, 2 * n + 1, n),
-                        1, 0)
-    aux_s = np.moveaxis(flat[..., -n - 1:], 1, 0)
-    steps = (samples - 1) // 2
-    return nk.rk4(
-        lambda s, v: _natural_stage(tab_s[s].take(rows, 0),
-                                    aux_s[s].take(rows, 0), v),
-        v0, steps, 1.0 / steps, keep,
-        float_run=stages.float_run(stages.natural_run, (n,), flat, rows))[:2]
+    return _run_tabled(
+        stages.natural_stage_lines,
+        lambda p, v: _natural_stage(p[:, :-n - 1].reshape(-1, 2 * n + 1, n),
+                                    p[:, -n - 1:], v),
+        flat, rows, v0, keep)
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
@@ -276,8 +299,7 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
                              f"{v0[bad[0]].tolist()} is not finite")
     winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
     k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
-    u1, utraj = nk.rk4_linear(k, _linear_dt(k), v0 / f0[:, None] - winds[:, 0],
-                              rows, keep)
+    u1, utraj = _run_linear(k, rows, v0 / f0[:, None] - winds[:, 0], keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None
     return f0[:, None] * (u1 + winds[:, -1]), traj
 

@@ -404,6 +404,17 @@ def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     assert "Traceback" not in res.stderr
 
 
+def test_overflowing_norm_fails_before_any_row():
+    # |v| = 1e308 is finite, but the squares under the root of F are not:
+    # no CSV row and no warning, a witness naming the first sample
+    res = run_cli("transport", "--builtin", "sphere_cap", "--curve=0.1*t,0",
+                  "--vector=1e308,1e308", "--mode", "riemann")
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == ""
+    assert ("NonFiniteState: navigation norm of sample 0 (t=0, point "
+            "[0.0, 0.0], v [1e+308, 1e+308]) is not finite") in res.stderr
+
+
 def test_negative_values_are_separate_tokens():
     res = run_cli("geodesic", "--builtin", "funk_ball", "--from", "-0.2,0.1",
                   "--dir", "-1,0", "--time", "0.01")

@@ -317,6 +317,25 @@ def test_metric_lines_match_the_einsum_route(name):
                 assert err <= 1e-13, (key, count, err)
 
 
+def test_diagonal_metric_lines_fold_the_first_kind_sum():
+    # t[i, i, i] = (d_i h_ii + d_i h_ii) - d_i h_ii is d_i h_ii itself, and
+    # A^i_ii reads it directly; the other t of a diagonal metric have one
+    # nonzero term, so no line is a sum
+    n = 3
+    b = xl._Builder(n)
+    h = {(i, j): f"h{i}" if i == j else None
+         for i in range(n) for j in range(i, n)}
+    dh = {(i, j): [f"d{k}h{i}" if i == j else None for k in range(n)]
+          for i in range(n) for j in range(n)}
+    hinv, a = stages.metric_lines(b, h, dh)
+    lines = {target: (template, args) for target, template, args in b.dlines}
+    assert not [t for t, _ in lines.values() if t in ("{0} + {1}", "{0} - {1}")]
+    for i in range(n):  # A^i_ii = 0.5 (h^ii d_i h_ii)
+        template, (half, term) = lines[a[i, i, i]]
+        assert (template, half) == ("{0} * {1}", 0.5)
+        assert lines[term] == ("{0} * {1}", (hinv[i, i], f"d{i}h{i}"))
+
+
 def test_identical_entries_compile_to_one_subtree():
     # rot_box_4d's four equal diagonal entries are one value line each for
     # its four squares and write one register to four columns

@@ -4,7 +4,10 @@ from hypothesis import given, strategies as st
 
 from navgeo import numkernel as nk
 from navgeo import stages
+from navgeo import transport as tr
 from navgeo.errors import NonFiniteState
+from navgeo.geometry import christoffel
+from navgeo.scenarios import scenario_from_dict
 
 import helpers as hp
 
@@ -178,24 +181,33 @@ def _rk4_on_tables(k, v0, rows, keep):
 
 
 class TestRk4Linear:
+    """Linear systems tabled before the loop, as the metric transport runs
+    them (`transport._run_linear`): an endpoint from the product of the
+    RK4 step maps, a trajectory from `rk4`."""
     # rows 0 and 2 share curve 0, row 1 runs alone on curve 1
     ROWS = np.array([0, 1, 0])
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("keep", [False, True])
     def test_step_maps_match_rk4(self, m, keep):
+        # the endpoint route (step maps) and the trajectory route (rk4 on
+        # floats) agree within round-off, and the kept trajectory is the
+        # NumPy lockstep loop's
         rng = np.random.default_rng(m)
         k = _smooth_tables(rng, 2, 150, m)
         v0 = rng.normal(size=(3, m))
-        want, want_traj = _rk4_on_tables(k, v0, self.ROWS, keep)
-        got, got_traj = nk.rk4_linear(k, 1.0 / 150, v0, self.ROWS, keep)
-        scale = np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-13 * scale
+        ends, none = tr._run_linear(k, self.ROWS, v0, False)
+        got, got_traj = tr._run_linear(k, self.ROWS, v0, True)
+        scale = np.abs(got).max()
+        assert none is None
+        assert np.abs(ends - got).max() <= 1e-13 * scale
         if keep:
+            want, want_traj = _rk4_on_tables(k, v0, self.ROWS, keep)
             assert got_traj.shape == want_traj.shape == (3, 151, m)
             assert np.abs(got_traj - want_traj).max() <= 1e-13 * scale
         else:
-            assert got_traj is None
+            want = _rk4_on_tables(k, v0, self.ROWS, keep)[0]
+            assert np.abs(ends - want).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_propagator_is_rk4_of_the_basis(self, m):
@@ -209,22 +221,37 @@ class TestRk4Linear:
     @pytest.mark.parametrize("keep", [False, True])
     def test_overflow_names_the_same_row_and_step(self, keep):
         # curve 1 blows up from half step 11 on, which step 6 reads first;
-        # its first row is row 1
+        # its first row is row 1. Both routes first fail on floats, then
+        # raise the NumPy lockstep loop's error.
         k = _smooth_tables(np.random.default_rng(3), 2, 20, 2)
         k[1, 11:] *= 1e200
         v0 = np.array([[1.0, 0.5], [0.3, -1.0], [-0.7, 0.2]])
+        rows = self.ROWS[[0, 1, 1]]
+        on_floats = stages.float_run(
+            stages.table_run, (2, stages.linear_stage_lines),
+            np.ascontiguousarray(k.reshape(2, 41, 4)), rows)
+        assert on_floats(v0, 20, (0.025, 0.05, 0.05 / 6.0), keep) is None
         with pytest.raises(NonFiniteState) as via_rk4:
-            _rk4_on_tables(k, v0, self.ROWS[[0, 1, 1]], keep)
-        with pytest.raises(NonFiniteState) as via_maps:
-            nk.rk4_linear(k, 1.0 / 20, v0, self.ROWS[[0, 1, 1]], keep)
+            _rk4_on_tables(k, v0, rows, keep)
+        with pytest.raises(NonFiniteState) as via_route:
+            tr._run_linear(k, rows, v0, keep)
         assert "row 1 " in str(via_rk4.value) and "step 6 " in str(via_rk4.value)
-        assert str(via_maps.value) == str(via_rk4.value)
+        assert str(via_route.value) == str(via_rk4.value)
 
     def test_overflowing_propagator_names_a_basis_row(self):
-        k = _smooth_tables(np.random.default_rng(4), 2, 20, 2)
-        k[1, 11:] *= 1e200
-        with pytest.raises(NonFiniteState, match="row 2 .* at step 6 "):
-            nk.rk4_propagators(k, 1.0 / 20)
+        # h = diag(1, exp(2 x1)) along x1 = 1e100 t (1 - t) (2t - 1), on the
+        # chart's x1 = 0 at all three samples of one step: e1 stays put,
+        # while e2 meets -A^2_12 cdot^1 of order 1e100 and overflows
+        nav = scenario_from_dict({
+            "schema": 1, "name": "warped", "dim": 2,
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.9},
+            "metric": [["1", "0"], ["exp(2*x1)"]], "wind": ["0", "0"]}).nav
+        curve = tr.AnalyticCurve.from_strings(["1e100*t*(1-t)*(2*t-1)", "0"])
+        pos, vel, _ = tr._sample_tables([curve], 1, nav.chart)
+        k = tr._linear_rhs_tables(christoffel(nav.metric, pos), vel)
+        assert not np.isfinite(nk.rk4_propagators(k, 1.0)).all()
+        with pytest.raises(NonFiniteState, match="row 1 .* at step 1 "):
+            tr.riemann_transport_matrix(nav.metric, curve, 1.0, nav.chart)
 
 
 class TestNumericRank:

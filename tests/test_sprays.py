@@ -20,8 +20,8 @@ from navgeo.transport import AnalyticCurve
 
 from helpers import (autoparallel_residual, einsum_natural_spray,
                      einsum_randers_spray, einsum_riemann_spray, float_rows,
-                     geodesic_rows_oracle, geodesic_stage, natural_stage_rows,
-                     random_vectors)
+                     geodesic_rows_oracle, geodesic_stage, random_vectors,
+                     table_stage_rows)
 
 BENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "scenarios").glob("*.json"))
@@ -433,7 +433,7 @@ def test_float_natural_ode_reruns_on_numpy_after_a_halt():
     def run(aux, on_floats):
         flat = np.ascontiguousarray(np.concatenate(
             [tab.reshape(2, 2 * steps + 1, -1), aux], axis=-1))
-        make = natural_stage_rows(n)
+        make = table_stage_rows(n, stages.natural_stage_lines)
         return nk.rk4(lambda s, v: tr._natural_stage(tab[:, s], aux[:, s], v),
                       v0, steps, 1.0 / steps, keep=True,
                       inside=lambda v: v[:, 1] < 0.9,

@@ -15,12 +15,12 @@ from navgeo import sprays as sp
 from navgeo import stages
 from navgeo import transport as tr
 from navgeo.errors import CurveLeftDomain, NonFiniteState, ZeroVector
-from navgeo.geometry import field_jet, randers_value
+from navgeo.geometry import christoffel, field_jet, randers_value
 from navgeo.scenarios import builtin, load_scenario, scenario_from_dict
 from navgeo.transport import AnalyticCurve
 
-from helpers import (natural_rows_oracle, natural_stage_rows, random_curve,
-                     random_loop, random_vectors)
+from helpers import (random_curve, random_loop, random_vectors,
+                     table_rows_oracle, table_stage_rows)
 
 
 SEG = AnalyticCurve.from_strings(["0.5*t", "0"])
@@ -325,7 +325,7 @@ def test_natural_stage_is_the_connection_ode(name):
     want = -np.einsum("pki,pi->pk", cn.jet_gamma(jet, v), vel)
     assert np.abs(dv - want).max() <= 1e-13 * np.abs(want).max()
     # its float code, on the flat stage rows that small batches read
-    rhs = natural_stage_rows(nav.dim)(
+    rhs = table_stage_rows(nav.dim, stages.natural_stage_lines)(
         np.concatenate([tab.reshape(len(tab), -1), aux], axis=1))
     got = np.array([rhs(p, tuple(vp)) for p, vp in enumerate(v.tolist())])
     assert np.abs(got - dv).max() <= 1e-13 * np.abs(dv).max()
@@ -377,7 +377,8 @@ def _stage_rows(nav, curves, dt):
 def _on_floats(flat, rows, v0, keep):
     steps = (flat.shape[1] - 1) // 2
     dt = 1.0 / steps
-    run = stages.float_run(stages.natural_run, (v0.shape[1],), flat,
+    run = stages.float_run(stages.table_run,
+                           (v0.shape[1], stages.natural_stage_lines), flat,
                            np.asarray(rows))
     return run(v0, steps, (0.5 * dt, dt, dt / 6.0), keep)
 
@@ -395,7 +396,8 @@ def test_natural_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
     rows = np.array(RUNNER_ROWS[batch])
     v0 = random_vectors(rng, batch, dim)
     got = _on_floats(flat, rows, v0, keep)
-    want = natural_rows_oracle(flat, rows, v0, keep)
+    want = table_rows_oracle(stages.natural_stage_lines, flat, rows, v0,
+                             keep)
     assert (got[1] is None) == (want[1] is None) == (not keep)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
@@ -413,6 +415,66 @@ def test_natural_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
         np.testing.assert_array_equal(alone[0][0], got[0][b])
         if keep:
             np.testing.assert_array_equal(alone[1][0], got[1][b])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("batch", [1, nk.SCALAR_ROWS])
+@pytest.mark.parametrize("keep", [False, True])
+def test_linear_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
+    # the metric transport's float runner: bit for bit the per-row float
+    # stages, and within round-off the NumPy lockstep loop and the
+    # transport matrices' endpoints
+    nav = RUNNER_NAVS[dim]()
+    rng = np.random.default_rng(10 * dim + batch)
+    curves = [random_curve(nav.chart, rng) for _ in range(3)]
+    pos, vel, _ = tr._sample_tables(curves, tr._steps_from_dt(0.02), nav.chart)
+    k = tr._linear_rhs_tables(christoffel(nav.metric, pos), vel)
+    flat = k.reshape(3, 101, dim * dim)
+    rows = np.resize(RUNNER_ROWS[20], batch)
+    v0 = random_vectors(rng, batch, dim)
+    got = stages.float_run(stages.table_run, (dim, stages.linear_stage_lines),
+                           flat, rows)(v0, 50, (0.01, 0.02, 0.02 / 6.0), keep)
+    want = table_rows_oracle(stages.linear_stage_lines, flat, rows, v0, keep)
+    assert (got[1] is None) == (want[1] is None) == (not keep)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    v, traj = tr._run_linear(k, rows, v0, True)
+    np.testing.assert_array_equal(v, got[0])
+    if keep:
+        np.testing.assert_array_equal(traj, got[1])
+    scale = np.abs(got[0]).max()
+    assert np.abs(tr._run_linear(k, rows, v0, False)[0] - v).max() <= 1e-13 * scale
+    monkeypatch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
+    v, traj = tr._run_linear(k, rows, v0, True)
+    assert np.abs(v - got[0]).max() <= 1e-13 * scale
+    if keep:
+        assert np.abs(traj - got[1]).max() <= 1e-13 * np.abs(got[1]).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_transport_matrix_is_the_endpoints_of_the_basis(dim):
+    # column i of the matrix is the batch endpoint of basis vector i, bit
+    # for bit, whichever other rows share the batch
+    nav = RUNNER_NAVS[dim]()
+    rng = np.random.default_rng(dim)
+    curve, other = (random_curve(nav.chart, rng) for _ in range(2))
+    mat = tr.riemann_transport_matrix(nav.metric, curve, 0.01, nav.chart)
+    v0 = np.concatenate([random_vectors(rng, 2, dim), np.eye(dim)])
+    ends = tr.riemann_transport_many(nav.metric, [other, curve] + [curve] * dim,
+                                     v0, 0.01, nav.chart)
+    np.testing.assert_array_equal(ends[2:].T, mat)
+
+
+def test_metric_holonomy_of_many_probes_is_the_matrix(sphere_cap):
+    # 24 probes (more than SCALAR_ROWS) around one loop: the matrix's action
+    rng = np.random.default_rng(24)
+    nav = sphere_cap.nav
+    loop = random_loop(nav.chart, rng)
+    probes = random_vectors(rng, 24, 2)
+    assert len(probes) > nk.SCALAR_ROWS
+    hol = ho.loop_holonomy(nav, loop, probes, mode="riemann", dt=2e-3)
+    want = probes @ ho.riemann_holonomy_matrix(nav, loop, 2e-3).T
+    assert np.abs(hol.transported - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_natural_runner_fails_as_numpy_in_a_later_group(monkeypatch):
