@@ -16,6 +16,12 @@ an explicit grid with an explicit tolerance, never a symbolic fact:
 A decisive disagreement between equivalent verdicts raises
 InconsistentVerdicts: the underlying equivalences are theorems, so a
 violation means an implementation bug, not interesting geometry.
+
+The verdicts read one jet over the grid points (`geometry.grid_jet`,
+without the Levi-Civita symbols, which none of them reads). The torsion
+verdict and the spray comparison run over blocks of points
+(`geometry.jet_blocks`) and take the sup over the blocks with np.max, so
+that a NaN in any block reaches the verdict.
 """
 from __future__ import annotations
 
@@ -26,7 +32,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import InconsistentVerdicts
-from .geometry import FieldJet, NavigationData, fiber_directions, field_jet
+from .geometry import (FieldJet, NavigationData, fiber_directions, fiber_rows,
+                       grid_jet, jet_blocks)
 from .sprays import ComparisonReport, jet_compare_sprays, rs_split
 
 
@@ -53,8 +60,8 @@ def _default_grid(nav: NavigationData, grid,
 
 
 def _grid_jet(nav: NavigationData, grid, per_axis: Optional[int]) -> FieldJet:
-    """The jet over the grid, with a fiber axis of length one."""
-    return field_jet(nav, _default_grid(nav, grid, per_axis)[:, None, :])
+    """The jet over the grid points, without A (`grid_jet`)."""
+    return grid_jet(nav, _default_grid(nav, grid, per_axis))
 
 
 def _fiber_directions(nav: NavigationData) -> np.ndarray:
@@ -76,13 +83,22 @@ def _torsion_vanishes(jet: FieldJet, dirs: np.ndarray, tol: float) -> Verdict:
     """Sup of |torsion components| over the points and fiber directions:
     of |F_{y^j} M^k_i - F_{y^i} M^k_j| over the pairs i < j, bitwise the
     sup over every entry of connection.jet_torsion, which is exactly
-    antisymmetric in (i, j)."""
-    _, fy = jet.norm_and_grad(dirs)
-    m = jet.M
-    resid = float(np.max([
-        np.abs(fy[..., j, None] * m[..., :, i]
-               - fy[..., i, None] * m[..., :, j]).max()
-        for i, j in zip(*np.triu_indices(m.shape[-1], 1))]))
+    antisymmetric in (i, j) and reads F_y from the same
+    `FieldValues.norm_and_grad`. The points run in blocks (`jet_blocks`),
+    and the products of a pair run with the block's points as the last,
+    contiguous axis, F_{y^j} as fy[j] (D, p) and M^k_i as m[i] (n, p), so
+    that their inner loops are long."""
+    pairs = list(zip(*np.triu_indices(dirs.shape[-1], 1)))
+
+    def block_sup(block):
+        fy = fiber_rows(block).norm_and_grad(dirs)[1]
+        fy = np.ascontiguousarray(np.transpose(fy, (2, 1, 0)))
+        m = np.ascontiguousarray(np.transpose(block.M, (2, 1, 0)))
+        return np.max([np.abs(fy[j] * m[i][:, None, :]
+                              - fy[i] * m[j][:, None, :]).max()
+                       for i, j in pairs])
+
+    resid = float(np.max([block_sup(b) for b in jet_blocks(jet, len(dirs))]))
     return Verdict("torsion_vanishes", resid < tol, resid, tol)
 
 
@@ -209,7 +225,7 @@ def classification_report(nav: NavigationData, grid=None,
     """Run every class test plus the spray comparison and cross-check the
     equivalences the tests are supposed to observe."""
     grid = _default_grid(nav, grid, per_axis)
-    jet = field_jet(nav, grid[:, None, :])
+    jet = grid_jet(nav, grid)
     wp = _wind_parallel(jet, tol)
     tv = _torsion_vanishes(jet, _fiber_directions(nav), tol)
     wg = _wagner(np.sqrt(np.einsum("...i,...i->...", jet.W, jet.hW)), tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import re
@@ -97,18 +98,19 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _out_stream(args):
+def _emit(args, text: str) -> None:
+    """Write a run's whole output to --out, or to stdout. The text is
+    formed before the file is opened, so a run that fails leaves no file
+    and an existing one untouched."""
     if args.out:
-        return open(args.out, "w")
-    return sys.stdout
+        with open(args.out, "w") as stream:
+            stream.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
-    stream = _out_stream(args)
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-    if stream is not sys.stdout:
-        stream.close()
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _pick_curve(args, scenario: Scenario, attr: str, flag: str):
@@ -148,10 +150,9 @@ def _cmd_transport(args) -> int:
         result = riemann_transport(scenario.nav.metric, curve, args.vector,
                                    dt=args.dt, chart=scenario.nav.chart,
                                    keep_trajectory=True)
-    stream = _out_stream(args)
-    trajectory_csv(result, scenario.nav, stream)
-    if stream is not sys.stdout:
-        stream.close()
+    text = io.StringIO()
+    trajectory_csv(result, scenario.nav, text)
+    _emit(args, text.getvalue())
     return 0
 
 
@@ -161,10 +162,9 @@ def _cmd_geodesic(args) -> int:
     path = integrate_geodesic(Spray(nav, args.spray), args.from_point,
                               args.direction, args.time, dt=args.dt,
                               chart=nav.chart)
-    stream = _out_stream(args)
-    geodesic_csv(path, nav, stream)
-    if stream is not sys.stdout:
-        stream.close()
+    text = io.StringIO()
+    geodesic_csv(path, nav, text)
+    _emit(args, text.getvalue())
     if path.left_domain:
         print(f"note: path left the domain at t={path.ts[-1]:.6g} and was "
               "truncated", file=sys.stderr)

@@ -9,9 +9,12 @@ The geometry depends on the base point only through the covariant 1-jet
 symbols A and the covariant wind derivative M = nabla W. `field_jet`
 evaluates it once per batch of base points, and fiber-dependent
 quantities take `(jet, y)`: a jet built at x[..., None, :] broadcasts
-over a (..., D, n) batch of fiber vectors. The jet, the values, the
-Levi-Civita symbols and the metric are each one call of a generated
-program (`stages.field_program`) whose lines the float stages share.
+over a (..., D, n) batch of fiber vectors. A grid kernel takes a jet at
+the grid points (`grid_jet`) in blocks (`jet_blocks`), its fibers as the
+columns of (p, n, D) arrays; it reads the norm on their rows through
+`fiber_rows`. The jet, the values, the Levi-Civita symbols and the metric
+are each one call of a generated program (`stages.field_program`) whose
+lines the float stages share.
 """
 from __future__ import annotations
 
@@ -319,10 +322,11 @@ class FieldJet(FieldValues):
     the values plus hinv = h^-1, the Levi-Civita symbols A[..., k, i, j]
     and the covariant wind derivative M[..., k, i] = (nabla_i W)^k. The
     raw derivatives of h and W are not kept: an x-derivative of F comes
-    from the connection, as dF/dx^i = Gamma^k_i dF/dy^k."""
+    from the connection, as dF/dx^i = Gamma^k_i dF/dy^k. A grid jet
+    (`grid_jet`) has A = None."""
 
     hinv: np.ndarray
-    A: np.ndarray
+    A: Optional[np.ndarray]
     M: np.ndarray
 
 
@@ -332,6 +336,38 @@ def field_jet(nav: NavigationData, x) -> FieldJet:
     is not positive definite."""
     return FieldJet(*stages.field_program(nav.jet_program,
                                           stages.JET_FIELDS)(x))
+
+
+# Fibers per block of a grid kernel, 512 points x 16 directions: a block's
+# (p, n, D) arrays stay within 256 KB, so that a kernel's temporaries stay
+# in cache however large the grid.
+GRID_FIBERS = 8192
+
+
+def grid_jet(nav: NavigationData, points) -> FieldJet:
+    """The jet of nav at grid points (P, n) without the Levi-Civita
+    symbols (A = None), which no grid kernel reads: in 4D their n^3
+    strided entries cost more than the rest of the jet."""
+    h, w, hw, lam, hinv, m = stages.field_program(
+        nav.jet_program, ("h", "W", "hW", "lam", "hinv", "M"))(points)
+    return FieldJet(h, w, hw, lam, hinv, None, m)
+
+
+def jet_blocks(jet: FieldJet, n_dirs: int):
+    """Views of a jet at points (P, ...) over consecutive blocks of at
+    most GRID_FIBERS // n_dirs points, so that a block's fiber arrays
+    (p, n, n_dirs) hold at most GRID_FIBERS fibers."""
+    step = max(1, GRID_FIBERS // n_dirs)
+    for start in range(0, len(jet.W), step):
+        yield FieldJet(*(None if a is None else a[start:start + step]
+                         for a in vars(jet).values()))
+
+
+def fiber_rows(values: FieldValues) -> FieldValues:
+    """The values at points (P, ...) as views with a fiber axis of length
+    one, (P, 1, ...), so that the norm takes fiber rows (P, D, n)."""
+    return FieldValues(values.h[:, None], values.W[:, None],
+                       values.hW[:, None], values.lam[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +438,24 @@ def fiber_directions(n: int, count: int,
 
 def indicatrix(values: FieldValues, count: int,
                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """F-unit vectors (..., count, n) over field values whose batch ends in
-    a fiber axis of length one: the h-unit sphere translated by the wind,
-    along the same fiber_directions at every point."""
-    dirs = fiber_directions(values.W.shape[-1], count, rng)
-    norms = np.sqrt(np.einsum("...ij,...i,...j->...", values.h, dirs, dirs))
-    return dirs / norms[..., None] + values.W
+    """F-unit vectors as the columns (..., n, count) over field values at
+    points (...): the h-unit sphere translated by the wind, along the same
+    fiber_directions at every point. The squared h-lengths of the
+    directions u are one matmul of h against the products u u^T."""
+    n = values.W.shape[-1]
+    # C order, so that the result keeps each point's fibers contiguous
+    cols = np.ascontiguousarray(fiber_directions(n, count, rng).T)
+    uu = (cols[:, None, :] * cols[None, :, :]).reshape(n * n, count)
+    h = values.h.reshape(values.h.shape[:-2] + (n * n,))
+    return cols / np.sqrt(h @ uu)[..., None, :] + values.W[..., :, None]
 
 
 def indicatrix_points(nav: NavigationData, x, count: int = 24,
                       rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """F-unit vectors (..., count, n) at base points x (..., n); see
     `indicatrix`."""
-    return indicatrix(field_values(nav, np.asarray(x, dtype=float)[..., None, :]),
-                      count, rng)
+    return np.swapaxes(indicatrix(field_values(nav, np.asarray(x, dtype=float)),
+                                  count, rng), -1, -2)
 
 
 # ---------------------------------------------------------------------------

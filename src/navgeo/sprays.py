@@ -12,10 +12,14 @@ A^k_ij y^i y^j / 2 plus a wind term of its own, defined once:
             assembled from the symmetric/antisymmetric parts of the
             lowered wind derivative (randers_wind_term).
 
-The comparison over a grid never forms A y y: natural - randers and
-natural - riemann are differences of wind terms, at one F. Every fiber
-contraction on a grid is a batched matmul with the fiber axis as the row
-axis, fibers (P, D, n) @ per-point matrices (P, n, m).
+The wind terms take fiber vectors as the columns of (..., n, D) arrays;
+a spray passes its one fiber per point as y[..., None]. The comparison
+over a grid never forms A y y: natural - randers and natural - riemann
+are differences of wind terms, at one F. It runs over blocks of points
+of at most GRID_FIBERS fibers (`geometry.jet_blocks`), so that every
+block array stays within 256 KB: a per-point matrix applies to a block's
+fibers (p, n, D) as one batched matmul, and a contraction over n is a sum
+over axis -2 with the D fibers contiguous.
 
 Geodesics integrate in lockstep through `numkernel.rk4`. A small batch of
 a `Spray` runs on the generated float runner of its geodesic equation
@@ -39,7 +43,8 @@ from . import exprlang, numkernel as nk, stages
 from .connection import jet_gamma
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
-                       christoffel, fiber_csv, field_jet, indicatrix)
+                       christoffel, fiber_csv, fiber_rows, field_jet, grid_jet,
+                       indicatrix, jet_blocks)
 
 
 @dataclass
@@ -55,18 +60,6 @@ class GeodesicPath:
 # spray coefficients on a field jet (fiber axes broadcast against the jet's)
 
 
-def _fiber_matmul(y, mat) -> np.ndarray:
-    """y^i mat[..., i, j] for fibers y (..., n) and per-point matrices mat
-    (..., n, m), as a batched matmul with the fiber axis as the row axis.
-    A jet built at x[..., None, :] (or at a single point) shares its
-    matrices over a whole fiber axis, so ys (P, D, n) @ mat (P, n, m) is
-    one (D, n) @ (n, m) product per point; a jet with one base point per
-    fiber vector multiplies each fiber as a row of its own."""
-    if mat.ndim > 2 and (mat.shape[-3] != 1 or y.ndim < 2):
-        return (y[..., None, :] @ mat)[..., 0, :]
-    return y @ (mat if mat.ndim == 2 else mat[..., 0, :, :])
-
-
 def _ayy(a, y) -> np.ndarray:
     return np.einsum("...kij,...i,...j->...k", a, y, y)
 
@@ -76,9 +69,17 @@ def jet_riemann_spray(jet: FieldJet, y) -> np.ndarray:
     return 0.5 * _ayy(jet.A, np.asarray(y, dtype=float))
 
 
+def _column_dot(u, v) -> np.ndarray:
+    """sum_i u_i v_i over the axis -2 of columns (..., n, D), or of a
+    per-point vector v (..., n, 1), as (..., 1, D)."""
+    return np.einsum("...id,...id->...d", u, v)[..., None, :]
+
+
 def natural_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
-    """-F M y / 2, the natural spray minus the metric one, given F(y)."""
-    return -0.5 * f[..., None] * _fiber_matmul(y, np.swapaxes(jet.M, -1, -2))
+    """-F M y / 2, the natural spray minus the metric one, given F(y):
+    fibers as the columns of y (..., n, D), F (..., D), at a jet whose
+    points are the leading axes (...)."""
+    return -0.5 * f[..., None, :] * (jet.M @ y)
 
 
 def rs_split(jet: FieldJet) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +91,8 @@ def rs_split(jet: FieldJet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def randers_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
-    """The variational spray minus the metric one, given F(y) (zero fibers
-    not allowed):
+    """The variational spray minus the metric one, given F(y), fibers as
+    columns as in `natural_wind_term` (zero fibers not allowed):
 
         (r_0 - F r / 2 - r_00 / (2 F)) y + (r_00 / 2 + F^2 r / 2 - F r_0) W
             - F^2 (S^i + R^i) / 2 - F S^i_0,
@@ -102,14 +103,17 @@ def randers_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
     r, s = rs_split(jet)
     w, hinv = jet.W, jet.hinv
     r_j = np.einsum("...i,...ij->...j", w, r)
-    r_sc = np.einsum("...j,...j->...", w, r_j)[..., None]
+    r_sc = np.einsum("...j,...j->...", w, r_j)[..., None, None]
     up = np.einsum("...ij,...j->...i", hinv,
-                   r_j + np.einsum("...i,...ij->...j", w, s))
-    ry = _fiber_matmul(y, r)  # R symmetric: the row y R is R y
-    r_0 = np.einsum("...i,...i->...", ry, w)[..., None]
-    r_00 = np.einsum("...i,...i->...", ry, y)[..., None]
-    s_i0 = _fiber_matmul(y, np.swapaxes(hinv @ s, -1, -2))
-    f = f[..., None]
+                   r_j + np.einsum("...i,...ij->...j", w, s))[..., None]
+    w = w[..., None]
+    # R y as the row product y R (R is symmetric): the summation order in
+    # which the round-off sups that `classify` prints were recorded
+    ry = np.swapaxes(np.swapaxes(y, -1, -2) @ r, -1, -2)
+    r_0 = _column_dot(ry, w)
+    r_00 = _column_dot(ry, y)
+    s_i0 = (hinv @ s) @ y
+    f = f[..., None, :]
     return ((r_0 - 0.5 * f * r_sc - r_00 / (2.0 * f)) * y
             + (0.5 * r_00 + 0.5 * f * f * r_sc - f * r_0) * w
             - 0.5 * f * f * up - f * s_i0)
@@ -118,13 +122,15 @@ def randers_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
 def jet_natural_spray(jet: FieldJet, y) -> np.ndarray:
     """Natural-connection spray coefficients (A y y - F M y) / 2."""
     y = np.asarray(y, dtype=float)
-    return jet_riemann_spray(jet, y) + natural_wind_term(jet, y, jet.norm(y))
+    return jet_riemann_spray(jet, y) + natural_wind_term(
+        jet, y[..., None], jet.norm(y)[..., None])[..., 0]
 
 
 def jet_randers_spray(jet: FieldJet, y) -> np.ndarray:
     """Variational spray of the induced norm (zero fibers not allowed)."""
     y = np.asarray(y, dtype=float)
-    return jet_riemann_spray(jet, y) + randers_wind_term(jet, y, jet.norm(y))
+    return jet_riemann_spray(jet, y) + randers_wind_term(
+        jet, y[..., None], jet.norm(y)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,33 +334,44 @@ def compare_sprays(nav: NavigationData, per_axis: Optional[int] = None,
     -phi(x) F y / 2 with a per-point factor that is consistent across the
     fiber directions (spread below 1e-6) and residual below TOL_PROJECTIVE.
     """
-    points = nav.chart.grid(per_axis, 0.05)
-    return jet_compare_sprays(field_jet(nav, points[:, None, :]), n_dirs)
+    return jet_compare_sprays(grid_jet(nav, nav.chart.grid(per_axis, 0.05)),
+                              n_dirs)
+
+
+def _compare_block(jet: FieldJet, n_dirs: int) -> tuple:
+    """(sup |natural - randers|, phi_hat, phi spread, projective residual)
+    over one block of points, the fibers as columns (p, n, D)."""
+    ys = indicatrix(jet, n_dirs)
+    # 1 up to round-off, from the norm on the fiber rows
+    f = _norm_parts(fiber_rows(jet), np.swapaxes(ys, -1, -2),
+                    np.swapaxes(jet.h @ ys, -1, -2))[3]
+    d = natural_wind_term(jet, ys, f)  # natural - riemann
+    sup_nr = np.abs(d - randers_wind_term(jet, ys, f)).max()
+
+    denom = f * _column_dot(ys, ys)[:, 0]
+    phi = -2.0 * _column_dot(d, ys)[:, 0] / denom
+    phi_hat = phi.mean(axis=1)
+    spread = np.abs(phi - phi_hat[:, None]).max()
+    resid = d + 0.5 * phi_hat[:, None, None] * f[:, None, :] * ys
+    return sup_nr, phi_hat, spread, np.sqrt(_column_dot(resid, resid)).max()
 
 
 def jet_compare_sprays(jet: FieldJet, n_dirs: int = 16) -> ComparisonReport:
-    """compare_sprays on a jet built at points[:, None, :]. The three
-    sprays share A y y / 2, so the differences come from the wind terms
-    alone, at F computed once."""
-    ys = indicatrix(jet, n_dirs)  # (P, D, n)
-    f = _norm_parts(jet, ys, _fiber_matmul(ys, jet.h))[3]  # 1 up to round-off
-    d = natural_wind_term(jet, ys, f)  # natural - riemann
-    sup_nr = float(np.abs(d - randers_wind_term(jet, ys, f)).max())
-
-    denom = f * np.einsum("pdi,pdi->pd", ys, ys)
-    phi = -2.0 * np.einsum("pdi,pdi->pd", d, ys) / denom
-    phi_hat = phi.mean(axis=1)
-    spread = np.abs(phi - phi_hat[:, None]).max(axis=1)
-    resid = d + 0.5 * phi_hat[:, None, None] * f[..., None] * ys
-    resid_max = float(np.linalg.norm(resid, axis=2).max())
+    """compare_sprays on a jet at the grid points (P, n), in blocks of at
+    most GRID_FIBERS fibers. The three sprays share A y y / 2, so the
+    differences come from the wind terms alone, at F computed once."""
+    sup_nr, phi_hat, spread, resid = zip(*(
+        _compare_block(block, n_dirs) for block in jet_blocks(jet, n_dirs)))
+    sup_nr, spread = float(np.max(sup_nr)), float(np.max(spread))
+    phi_hat, resid_max = np.concatenate(phi_hat), float(np.max(resid))
 
     coincide = sup_nr < TOL_COINCIDE
-    projective = bool(spread.max() < 1e-6 and resid_max < TOL_PROJECTIVE)
+    projective = bool(spread < 1e-6 and resid_max < TOL_PROJECTIVE)
     return ComparisonReport(
         n_points=len(jet.W), n_dirs=n_dirs,
         sup_natural_vs_randers=sup_nr,
         phi_min=float(phi_hat.min()), phi_max=float(phi_hat.max()),
-        phi_mean=float(phi_hat.mean()), phi_spread_max=float(spread.max()),
+        phi_mean=float(phi_hat.mean()), phi_spread_max=spread,
         projective_residual=resid_max,
         sprays_coincide=bool(coincide),
         projectively_riemannian=projective,

@@ -427,7 +427,7 @@ def compare_sprays_oracle(jet, points, n_dirs=16, tol_coincide=1e-8,
                           tol_projective=1e-6):
     """navgeo.sprays.jet_compare_sprays from the three full einsum sprays
     and their differences."""
-    ys = indicatrix(jet, n_dirs)
+    ys = np.swapaxes(indicatrix(jet, n_dirs), -1, -2)[:, 0]  # (P, D, n)
     g_nat = einsum_natural_spray(jet, ys)
     g_ran = einsum_randers_spray(jet, ys)
     g_rie = einsum_riemann_spray(jet, ys)

@@ -415,6 +415,19 @@ def test_overflowing_norm_fails_before_any_row():
             "[0.0, 0.0], v [1e+308, 1e+308]) is not finite") in res.stderr
 
 
+def test_a_failed_run_leaves_no_out_file(tmp_path):
+    # the CSV is formed before --out is opened: a run that fails leaves no
+    # empty file behind, and an existing file keeps its content
+    out = tmp_path / "t.csv"
+    argv = ("transport", "--builtin", "sphere_cap", "--curve=0.1*t,0",
+            "--vector=1e308,1e308", "--mode", "riemann", "--out", str(out))
+    assert run_cli(*argv).returncode == 1
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert run_cli(*argv).returncode == 1
+    assert out.read_text() == "kept\n"
+
+
 def test_negative_values_are_separate_tokens():
     res = run_cli("geodesic", "--builtin", "funk_ball", "--from", "-0.2,0.1",
                   "--dir", "-1,0", "--time", "0.01")

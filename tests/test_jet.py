@@ -513,7 +513,7 @@ def test_each_spray_is_the_metric_spray_plus_its_wind_term(case):
                 ("randers", sp.randers_wind_term, einsum_randers_spray,
                  sp.jet_randers_spray)):
             want = oracle(jet, y)
-            got = term(jet, y, f)
+            got = term(jet, y[..., None], f[..., None])[..., 0]
             assert got.shape == want.shape, (label, x.shape, y.shape)
             # each to 1e-13 of the largest entry
             diff = want - riemann
@@ -545,6 +545,13 @@ def test_float_sprays_are_the_metric_spray_plus_the_wind_terms(name):
                 <= 1e-13 * np.abs(want).max()), (name, kind)
 
 
+# grids of several blocks of points (geometry.GRID_FIBERS) whose last block
+# is partial, for the 16 directions of the comparison and the 8 of the
+# torsion verdict alike
+SPANNING_GRIDS = {"rotation_disk": 40, "rot_ball_3d.json": 14,
+                  "rot_box_4d.json": 7}
+
+
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
                          + ["curved_3d", "curved_4d"])
 def test_grid_kernels_match_the_full_spray_oracle(name):
@@ -553,32 +560,43 @@ def test_grid_kernels_match_the_full_spray_oracle(name):
     # against the sup of the whole torsion array, bit for bit
     data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(name)
     nav = scenario_from_dict(data).nav if data else _nav(name)
-    grid = nav.chart.grid(6, margin=0.05)
-    jet = field_jet(nav, grid[:, None, :])
-    got = sp.jet_compare_sprays(jet)
-    want = compare_sprays_oracle(jet, grid)
-    for key, ref in want.as_dict().items():
-        value = got.as_dict()[key]
-        if isinstance(ref, bool):
-            assert value == ref, key
-        else:
-            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), key
-    assert np.all(np.abs(got.phi_hat - want.phi_hat)
-                  <= 1e-12 * np.maximum(1.0, np.abs(want.phi_hat)))
     dirs = cl._fiber_directions(nav)
-    verdict = cl.torsion_vanishing_test(nav, grid)
-    assert verdict.residual == torsion_residual_oracle(jet, dirs)
-    assert verdict.residual == cl.classification_report(
-        nav, grid).torsion_vanishes.residual
+    for per_axis in (6,) + ((SPANNING_GRIDS[name],)
+                            if name in SPANNING_GRIDS else ()):
+        grid = nav.chart.grid(per_axis, margin=0.05)
+        if per_axis != 6:
+            for count in (ge.GRID_FIBERS // 16, ge.GRID_FIBERS // len(dirs)):
+                assert len(grid) > count and len(grid) % count, count
+        jet = field_jet(nav, grid[:, None, :])
+        got = sp.jet_compare_sprays(ge.grid_jet(nav, grid))
+        want = compare_sprays_oracle(jet, grid)
+        for key, ref in want.as_dict().items():
+            value = got.as_dict()[key]
+            if isinstance(ref, bool):
+                assert value == ref, key
+            else:
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), key
+        assert np.all(np.abs(got.phi_hat - want.phi_hat)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want.phi_hat)))
+        verdict = cl.torsion_vanishing_test(nav, grid)
+        assert verdict.residual == torsion_residual_oracle(jet, dirs)
+        assert verdict.residual == cl.classification_report(
+            nav, grid).torsion_vanishes.residual
 
 
 def test_grid_torsion_residual_keeps_a_nan():
-    # a NaN in the wind derivative must reach the verdict, not be maxed away
+    # a NaN in the wind derivative must reach the verdicts, not be maxed
+    # away, whether it sits in the first block of points or a later one
     nav = builtin("rotation_disk").nav
-    grid = nav.chart.grid(4)
-    jet = field_jet(nav, grid[:, None, :])
-    m = jet.M.copy()
-    m[1, 0, 1, 0] = np.nan
+    grid = nav.chart.grid(SPANNING_GRIDS["rotation_disk"])
+    jet = ge.grid_jet(nav, grid)
     dirs = cl._fiber_directions(nav)
-    verdict = cl._torsion_vanishes(replace(jet, M=m), dirs, 1e-8)
-    assert np.isnan(verdict.residual) and not verdict.passed
+    assert len(grid) > ge.GRID_FIBERS // len(dirs)
+    for point in (1, len(grid) - 1):
+        m = jet.M.copy()
+        m[point, 1, 0] = np.nan
+        verdict = cl._torsion_vanishes(replace(jet, M=m), dirs, 1e-8)
+        assert np.isnan(verdict.residual) and not verdict.passed, point
+        report = sp.jet_compare_sprays(replace(jet, M=m))
+        assert np.isnan(report.sup_natural_vs_randers), point
+        assert not report.sprays_coincide, point

@@ -9,7 +9,8 @@ request through `navgeo.cli.main` with its output captured, one after
 another in this process. Only the call is timed. The report gives each
 request class's median time, then the formula of the benchmark's
 `tasks_per_s`: the number of classes over the sum of the per-class
-medians. The exit status is 1 when a request exits non-zero. Nothing
+medians, then the process's peak RSS in MB (`ru_maxrss` / 1024, as the
+benchmark worker reports its `peak_rss_mb`). The exit status is 1 when a request exits non-zero. Nothing
 under bench/ is written.
 
 Alternating runs of two checkouts (compile their bytecode first, with
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import resource
 import statistics
 import sys
 import time
@@ -78,6 +80,8 @@ def main(argv=None) -> int:
     pass_s = sum(medians.values())
     print(f"sum of class medians {1e3 * pass_s:.2f} ms; "
           f"tasks_per_s {len(medians) / pass_s:.2f}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"peak RSS {peak_mb:.2f} MB")
     for argv_ in failed:
         print("exited non-zero: " + " ".join(argv_))
     return 1 if failed else 0
