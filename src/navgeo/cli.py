@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .classify import classification_report, torsion_vanishing_test
 from .connection import torsion
-from .errors import NavGeoError, UnknownScenario
+from .errors import NavGeoError, NonFiniteState, UnknownScenario
 from .exprlang import split_components
 from .geometry import TangentSample, indicatrix_points, validate
 from .holonomy import (distribution_rank_survey, holonomy_distribution_rank,
@@ -109,8 +109,24 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _nonfinite_key(value, path: str = "") -> str | None:
+    """The key path (`a.b[0]`) of a payload's first non-finite number."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (sorted(value.items()) if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, (list, tuple)) else ())
+    return next(filter(None, (_nonfinite_key(v, f"{path}[{k}]" if isinstance(
+        k, int) else f"{path}.{k}".lstrip(".")) for k, v in items)), None)
+
+
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write a JSON report; a NaN or inf raises NonFiniteState instead."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteState(f"report value {_nonfinite_key(payload)} is not "
+                             "finite") from None
+    _emit(args, text + "\n")
 
 
 def _pick_curve(args, scenario: Scenario, attr: str, flag: str):

@@ -296,13 +296,13 @@ class _Builder:
     (str) of a line, a constant (float), or None for a derivative that is
     structurally zero; a line is (target or None, template, references).
     Nodes are memoized by identity, which is cheap; equality is left to the
-    lines. With `coords` given, coordinate i is the parameter coords[i] (a
-    reference no line defines) instead of the column x[..., i].
+    lines. Once `coords` is set to a tuple, coordinate i is the parameter
+    coords[i] (a reference no line defines) instead of the column x[..., i].
     """
 
-    def __init__(self, n: int, coords: Optional[tuple] = None):
+    def __init__(self, n: int):
         self.n = n
-        self.coords = coords
+        self.coords = None
         self.lines = []   # the values
         self.dlines = []  # the derivatives, which read the values
         self.vals, self.dots, self.emitted = {}, {}, {}

@@ -300,14 +300,16 @@ class FieldValues:
     def norm_and_grad(self, y) -> tuple[np.ndarray, np.ndarray]:
         """F and dF/dy^i = F_a hW_i + 2 F_b (hy)_i, with the partials
         F_a = (a/s - 1)/lam and F_b = 1/(2s) of `_norm_parts`; raises at
-        y = 0, where F is not differentiable."""
+        y = 0, where F is not differentiable. On a fiber so short that s
+        underflows to 0, the gradient is not finite, with no warning."""
         y = np.asarray(y, dtype=float)
         if np.any(np.all(y == 0.0, axis=-1)):
             raise GradientAtZero("norm gradient requested at the zero vector")
         hy = np.einsum("...ij,...j->...i", self.h, y)
         a, _, s, f = _norm_parts(self, y, hy)
-        f_a = (a / s - 1.0) / self.lam
-        return f, f_a[..., None] * self.hW + hy / s[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_a = (a / s - 1.0) / self.lam
+            return f, f_a[..., None] * self.hW + hy / s[..., None]
 
 
 def field_values(nav: NavigationData, x) -> FieldValues:

@@ -15,12 +15,13 @@ and `_UPDATE`, rendered here over (B, m) arrays and by `stages`, inline
 in the generated float runners of the geodesic equations and of the
 tabled transport stages. A batch of at most SCALAR_ROWS rows that comes
 with a float run runs on such a runner, because at that size NumPy calls,
-not arithmetic, set the cost. A float run that fails is dropped and the
-whole batch runs again on NumPy, so results and errors on failure are the
-NumPy path's. Every other batch runs on NumPy. A linear system whose
-matrices are tabled before the loop starts (the metric transport) also
-has `rk4_propagators`: the step maps of the same tableau, built at once
-and multiplied out into the transport matrix, which gives endpoints
+not arithmetic, set the cost; every other batch runs on NumPy, a
+geodesic batch on the same stage lines rendered over NumPy columns. A
+float run that fails is dropped and the whole batch runs again on NumPy,
+so results and errors on failure are the NumPy path's. A linear system
+whose matrices are tabled before the loop starts (the metric transport)
+also has `rk4_propagators`: the step maps of the same tableau, built at
+once and multiplied out into the transport matrix, which gives endpoints
 without stepping.
 """
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Three sprays live here, all as coefficient functions G^k(x, y) with the
 geodesic equation xdd^k = -2 G^k(x, xd). Each is the metric spray
-A^k_ij y^i y^j / 2 plus a wind term of its own, defined once:
+A^k_ij y^i y^j / 2 plus a wind term of its own:
 
   riemann   no wind term: the spray of the metric alone;
   natural   the spray of the nonlinear wind connection, wind term
@@ -12,19 +12,18 @@ A^k_ij y^i y^j / 2 plus a wind term of its own, defined once:
             assembled from the symmetric/antisymmetric parts of the
             lowered wind derivative (randers_wind_term).
 
-The wind terms take fiber vectors as the columns of (..., n, D) arrays;
-a spray passes its one fiber per point as y[..., None]. The comparison
-over a grid never forms A y y: natural - randers and natural - riemann
-are differences of wind terms, at one F. It runs over blocks of points
-of at most GRID_FIBERS fibers (`geometry.jet_blocks`), so that every
-block array stays within 256 KB: a per-point matrix applies to a block's
-fibers (p, n, D) as one batched matmul, and a contraction over n is a sum
-over axis -2 with the D fibers contiguous.
+Each spray is defined once, as the lines of its geodesic equation
+(`stages.geodesic_stage_lines`), which `Spray` and the `*_spray_values`
+run over NumPy columns (`stages.geodesic_numpy`). Geodesics run them in
+lockstep through `numkernel.rk4`: a small batch on floats, a larger one
+on NumPy.
 
-Geodesics integrate in lockstep through `numkernel.rk4`. A small batch of
-a `Spray` runs on the generated float runner of its geodesic equation
-(`stages.geodesic_run`), which is looked up only when a batch runs on
-floats.
+The wind terms, grouped as those lines are, are the NumPy kernels of the
+grid comparison, which never forms A y y: natural - randers and natural -
+riemann are differences of wind terms, at one F. Fibers are the columns
+of (p, n, D) arrays over a block of points (`geometry.jet_blocks`), so a
+per-point matrix applies to a block's fibers as one batched matmul, and a
+contraction over n is a sum over axis -2 with the D fibers contiguous.
 
 Convention pinned throughout (and guarded by the variational residual test):
 the lowered wind derivative is D_ij = h_ik (nabla_j W)^k with the derivative
@@ -35,7 +34,7 @@ index (T_0 = y^i T_i, T^i_0 = y^j T^i_j, T_00 = y^i y^j T_ij).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from . import exprlang, numkernel as nk, stages
 from .connection import jet_gamma
 from .errors import ZeroVector, ZeroVelocity
 from .geometry import (FieldJet, MetricField, NavigationData, _norm_parts,
-                       christoffel, fiber_csv, fiber_rows, field_jet, grid_jet,
-                       indicatrix, jet_blocks)
+                       fiber_csv, fiber_rows, field_jet, grid_jet, indicatrix,
+                       jet_blocks)
 
 
 @dataclass
@@ -57,16 +56,7 @@ class GeodesicPath:
 
 
 # ---------------------------------------------------------------------------
-# spray coefficients on a field jet (fiber axes broadcast against the jet's)
-
-
-def _ayy(a, y) -> np.ndarray:
-    return np.einsum("...kij,...i,...j->...k", a, y, y)
-
-
-def jet_riemann_spray(jet: FieldJet, y) -> np.ndarray:
-    """Metric spray coefficients A^k_ij y^i y^j / 2."""
-    return 0.5 * _ayy(jet.A, np.asarray(y, dtype=float))
+# the wind terms on a field jet, fibers as columns
 
 
 def _column_dot(u, v) -> np.ndarray:
@@ -119,45 +109,37 @@ def randers_wind_term(jet: FieldJet, y, f: np.ndarray) -> np.ndarray:
             - 0.5 * f * f * up - f * s_i0)
 
 
-def jet_natural_spray(jet: FieldJet, y) -> np.ndarray:
-    """Natural-connection spray coefficients (A y y - F M y) / 2."""
-    y = np.asarray(y, dtype=float)
-    return jet_riemann_spray(jet, y) + natural_wind_term(
-        jet, y[..., None], jet.norm(y)[..., None])[..., 0]
-
-
-def jet_randers_spray(jet: FieldJet, y) -> np.ndarray:
-    """Variational spray of the induced norm (zero fibers not allowed)."""
-    y = np.asarray(y, dtype=float)
-    return jet_riemann_spray(jet, y) + randers_wind_term(
-        jet, y[..., None], jet.norm(y)[..., None])[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # spray coefficient fields (batched over leading axes)
 
 
+def _spray(program: exprlang.Program, kind: str, x, y) -> np.ndarray:
+    """G(x, y) of the spray `kind` of the fields of `program`, from its
+    geodesic equation (y, -2 G) rendered over NumPy columns."""
+    run = stages.geodesic_numpy(program, kind)
+    return -0.5 * run(x, np.asarray(y, dtype=float))[..., program.n:]
+
+
 def natural_spray_values(nav: NavigationData, x, y) -> np.ndarray:
-    """Natural-connection spray coefficients G^k(x, y), batched."""
-    return jet_natural_spray(field_jet(nav, x), y)
+    """Natural-connection spray coefficients (A y y - F M y) / 2, batched."""
+    return _spray(nav.jet_program, "natural", x, y)
 
 
 def riemann_spray_values(metric: MetricField, x, y) -> np.ndarray:
-    """Metric spray coefficients, quadratic in y."""
-    return 0.5 * _ayy(christoffel(metric, x), np.asarray(y, dtype=float))
+    """Metric spray coefficients A y y / 2, quadratic in y."""
+    return _spray(metric.program, "riemann", x, y)
 
 
 def randers_spray_values(nav: NavigationData, x, y) -> np.ndarray:
     """Variational spray of the induced norm (zero fibers not allowed)."""
-    return jet_randers_spray(field_jet(nav, x), y)
+    return _spray(nav.jet_program, "randers", x, y)
 
 
 @dataclass(frozen=True)
 class Spray:
     """The spray `kind` ('natural', 'randers' or 'riemann') of navigation
     data: a batched callable G(x, y), whose geodesic equation
-    `integrate_geodesics` also runs as generated float code on small
-    batches (`stages.geodesic_run`)."""
+    `integrate_geodesics` runs."""
 
     nav: NavigationData
     kind: str
@@ -167,11 +149,7 @@ class Spray:
             raise ValueError(f"unknown spray {self.kind!r}")
 
     def __call__(self, x, y) -> np.ndarray:
-        if self.kind == "riemann":
-            return riemann_spray_values(self.nav.metric, x, y)
-        if self.kind == "natural":
-            return natural_spray_values(self.nav, x, y)
-        return randers_spray_values(self.nav, x, y)
+        return _spray(self.program, self.kind, x, y)
 
     @property
     def program(self) -> exprlang.Program:
@@ -210,7 +188,7 @@ def spray_connection_matrix(nav: NavigationData, x, y) -> np.ndarray:
 # geodesic integration
 
 
-def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
+def integrate_geodesics(spray: Spray, x0s, y0s, time_span: float,
                         dt: float = 1e-3, chart=None) -> list[GeodesicPath]:
     """Integrate xdd = -2 G(x, xd) from each row of (x0s, y0s) over
     [0, time_span], all paths in lockstep with a step of about dt that
@@ -218,9 +196,8 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
 
     A path halts (with left_domain=True) as soon as a step would leave the
     chart domain, while the others run on; each returned path contains
-    only interior samples. A `Spray` also gives `numkernel.rk4` its float
-    run, the generated runner of its geodesic equation, which small
-    batches run on; any other callable runs on NumPy.
+    only interior samples. The row count picks the rendering of the
+    geodesic equation: floats up to `numkernel.SCALAR_ROWS`, else NumPy.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     y0s = np.atleast_2d(np.asarray(y0s, dtype=float))
@@ -228,25 +205,21 @@ def integrate_geodesics(spray: Callable, x0s, y0s, time_span: float,
         raise ZeroVector("geodesics need a nonzero initial velocity")
     n = x0s.shape[1]
     steps, dt = nk.uniform_steps(time_span, dt)
-
-    def rhs(s, state):
-        x, y = state[:, :n], state[:, n:]
-        return np.concatenate([y, -2.0 * spray(x, y)], axis=-1)
-
+    key = (spray.program, spray.kind)
     inside = None if chart is None else lambda st: chart.contains(st[:, :n])
-    float_run = None
-    if isinstance(spray, Spray):
-        float_run = stages.float_run(
-            stages.geodesic_run, (spray.program, spray.kind),
-            inside=None if chart is None else chart.float_contains())
-    _, traj, stop = nk.rk4(rhs, np.concatenate([x0s, y0s], axis=1), steps,
-                           dt, keep=True, inside=inside, float_run=float_run)
+    float_run = stages.float_run(
+        stages.geodesic_run, key,
+        inside=None if chart is None else chart.float_contains())
+    _, traj, stop = nk.rk4(
+        lambda s, v: stages.geodesic_numpy(*key)(v[:, :n], v[:, n:]),
+        np.concatenate([x0s, y0s], axis=1), steps, dt, keep=True,
+        inside=inside, float_run=float_run)
     return [GeodesicPath(dt * np.arange(last + 1), traj[b, :last + 1, :n],
                          traj[b, :last + 1, n:], dt, bool(last < steps))
             for b, last in enumerate(stop)]
 
 
-def integrate_geodesic(spray: Callable, x0, y0, time_span: float,
+def integrate_geodesic(spray: Spray, x0, y0, time_span: float,
                        dt: float = 1e-3, chart=None) -> GeodesicPath:
     """integrate_geodesics on a batch of one path."""
     return integrate_geodesics(spray, [x0], [y0], time_span, dt, chart)[0]
@@ -308,20 +281,8 @@ class ComparisonReport:
     phi_hat: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
-        return {
-            "n_points": int(self.n_points),
-            "n_dirs": int(self.n_dirs),
-            "sup_natural_vs_randers": float(self.sup_natural_vs_randers),
-            "phi_min": float(self.phi_min),
-            "phi_max": float(self.phi_max),
-            "phi_mean": float(self.phi_mean),
-            "phi_spread_max": float(self.phi_spread_max),
-            "projective_residual": float(self.projective_residual),
-            "sprays_coincide": bool(self.sprays_coincide),
-            "projectively_riemannian": bool(self.projectively_riemannian),
-            "tol_coincide": float(self.tol_coincide),
-            "tol_projective": float(self.tol_projective),
-        }
+        """Every field but phi_hat, each a Python int, float or bool."""
+        return {k: v for k, v in vars(self).items() if k != "phi_hat"}
 
 
 def compare_sprays(nav: NavigationData, per_axis: Optional[int] = None,

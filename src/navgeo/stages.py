@@ -18,17 +18,16 @@ group of rows in lockstep, with the lines of one stage inlined four times
 between the lines of numkernel's tableau text. The geodesic equation of
 each spray (`geodesic_stage_lines`, runner `geodesic_run`) walks the jet
 program afresh at every stage: the jet lines and the navigation norm
-F = (sqrt(a^2 + lam b) - a) / lam, then the spray as `sprays` defines it:
-the metric spray A y y / 2 plus the spray's wind term, grouped as
-`sprays.natural_wind_term` or `sprays.randers_wind_term`; a row halts
-where it leaves the chart. The two transport stages read the stage rows
-of one curve's table, each unpacked once per step for all the rows on
-that curve (runner `table_run`): the metric transport's K v with
-K = -A(cdot) (`linear_stage_lines`), and the natural transport ODE
-(`natural_stage_lines`), which builds its table product on the linear
-stage's lines. `float_run` adapts a runner to `numkernel.rk4`. The NumPy
-kernels of `sprays` and `transport` stay the path of larger batches and
-of grids.
+F = (sqrt(a^2 + lam b) - a) / lam, then the metric spray A y y / 2 plus
+the spray's wind term, grouped as in `sprays`; a row halts where it
+leaves the chart. `geodesic_numpy` renders the same lines over NumPy
+columns: the sprays of `sprays`, and the path of larger batches. The two
+transport stages read the stage rows of one curve's table, each unpacked
+once per step for all the rows on that curve (runner `table_run`): the
+metric transport's K v with K = -A(cdot) (`linear_stage_lines`), and the
+natural transport ODE (`natural_stage_lines`), which builds its table
+product on the linear stage's lines; their NumPy stages, like the grid
+kernels, are written by hand. `float_run` adapts a runner to `rk4`.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -52,9 +51,10 @@ from .errors import NotPositiveDefinite
 _FAIL = "raise ValueError"
 _PIVOT = f"if not {{0}} > 0.0: {_FAIL}"
 _FINITE = f"if not isfinite({{0}}): {_FAIL}"
-# Over NumPy columns the pivot checks make a mask, and the finiteness
-# check a flag.
-_MASK = {_PIVOT: "ok &= {0} > 0.0", _FINITE: "fin = isfinite({0}).all()"}
+# Over NumPy columns the pivot checks make a mask, which a failing line
+# clears, and the finiteness check a flag.
+_MASK = {_PIVOT: "ok &= {0} > 0.0", _FINITE: "fin = isfinite({0}).all()",
+         _FAIL: "ok = False"}
 # The slots of numkernel's tableau text.
 _SLOT = re.compile(r"\b(v|k[1-4])\b")
 
@@ -164,13 +164,12 @@ def metric_lines(b: exprlang._Builder, h: dict, dh: dict):
 
 
 class _Jet:
-    """References to the jet quantities at the point x0 .. x(n-1), built
-    into the builder's lines: the program's values (and, with dual, its
+    """References to the jet quantities at the builder's coordinates,
+    built into its lines: the program's values (and, with dual, its
     gradients) checked finite, h and W (0 for a metric's own program), with
-    dual hinv and A (`metric_lines`) and M, then hW and lam. `ok` is False,
-    and hinv onwards missing, when the lines cannot succeed anywhere (a
-    non-finite constant, or a constant metric that is not positive
-    definite)."""
+    dual hinv and A (`metric_lines`) and M, then hW and lam. Lines that
+    cannot succeed anywhere (a non-finite constant, or a constant metric
+    not positive definite) end in `_FAIL`: `ok` is False, the rest unset."""
 
     def __init__(self, b: exprlang._Builder, program: exprlang.Program,
                  dual: bool = True):
@@ -185,23 +184,18 @@ class _Jet:
         if dual and self.ok:
             metric = metric_lines(b, self.h, _symmetric(grads, n))
             self.ok = metric is not None
-            if not self.ok:
-                return
-            self.hinv, self.A = metric
-            dw = grads[m:] or [[None] * n] * n
-            self.M = {(k, i): b.add(dw[k][i], _total(b, (
-                b.mul(self.A[k, i, s], self.W[s]) for s in range(n))))
-                for k in range(n) for i in range(n)}
+            if self.ok:
+                self.hinv, self.A = metric
+                dw = grads[m:] or [[None] * n] * n
+                self.M = {(k, i): b.add(dw[k][i], _total(b, (
+                    b.mul(self.A[k, i, s], self.W[s]) for s in range(n))))
+                    for k in range(n) for i in range(n)}
+        if not self.ok:
+            b.dlines.append((None, _FAIL, ()))
+            return
         self.hW = _contract(b, self.h, self.W, n)
         wh = _total(b, (b.mul(self.W[i], self.hW[i]) for i in range(n)))
         self.lam = 1.0 if wh is None else b.sub(1.0, wh)
-
-    def ayy(self, b: exprlang._Builder, y) -> list:
-        """A^k_ij y^i y^j."""
-        n = self.n
-        return [_total(b, (b.mul(_total(b, (b.mul(self.A[k, i, j], y[j])
-                                            for j in range(n))), y[i])
-                           for i in range(n))) for k in range(n)]
 
     def norm(self, b: exprlang._Builder, y) -> str:
         """F(x, y) = (s - a) / lam with a = <y, W>_h, b = |y|_h^2 and
@@ -221,8 +215,12 @@ def _contract(b, tensor, vec, n) -> list:
 
 
 def _riemann(b, jet: _Jet, y) -> list:
-    """A y y / 2."""
-    return [b.mul(0.5, g) for g in jet.ayy(b, y)]
+    """A y y / 2, as (A^k_ij y^j) y^i / 2."""
+    n = jet.n
+    ayy = [_total(b, (b.mul(_total(b, (b.mul(jet.A[k, i, j], y[j])
+                                       for j in range(n))), y[i])
+                      for i in range(n))) for k in range(n)]
+    return [b.mul(0.5, g) for g in ayy]
 
 
 def _natural_wind(b, jet: _Jet, y, f) -> list:
@@ -270,47 +268,27 @@ _WIND_TERMS = {"natural": _natural_wind, "randers": _randers_wind}
 JET_FIELDS = ("h", "W", "hW", "lam", "hinv", "A", "M")
 
 
-@functools.lru_cache(maxsize=64)
-def field_program(program: exprlang.Program, outputs: tuple):
-    """run(x) -> fresh arrays of the jet quantities `outputs` at x (..., n)
-    from one generated NumPy function of x running the `_Jet` lines of
-    `program` (gradient and metric lines only when an output needs them).
-    Its checks are the sweep's, the domain tests of every log and sqrt
-    argument (`exprlang.domain_tests`) and the finiteness of the values
-    and gradients (one test on their sum), and the pivots of `_pivots` as
-    a mask. On a failure run repeats the program's sweep, which raises the
-    error of `evaluate` (`evaluate_dual`); if it raises nothing, a failed
-    pivot raises NotPositiveDefinite naming the first failing point.
-    Memoized on (program, outputs)."""
-    n = program.n
-    dual = not {"hinv", "A", "M"}.isdisjoint(outputs)
-    b = exprlang._Builder(n)
-    with np.errstate(all="ignore"):
-        jet = _Jet(b, program, dual)
+def _checked_run(program: exprlang.Program, b: exprlang._Builder,
+                 dual: bool, params: str, tail: list):
+    """run(x, *fibers) -> out, the fibers float arrays: the lines of
+    builder b, which walked `program` (with dual, its gradients too), then
+    `tail`, which returns ok, bad, fin and out, as one NumPy function of
+    `params`, checking the sweep's domains, the finiteness of the walk and
+    the pivots. On a failure the sweep at x raises the error of `evaluate`
+    (`evaluate_dual`), or else NotPositiveDefinite names the first point
+    of a failed pivot."""
     args, _, test = exprlang.domain_tests(program.exprs, b)
-    lines = (b.lines + [(None, f"bad = {test}", tuple(args)),
-                        (None, f"ok, fin = {jet.ok}, True", ())]
-             + [(t, _MASK.get(c, c), r) for t, c, r in b.dlines])
-    outputs = outputs if jet.ok else ()
-    for name in outputs:
-        refs = getattr(jet, name)
-        if not isinstance(refs, dict):  # W, hW and lam by index tuple too
-            refs = dict(np.ndenumerate(np.array(refs, dtype=object)))
-        alloc = "zeros" if None in refs.values() else "empty"
-        shape = (n,) * len(next(iter(refs)))
-        lines.append((name, f"{alloc}(x.shape[:-1] + {shape})", ()))
-        lines += [(None, f"{{0}}[{', '.join(('...',) + tuple(map(str, key)))}]"
-                   " = {1}", (name, ref))
-                  for key, ref in refs.items() if ref is not None]
     fn = exprlang.numpy_function(
-        "field", "x", lines + [(None, "return ok, bad, fin, (" + "".join(
-            f"{{{i}}}, " for i in range(len(outputs))) + ")", outputs)],
-        names={"empty": np.empty, "zeros": np.zeros, "isfinite": np.isfinite})
+        "field", params, b.lines + [(None, f"bad = {test}", tuple(args)),
+                                    (None, "ok, fin = True, True", ())]
+        + [(t, _MASK.get(c, c), r) for t, c, r in b.dlines] + tail,
+        names={"empty": np.empty, "zeros": np.zeros, "isfinite": np.isfinite,
+               "stack": np.stack, "broadcast_arrays": np.broadcast_arrays})
 
-    def run(x) -> tuple:
+    def run(x, *fibers):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            ok, bad, fin, out = fn(x)
+            ok, bad, fin, out = fn(x, *fibers)
         if bad or not fin or not np.all(ok):
             program.sweep(x, dual)
             if not np.all(ok):
@@ -319,6 +297,33 @@ def field_program(program: exprlang.Program, outputs: tuple):
                     + exprlang._witness(x, np.logical_not(ok)))
         return out
     return run
+
+
+@functools.lru_cache(maxsize=64)
+def field_program(program: exprlang.Program, outputs: tuple):
+    """run(x) -> fresh arrays of the jet quantities `outputs` at x (..., n)
+    from the `_Jet` lines of `program` (gradient and metric lines only when
+    an output needs them) as `_checked_run`. Memoized on (program, outputs)."""
+    n = program.n
+    dual = not {"hinv", "A", "M"}.isdisjoint(outputs)
+    b = exprlang._Builder(n)
+    with np.errstate(all="ignore"):
+        jet = _Jet(b, program, dual)
+    outputs = outputs if jet.ok else ()
+    tail = []
+    for name in outputs:
+        refs = getattr(jet, name)
+        if not isinstance(refs, dict):  # W, hW and lam by index tuple too
+            refs = dict(np.ndenumerate(np.array(refs, dtype=object)))
+        alloc = "zeros" if None in refs.values() else "empty"
+        shape = (n,) * len(next(iter(refs)))
+        tail.append((name, f"{alloc}(x.shape[:-1] + {shape})", ()))
+        tail += [(None, f"{{0}}[{', '.join(('...',) + tuple(map(str, key)))}]"
+                  " = {1}", (name, ref))
+                 for key, ref in refs.items() if ref is not None]
+    return _checked_run(program, b, dual, "x", tail + [
+        (None, "return ok, bad, fin, (" + "".join(
+            f"{{{i}}}, " for i in range(len(outputs))) + ")", outputs)])
 
 
 @functools.lru_cache(maxsize=4)
@@ -347,27 +352,39 @@ def geodesic_stage_lines(program: exprlang.Program, kind: str,
                          b: exprlang._Builder, p: list, v: list) -> list:
     """The geodesic equation (x, y)' = (y, -2 G(x, y)) of the spray `kind`
     ('riemann', 'natural' or 'randers') of the fields of `program` (the
-    jet program of navigation data, or the metric's own program for
-    'riemann') as lines of builder b, from the references v = (x, y) of
-    the state; p, the stage row, is empty. b walks the program afresh:
-    its coordinates become x and its memos of values and gradients are
-    cleared. The lines are the jet program's value and gradient lines,
-    the metric lines, M, hW, lam and F, then the spray as `sprays` defines
-    it, A y y / 2 plus the wind term grouped as `sprays.natural_wind_term`
-    or `sprays.randers_wind_term`. Returns the 2n references, a
-    structural zero as 0.0."""
+    jet program of navigation data, or the metric's own for 'riemann') as
+    lines of builder b, from the references v = (x, y) of the state; p,
+    the stage row, is empty. b walks the program afresh, its coordinates
+    x: the `_Jet` lines and F, then A y y / 2 plus the wind term grouped
+    as `sprays.natural_wind_term` or `sprays.randers_wind_term`. Returns
+    the 2n references, a structural zero as 0.0."""
     n = program.n
     b.n, b.coords, b.vals, b.dots = n, tuple(v[:n]), {}, {}
     y = v[n:]
     jet = _Jet(b, program)
     if not jet.ok:
-        b.dlines.append((None, _FAIL, ()))
         return [0.0] * (2 * n)
     g = _riemann(b, jet, y)
     if kind in _WIND_TERMS:
         g = map(b.add, g, _WIND_TERMS[kind](b, jet, y, jet.norm(b, y)))
     return [0.0 if r is None else r
             for r in y + [b.mul(-2.0, gk) for gk in g]]
+
+
+@functools.lru_cache(maxsize=32)
+def geodesic_numpy(program: exprlang.Program, kind: str):
+    """run(x, y) -> (y, -2 G(x, y)) (..., 2n): `geodesic_stage_lines` of
+    the spray `kind` of `program` over the NumPy columns x[..., i] and
+    y[..., i], which broadcast, as `_checked_run`. Memoized on (program,
+    kind); the first call builds the code."""
+    n = program.n
+    b = exprlang._Builder(n)
+    with np.errstate(all="ignore"):
+        refs = geodesic_stage_lines(program, kind, b, [], [
+            f"{c}[..., {i}]" for c in "xy" for i in range(n)])
+    return _checked_run(program, b, True, "x, y", [
+        (None, "return ok, bad, fin, stack(broadcast_arrays(" + "".join(
+            f"{{{i}}}, " for i in range(2 * n)) + "), axis=-1)", tuple(refs))])
 
 
 def linear_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:

@@ -115,9 +115,8 @@ def test_geodesic_csv_matches_library_spray(tmp_path, spray):
     from navgeo.scenarios import builtin
     nav = builtin("rotation_disk").nav
     x0, y0 = np.array([0.2, 0.0]), np.array([0.0, 0.5])
-    values = {"natural": lambda x, y: sp.natural_spray_values(nav, x, y),
-              "randers": lambda x, y: sp.randers_spray_values(nav, x, y),
-              "riemann": lambda x, y: sp.riemann_spray_values(nav.metric, x, y)}
+    values = {kind: sp.Spray(nav, kind)
+              for kind in ("natural", "randers", "riemann")}
     assert len({tuple(f(x0, y0)) for f in values.values()}) == 3
     out = tmp_path / "g.csv"
     res = run_cli("geodesic", "--builtin", "rotation_disk", "--spray", spray,
@@ -426,6 +425,23 @@ def test_a_failed_run_leaves_no_out_file(tmp_path):
     out.write_text("kept\n")
     assert run_cli(*argv).returncode == 1
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_report_value_is_refused(tmp_path):
+    # JSON has no NaN: a report holding one exits 1 with the key path of
+    # its first non-finite number, writes nothing to stdout or --out, and
+    # raises no warning on the way (the norm gradient underflows at a
+    # fiber of 1e-200)
+    argv = ("torsion", "--builtin", "rotation_disk", "--at", "0.1,0",
+            "--dir", "1e-200,0")
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == ("navgeo: NonFiniteState: report value "
+                          "components[0][0][0] is not finite\n")
+    out = tmp_path / "t.json"
+    assert run_cli(*argv, "--out", str(out)).returncode == 1
+    assert not out.exists()
 
 
 def test_negative_values_are_separate_tokens():

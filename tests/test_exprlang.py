@@ -290,7 +290,8 @@ class TestCompiledAgainstWalk:
 def _float_sweep(stack, x):
     """Values and gradients of a stack at one point from its builder
     lines rendered on Python floats."""
-    b = xl._Builder(2, coords=("x0", "x1"))
+    b = xl._Builder(2)
+    b.coords = ("x0", "x1")
     refs = [b.value(e.root) for e in stack]
     refs += [d for e in stack for d in b.gradient(e.root)]
     ret = (None, "return (" + "".join(

@@ -2,6 +2,7 @@
 gives the same geometry as evaluating every (point, direction) pair alone,
 and its one stacked sweep gives the same arrays as one walk per entry."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,11 +60,11 @@ def test_jet_broadcast_over_fibers_matches_per_pair_calls(dim):
         "F": (jet.norm, lambda x, y: randers_value(nav, x, y)),
         "Gamma": (lambda y: cn.jet_gamma(jet, y),
                   lambda x, y: cn.gamma_matrix(nav, x, y)),
-        "riemann spray": (lambda y: sp.jet_riemann_spray(jet, y),
+        "riemann spray": (lambda y: einsum_riemann_spray(jet, y),
                           lambda x, y: sp.riemann_spray_values(nav.metric, x, y)),
-        "natural spray": (lambda y: sp.jet_natural_spray(jet, y),
+        "natural spray": (lambda y: einsum_natural_spray(jet, y),
                           lambda x, y: sp.natural_spray_values(nav, x, y)),
-        "randers spray": (lambda y: sp.jet_randers_spray(jet, y),
+        "randers spray": (lambda y: einsum_randers_spray(jet, y),
                           lambda x, y: sp.randers_spray_values(nav, x, y)),
         "torsion": (lambda y: cn.jet_torsion(jet, y),
                     lambda x, y: cn.torsion_components(nav, x, y)),
@@ -507,42 +508,59 @@ def test_each_spray_is_the_metric_spray_plus_its_wind_term(case):
         jet = field_jet(nav, x)
         f = jet.norm(y)
         riemann = einsum_riemann_spray(jet, y)
-        for label, term, oracle, kernel in (
-                ("natural", sp.natural_wind_term, einsum_natural_spray,
-                 sp.jet_natural_spray),
-                ("randers", sp.randers_wind_term, einsum_randers_spray,
-                 sp.jet_randers_spray)):
+        for label, term, oracle in (
+                ("riemann", None, einsum_riemann_spray),
+                ("natural", sp.natural_wind_term, einsum_natural_spray),
+                ("randers", sp.randers_wind_term, einsum_randers_spray)):
             want = oracle(jet, y)
+            spray = sp.Spray(nav, label)(x, y)
+            assert spray.shape == want.shape, (label, x.shape, y.shape)
+            # each to 1e-13 of the largest entry
+            assert (np.abs(spray - want).max()
+                    <= 1e-13 * np.abs(want).max()), (label, x.shape, y.shape)
+            if term is None:
+                continue
             got = term(jet, y[..., None], f[..., None])[..., 0]
             assert got.shape == want.shape, (label, x.shape, y.shape)
-            # each to 1e-13 of the largest entry
             diff = want - riemann
             assert (np.abs(got - diff).max()
                     <= 1e-13 * np.abs(diff).max()), (label, x.shape, y.shape)
-            assert (np.abs(kernel(jet, y) - want).max()
-                    <= 1e-13 * np.abs(want).max()), (label, x.shape, y.shape)
 
 
 @pytest.mark.parametrize("name", builtin_names() + [p.name for p in BENCH_SCENARIOS]
                          + ["curved_3d", "curved_4d"])
 def test_float_sprays_are_the_metric_spray_plus_the_wind_terms(name):
-    # the generated float code of each spray against the NumPy spray, the
-    # metric spray plus natural_wind_term or randers_wind_term, at the same
-    # random states
+    # the geodesic equation of each spray, as generated float code and as
+    # the same lines over NumPy columns, against the einsum metric spray
+    # plus natural_wind_term or randers_wind_term, at the same random
+    # states. The two renderings are equal bit for bit where the fields
+    # call no transcendental function, whose libm and NumPy versions may
+    # round differently.
     data = {"curved_3d": CURVED[3], "curved_4d": CURVED[4]}.get(name)
     nav = scenario_from_dict(data).nav if data else _nav(name)
     rng = np.random.default_rng(len(name))
     pts = nav.chart.sample_interior(50, margin=0.02)
     ys = rng.normal(size=pts.shape)
+    jet = field_jet(nav, pts)
+    f = jet.norm(ys)[:, None]
+    terms = {"natural": sp.natural_wind_term, "randers": sp.randers_wind_term}
     for kind in ("riemann", "natural", "randers"):
-        spray = sp.Spray(nav, kind)
-        rhs = geodesic_stage(spray.program, kind)
-        got = np.array([rhs(0, tuple(x + y)) for x, y in
-                        zip(pts.tolist(), ys.tolist())])[:, nav.dim:]
-        want = -2.0 * spray(pts, ys)
-        # to 1e-13 of the largest entry
-        assert (np.abs(got - want).max()
-                <= 1e-13 * np.abs(want).max()), (name, kind)
+        program = sp.Spray(nav, kind).program
+        rhs = geodesic_stage(program, kind)
+        on_floats = np.array([rhs(0, tuple(x + y)) for x, y in
+                              zip(pts.tolist(), ys.tolist())])
+        on_numpy = stages.geodesic_numpy(program, kind)(pts, ys)
+        g = einsum_riemann_spray(jet, ys)
+        if kind in terms:
+            g = g + terms[kind](jet, ys[..., None], f)[..., 0]
+        want = -2.0 * g
+        for got in (on_floats, on_numpy):
+            np.testing.assert_array_equal(got[:, :nav.dim], ys)
+            # to 1e-13 of the largest entry
+            assert (np.abs(got[:, nav.dim:] - want).max()
+                    <= 1e-13 * np.abs(want).max()), (name, kind)
+        if not re.search(r"\b(sin|cos|exp|log|tanh)\(", program.source):
+            np.testing.assert_array_equal(on_numpy, on_floats)
 
 
 # grids of several blocks of points (geometry.GRID_FIBERS) whose last block

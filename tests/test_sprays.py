@@ -157,7 +157,7 @@ def test_radial_wind_axis_geodesic_closed_form(funk_ball):
     # center with unit speed; it reaches the chart edge at t = ln 10
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.natural_spray_values(nav, x, y),
+        sp.Spray(nav, "natural"),
         np.zeros(2), np.array([1.0, 0.0]),
         time_span=3.0, dt=1e-3, chart=nav.chart)
     expect = np.stack([1.0 - np.exp(-path.ts), np.zeros_like(path.ts)], axis=-1)
@@ -168,7 +168,7 @@ def test_radial_wind_axis_geodesic_closed_form(funk_ball):
 
 def test_geodesic_requires_positive_dt_and_nonzero_dir(funk_ball):
     nav = funk_ball.nav
-    field = lambda x, y: sp.natural_spray_values(nav, x, y)
+    field = sp.Spray(nav, "natural")
     with pytest.raises(ZeroVector):
         sp.integrate_geodesic(field, np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
@@ -178,8 +178,9 @@ def test_geodesic_requires_positive_dt_and_nonzero_dir(funk_ball):
 
 def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
     # the last path dashes outward and halts at the chart edge while the
-    # others run on; a bare callable runs on NumPy, a Spray on floats up to
-    # SCALAR_ROWS rows and on NumPy above, and each side halts alike
+    # others run on; a Spray runs on floats up to SCALAR_ROWS rows and on
+    # NumPy above (every batch with SCALAR_ROWS patched to 0), and each
+    # side halts alike
     nav = rotation_disk.nav
     x0s = np.array([[0.1, 0.0], [0.0, 0.2], [-0.2, 0.1], [0.6, 0.0]])
     y0s = np.array([[0.5, 0.1], [0.3, -0.4], [0.0, 0.6], [3.0, 0.0]])
@@ -193,18 +194,18 @@ def test_geodesic_batch_matches_singles(rotation_disk, monkeypatch):
     monkeypatch.setattr(stages, "geodesic_run", counted)
     spray = sp.Spray(nav, "randers")
     big = nk.SCALAR_ROWS + 1
-    cases = [(lambda x, y: sp.randers_spray_values(nav, x, y), 4, []),
-             (spray, 4, [4]), (spray, big, [])]
-    for field, count, floats in cases:
+    cases = [(0, 4, []), (nk.SCALAR_ROWS, 4, [4]), (nk.SCALAR_ROWS, big, [])]
+    for limit, count, floats in cases:
+        monkeypatch.setattr(nk, "SCALAR_ROWS", limit)
         on_floats.clear()
-        batch = sp.integrate_geodesics(field, np.resize(x0s, (count, 2)),
+        batch = sp.integrate_geodesics(spray, np.resize(x0s, (count, 2)),
                                        np.resize(y0s, (count, 2)),
                                        time_span=0.5, dt=1e-2, chart=nav.chart)
         assert on_floats == floats
         assert [p.left_domain for p in batch] == [i % 4 == 3
                                                   for i in range(count)]
         for i in range(count):
-            single = sp.integrate_geodesic(field, x0s[i % 4], y0s[i % 4],
+            single = sp.integrate_geodesic(spray, x0s[i % 4], y0s[i % 4],
                                            time_span=0.5, dt=1e-2,
                                            chart=nav.chart)
             assert batch[i].left_domain == single.left_domain
@@ -300,11 +301,10 @@ def test_geodesic_runner_fails_as_numpy_after_a_halt():
         run(v0, 40, (0.0125, 0.025, 0.025 / 6.0), True)
     with pytest.raises(ValueError):
         geodesic_rows_oracle(spray, v0, 40, 0.025, True, inside)
+    path = lambda: _raised(lambda: sp.integrate_geodesics(
+        spray, x0, y0, 1.0, 0.025, nav.chart))
     with np.errstate(invalid="ignore"):
-        got = _raised(lambda: sp.integrate_geodesics(spray, x0, y0, 1.0,
-                                                     0.025, nav.chart))
-        want = _raised(lambda: sp.integrate_geodesics(
-            lambda x, y: spray(x, y), x0, y0, 1.0, 0.025, nav.chart))
+        got, want = path(), _on_numpy(path)
     assert got == want and got[0] is NonFiniteState, (got, want)
     assert "row 1 " in got[1] and "step 40 " in got[1], got
     assert len(sp.integrate_geodesics(spray, x0[:1], y0[:1], 1.0, 0.025,
@@ -324,6 +324,25 @@ def test_large_spray_batch_builds_no_float_runner(sphere_cap):
     assert stages.geodesic_run.cache_info() == before
 
 
+def test_small_spray_batch_builds_no_numpy_rendering(sphere_cap):
+    # a batch of at most SCALAR_ROWS runs on floats and never looks the
+    # NumPy rendering of its geodesic equation up
+    nav = sphere_cap.nav
+    before = stages.geodesic_numpy.cache_info()
+    path = sp.integrate_geodesic(sp.Spray(nav, "natural"), [0.1, 0.0],
+                                 [0.3, 0.1], 0.1, 1e-2, nav.chart)
+    assert len(path.ts) == 11
+    assert stages.geodesic_numpy.cache_info() == before
+
+
+def _on_numpy(run):
+    """run() with numkernel.SCALAR_ROWS patched to 0, so that every batch
+    runs on NumPy."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nk, "SCALAR_ROWS", 0)
+        return run()
+
+
 def _raised(run) -> tuple:
     """(type, message) of the NavGeoError run() raises."""
     with pytest.raises(NavGeoError) as info:
@@ -340,37 +359,61 @@ def _unvalidated(metric, wind) -> "NavigationData":
          "metric": metric, "wind": wind}, validate_nav=False).nav
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_numpy_spray_raises_the_field_jet_error(kind):
+    # the NumPy rendering of a spray fails as the field jet at the same
+    # points does, at one point and in a batch: a log or sqrt argument out
+    # of its domain names the expression and the point, an indefinite
+    # metric the first bad point. The bad entries are in the metric, which
+    # every spray reads.
+    xs = np.array([[0.5, 0.1], [-0.7, 0.2], [-0.6, -0.3]])
+    ys = np.array([[0.3, 0.2], [0.1, -0.4], [0.5, 0.5]])
+    cases = [(DomainError, [["1 + 0*sqrt(x1)", "0"], ["1"]]),
+             (DomainError, [["1", "0"], ["1 + 0.1*log(x1 + 0.65)"]]),
+             (NotPositiveDefinite, [["1", "0"], ["x1 + 0.65"]])]
+    for error, metric in cases:
+        nav = _unvalidated(metric, ["0.1*x2", "-0.1*x1"])
+        for x, y in ((xs, ys), (xs[1], ys[1]), (xs[1], ys)):
+            got = _raised(lambda: sp.Spray(nav, kind)(x, y))
+            assert got == _raised(lambda: field_jet(nav, x)), (kind, got)
+            assert got[0] is error and "point [-0.7, 0.2]" in got[1], got
+
+
 @pytest.mark.parametrize("kind", list(ORACLES))
 def test_float_geodesics_raise_the_numpy_errors(kind):
     # the float path redoes a failed step on NumPy, so it raises the type
     # and message of the NumPy path, with the same row, step or point. In
     # the first two cases every spray vanishes on the paths, which are
     # straight lines with the same bits on both paths, so the stage point
-    # that the domain error names is the same too.
+    # that the domain error names is the same too; each message is the
+    # one the NumPy path raised with the hand-written spray kernels.
     cases = [
         # sqrt(x1) at a stage point with x1 < 0 (row 1 walks left)
-        (dict.fromkeys(ORACLES, DomainError),
+        (DomainError, "sqrt of a negative value in '1 + 0*sqrt(x1)' at "
+         "point [-3.469446951953614e-18, 0.0]",
          _unvalidated([["1 + 0*sqrt(x1)", "0"], ["1"]], ["0*sqrt(x1)", "0"]),
          [[0.5, 0.0], [0.05, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
         # h_22 = x1 + 1/2 turns nonpositive at a stage point
-        (dict.fromkeys(ORACLES, NotPositiveDefinite),
+        (NotPositiveDefinite, "metric value is not positive definite at "
+         "point [-0.5000000000000003, 0.0]",
          _unvalidated([["1", "0"], ["x1 + 0.5"]], ["0", "0"]),
          [[0.5, 0.0], [0.2, 0.0]], [[0.0, 0.5], [-1.0, 0.0]]),
         # row 1's state overflows in its first step; the natural and randers
         # sprays overflow at its fiber first, in the first stage, which the
         # step refuses before the stage point reaches the wind
-        (dict.fromkeys(ORACLES, NonFiniteState),
+        (NonFiniteState, "integrator state of row 1 became non-finite at "
+         "step 1 (t=0.01)",
          _unvalidated([["1", "0"], ["1"]], ["0.1*cos(x2)", "0"]),
          [[0.1, 0.1], [0.2, -0.1]], [[0.3, 0.2], [1.5e308, 0.0]]),
     ]
-    for errors, nav, x0s, y0s in cases:
-        spray = sp.Spray(nav, kind)
+    for error, message, nav, x0s, y0s in cases:
+        run = lambda: _raised(lambda: sp.integrate_geodesics(
+            sp.Spray(nav, kind), x0s, y0s, time_span=1.0, dt=1e-2,
+            chart=nav.chart))
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = (_raised(lambda: sp.integrate_geodesics(
-                field, x0s, y0s, time_span=1.0, dt=1e-2, chart=nav.chart))
-                for field in (spray, lambda x, y: spray(x, y)))
-        assert got == want and got[0] is errors[kind], (kind, got, want)
-    assert "row 1 " in got[1] and "step 1 " in got[1]
+            got, want = run(), _on_numpy(run)
+        assert got == want == (error, message), (kind, got, want)
 
 
 @pytest.mark.parametrize("kind", list(ORACLES))
@@ -386,15 +429,15 @@ def test_nonfinite_stage_names_its_row_and_step(kind):
          "domain": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
          "metric": [["1", "0"], ["1"]], "wind": ["x1", "0"]},
         validate_nav=False).nav
-    spray = sp.Spray(nav, kind)
     x0s, y0s = [[0.5, 0.0], [1.1, 0.0]], [[0.0, 0.5], [0.0, 1.0]]
-    for field in (spray, lambda x, y: spray(x, y)):
-        run = lambda: sp.integrate_geodesics(field, x0s, y0s, 0.5, 1e-2)
+    run = lambda: sp.integrate_geodesics(sp.Spray(nav, kind), x0s, y0s, 0.5,
+                                         1e-2)
+    for path in (run, lambda: _on_numpy(run)):
         if kind == "riemann":
-            assert [len(p.ts) for p in run()] == [51, 51]
+            assert [len(p.ts) for p in path()] == [51, 51]
             continue
         with pytest.raises(NonFiniteState, match="row 1 .*step 1 "):
-            run()
+            path()
 
 
 @pytest.mark.parametrize("kind", list(ORACLES))
@@ -407,11 +450,10 @@ def test_float_geodesics_fail_late_as_numpy_does(kind):
     nav = _unvalidated([["exp(0.4*x2) + 0.3*sin(3*x1) + 0*sqrt(x1)",
                          "0.1*x1*x2"], ["1 + 0.2*cos(2*x1)"]],
                        ["0.2 - 0.3*x2", "0.3*x1"])
-    spray = sp.Spray(nav, kind)
-    got, want = (_raised(lambda: sp.integrate_geodesics(
-        field, [[0.5, 0.1], [0.3, -0.2]], [[-0.8, 0.3], [0.2, 0.5]],
-        time_span=2.0, dt=1e-2, chart=nav.chart))
-        for field in (spray, lambda x, y: spray(x, y)))
+    run = lambda: _raised(lambda: sp.integrate_geodesics(
+        sp.Spray(nav, kind), [[0.5, 0.1], [0.3, -0.2]],
+        [[-0.8, 0.3], [0.2, 0.5]], time_span=2.0, dt=1e-2, chart=nav.chart))
+    got, want = run(), _on_numpy(run)
     assert got == want and got[0] is DomainError, (kind, got, want)
 
 
@@ -469,7 +511,7 @@ def test_geodesic_step_lands_on_time_span(funk_ball):
     # at t = 1, not three steps of 0.3 ending at t = 0.9
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.natural_spray_values(nav, x, y),
+        sp.Spray(nav, "natural"),
         np.zeros(2), np.array([0.2, 0.1]), time_span=1.0, dt=0.3)
     assert path.dt == 1.0 / 3.0
     assert len(path.ts) == 4
@@ -480,7 +522,7 @@ def test_geodesic_preserves_norm(sphere_cap):
     # the spray flow conserves F along its own integral curves
     nav = sphere_cap.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.randers_spray_values(nav, x, y),
+        sp.Spray(nav, "randers"),
         np.array([0.1, -0.1]), np.array([0.4, 0.3]),
         time_span=1.0, dt=1e-3, chart=nav.chart)
     f = randers_value(nav, path.xs, path.ys)
@@ -492,7 +534,7 @@ def test_el_residual_small_on_randers_geodesics(funk_ball, rotation_disk):
                        (rotation_disk, [0.2, 0.0], [0.1, 0.5])):
         nav = sc.nav
         path = sp.integrate_geodesic(
-            lambda x, y: sp.randers_spray_values(nav, x, y),
+            sp.Spray(nav, "randers"),
             np.array(x0), np.array(y0),
             time_span=1.0, dt=1e-3, chart=nav.chart)
         assert sp.el_residual(nav, path) < 1e-8, sc.name
@@ -502,7 +544,7 @@ def test_el_residual_flags_wrong_path(funk_ball):
     # metric-straight lines are not energy extremals of the windy norm
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.riemann_spray_values(nav.metric, x, y),
+        sp.Spray(nav, "riemann"),
         np.zeros(2), np.array([0.6, 0.2]),
         time_span=1.0, dt=1e-3, chart=nav.chart)
     assert sp.el_residual(nav, path) > 1e-2
@@ -511,7 +553,7 @@ def test_el_residual_flags_wrong_path(funk_ball):
 def test_el_residual_needs_enough_samples(funk_ball):
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.natural_spray_values(nav, x, y),
+        sp.Spray(nav, "natural"),
         np.zeros(2), np.array([0.5, 0.0]),
         time_span=0.003, dt=1e-3)
     with pytest.raises(ValueError):
@@ -535,7 +577,7 @@ def test_autoparallel_residual_on_natural_geodesic(funk_ball):
     # natural geodesics are exactly the autoparallels of the transport rule
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.natural_spray_values(nav, x, y),
+        sp.Spray(nav, "natural"),
         np.array([0.05, -0.1]), np.array([0.4, 0.5]),
         time_span=1.0, dt=1e-3, chart=nav.chart)
     assert autoparallel_residual(nav, path) < 1e-9
@@ -544,7 +586,7 @@ def test_autoparallel_residual_on_natural_geodesic(funk_ball):
 def test_geodesic_csv(funk_ball):
     nav = funk_ball.nav
     path = sp.integrate_geodesic(
-        lambda x, y: sp.natural_spray_values(nav, x, y),
+        sp.Spray(nav, "natural"),
         np.zeros(2), np.array([1.0, 0.0]),
         time_span=0.1, dt=1e-2)
     buf = io.StringIO()

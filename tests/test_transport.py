@@ -588,7 +588,7 @@ def test_csv_writers_match_per_row_formatting(funk_ball, dim):
     assert buf.getvalue() == _per_row_csv(
         ["t"] + names + ["F"], res.ts, res.xs, res.vs,
         randers_value(nav, res.xs, res.vs))
-    path = sp.integrate_geodesic(lambda x, y: sp.randers_spray_values(nav, x, y),
+    path = sp.integrate_geodesic(sp.Spray(nav, "randers"),
                                  np.full(dim, 0.1), np.eye(dim)[0],
                                  time_span=0.2, dt=0.01)
     buf = io.StringIO()
