@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numkernel as nk
 from .classify import classification_report, torsion_vanishing_test
 from .connection import torsion
 from .errors import NavGeoError, NonFiniteState, UnknownScenario
@@ -81,6 +81,12 @@ _INLINE_FLAGS = {"--from": "from_point", "--dir": "direction", "--at": "at",
 
 
 def _load(args) -> Scenario:
+    if getattr(args, "dt", None) is not None:  # a usage error, before any work
+        try:
+            nk.uniform_steps(getattr(args, "time", 1.0), args.dt)
+        except ValueError as exc:
+            flags = "--time/--dt" if hasattr(args, "time") else "--dt"
+            args.usage_error(f"argument {flags}: {exc}")
     if args.builtin is not None:
         scenario = builtin(args.builtin)
     else:
@@ -300,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_scenario_flags(p)
         p.add_argument("--out", metavar="PATH",
                        help="write output here instead of standard output")
+        p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("validate", help="check positivity and the wind "
                        "bound on a domain sample")

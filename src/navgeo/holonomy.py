@@ -144,12 +144,14 @@ def correspondence_inverse(nav: NavigationData, base, action: Callable,
 
         H V = hol(V) + F(V) (hol(W) - W) / (1 - F(W)),
 
-    where action maps a batch of vectors to their transported images."""
+    where action maps a batch of vectors to their transported images; a
+    zero wind at the base is not transported, as hol(0) = 0."""
     base = np.asarray(base, dtype=float)
     v, fw = _wind_gap(nav, base)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     f = v.norm(vectors)
-    shift = (np.asarray(action(v.W[None, :]))[0] - v.W) / (1.0 - fw)
+    shift = ((np.asarray(action(v.W[None, :]))[0] - v.W) / (1.0 - fw)
+             if np.any(v.W) else np.zeros_like(v.W))
     return np.asarray(action(vectors)) + f[:, None] * shift[None, :]
 
 

@@ -9,20 +9,19 @@ is hidden inside field evaluations. The one stencil here,
 
 One RK4 tableau integrates everything, on batches advanced in lockstep (a
 single item is a batch of one). `rk4` is the one loop over steps:
-geodesics, wind flows, the natural transport ODE and the trajectories of
-the metric transport. Its step is one source text, the tableau `_STAGES`
-and `_UPDATE`, rendered here over (B, m) arrays and by `stages`, inline
-in the generated float runners of the geodesic equations and of the
-tabled transport stages. A batch of at most SCALAR_ROWS rows that comes
-with a float run runs on such a runner, because at that size NumPy calls,
-not arithmetic, set the cost; every other batch runs on NumPy, a
-geodesic batch on the same stage lines rendered over NumPy columns. A
-float run that fails is dropped and the whole batch runs again on NumPy,
-so results and errors on failure are the NumPy path's. A linear system
-whose matrices are tabled before the loop starts (the metric transport)
-also has `rk4_propagators`: the step maps of the same tableau, built at
-once and multiplied out into the transport matrix, which gives endpoints
-without stepping.
+geodesics, wind flows and the natural transport ODE. Its step is one
+source text, the tableau `_STAGES` and `_UPDATE`, rendered here over
+(B, m) arrays and by `stages`, inline in the generated float runners of
+the geodesic equations and of the natural transport ODE. A batch of at
+most SCALAR_ROWS rows that comes with a float run runs on such a runner,
+because at that size NumPy calls, not arithmetic, set the cost; every
+other batch runs on NumPy, a geodesic batch on the same stage lines
+rendered over NumPy columns. A float run that fails is dropped and the
+whole batch runs again on NumPy, so results and errors on failure are the
+NumPy path's. A linear system whose matrices are tabled before the loop
+starts (the metric transport) needs no loop: `rk4_propagators` builds
+the step maps of the same tableau at once and multiplies them out into
+the propagator to every step.
 """
 from __future__ import annotations
 
@@ -36,11 +35,19 @@ from .errors import NonFiniteState
 # ---------------------------------------------------------------------------
 # integration and rank
 
+# The most steps an integration takes, far above the largest run of the
+# tests, tools and benchmark requests (3,000): a step far too small fails.
+MAX_STEPS = 10 ** 5
+
+
 def uniform_steps(span: float, dt: float) -> tuple[int, float]:
-    """Number of steps of about dt that cover span, and the step
-    span / steps that lands exactly on its end."""
+    """Number of steps of about dt that cover span, at most MAX_STEPS (else
+    ValueError), and the step span / steps that lands exactly on its end."""
     if not (span > 0 and dt > 0):
         raise ValueError("span and step must be positive")
+    if not span / dt <= MAX_STEPS + 0.5:
+        raise ValueError(f"span {span:g} at step {dt:g} takes more than "
+                         f"MAX_STEPS = {MAX_STEPS} steps")
     steps = max(1, int(round(span / dt)))
     return steps, span / steps
 
@@ -189,19 +196,20 @@ def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:
 
 
 def rk4_propagators(k: np.ndarray, dt: float) -> np.ndarray:
-    """The propagators (U, m, m) of the linear systems dv/dt = k[u, s] v,
-    k (U, 2N + 1, m, m) tabled at half steps: the ordered products
-    P_N-1 ... P_0 of their step maps, neighbours multiplied pairwise (about
-    log2(N) batched products), so column i is what `rk4` makes of basis
-    vector i, up to round-off. Overflow gives non-finite entries, with no
-    warning; the caller checks them."""
+    """The propagators (U, N, m, m) of the linear systems dv/dt = k[u, s] v,
+    k (U, 2N + 1, m, m) tabled at half steps: entry j is the product
+    P_j ... P_0 of their step maps, so its column i is what `rk4` makes of
+    basis vector i in j + 1 steps, up to round-off. An inclusive scan
+    (Blelloch, Prefix sums and their applications, 1990), about log2(N)
+    batched products. Overflow gives non-finite entries, with no warning;
+    the caller checks them."""
     with np.errstate(over="ignore", invalid="ignore"):
         maps = _step_maps(k, dt)
-        while maps.shape[-3] > 1:
-            even = maps.shape[-3] // 2 * 2
-            paired = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
-            maps = np.concatenate([paired, maps[..., even:, :, :]], axis=-3)
-    return maps[..., 0, :, :]
+        span = 1
+        while span < maps.shape[1]:
+            maps[:, span:] = maps[:, span:] @ maps[:, :-span]
+            span *= 2
+    return maps
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:

@@ -21,13 +21,11 @@ program afresh at every stage: the jet lines and the navigation norm
 F = (sqrt(a^2 + lam b) - a) / lam, then the metric spray A y y / 2 plus
 the spray's wind term, grouped as in `sprays`; a row halts where it
 leaves the chart. `geodesic_numpy` renders the same lines over NumPy
-columns: the sprays of `sprays`, and the path of larger batches. The two
-transport stages read the stage rows of one curve's table, each unpacked
-once per step for all the rows on that curve (runner `table_run`): the
-metric transport's K v with K = -A(cdot) (`linear_stage_lines`), and the
-natural transport ODE (`natural_stage_lines`), which builds its table
-product on the linear stage's lines; their NumPy stages, like the grid
-kernels, are written by hand. `float_run` adapts a runner to `rk4`.
+columns: the sprays of `sprays`, and the path of larger batches. The
+natural transport ODE (`natural_stage_lines`, runner `table_run`) reads
+the stage rows of one curve's table, unpacked once per step for all the
+rows on that curve; its NumPy stage, like the grid kernels, is written
+by hand. `float_run` adapts a runner to `rk4`.
 
 Float code fails where NumPy code gives inf or NaN: math.log and math.sqrt
 raise ValueError outside their domains, a division by zero raises
@@ -388,9 +386,9 @@ def geodesic_numpy(program: exprlang.Program, kind: str):
 
 
 def linear_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
-    """K v as lines of builder b, K held row by row in the references p of
-    a stage row, v the references of the state; its len(p) // len(v)
-    references. The metric transport's stage: K = -A(cdot) (n, n)."""
+    """T v as lines of builder b, T held row by row in the references p,
+    v the references of the state; its len(p) // len(v) references. The
+    table product of `natural_stage_lines`."""
     n = len(v)
     return [_total(b, (b.mul(p[r * n + c], v[c]) for c in range(n)))
             for r in range(len(p) // n)]
@@ -401,20 +399,13 @@ def natural_stage_lines(b: exprlang._Builder, p: list, v: list) -> list:
     `transport._natural_stage` as lines of builder b, from the references
     p of one stage row and v of the state; returns its n references. A
     stage row holds the table [-A(cdot); Q; hW^T] (2n + 1, n) row by row,
-    then M cdot and lam, at one half step; `linear_stage_lines` forms the
-    table's product with v."""
+    then M cdot and lam, at one half step: (2n + 1) n + n + 1 entries."""
     n = len(v)
     rows = 2 * n + 1
     t = linear_stage_lines(b, p[:rows * n], v)
     q = _total(b, (b.mul(v[i], t[n + i]) for i in range(n)))
     f = b.div(b.sub(_sqrt(b, q), t[-1]), p[-1])
     return [b.add(t[k], b.mul(f, p[rows * n + k])) for k in range(n)]
-
-
-def stage_width(n: int, stage) -> int:
-    """Entries of one stage row of `stage` (`linear_stage_lines` or
-    `natural_stage_lines`) in dimension n."""
-    return n * n if stage is linear_stage_lines else (2 * n + 1) * n + n + 1
 
 
 def _tableau(b: exprlang._Builder, text: str, i: int, slots: dict):
@@ -498,13 +489,13 @@ def geodesic_run(program: exprlang.Program, kind: str):
                    functools.partial(geodesic_stage_lines, program, kind))
 
 
-@functools.lru_cache(maxsize=8)
-def table_run(n: int, stage):
-    """The runner (`_runner`) of the ODE whose right-hand side is the
-    tabled stage `stage` (`linear_stage_lines` or `natural_stage_lines`)
-    in dimension n, on one curve's table of stage rows; its rows never
-    halt. Memoized on (n, stage); the first call builds the code."""
-    return _runner(n, stage, stage_width(n, stage))
+@functools.lru_cache(maxsize=4)
+def table_run(n: int):
+    """The runner (`_runner`) of the natural transport ODE
+    (`natural_stage_lines`) in dimension n, on one curve's table of stage
+    rows; its rows never halt. Memoized on n; the first call builds the
+    code."""
+    return _runner(n, natural_stage_lines, (2 * n + 1) * n + n + 1)
 
 
 def float_run(runner, key: tuple, tables=(None,), rows=None, inside=None):

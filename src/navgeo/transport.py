@@ -3,28 +3,25 @@
 Curves are maps of [0, 1] into the chart. Transport runs classical RK4 at
 the fixed step 1 / round(1 / dt); all per-point field quantities along a
 curve are evaluated before stepping, once per distinct curve object in a
-batch, and each (curve, vector) row reads its curve's tables by index at
-every stage, so probes sent around one loop share one field table and no
-table is copied per probe. Every trajectory runs `numkernel.rk4` on a
-tabled stage (`_run_tabled`): the metric transport's -A(cdot) v, and the
-natural ODE's one stacked contraction of the stage table
-[-A(cdot); Q; hW^T] plus the scalar norm formula. A batch of at most
-`numkernel.SCALAR_ROWS` rows (one transport, the probes of a small
-holonomy loop), where NumPy's per-call cost would dominate, runs on the
-generated float runner of its stage (`stages.table_run`) through
-`stages.float_run`, one call per curve for all the rows on it in
-lockstep: it reads the curve's stage rows as raw floats straight from the
-one contiguous table the NumPy stages read. The metric transport's
-endpoints need no trajectory: they are the transport matrix of each curve
-(`numkernel.rk4_propagators`) applied to the start vectors, and the
-transport matrix is the endpoint transport of the basis vectors. That is
-what makes the acceptance sweeps (hundreds of transports at dt = 1e-3)
-affordable.
+batch, and each (curve, vector) row reads its curve's tables by index, so
+probes sent around one loop share one field table, never copied per probe.
+
+The metric transport dv/dt = -A(cdot) v is linear and tabled before the
+loop, so its RK4 solution is a product of step matrices: every state, at
+any batch size, is a propagator of `numkernel.rk4_propagators` applied to
+a start vector, and the last propagator is the transport matrix. The
+natural ODE runs `numkernel.rk4` on one stacked contraction of its stage
+table [-A(cdot); Q; hW^T] plus the scalar norm formula; a batch of at
+most `numkernel.SCALAR_ROWS` rows runs on the generated float runner of
+that stage (`stages.table_run`), one call per curve for all its rows in
+lockstep, reading the curve's stage rows as raw floats from the one
+contiguous table the NumPy stage reads.
 
 The natural transport comes in two interchangeable flavors:
 
-  definitional  shift by the wind at the start, transport linearly, shift
-                back at the end, scale by the starting norm;
+  definitional  shift by the wind at the start, transport linearly (the
+                metric transport's propagators), shift back at the end,
+                scale by the starting norm;
   ode           integrate dv^k/dt + Gamma^k_i(c, v) cdot^i = 0 directly.
 
 They agree to integrator accuracy; keeping both honest and separate is the
@@ -170,39 +167,28 @@ def _result(mode: str, pos: np.ndarray, v: np.ndarray,
     return res
 
 
-def _run_tabled(stage, numpy_stage: Callable, flat: np.ndarray,
-                rows: np.ndarray, v0: np.ndarray,
-                keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(v, trajectory or None) of `numkernel.rk4` over [0, 1] on the stage
-    rows flat (U, 2N + 1, width), a C-contiguous table of the half-step
-    samples of the distinct curves, batch row b on curve rows[b]: the
-    tabled stage `stage` of `stages` on floats, numpy_stage(p, v) on NumPy
-    with the batch's stage rows p (B, width)."""
-    steps = (flat.shape[1] - 1) // 2
-    by_step = np.moveaxis(flat, 1, 0)  # a stage takes rows of one slice
-    return nk.rk4(lambda s, v: numpy_stage(by_step[s].take(rows, 0), v), v0,
-                  steps, 1.0 / steps, keep, float_run=stages.float_run(
-                      stages.table_run, (v0.shape[1], stage), flat, rows))[:2]
-
-
 def _run_linear(k: np.ndarray, rows: np.ndarray, v0: np.ndarray,
                 keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The metric transport dv/dt = k v on the tables k (U, 2N + 1, n, n)
-    of `_linear_rhs_tables`, as `_run_tabled` runs it. An endpoint is the
-    transport matrix of its curve applied to its start vector; when one is
-    not finite, the batch runs through `_run_tabled`, which names the row
-    and the step."""
-    u, samples, n = k.shape[:3]
+    """(v, trajectory or None) of the metric transport dv/dt = k v over
+    [0, 1] on the tables k (U, 2N + 1, n, n) of `_linear_rhs_tables`,
+    batch row b on curve rows[b]: each curve's propagators, to every step
+    when keep, applied once to the start vectors of all its rows. When a
+    state is not finite, the batch runs through `numkernel.rk4` on NumPy
+    instead, which names the row and the step."""
+    steps = (k.shape[1] - 1) // 2
+    prop = nk.rk4_propagators(k, 1.0 / steps)
     if not keep:
-        prop = nk.rk4_propagators(k, 1.0 / ((samples - 1) // 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = np.matmul(prop[rows], v0[:, :, None])[:, :, 0]
-        if np.isfinite(v).all():
-            return v, None
-    return _run_tabled(
-        stages.linear_stage_lines,
-        lambda p, v: np.matmul(p.reshape(-1, n, n), v[:, :, None])[:, :, 0],
-        np.ascontiguousarray(k.reshape(u, samples, n * n)), rows, v0, keep)
+        prop = prop[:, -1:]
+    states = np.empty((len(v0), prop.shape[1] + 1, v0.shape[1]))
+    states[:, 0] = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, p in enumerate(prop):
+            on = rows == u
+            states[on, 1:] = np.matmul(p, v0[on, None, :, None])[..., 0]
+    if np.isfinite(states).all():
+        return states[:, -1], states if keep else None
+    return nk.rk4(lambda s, v: np.matmul(k[rows, s], v[:, :, None])[:, :, 0],
+                  v0, steps, 1.0 / steps, keep)[:2]
 
 
 def _riemann(metric: MetricField, curves: Sequence[AnalyticCurve], v0s,
@@ -271,20 +257,25 @@ def _natural_stage(tab: np.ndarray, aux: np.ndarray,
 def _run_natural(tab: np.ndarray, aux: np.ndarray, rows: np.ndarray,
                  v0: np.ndarray,
                  keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The connection ODE dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on
-    the stage tables (`_natural_tables`) of the half-step samples of the
-    distinct curves, whose jet is freed by then; batch row b runs on curve
-    rows[b], taking its curve's tables at every stage. The tables are
-    joined into one contiguous (U, 2N + 1, row) array, which the NumPy
-    stages read through views and the float runner reads as raw floats."""
+    """(v, trajectory or None) of `numkernel.rk4` for the connection ODE
+    dv/dt = -A(cdot, v) + F(v) M cdot over [0, 1] on the stage tables
+    (`_natural_tables`, the jet freed by then) of the distinct curves,
+    batch row b on curve rows[b], joined into one contiguous (U, 2N + 1,
+    row) array that the NumPy stage reads through views and the float
+    runner (`stages.table_run`) as raw floats."""
     u, samples, n = tab.shape[0], tab.shape[1], v0.shape[1]
     flat = np.concatenate([tab.reshape(u, samples, -1), aux], axis=-1)
     del tab, aux
-    return _run_tabled(
-        stages.natural_stage_lines,
-        lambda p, v: _natural_stage(p[:, :-n - 1].reshape(-1, 2 * n + 1, n),
-                                    p[:, -n - 1:], v),
-        flat, rows, v0, keep)
+    by_step = np.moveaxis(flat, 1, 0)  # a stage takes rows of one slice
+
+    def stage(s, v):
+        p = by_step[s].take(rows, 0)
+        return _natural_stage(p[:, :-n - 1].reshape(-1, 2 * n + 1, n),
+                              p[:, -n - 1:], v)
+    steps = (samples - 1) // 2
+    return nk.rk4(stage, v0, steps, 1.0 / steps, keep,
+                  float_run=stages.float_run(stages.table_run, (n,), flat,
+                                             rows))[:2]
 
 
 def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,

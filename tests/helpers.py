@@ -18,9 +18,10 @@ the np.linalg.norm / np.all row rule, are the reference for the
 coordinate-major lattice of navgeo.geometry.Chart.sample_interior. The
 per-row float loop, each row on its own through one RK4 step rendered
 per component from numkernel's tableau text, is the bit-for-bit
-reference for the lockstep runners of navgeo.stages: it steps each
-tabled transport stage (the metric transport's and the natural ODE's) as
-a closure per row against navgeo.stages.table_run, and the one-stage
+reference for the lockstep runners of navgeo.stages: it steps the
+natural ODE's tabled stage as a closure per row against
+navgeo.stages.table_run (and the metric transport's K v, within
+round-off, against its propagators), and the one-stage
 float spray of navgeo.stages.geodesic_stage_lines (also the float spray
 the einsum sprays check) against navgeo.stages.geodesic_run.
 
@@ -226,13 +227,13 @@ def geodesic_rows_oracle(spray, v0, steps, dt, keep, inside=None):
         np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
 
 
-def table_stage_rows(n, stage):
+def table_stage_rows(n, stage, width):
     """make(tab) -> rhs(s, v): the tabled stage `stage` of navgeo.stages
-    (linear_stage_lines or natural_stage_lines) in dimension n as a
-    closure over one curve's stage table tab (2N + 1, row), unpacking
-    stage row s of it on every call."""
+    (natural_stage_lines, or linear_stage_lines for the metric transport's
+    K v) in dimension n as a closure over one curve's stage table tab
+    (2N + 1, width), unpacking stage row s of it on every call."""
     b = xl._Builder(n)
-    p = [f"p{i}" for i in range(stages.stage_width(n, stage))]
+    p = [f"p{i}" for i in range(width)]
     v = [f"v{i}" for i in range(n)]
     out = stage(b, p, v)
     lines = ([(None, f"{', '.join(p)}, = unpack(tab, s * {8 * len(p)})", ()),
@@ -245,10 +246,10 @@ def table_stage_rows(n, stage):
 
 def table_rows_oracle(stage, flat, rows, v0, keep):
     """(v, trajectory or None, stop) of the ODE of the tabled stage `stage`
-    on the stage rows flat (U, 2N + 1, row) of `transport._run_tabled`,
+    on the stage rows flat (U, 2N + 1, width) of one table per curve,
     batch row b on curve rows[b], each row on its own through the per-row
     stage closure and `float_step`; None at a non-finite state."""
-    make = table_stage_rows(v0.shape[1], stage)
+    make = table_stage_rows(v0.shape[1], stage, flat.shape[-1])
     steps = (flat.shape[1] - 1) // 2
     dt = 1.0 / steps
     return float_rows([make(flat[c]) for c in rows])(

@@ -5,6 +5,8 @@ next to their tolerances. Every criterion prints its line before asserting,
 so a failing run still reports the whole scoreboard.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,15 @@ from navgeo import transport as tr
 from navgeo.errors import InconsistentVerdicts
 from navgeo.geometry import (MetricField, NavigationData, VectorField,
                              indicatrix_points, randers_value, validate)
-from navgeo.scenarios import builtin, builtin_names
+from navgeo.scenarios import builtin, builtin_names, load_scenario
 from navgeo.transport import AnalyticCurve, natural_transport_many
 
 from helpers import (random_curve, random_loop, random_vectors,
                      torsion_from_duals)
+
+# the 3D and 4D scenarios of the benchmark, read only
+BENCH_SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "bench"
+                          / "scenarios").glob("*.json"))
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -100,12 +106,15 @@ def test_criterion_03_norm_preservation_with_4th_order(scenarios):
 
 
 def test_criterion_04_transport_two_routes(scenarios):
+    # 50 curves on each 2D built-in, 20 on each 3D and 4D benchmark file
     worst, at = 0.0, ""
-    for name in builtin_names():
-        nav = scenarios[name].nav
+    runs = [(name, scenarios[name].nav, 50) for name in builtin_names()]
+    runs += [(path.stem, load_scenario(str(path)).nav, 20)
+             for path in BENCH_SCENARIOS]
+    for name, nav, count in runs:
         rng = np.random.default_rng(101)
-        curves = [random_curve(nav.chart, rng) for _ in range(50)]
-        v0s = random_vectors(rng, 50, 2)
+        curves = [random_curve(nav.chart, rng) for _ in range(count)]
+        v0s = random_vectors(rng, count, nav.dim)
         vd = natural_transport_many(nav, curves, v0s, method="definitional")
         vo = natural_transport_many(nav, curves, v0s, method="ode")
         d = np.abs(vd - vo).max()

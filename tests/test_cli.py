@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from navgeo import cli
+from navgeo.numkernel import MAX_STEPS
 from navgeo.errors import NotPositiveDefinite
 
 
@@ -401,6 +402,27 @@ def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     assert res.returncode == code, res.stderr
     assert says in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# just past the bound, so that a run the check missed samples a few MB
+PAST_MAX_STEPS = repr(0.9 / MAX_STEPS)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (TRANSPORT + ("--dt", PAST_MAX_STEPS), "--dt"),
+    (("holonomy", "--builtin", "sphere_cap", "--dt", PAST_MAX_STEPS), "--dt"),
+    (("geodesic", "--builtin", "funk_ball", "--from", "0,0", "--dir", "1,0",
+      "--time", "1e300", "--dt", "1e-300"), "--time/--dt"),
+])
+def test_more_than_max_steps_is_a_usage_error(tmp_path, argv, flags):
+    # refused before any work: exit 2 naming the flags, nothing on stdout
+    # or in --out
+    out = tmp_path / "out"
+    res = run_cli(*argv, "--out", str(out))
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    assert f"argument {flags}: " in res.stderr and "MAX_STEPS" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_overflowing_norm_fails_before_any_row():

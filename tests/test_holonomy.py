@@ -121,18 +121,20 @@ def test_correspondence_inverse_recovers_matrix_action(sphere_cap):
 
 def test_correspondence_inverse_from_ode_transport(sphere_cap):
     # going through the actual nonlinear transport (no matrix in sight)
-    # still reproduces the linear action
+    # still reproduces the linear action, also from the origin, where the
+    # wind -x vanishes and is not transported
     nav = sphere_cap.nav
-    loop = circle(0.3)
-    base = loop.point(0.0)
-    mat = ho.riemann_holonomy_matrix(nav, loop)
     vectors = np.array([[0.8, 0.1], [-0.3, 0.7], [1.0, 1.0]])
+    for loop in (circle(0.3), circle(0.2, center=(-0.2, 0.0))):
+        base = loop.point(0.0)
+        mat = ho.riemann_holonomy_matrix(nav, loop)
 
-    def action(vs):
-        return natural_transport_many(nav, [loop] * len(vs), vs, method="ode")
+        def action(vs):
+            return natural_transport_many(nav, [loop] * len(vs), vs,
+                                          method="ode")
 
-    rec = ho.correspondence_inverse(nav, base, action, vectors)
-    assert np.abs(rec - vectors @ mat.T).max() < 1e-6
+        rec = ho.correspondence_inverse(nav, base, action, vectors)
+        assert np.abs(rec - vectors @ mat.T).max() < 1e-6
 
 
 def test_holonomy_composition_multiplies_matrices(sphere_cap):

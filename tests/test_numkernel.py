@@ -122,6 +122,12 @@ class TestRk4:
         with pytest.raises(ValueError):
             nk.rk4(lambda s, v: v, np.ones((1, 1)), 1, 0.0)
 
+    def test_step_count_is_bounded(self):
+        assert nk.uniform_steps(1.0, 1.0 / nk.MAX_STEPS)[0] == nk.MAX_STEPS
+        for span, dt in ((1.0, 0.9 / nk.MAX_STEPS), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="MAX_STEPS"):
+                nk.uniform_steps(span, dt)
+
     def test_row_leaving_the_predicate_freezes(self):
         # v' = 1 from 0 and 0.5 while v < 1.25: the second row stops at
         # index 7 (v = 1.2) and the first runs on to 1.0, on NumPy and on
@@ -182,55 +188,54 @@ def _rk4_on_tables(k, v0, rows, keep):
 
 class TestRk4Linear:
     """Linear systems tabled before the loop, as the metric transport runs
-    them (`transport._run_linear`): an endpoint from the product of the
-    RK4 step maps, a trajectory from `rk4`."""
-    # rows 0 and 2 share curve 0, row 1 runs alone on curve 1
-    ROWS = np.array([0, 1, 0])
+    them (`transport._run_linear`): every state from the propagators of
+    the RK4 step maps, against `rk4` stepping the same tables on NumPy."""
+    # row -> curve maps that share curves out of order
+    ROWS = np.array([2, 0, 2, 1, 0])
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("keep", [False, True])
     def test_step_maps_match_rk4(self, m, keep):
-        # the endpoint route (step maps) and the trajectory route (rk4 on
-        # floats) agree within round-off, and the kept trajectory is the
-        # NumPy lockstep loop's
+        # endpoints and trajectories of batches of 1, SCALAR_ROWS and
+        # SCALAR_ROWS + 1 rows agree with rk4 within round-off
         rng = np.random.default_rng(m)
-        k = _smooth_tables(rng, 2, 150, m)
-        v0 = rng.normal(size=(3, m))
-        ends, none = tr._run_linear(k, self.ROWS, v0, False)
-        got, got_traj = tr._run_linear(k, self.ROWS, v0, True)
-        scale = np.abs(got).max()
-        assert none is None
-        assert np.abs(ends - got).max() <= 1e-13 * scale
-        if keep:
-            want, want_traj = _rk4_on_tables(k, v0, self.ROWS, keep)
-            assert got_traj.shape == want_traj.shape == (3, 151, m)
-            assert np.abs(got_traj - want_traj).max() <= 1e-13 * scale
-        else:
-            want = _rk4_on_tables(k, v0, self.ROWS, keep)[0]
-            assert np.abs(ends - want).max() <= 1e-13 * scale
+        k = _smooth_tables(rng, 3, 150, m)
+        for batch in (1, nk.SCALAR_ROWS, nk.SCALAR_ROWS + 1):
+            rows = np.resize(self.ROWS, batch)
+            v0 = rng.normal(size=(batch, m))
+            got, got_traj = tr._run_linear(k, rows, v0, keep)
+            want, want_traj = _rk4_on_tables(k, v0, rows, keep)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-13 * scale
+            if keep:
+                assert got_traj.shape == want_traj.shape == (batch, 151, m)
+                assert (np.abs(got_traj - want_traj).max()
+                        <= 1e-13 * np.abs(want_traj).max())
+            else:
+                assert got_traj is None
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_propagator_is_rk4_of_the_basis(self, m):
+        # entry j, column i: basis vector i after step j + 1
         rng = np.random.default_rng(10 + m)
         k = _smooth_tables(rng, 2, 101, m)
         prop = nk.rk4_propagators(k, 1.0 / 101)
+        assert prop.shape == (2, 101, m, m)
         for u in range(2):
-            cols = _rk4_on_tables(k, np.eye(m), np.full(m, u), False)[0].T
+            traj = _rk4_on_tables(k, np.eye(m), np.full(m, u), True)[1]
+            cols = traj[:, 1:].transpose(1, 2, 0)
             assert np.abs(prop[u] - cols).max() <= 1e-13 * np.abs(cols).max()
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_overflow_names_the_same_row_and_step(self, keep):
         # curve 1 blows up from half step 11 on, which step 6 reads first;
-        # its first row is row 1. Both routes first fail on floats, then
-        # raise the NumPy lockstep loop's error.
+        # its first row is row 1. Its propagators overflow, and the route
+        # raises the NumPy lockstep loop's error.
         k = _smooth_tables(np.random.default_rng(3), 2, 20, 2)
         k[1, 11:] *= 1e200
         v0 = np.array([[1.0, 0.5], [0.3, -1.0], [-0.7, 0.2]])
-        rows = self.ROWS[[0, 1, 1]]
-        on_floats = stages.float_run(
-            stages.table_run, (2, stages.linear_stage_lines),
-            np.ascontiguousarray(k.reshape(2, 41, 4)), rows)
-        assert on_floats(v0, 20, (0.025, 0.05, 0.05 / 6.0), keep) is None
+        rows = np.array([0, 1, 1])
+        assert not np.isfinite(nk.rk4_propagators(k, 0.05)[1]).all()
         with pytest.raises(NonFiniteState) as via_rk4:
             _rk4_on_tables(k, v0, rows, keep)
         with pytest.raises(NonFiniteState) as via_route:

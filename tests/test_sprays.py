@@ -475,7 +475,8 @@ def test_float_natural_ode_reruns_on_numpy_after_a_halt():
     def run(aux, on_floats):
         flat = np.ascontiguousarray(np.concatenate(
             [tab.reshape(2, 2 * steps + 1, -1), aux], axis=-1))
-        make = table_stage_rows(n, stages.natural_stage_lines)
+        make = table_stage_rows(n, stages.natural_stage_lines,
+                                flat.shape[-1])
         return nk.rk4(lambda s, v: tr._natural_stage(tab[:, s], aux[:, s], v),
                       v0, steps, 1.0 / steps, keep=True,
                       inside=lambda v: v[:, 1] < 0.9,

@@ -325,8 +325,9 @@ def test_natural_stage_is_the_connection_ode(name):
     want = -np.einsum("pki,pi->pk", cn.jet_gamma(jet, v), vel)
     assert np.abs(dv - want).max() <= 1e-13 * np.abs(want).max()
     # its float code, on the flat stage rows that small batches read
-    rhs = table_stage_rows(nav.dim, stages.natural_stage_lines)(
-        np.concatenate([tab.reshape(len(tab), -1), aux], axis=1))
+    flat = np.concatenate([tab.reshape(len(tab), -1), aux], axis=1)
+    rhs = table_stage_rows(nav.dim, stages.natural_stage_lines,
+                           flat.shape[-1])(flat)
     got = np.array([rhs(p, tuple(vp)) for p, vp in enumerate(v.tolist())])
     assert np.abs(got - dv).max() <= 1e-13 * np.abs(dv).max()
 
@@ -377,8 +378,7 @@ def _stage_rows(nav, curves, dt):
 def _on_floats(flat, rows, v0, keep):
     steps = (flat.shape[1] - 1) // 2
     dt = 1.0 / steps
-    run = stages.float_run(stages.table_run,
-                           (v0.shape[1], stages.natural_stage_lines), flat,
+    run = stages.float_run(stages.table_run, (v0.shape[1],), flat,
                            np.asarray(rows))
     return run(v0, steps, (0.5 * dt, dt, dt / 6.0), keep)
 
@@ -420,35 +420,25 @@ def test_natural_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("batch", [1, nk.SCALAR_ROWS])
 @pytest.mark.parametrize("keep", [False, True])
-def test_linear_runner_is_the_per_row_stages(dim, batch, keep, monkeypatch):
-    # the metric transport's float runner: bit for bit the per-row float
-    # stages, and within round-off the NumPy lockstep loop and the
-    # transport matrices' endpoints
+def test_linear_runner_is_the_per_row_stages(dim, batch, keep):
+    # the metric transport's linear run (the propagators of `_run_linear`)
+    # on the tables of scenario curves: within round-off, each row stepped
+    # on its own through the per-row float stages of K v
     nav = RUNNER_NAVS[dim]()
     rng = np.random.default_rng(10 * dim + batch)
     curves = [random_curve(nav.chart, rng) for _ in range(3)]
     pos, vel, _ = tr._sample_tables(curves, tr._steps_from_dt(0.02), nav.chart)
     k = tr._linear_rhs_tables(christoffel(nav.metric, pos), vel)
-    flat = k.reshape(3, 101, dim * dim)
     rows = np.resize(RUNNER_ROWS[20], batch)
     v0 = random_vectors(rng, batch, dim)
-    got = stages.float_run(stages.table_run, (dim, stages.linear_stage_lines),
-                           flat, rows)(v0, 50, (0.01, 0.02, 0.02 / 6.0), keep)
-    want = table_rows_oracle(stages.linear_stage_lines, flat, rows, v0, keep)
-    assert (got[1] is None) == (want[1] is None) == (not keep)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-    v, traj = tr._run_linear(k, rows, v0, True)
-    np.testing.assert_array_equal(v, got[0])
+    want = table_rows_oracle(stages.linear_stage_lines,
+                             np.ascontiguousarray(k.reshape(3, 101, -1)),
+                             rows, v0, keep)
+    v, traj = tr._run_linear(k, rows, v0, keep)
+    assert (traj is None) == (want[1] is None) == (not keep)
+    assert np.abs(v - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
     if keep:
-        np.testing.assert_array_equal(traj, got[1])
-    scale = np.abs(got[0]).max()
-    assert np.abs(tr._run_linear(k, rows, v0, False)[0] - v).max() <= 1e-13 * scale
-    monkeypatch.setattr(nk, "SCALAR_ROWS", 0)  # the NumPy path
-    v, traj = tr._run_linear(k, rows, v0, True)
-    assert np.abs(v - got[0]).max() <= 1e-13 * scale
-    if keep:
-        assert np.abs(traj - got[1]).max() <= 1e-13 * np.abs(got[1]).max()
+        assert np.abs(traj - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
