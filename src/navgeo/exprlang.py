@@ -6,18 +6,18 @@ single-argument functions sin cos exp log sqrt tanh, and parentheses.
 
 A stack of expressions in the same coordinates (a metric's upper triangle
 plus a wind, say, or a curve's components) is compiled once into a
-`Program`: straight-line NumPy code, one line per distinct subtree, with
-constant subtrees folded and forward-mode derivative lines that skip
-partials which are structurally zero. The gradient program begins with
-the value program, so values and gradients see the same numbers. A sweep
-writes values (and gradients) straight into stacked arrays, then makes
-one domain check (log, sqrt) and one finiteness check; only a failed check
-goes back for the first bad expression and point. Programs come from a
-bounded memo keyed on the expressions, and a single expression is a stack
-of one. `stages` renders builder lines over NumPy arrays too
-(`numpy_function`, with the domain tests of `domain_tests`) and on Python
-floats (`float_function`), whose `math` functions raise where NumPy gives
-inf or NaN.
+`Program`: one straight-line NumPy function, one line per distinct
+subtree, with constant subtrees folded, then forward-mode derivative
+lines that skip partials which are structurally zero. Every sweep runs
+that one function, so values and gradients see the same numbers; a sweep
+for values alone drops the gradients. It writes values and gradients
+straight into stacked arrays, then makes one domain check (log, sqrt) and
+one finiteness check; only a failed check goes back for the first bad
+expression and point. Programs come from a bounded memo keyed on the
+expressions, and a single expression is a stack of one. `stages` renders
+builder lines over NumPy arrays too (`numpy_function`, with the domain
+tests of `domain_tests`) and on Python floats (`float_function`), whose
+`math` functions raise where NumPy gives inf or NaN.
 """
 from __future__ import annotations
 
@@ -119,12 +119,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # parser
 
+# The deepest tree, and the deepest nesting of parentheses, calls, unary
+# minus and exponents, that the parser accepts: the tree walks that follow
+# (hashing, compiling, differentiating) recurse once or twice per level,
+# and the parser five times per nesting level, so this keeps every one of
+# them far from Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, var_names: tuple[str, ...]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = {name: i for i, name in enumerate(var_names)}
+        self.level = 0
+        # id(node) -> the depth of its tree, leaves 1; a tree is never
+        # deeper than its text has tokens, so a short text keeps none
+        self.heights = {} if len(self.tokens) > MAX_DEPTH else None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -140,6 +152,30 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    def nested(self, off: int, parse):
+        """parse() one nesting level down, refused at offset off past
+        MAX_DEPTH levels."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", off)
+        node = parse()
+        self.level -= 1
+        return node
+
+    def node(self, off: int, kind, *args) -> Node:
+        """kind(*args), refused at offset off when its tree would be deeper
+        than MAX_DEPTH."""
+        if self.heights is None:
+            return kind(*args)
+        height = 1 + max(self.heights.get(id(a), 1) for a in args)
+        if height > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression tree deeper than {MAX_DEPTH} levels", off)
+        node = kind(*args)
+        self.heights[id(node)] = height
+        return node
+
     def parse(self) -> Node:
         node = self.sum_()
         tok = self.peek()
@@ -150,29 +186,30 @@ class _Parser:
     def sum_(self) -> Node:
         node = self.product()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Binary(op, node, self.product())
+            op, _, off = self.advance()
+            node = self.node(off, Binary, op, node, self.product())
         return node
 
     def product(self) -> Node:
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Binary(op, node, self.unary())
+            op, _, off = self.advance()
+            node = self.node(off, Binary, op, node, self.unary())
         return node
 
     def unary(self) -> Node:
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
+            off = self.advance()[2]
+            return self.node(off, Neg, self.nested(off, self.unary))
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            off = self.advance()[2]
             # right-associative; exponent may carry its own unary minus
-            return Binary("^", base, self.unary())
+            return self.node(off, Binary, "^", base,
+                             self.nested(off, self.unary))
         return base
 
     def atom(self) -> Node:
@@ -181,7 +218,7 @@ class _Parser:
         if kind == "num":
             return Num(float(text))
         if kind == "(":
-            node = self.sum_()
+            node = self.nested(off, self.sum_)
             self.expect(")")
             return node
         if kind == "ident":
@@ -191,11 +228,11 @@ class _Parser:
                 self.advance()
                 if self.peek()[0] == ")":
                     raise ArityError(f"function {text!r} takes exactly one argument", off)
-                arg = self.sum_()
+                arg = self.nested(off, self.sum_)
                 if self.peek()[0] == ",":
                     raise ArityError(f"function {text!r} takes exactly one argument", self.peek()[2])
                 self.expect(")")
-                return Call(text, arg)
+                return self.node(off, Call, text, arg)
             if text in self.vars:
                 return Var(self.vars[text])
             if text in CONSTANTS:
@@ -550,14 +587,15 @@ def domain_tests(exprs: tuple, b: _Builder) -> tuple[list, list, str]:
 
 
 class Program:
-    """A stack of expressions in the same coordinates compiled into two
-    straight-line NumPy functions (Griewank & Walther, Evaluating
-    Derivatives, ch. 6: source transformation):
+    """A stack of expressions in the same coordinates compiled into one
+    straight-line NumPy function (Griewank & Walther, Evaluating
+    Derivatives, ch. 6: source transformation, whose value sweep is the
+    prefix of its tangent sweep):
 
-      values(x, val)           val[..., j] of every expression;
-      gradients(x, val, grad)  the same value lines, then grad[..., j, i].
+      gradients(x, val, grad)  the value lines, the gradient lines, then
+                               val[..., j] and grad[..., j, i].
 
-    Each writes its results into the stacked arrays and returns None, or,
+    It writes its results into the stacked arrays and returns None, or,
     when a log or sqrt argument left its domain somewhere (`domain_tests`),
     those arguments, from which the DomainError of the first bad
     expression is rebuilt. One finiteness check follows. `source` is the
@@ -580,26 +618,23 @@ class Program:
                    for j, ds in enumerate(grads) for k, d in enumerate(ds)
                    if d is not None]
         self._zeros = len(gwrites) < len(exprs) * n
-        self._values = numpy_function("values", "x, val",
-                                      b.lines + writes + tail)
         self._gradients = numpy_function("gradients", "x, val, grad", b.lines
                                          + b.dlines + writes + gwrites + tail)
-        self.source = self._values.source + self._gradients.source
+        self.source = self._gradients.source
 
     def sweep(self, x: np.ndarray, dual: bool):
         """Values val[..., j] at x (..., n), and with dual=True gradients
-        grad[..., j, i] (else None), after the domain and finiteness
-        checks: an out-of-domain argument raises DomainError after the
-        finiteness check of the expressions before its own, so the first
-        bad expression is the one named, as in evaluation order."""
+        grad[..., j, i] (else None, and only the values checked finite),
+        after the domain and finiteness checks: an out-of-domain argument
+        raises DomainError after the finiteness check of the expressions
+        before its own, so the first bad expression is the one named, as in
+        evaluation order."""
         lead, k = x.shape[:-1], len(self.exprs)
-        val, grad = np.empty(lead + (k,)), None
+        val = np.empty(lead + (k,))
+        grad = (np.zeros if self._zeros else np.empty)(lead + (k, self.n))
         with np.errstate(all="ignore"):
-            if dual:
-                grad = (np.zeros if self._zeros else np.empty)(lead + (k, self.n))
-                args = self._gradients(x, val, grad)
-            else:
-                args = self._values(x, val)
+            args = self._gradients(x, val, grad)
+        grad = grad if dual else None
         if args is not None:
             for j, e in enumerate(self.exprs):
                 for fn, i in self._checks[j]:
@@ -643,8 +678,7 @@ def evaluate_dual(e, x) -> tuple:
     """Value and gradient [..., i] = d/dx^i at a point (n,) or a batch of
     points (..., n); for a stack of k expressions, values (..., k) and
     gradients (..., k, i) from one sweep. The values are those `evaluate`
-    gives, bit for bit: the gradient program begins with the value
-    program.
+    gives, bit for bit: both run the stack's one program.
     """
     val, grad = compile_stack(e).sweep(np.asarray(x, dtype=float), dual=True)
     if not isinstance(e, Expression):

@@ -32,6 +32,16 @@ from .errors import GradientAtZero, NavGeoError, NonFiniteState
 # chart domains
 
 
+def _require_finite_extent(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Refuse a bounding box lo..hi whose squared diagonal is not finite (a
+    bound that is not finite makes it inf or NaN), so that no squared
+    distance within it overflows (in `Chart.contains`, say)."""
+    sides = [h - l for l, h in zip(lo.tolist(), hi.tolist())]
+    if not math.isfinite(sum(s * s for s in sides)):
+        raise ValueError(f"domain needs finite bounds and a finite squared "
+                         f"extent, got {lo}..{hi}")
+
+
 @dataclass(frozen=True)
 class Box:
     lo: np.ndarray
@@ -40,6 +50,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        _require_finite_extent(self.lo, self.hi)
         if np.any(self.hi <= self.lo):
             raise ValueError("box needs lo < hi componentwise")
 
@@ -51,6 +62,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        _require_finite_extent(self.center - self.radius,
+                               self.center + self.radius)
         if self.radius <= 0:
             raise ValueError("ball needs a positive radius")
 
@@ -123,7 +136,9 @@ class Chart:
         points of a Kronecker sequence over the bounding box that lie in
         the (shrunk) domain, as a (count, n) view of a coordinate-major
         array. The sequence is drawn in blocks, each sized by the share of
-        candidates kept so far. A block is built coordinate by coordinate,
+        candidates kept so far, and NavGeoError ends a draw that reaches
+        SAMPLE_BUDGET candidates per point (at least 64 points) short of
+        `count` points. A block is built coordinate by coordinate,
         each coordinate one contiguous row of k * alpha_i + 0.5 reduced
         mod 1 and mapped onto [lo_i, hi_i): the operations of the former
         point-major (N, n) blocks, now the test oracle, in the same order,
@@ -132,7 +147,15 @@ class Chart:
         alpha = _kronecker_alphas(self.dim)[:, None]
         span, lo = (hi - lo)[:, None], lo[:, None]
         kept, have, k, block = [np.empty((self.dim, 0))], 0, 0, max(count, 64)
+        budget = SAMPLE_BUDGET * block
         while have < count:
+            if k == budget:
+                box = "..".join(map(str, self.bounding_box()))
+                raise NavGeoError(
+                    f"{k} candidates gave {have} of {count} points inside the "
+                    f"{type(self.domain).__name__.lower()} chart within {box}"
+                    f" at margin {margin}")
+            block = min(block, budget - k)
             u = alpha * np.arange(k, k + block, dtype=float)
             u += 0.5
             u -= np.floor(u)  # the fractional part, as np.mod(u, 1) for u > 0
@@ -169,6 +192,12 @@ class Chart:
                 f"a grid with per_axis={per_axis} (--per-axis) has no point in the "
                 f"{type(self.domain).__name__.lower()} chart within {lo}..{hi}")
         return inside
+
+
+# The most candidates `Chart.sample_interior` draws per point it returns: a
+# domain (shrunk by its margin) that holds less than 1% of its bounding box
+# is refused rather than sampled without bound.
+SAMPLE_BUDGET = 100
 
 
 def _kronecker_alphas(d: int) -> np.ndarray:

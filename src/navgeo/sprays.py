@@ -164,8 +164,9 @@ def jet_spray_connection(jet: FieldJet, y) -> np.ndarray:
 
         N^k_j = A^k_js y^s - F M^k_j / 2 - (M y)^k F_{y^j} / 2,
 
-    as Gamma depends on y only linearly and through F. Raises
-    GradientAtZero at y = 0, where N, 0-homogeneous in y, has no value."""
+    as Gamma depends on y only linearly and through F. N is
+    1-homogeneous in y: A y, F M and (M y) F_y each have degree 1. Raises
+    GradientAtZero at y = 0, where F_y has no value."""
     y = np.asarray(y, dtype=float)
     f, fy = jet.norm_and_grad(y)
     my = np.einsum("...ki,...i->...k", jet.M, y)

@@ -1,8 +1,9 @@
 """Parallel transport along curves: linear (metric) and natural (nonlinear).
 
-Curves are maps of [0, 1] into the chart. Transport runs classical RK4 at
-the fixed step 1 / round(1 / dt); all per-point field quantities along a
-curve are evaluated before stepping, once per distinct curve object in a
+Curves are maps of [0, 1] into the chart, one compiled expression stack
+each, whose samples and velocities come from one sweep. Transport runs
+classical RK4 at the fixed step 1 / round(1 / dt); all per-point field
+quantities along a curve are evaluated before stepping, once per distinct curve object in a
 batch, and each (curve, vector) row reads its curve's tables by index, so
 probes sent around one loop share one field table, never copied per probe.
 
@@ -21,7 +22,8 @@ The natural transport comes in two interchangeable flavors:
 
   definitional  shift by the wind at the start, transport linearly (the
                 metric transport's propagators), shift back at the end,
-                scale by the starting norm;
+                scale by the starting norm, the winds and that norm read
+                from one `geometry.field_values` call;
   ode           integrate dv^k/dt + Gamma^k_i(c, v) cdot^i = 0 directly.
 
 They agree to integrator accuracy; keeping both honest and separate is the
@@ -38,8 +40,9 @@ import numpy as np
 from . import exprlang as xl
 from . import numkernel as nk, stages
 from .errors import CurveLeftDomain, DegenerateNorm, NonFiniteState, ZeroVector
-from .geometry import (Chart, FieldJet, MetricField, NavigationData,
-                       christoffel, fiber_csv, field_jet, randers_value)
+from .geometry import (Chart, FieldJet, FieldValues, MetricField,
+                       NavigationData, christoffel, fiber_csv, field_jet,
+                       field_values)
 
 
 # ---------------------------------------------------------------------------
@@ -68,26 +71,8 @@ class AnalyticCurve:
                                      np.asarray(t, dtype=float)[..., None])
         return val, grad[..., 0]
 
-    def reversed(self) -> "AnalyticCurve":
-        flipped = [xl.Expression(_reverse_param(c.root), c.var_names)
-                   for c in self.components]
-        return AnalyticCurve(flipped)
-
     def is_closed(self) -> bool:
         return bool(np.linalg.norm(self.point(0.0) - self.point(1.0)) <= 1e-12)
-
-
-def _reverse_param(node):
-    """Substitute t -> 1 - t in an AST."""
-    if isinstance(node, xl.Var):
-        return xl.Binary("-", xl.Num(1.0), xl.Var(node.index))
-    if isinstance(node, xl.Num):
-        return node
-    if isinstance(node, xl.Neg):
-        return xl.Neg(_reverse_param(node.arg))
-    if isinstance(node, xl.Binary):
-        return xl.Binary(node.op, _reverse_param(node.lhs), _reverse_param(node.rhs))
-    return xl.Call(node.fn, _reverse_param(node.arg))
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +267,16 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
                       rows: np.ndarray, v0: np.ndarray,
                       keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Scale to the unit sphere, shift by the wind at the start, transport
-    linearly, shift back by the wind at the end, scale back."""
-    f0 = randers_value(nav, pos[rows, 0], v0)
+    linearly, shift back by the wind at the end, scale back; the winds and
+    the start norm from one `field_values` call at the samples kept."""
+    at = field_values(nav, pos[:, ::2] if keep else pos[:, [0, -1]])
+    f0 = FieldValues(at.h[rows, 0], at.W[rows, 0], at.hW[rows, 0],
+                     at.lam[rows, 0]).norm(v0)
     bad = np.flatnonzero(~np.isfinite(f0))
     if bad.size:
         raise NonFiniteState(f"navigation norm of start vector row {bad[0]} "
                              f"{v0[bad[0]].tolist()} is not finite")
-    winds = nav.wind.value(pos[:, ::2] if keep else pos[:, [0, -1]])[rows]
+    winds = at.W[rows]
     k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
     u1, utraj = _run_linear(k, rows, v0 / f0[:, None] - winds[:, 0], keep)
     traj = f0[:, None, None] * (utraj + winds) if keep else None

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from navgeo import cli
+from navgeo import cli, exprlang
 from navgeo.numkernel import MAX_STEPS
 from navgeo.errors import NotPositiveDefinite
 
@@ -351,6 +351,12 @@ BAD_FILES = {
     "metric5.json": json.dumps(dict(_TOY, metric=5)),
     "sample_y.json": json.dumps(dict(_TOY, experiments={
         "samples": [{"x": [0.1, 0.2], "y": ["a", 0]}]})),
+    # expressions deep enough to exhaust the recursion of an unbounded
+    # parser (nesting) or compiler (a 600-term chain)
+    "metric600.json": json.dumps(dict(_TOY, metric=[
+        ["+".join(["1"] + ["0*x1"] * 599), "0"], ["1"]])),
+    "nested250.json": json.dumps(dict(_TOY, metric=[
+        ["(" * 250 + "1" + ")" * 250, "0"], ["1"]])),
 }
 TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
              "--vector", "0,1")
@@ -394,6 +400,20 @@ TRANSPORT = ("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0",
     (("rank", "--builtin", "zero_wind", "--depth", "4"), 2, "--depth"),
     (("transport", "--builtin", "funk_ball", "--curve", "0.5*t,0", "--vector",
       "1e160,0", "--dt", "0.5"), 1, "NonFiniteState"),
+    (("transport", "--builtin", "funk_ball",
+      "--curve=0.1*" + "(" * 200 + "t" + ")" * 200 + ",0", "--vector=1,0"), 2,
+     "argument --curve: expression nested deeper than 100 levels (at offset "
+     "104)"),
+    (("transport", "--builtin", "funk_ball",
+      "--curve=0.0001*(" + "+".join(["t"] * 490) + "),0", "--vector=1,0"), 2,
+     "argument --curve: expression tree deeper than 100 levels (at offset "
+     "207)"),
+    (("validate", "--scenario", "{tmp}/metric600.json"), 1,
+     "ScenarioParseError: bad expression at metric[0][0]: expression tree "
+     "deeper than 100 levels"),
+    (("validate", "--scenario", "{tmp}/nested250.json"), 1,
+     "ScenarioParseError: bad expression at metric[0][0]: expression nested "
+     "deeper than 100 levels (at offset 100)"),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     for name, text in BAD_FILES.items():
@@ -402,6 +422,59 @@ def test_bad_input_exits_with_documented_code(tmp_path, argv, code, says):
     assert res.returncode == code, res.stderr
     assert says in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_experiment_curves_and_loops_are_picked_by_index(tmp_path):
+    # without --curve or --loop a request runs the scenario's experiment
+    # curve or loop number --index (default 0), as if it were given inline
+    curves = [["0.5*t", "0"], ["0", "0.5*t"]]
+    loops = [["0.3*cos(2*pi*t)-0.3", "0.3*sin(2*pi*t)"],
+             ["0.2*cos(2*pi*t)-0.2", "0.2*sin(2*pi*t)"]]
+    path = tmp_path / "experiments.json"
+    path.write_text(json.dumps(dict(_TOY, experiments={"curves": curves,
+                                                       "loops": loops})))
+    for command, flag, pool in (("transport", "--curve", curves),
+                                ("holonomy", "--loop", loops)):
+        argv = (command, "--scenario", str(path), "--dt", "0.01")
+        if command == "transport":
+            argv += ("--vector", "1,0")
+        for index, components in enumerate(pool):
+            picked = run_cli(*argv, *(("--index", str(index)) if index else ()))
+            assert picked.returncode == 0, picked.stderr
+            inline = run_cli(*argv, flag, ",".join(components))
+            assert picked.stdout == inline.stdout
+        res = run_cli(*argv, "--index", "2")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert (f"scenario has 2 experiment {flag[2:]}s, index 2 is out of "
+                "range") in res.stderr
+    for argv, flag in ((TRANSPORT[:3] + ("--vector", "1,0"), "--curve"),
+                       (("holonomy", "--builtin", "sphere_cap"), "--loop")):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert f"; pass {flag} inline" in res.stderr
+
+
+def test_a_warm_curve_request_compiles_one_function(monkeypatch):
+    # once a scenario's code is generated, a transport or holonomy request
+    # on a new curve compiles the curve's stack alone: one function, whose
+    # values and velocities come from the same sweep
+    transport = ("transport", "--builtin", "sphere_cap", "--vector", "1,0")
+    holonomy = ("holonomy", "--builtin", "sphere_cap", "--probes", "4")
+    for argv in (transport + ("--curve", "0.1*t,0.05"),
+                 holonomy + ("--loop", "0.1*cos(2*pi*t)-0.1,0.1*sin(2*pi*t)")):
+        assert run_cli(*argv).returncode == 0
+    defined, define = [], exprlang._define
+
+    def spy(source, name, namespace):
+        defined.append(name)
+        return define(source, name, namespace)
+    monkeypatch.setattr(exprlang, "_define", spy)
+    for argv in (transport + ("--curve", "0.1234567*t,0.0765432*t"),
+                 holonomy + ("--loop", "0.1234567*cos(2*pi*t)-0.1234567,"
+                             "0.0765432*sin(2*pi*t)")):
+        defined.clear()
+        assert run_cli(*argv).returncode == 0
+        assert defined == ["gradients"]
 
 
 # just past the bound, so that a run the check missed samples a few MB

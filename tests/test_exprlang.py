@@ -126,6 +126,40 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError):
             xl.parse("x1 2", 1)
 
+    def test_unexpected_character(self):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=r"unexpected character '\$'") as ei:
+            xl.parse("x1 $ 2", 1)
+        assert ei.value.offset == 3
+
+    def test_missing_closing_parenthesis(self):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=r"expected '\)', found 'end of input'") as ei:
+            xl.parse("sin(x1", 1)
+        assert ei.value.offset == 6
+
+    @pytest.mark.parametrize("deep, offset", [
+        # deep(k) is k levels deep; the offset is where deep(MAX_DEPTH + 1)
+        # crosses the bound. Nesting: parentheses, calls, unary minus and
+        # exponents
+        (lambda k: "(" * k + "x1" + ")" * k, xl.MAX_DEPTH),
+        (lambda k: "sin(" * (k - 1) + "x1" + ")" * (k - 1), 0),
+        (lambda k: "-" * (k - 1) + "x1", 0),
+        (lambda k: "1.1^" * (k - 1) + "x1", 3),
+        # operator chains, whose trees are as deep as they are long
+        (lambda k: " + ".join(["x1"] * k), 5 * xl.MAX_DEPTH - 2),
+        (lambda k: " / ".join(["x1"] * k), 5 * xl.MAX_DEPTH - 2),
+    ])
+    def test_depth_bound(self, deep, offset):
+        # at the bound an expression parses, compiles and evaluates; one
+        # level past it, the parser refuses it where the bound is crossed
+        x = np.array([0.5])
+        val, grad = xl.evaluate_dual(xl.parse(deep(xl.MAX_DEPTH), 1), x)
+        assert np.isfinite(val) and np.isfinite(grad).all()
+        with pytest.raises(ExpressionSyntaxError, match="deeper than") as ei:
+            xl.parse(deep(xl.MAX_DEPTH + 1), 1)
+        assert ei.value.offset == offset
+
     @staticmethod
     def assert_witness(error, text, bad_point):
         """Both walks name the source and the one bad point of a batch,

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,65 @@ def test_ball_contains_and_bounds():
     assert not chart.contains([0.7, 0.7])
     lo, hi = chart.bounding_box()
     assert np.allclose(lo, [-0.9, -0.9]) and np.allclose(hi, [0.9, 0.9])
+
+
+# Each case in a child process whose address space is capped at 1 GiB:
+# unbounded sampling fails there with a MemoryError instead of exhausting
+# the host. A scenario with a domain whose squared extent is not finite
+# (JSON takes NaN and Infinity) is refused by validate; a library call
+# whose shrunk domain holds no candidate runs out of its sample budget.
+_UNBOUNDED = r"""
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from navgeo import cli, geometry as ge
+toy = {"schema": 1, "name": "toy", "dim": 2, "metric": [["1", "0"], ["1"]],
+       "wind": ["0.1", "0"]}
+results = []
+for domain in json.loads(sys.argv[2]):
+    with open(sys.argv[1], "w") as f:
+        f.write(json.dumps(dict(toy, domain=domain)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        results.append([cli.main(["validate", "--scenario", sys.argv[1]]),
+                        err.getvalue()])
+try:
+    ge.Chart(2, ge.Ball(np.zeros(2), 1.0)).sample_interior(10_000, margin=1.0)
+except Exception as exc:
+    results.append([type(exc).__name__, str(exc)])
+print(json.dumps(results))
+"""
+
+
+def test_unbounded_domains_are_refused_within_a_memory_cap(tmp_path):
+    domains = [{"kind": "ball", "center": [0, 0], "radius": float("nan")},
+               {"kind": "ball", "center": [0, 0], "radius": 1e300},
+               {"kind": "box", "lo": [-1e308, 0], "hi": [1e308, 1]},
+               {"kind": "box", "lo": [0, 0], "hi": [float("inf"), 1]}]
+    env = {**os.environ, "PYTHONPATH": str(Path(ge.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", _UNBOUNDED,
+                          str(tmp_path / "s.json"), json.dumps(domains)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    *validated, sampled = json.loads(res.stdout)
+    for code, stderr in validated:
+        assert code == 1
+        assert stderr.startswith("navgeo: ScenarioParseError: bad domain: "
+                                 "domain needs finite bounds"), stderr
+    assert sampled == ["NavGeoError", "1000000 candidates gave 0 of 10000 "
+                       "points inside the ball chart within [-1. -1.]..[1. "
+                       "1.] at margin 1.0"]
+
+
+def test_domains_need_finite_extents():
+    for bad in (lambda: ge.Ball(np.zeros(3), np.inf),
+                lambda: ge.Ball(np.array([0.0, np.nan]), 1.0),
+                lambda: ge.Ball(np.zeros(2), 2e154),  # (2 r)^2 overflows
+                lambda: ge.Box(np.zeros(2), np.array([1.0, np.nan]))):
+        with pytest.raises(ValueError, match="finite squared extent"):
+            bad()
+    ge.Ball(np.zeros(2), 1e150)  # (2 r)^2 n stays finite
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

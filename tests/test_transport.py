@@ -1,6 +1,8 @@
 """Parallel transport: the linear metric route and the wind-aware one."""
 
 import io
+import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navgeo import connection as cn
+from navgeo import connection as cn, geometry as ge
 from navgeo import holonomy as ho
 from navgeo import numkernel as nk
 from navgeo import sprays as sp
@@ -44,15 +46,6 @@ def test_analytic_curve_point_velocity():
     np.testing.assert_array_equal(c.point_and_velocity(ts)[0], c.point(ts))
     assert not c.is_closed()
     assert AnalyticCurve.from_strings(["cos(2*pi*t)", "sin(2*pi*t)"]).is_closed()
-
-
-def test_analytic_curve_reversed():
-    c = AnalyticCurve.from_strings(["t^2", "1 - t"])
-    r = c.reversed()
-    for t in (0.0, 0.25, 0.8, 1.0):
-        assert np.allclose(r.point(t), c.point(1.0 - t))
-    assert np.allclose(r.point_and_velocity(0.3)[1],
-                       -c.point_and_velocity(0.7)[1])
 
 
 def test_curve_leaving_chart_is_rejected(funk_ball):
@@ -198,13 +191,43 @@ def test_natural_transport_additivity_fails_by_wind_defect(funk_ball):
     assert np.abs(defect).max() > 0.1
 
 
+def test_definitional_route_reads_one_field_values_call(sphere_cap):
+    # the winds and the start norm come from one field_values call per
+    # batch: the wind's own sweep and randers_value are never called
+    nav = sphere_cap.nav
+    rng = np.random.default_rng(8)
+    curves = [random_curve(nav.chart, rng) for _ in range(2)]
+    watched = {f.__code__: f.__name__ for f in (
+        ge.VectorField.value, ge.randers_value, ge.field_values)}
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            called.append(watched[frame.f_code])
+    runs = (lambda: tr.natural_transport(nav, curves[0], [0.9, 0.3],
+                                         keep_trajectory=True),
+            lambda: tr.natural_transport_many(nav, curves * 2,
+                                              random_vectors(rng, 4, 2)))
+    for run in runs:
+        called.clear()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        assert called == ["field_values"]
+
+
 def test_natural_transport_reversal_roundtrip(sphere_cap):
     nav = sphere_cap.nav
     rng = np.random.default_rng(5)
     c = random_curve(nav.chart, rng)
     v0 = np.array([0.9, 0.3])
     fwd = tr.natural_transport(nav, c, v0, method="definitional").v_end
-    back = tr.natural_transport(nav, c.reversed(), fwd, method="definitional").v_end
+    # the same curve run backwards: t -> 1 - t in every component
+    rev = AnalyticCurve.from_strings([re.sub(r"\bt\b", "(1-t)", e.source)
+                                      for e in c.components])
+    back = tr.natural_transport(nav, rev, fwd, method="definitional").v_end
     assert np.allclose(back, v0, atol=1e-8)
 
 
