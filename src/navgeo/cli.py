@@ -28,10 +28,25 @@ from .exprlang import split_components
 from .geometry import TangentSample, indicatrix_points, validate
 from .holonomy import (distribution_rank_survey, holonomy_distribution_rank,
                        loop_holonomy, riemann_holonomy_matrix)
-from .scenarios import Scenario, builtin, builtin_names, load_scenario
+from .scenarios import (BUILTINS, Scenario, builtin, builtin_names,
+                        load_scenario)
 from .sprays import Spray, compare_sprays, geodesic_csv, integrate_geodesic
 from .transport import (AnalyticCurve, natural_transport, riemann_transport,
                         trajectory_csv)
+
+
+# Bounds of the size flags, each far above the largest request of the
+# tests, tools, README and benchmark (--points 10^4, --samples 20, --probes
+# 24, --dirs 16, grids of at most 20^3 = 8,000 points): as
+# numkernel.MAX_STEPS bounds steps, a request far too large is a usage
+# error before any array is built. A grid counts per_axis^dim points, and
+# for compare-sprays that times --dirs fibers.
+MAX_POINTS = 10 ** 6
+MAX_SAMPLES = 1000
+MAX_PROBES = 1000
+MAX_DIRS = 250
+MAX_GRID_POINTS = 10 ** 5
+MAX_GRID_FIBERS = 2 * 10 ** 6
 
 
 def _number(kind, low, high=sys.float_info.max):
@@ -91,6 +106,18 @@ def _load(args) -> Scenario:
         scenario = builtin(args.builtin)
     else:
         scenario = load_scenario(args.scenario)
+    if hasattr(args, "per_axis"):
+        per_axis = args.per_axis or scenario.nav.chart.default_per_axis
+        points = per_axis ** scenario.dim
+        dirs = getattr(args, "dirs", 1)
+        if points > MAX_GRID_POINTS:
+            args.usage_error(f"argument --per-axis: {per_axis}^{scenario.dim}"
+                             f" = {points} grid points exceed "
+                             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+        if points * dirs > MAX_GRID_FIBERS:
+            args.usage_error(f"argument --per-axis/--dirs: {points} grid "
+                             f"points x {dirs} directions exceed "
+                             f"MAX_GRID_FIBERS = {MAX_GRID_FIBERS}")
     for flag, attr in _INLINE_FLAGS.items():
         value = getattr(args, attr, None)
         size = getattr(value, "dim", None) or np.size(value)
@@ -274,10 +301,8 @@ def _cmd_compare_sprays(args) -> int:
 
 
 def _cmd_list_scenarios(args) -> int:
-    rows = []
-    for name in builtin_names():
-        rows.append({"name": name, "note": builtin(name).note})
-    _emit_json(args, {"scenarios": rows})
+    _emit_json(args, {"scenarios": [{"name": name, "note": BUILTINS[name]["_note"]}
+                                    for name in builtin_names()]})
     return 0
 
 
@@ -311,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check positivity and the wind "
                        "bound on a domain sample")
     common(p)
-    p.add_argument("--points", type=_number(int, 0), default=10_000,
+    p.add_argument("--points", type=_number(int, 0, MAX_POINTS), default=10_000,
                    help="number of interior sample points (default 10000)")
     p.set_defaults(fn=_cmd_validate)
 
@@ -371,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment loop index when --loop is omitted")
     p.add_argument("--mode", choices=("natural", "riemann"),
                    default="natural")
-    p.add_argument("--probes", type=_number(int, 0), default=24)
+    p.add_argument("--probes", type=_number(int, 0, MAX_PROBES), default=24)
     p.add_argument("--dt", type=_number(float, 0, 1), default=1e-3,
                    help="parameter step in (0, 1] (default 1e-3)")
     p.set_defaults(fn=_cmd_holonomy)
@@ -391,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_number(int, 0, 3), default=3,
                    help="bracket depth, 1 to 3 (default 3); deeper brackets "
                         "are finite-difference round-off")
-    p.add_argument("--samples", type=_number(int, 0), default=20,
+    p.add_argument("--samples", type=_number(int, 0, MAX_SAMPLES), default=20,
                    help="survey size when no --at given (default 20)")
     p.set_defaults(fn=_cmd_rank)
 
@@ -420,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="natural vs variational spray over a grid; JSON report")
     common(p)
     p.add_argument("--per-axis", type=_number(int, 0), help=per_axis_help)
-    p.add_argument("--dirs", type=_number(int, 0), default=16,
+    p.add_argument("--dirs", type=_number(int, 0, MAX_DIRS), default=16,
                    help="norm-unit fiber directions per point (default 16)")
     p.set_defaults(fn=_cmd_compare_sprays)
 

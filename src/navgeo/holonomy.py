@@ -249,8 +249,9 @@ def _rank_reports(nav: NavigationData, xs: np.ndarray, ys: np.ndarray,
     vectors = np.concatenate(_bracket_generations(
         nav, np.concatenate([xs, ys], axis=1), depth, BRACKET_STEP), axis=1)
     reports = [RankReport(at=TangentSample(x, y), generated_vectors=vec,
-                          rank=nk.numeric_rank(vec, RANK_TOL), depth=depth)
-               for x, y, vec in zip(xs, ys, vectors)]
+                          rank=int(rank), depth=depth)
+               for x, y, vec, rank in zip(xs, ys, vectors,
+                                          nk.numeric_rank(vectors, RANK_TOL))]
     for r in (r for r in reports if r.rank < n):
         sv = np.linalg.svd(r.generated_vectors, compute_uv=False)
         raise DegenerateWind(

@@ -19,9 +19,9 @@ other batch runs on NumPy, a geodesic batch on the same stage lines
 rendered over NumPy columns. A float run that fails is dropped and the
 whole batch runs again on NumPy, so results and errors on failure are the
 NumPy path's. A linear system whose matrices are tabled before the loop
-starts (the metric transport) needs no loop: `rk4_propagators` builds
-the step maps of the same tableau at once and multiplies them out into
-the propagator to every step.
+starts (the metric transport) needs no loop: `rk4_propagators` forms
+every step map at once as the tableau's own step applied to the identity,
+and multiplies them out into the propagator to every step.
 """
 from __future__ import annotations
 
@@ -96,6 +96,12 @@ def _render_step():
 _STEP = _render_step()
 
 
+def _sizes(dt: float) -> tuple:
+    """The step sizes (half, dt, sixth) = (dt / 2, dt, dt / 6) that `_STEP`
+    takes."""
+    return 0.5 * dt, dt, dt / 6.0
+
+
 def _advance(rhs: Callable, j: int, v: np.ndarray, live: np.ndarray,
              half: float, dt: float, sixth: float) -> np.ndarray:
     """Step j of the (B, m) batch v on NumPy; raises NonFiniteState naming
@@ -137,7 +143,7 @@ def rk4(rhs: Callable, v0, steps: int, dt: float, keep: bool = False,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    sizes = (0.5 * dt, dt, dt / 6.0)  # half, dt, sixth
+    sizes = _sizes(dt)
     v = np.array(v0, dtype=float)
     if float_run is not None and len(v) <= SCALAR_ROWS:
         try:
@@ -181,30 +187,19 @@ def float_result(states: list, runs: Optional[list], stop: list) -> tuple:
     return np.array(states), traj, np.array(stop)
 
 
-def _step_maps(k: np.ndarray, dt: float) -> np.ndarray:
-    """The RK4 steps of the linear system dv/dt = k[..., s, :, :] v, tabled
-    at half steps s = 0 .. 2N, as matrices (..., N, m, m): step j is
-    P_j = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = k[2j],
-    K2 = k[2j+1] (I + dt/2 K1), K3 = k[2j+1] (I + dt/2 K2) and
-    K4 = k[2j+2] (I + dt K3), the stages of `rk4` applied to the identity."""
-    eye = np.eye(k.shape[-1])
-    start, mid, end = k[..., 0:-1:2, :, :], k[..., 1::2, :, :], k[..., 2::2, :, :]
-    k2 = mid @ (eye + (0.5 * dt) * start)
-    k3 = mid @ (eye + (0.5 * dt) * k2)
-    k4 = end @ (eye + dt * k3)
-    return eye + (dt / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_propagators(k: np.ndarray, dt: float) -> np.ndarray:
     """The propagators (U, N, m, m) of the linear systems dv/dt = k[u, s] v,
     k (U, 2N + 1, m, m) tabled at half steps: entry j is the product
     P_j ... P_0 of their step maps, so its column i is what `rk4` makes of
     basis vector i in j + 1 steps, up to round-off. An inclusive scan
     (Blelloch, Prefix sums and their applications, 1990), about log2(N)
-    batched products. Overflow gives non-finite entries, with no warning;
-    the caller checks them."""
+    batched products. Step map j is `_STEP` applied to the identity, its
+    stages reading k at half steps 2j, 2j + 1 and 2j + 2. Overflow gives
+    non-finite entries, with no warning; the caller checks them."""
+    tables = k[..., 0:-1:2, :, :], k[..., 1::2, :, :], k[..., 2::2, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = _step_maps(k, dt)
+        maps = _STEP(lambda s, u: tables[s] @ u, 0, np.eye(k.shape[-1]),
+                     *_sizes(dt))
         span = 1
         while span < maps.shape[1]:
             maps[:, span:] = maps[:, span:] @ maps[:, :-span]
@@ -212,8 +207,10 @@ def rk4_propagators(k: np.ndarray, dt: float) -> np.ndarray:
     return maps
 
 
-def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) -> int:
-    """Numerical rank of a collection of vectors.
+def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray,
+                 tol: float = 1e-7) -> int | np.ndarray:
+    """Numerical rank of a collection of vectors (K, m), an int, or of each
+    collection in a stack (..., K, m), an int array, from one batched SVD.
 
     Singular values below tol * (largest singular value) count as zero.
     """
@@ -221,11 +218,11 @@ def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-7) 
     if a.ndim == 1:
         a = a[None, :]
     if a.size == 0:
-        return 0
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        svals = np.linalg.svd(a, compute_uv=False)
+        ranks = np.count_nonzero(svals > tol * svals[..., :1], axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def central_time_derivative(samples: np.ndarray, dt: float) -> np.ndarray:

@@ -48,7 +48,6 @@ class Scenario:
     curves: list = field(default_factory=list)
     loops: list = field(default_factory=list)
     samples: list = field(default_factory=list)
-    note: str = ""
 
     @property
     def dim(self) -> int:
@@ -254,80 +253,74 @@ def load_scenario(path: str, validate_nav: bool = True) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# built-in catalog
+# built-in catalog: schema-1 data per name, each with a one-line "_note"
+# that `list-scenarios` prints and the scenario parser ignores
 
-
-def _builtin_defs() -> dict:
-    ball9 = {"kind": "ball", "center": [0.0, 0.0], "radius": 0.9}
-    box1 = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
-    flat = [["1", "0"], ["1"]]
-    return {
-        "zero_wind": {
-            "schema": 1, "name": "zero_wind", "dim": 2, "domain": box1,
-            "metric": flat, "wind": ["0", "0"],
-            "_note": "no wind: every construction reduces to the metric one",
-        },
-        "constant_wind": {
-            "schema": 1, "name": "constant_wind", "dim": 2, "domain": box1,
-            "metric": flat, "wind": ["0.3", "0.1"],
-            "_note": "parallel wind on a flat box: transport stays metric "
-                     "and every special class verdict is true",
-        },
-        "funk_ball": {
-            "schema": 1, "name": "funk_ball", "dim": 2, "domain": ball9,
-            "metric": flat, "wind": ["-x1", "-x2"],
-            "_note": "radial inward wind on the Euclidean disk: the induced "
-                     "norm is the Funk metric; concircular with factor -1",
-        },
-        "rotation_disk": {
-            "schema": 1, "name": "rotation_disk", "dim": 2, "domain": ball9,
-            "metric": flat, "wind": ["-x2", "x1"],
-            "_note": "infinitesimal rotation; the wind stays short only on "
-                     "the open unit disk, so the chart is the 0.9 disk "
-                     "rather than the whole plane",
-        },
-        "sphere_cap": {
-            "schema": 1, "name": "sphere_cap", "dim": 2,
-            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.6},
-            "metric": [["4/(1+x1^2+x2^2)^2", "0"], ["4/(1+x1^2+x2^2)^2"]],
-            "wind": ["-x1", "-x2"],
-            "_note": "round-sphere chart (curvature 1) with a concircular "
-                     "radial wind: nontrivial metric holonomy for the "
-                     "correspondence tests",
-        },
-        "annulus_constant_length": {
-            "schema": 1, "name": "annulus_constant_length", "dim": 2,
-            "domain": {"kind": "box", "lo": [0.25, 0.25], "hi": [0.95, 0.95]},
-            "metric": flat,
-            "wind": ["-0.5*x2/sqrt(x1^2+x2^2)", "0.5*x1/sqrt(x1^2+x2^2)"],
-            "_note": "unit-direction swirl scaled to constant length 0.5 on "
-                     "a box away from the origin: the constant-length "
-                     "positive control",
-        },
-        "conformal_flat": {
-            "schema": 1, "name": "conformal_flat", "dim": 2, "domain": box1,
-            "metric": [["exp(2*x1)", "0"], ["exp(2*x1)"]],
-            "wind": ["0.3", "0"],
-            "_note": "conformally flat metric with a coordinate-constant "
-                     "wind: nonzero Christoffel symbols with closed-form "
-                     "transports for oracles",
-        },
-    }
+_BALL9 = {"kind": "ball", "center": [0.0, 0.0], "radius": 0.9}
+_BOX1 = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+_FLAT = [["1", "0"], ["1"]]
+BUILTINS = {
+    "zero_wind": {
+        "schema": 1, "name": "zero_wind", "dim": 2, "domain": _BOX1,
+        "metric": _FLAT, "wind": ["0", "0"],
+        "_note": "no wind: every construction reduces to the metric one",
+    },
+    "constant_wind": {
+        "schema": 1, "name": "constant_wind", "dim": 2, "domain": _BOX1,
+        "metric": _FLAT, "wind": ["0.3", "0.1"],
+        "_note": "parallel wind on a flat box: transport stays metric "
+                 "and every special class verdict is true",
+    },
+    "funk_ball": {
+        "schema": 1, "name": "funk_ball", "dim": 2, "domain": _BALL9,
+        "metric": _FLAT, "wind": ["-x1", "-x2"],
+        "_note": "radial inward wind on the Euclidean disk: the induced "
+                 "norm is the Funk metric; concircular with factor -1",
+    },
+    "rotation_disk": {
+        "schema": 1, "name": "rotation_disk", "dim": 2, "domain": _BALL9,
+        "metric": _FLAT, "wind": ["-x2", "x1"],
+        "_note": "infinitesimal rotation; the wind stays short only on "
+                 "the open unit disk, so the chart is the 0.9 disk "
+                 "rather than the whole plane",
+    },
+    "sphere_cap": {
+        "schema": 1, "name": "sphere_cap", "dim": 2,
+        "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.6},
+        "metric": [["4/(1+x1^2+x2^2)^2", "0"], ["4/(1+x1^2+x2^2)^2"]],
+        "wind": ["-x1", "-x2"],
+        "_note": "round-sphere chart (curvature 1) with a concircular "
+                 "radial wind: nontrivial metric holonomy for the "
+                 "correspondence tests",
+    },
+    "annulus_constant_length": {
+        "schema": 1, "name": "annulus_constant_length", "dim": 2,
+        "domain": {"kind": "box", "lo": [0.25, 0.25], "hi": [0.95, 0.95]},
+        "metric": _FLAT,
+        "wind": ["-0.5*x2/sqrt(x1^2+x2^2)", "0.5*x1/sqrt(x1^2+x2^2)"],
+        "_note": "unit-direction swirl scaled to constant length 0.5 on "
+                 "a box away from the origin: the constant-length "
+                 "positive control",
+    },
+    "conformal_flat": {
+        "schema": 1, "name": "conformal_flat", "dim": 2, "domain": _BOX1,
+        "metric": [["exp(2*x1)", "0"], ["exp(2*x1)"]],
+        "wind": ["0.3", "0"],
+        "_note": "conformally flat metric with a coordinate-constant "
+                 "wind: nonzero Christoffel symbols with closed-form "
+                 "transports for oracles",
+    },
+}
 
 
 def builtin_names() -> list:
-    return sorted(_builtin_defs().keys())
+    return sorted(BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
     """Catalog scenario by name; see builtin_names() for the choices."""
-    defs = _builtin_defs()
-    if name not in defs:
+    if name not in BUILTINS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: "
-            + ", ".join(sorted(defs)))
-    fields = dict(defs[name])
-    note = fields.pop("_note", "")
-    scenario = scenario_from_dict(fields)
-    scenario.note = note
-    return scenario
+            + ", ".join(builtin_names()))
+    return scenario_from_dict(BUILTINS[name])

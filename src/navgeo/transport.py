@@ -268,14 +268,18 @@ def _run_definitional(nav: NavigationData, pos: np.ndarray, vel: np.ndarray,
                       keep: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Scale to the unit sphere, shift by the wind at the start, transport
     linearly, shift back by the wind at the end, scale back; the winds and
-    the start norm from one `field_values` call at the samples kept."""
+    the start norm from one `field_values` call at the samples kept. A
+    start norm that is not finite, or that underflows to 0, is refused
+    before anything divides by it."""
     at = field_values(nav, pos[:, ::2] if keep else pos[:, [0, -1]])
     f0 = FieldValues(at.h[rows, 0], at.W[rows, 0], at.hW[rows, 0],
                      at.lam[rows, 0]).norm(v0)
-    bad = np.flatnonzero(~np.isfinite(f0))
-    if bad.size:
-        raise NonFiniteState(f"navigation norm of start vector row {bad[0]} "
-                             f"{v0[bad[0]].tolist()} is not finite")
+    for error, bad, what in ((NonFiniteState, ~np.isfinite(f0), "is not finite"),
+                             (ZeroVector, f0 == 0.0, "underflows to 0")):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise error(f"navigation norm of start vector row {row} "
+                        f"{v0[row].tolist()} {what}")
     winds = at.W[rows]
     k = _linear_rhs_tables(christoffel(nav.metric, pos), vel)
     u1, utraj = _run_linear(k, rows, v0 / f0[:, None] - winds[:, 0], keep)

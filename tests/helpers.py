@@ -23,7 +23,10 @@ natural ODE's tabled stage as a closure per row against
 navgeo.stages.table_run (and the metric transport's K v, within
 round-off, against its propagators), and the one-stage
 float spray of navgeo.stages.geodesic_stage_lines (also the float spray
-the einsum sprays check) against navgeo.stages.geodesic_run.
+the einsum sprays check) against navgeo.stages.geodesic_run. The RK4
+step maps written out by hand, and scanned, are the bit-for-bit reference
+for navgeo.numkernel.rk4_propagators, which applies the tableau's own
+step to the identity.
 
 Kept out of conftest.py so that `tests/` and `bench/tests/`, which each
 hold a conftest.py, can be collected in one pytest run.
@@ -254,6 +257,33 @@ def table_rows_oracle(stage, flat, rows, v0, keep):
     dt = 1.0 / steps
     return float_rows([make(flat[c]) for c in rows])(
         np.asarray(v0, dtype=float), steps, (0.5 * dt, dt, dt / 6.0), keep)
+
+
+def step_maps_oracle(k, dt):
+    """The RK4 step maps (..., N, m, m) of the linear systems
+    dv/dt = k[..., s, :, :] v tabled at half steps s = 0 .. 2N, written
+    out by hand: step j is P_j = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = k[2j], K2 = k[2j+1] (I + dt/2 K1), K3 = k[2j+1] (I + dt/2 K2) and
+    K4 = k[2j+2] (I + dt K3)."""
+    eye = np.eye(k.shape[-1])
+    start, mid, end = k[..., 0:-1:2, :, :], k[..., 1::2, :, :], k[..., 2::2, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = mid @ (eye + (0.5 * dt) * start)
+        k3 = mid @ (eye + (0.5 * dt) * k2)
+        k4 = end @ (eye + dt * k3)
+        return eye + (dt / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def propagators_oracle(k, dt):
+    """The inclusive scan of `step_maps_oracle` over the steps, in the
+    rounds of numkernel.rk4_propagators: entry j is P_j ... P_0."""
+    maps = step_maps_oracle(k, dt)
+    span = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while span < maps.shape[1]:
+            maps[:, span:] = maps[:, span:] @ maps[:, :-span]
+            span *= 2
+    return maps
 
 
 def symmetric_index(n):

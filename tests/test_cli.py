@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ import pytest
 from navgeo import cli, exprlang
 from navgeo.numkernel import MAX_STEPS
 from navgeo.errors import NotPositiveDefinite
+
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
 
 def run_module(*args, **kw):
@@ -496,6 +499,65 @@ def test_more_than_max_steps_is_a_usage_error(tmp_path, argv, flags):
     assert f"argument {flags}: " in res.stderr and "MAX_STEPS" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def _capped(limit=3 * 2 ** 29):
+    """preexec_fn: cap the child's address space (1.5 GB), so that a
+    request the bounds missed fails fast instead of filling the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return cap
+
+
+LOOP = "--loop=0.2*cos(2*pi*t),0.2*sin(2*pi*t)"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("classify", "--builtin", "funk_ball", "--per-axis", "100000"), "--per-axis"),
+    (("classify", "--scenario", str(BENCH_SCENARIOS / "rot_box_4d.json"),
+      "--per-axis", "100"), "--per-axis"),
+    (("validate", "--builtin", "funk_ball", "--points", "100000000"), "--points"),
+    (("holonomy", "--builtin", "funk_ball", LOOP, "--probes", "100000000"),
+     "--probes"),
+    (("compare-sprays", "--builtin", "funk_ball", "--dirs", "100000000"),
+     "--dirs"),
+    (("rank", "--builtin", "funk_ball", "--samples", "10000000"), "--samples"),
+    (("compare-sprays", "--builtin", "funk_ball", "--per-axis", "2000",
+      "--dirs", "100000"), "--dirs"),
+    (("compare-sprays", "--builtin", "funk_ball", "--per-axis", "300",
+      "--dirs", "100"), "--per-axis/--dirs"),
+])
+def test_oversized_request_is_a_usage_error(argv, flag):
+    # refused before any array is built: exit 2 naming the flag, in a
+    # child whose address space is capped
+    res = run_module(*argv, preexec_fn=_capped(), timeout=60)
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    assert f"argument {flag}: " in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--builtin", "rotation_disk", "--per-axis", "316"),
+    ("compare-sprays", "--builtin", "rotation_disk", "--per-axis", "316",
+     "--dirs", "20"),
+])
+def test_largest_grid_is_served(argv):
+    # 316^2 = 99,856 points, within MAX_GRID_POINTS, and 20 directions
+    # on them, within MAX_GRID_FIBERS
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+
+
+def test_underflowing_start_norm_names_the_row():
+    # a nonzero start vector whose norm underflows to 0 is refused before
+    # the definitional route divides by it: no warning, no traceback
+    res = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "navgeo.cli", "transport",
+         "--builtin", "funk_ball", "--curve=0.1*t,0", "--vector=1e-200,1e-200",
+         "--dt", "0.5"], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (1, ""), res.stderr
+    assert res.stderr == ("navgeo: ZeroVector: navigation norm of start vector "
+                          "row 0 [1e-200, 1e-200] underflows to 0\n")
 
 
 def test_overflowing_norm_fails_before_any_row():

@@ -250,6 +250,22 @@ def test_rank_survey_evaluates_one_bracket_tree(rotation_disk, monkeypatch):
         assert five == [5 * k for k in one]
 
 
+def test_rank_survey_makes_one_rank_call(rotation_disk, monkeypatch):
+    # the ranks of all samples come from one batched numeric_rank call,
+    # and each equals the rank of that sample's vectors on their own
+    calls = []
+    real = ho.nk.numeric_rank
+
+    def counting(vectors, tol):
+        calls.append(np.shape(vectors))
+        return real(vectors, tol)
+    monkeypatch.setattr(ho.nk, "numeric_rank", counting)
+    reps = ho.distribution_rank_survey(rotation_disk.nav, n_samples=5)
+    assert calls == [(5, 5, 4)]
+    for rep in reps:
+        assert rep.rank == real(rep.generated_vectors, ho.RANK_TOL)
+
+
 def test_stacked_bracket_tree_matches_the_closure_tree(rotation_disk):
     # one sweep per round does the per-node arithmetic at the per-node
     # points, so every generated vector agrees bit for bit

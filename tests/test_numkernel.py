@@ -259,6 +259,50 @@ class TestRk4Linear:
             tr.riemann_transport_matrix(nav.metric, curve, 1.0, nav.chart)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestPropagatorsFromTheTableau:
+    """rk4_propagators' step maps are the tableau's own step applied to
+    the identity: bit for bit the maps written out by hand (signs of zero
+    included), and so the same scan."""
+
+    @pytest.mark.parametrize("u, n, m", [(1, 1000, 2), (1, 1000, 3),
+                                         (3, 500, 4), (2, 40, 3), (1, 2, 2),
+                                         (2, 1, 4)])
+    def test_random_tables(self, u, n, m):
+        k = np.random.default_rng(100 * m + n).normal(size=(u, 2 * n + 1, m, m))
+        got = nk.rk4_propagators(k, 1.0 / n)
+        assert np.array_equal(_bits(got), _bits(hp.propagators_oracle(k, 1.0 / n)))
+
+    def test_negative_zero_table(self):
+        k = np.full((2, 41, 3, 3), -0.0)
+        got = nk.rk4_propagators(k, 0.05)
+        assert np.array_equal(_bits(got), _bits(hp.propagators_oracle(k, 0.05)))
+        assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
+
+    @pytest.mark.parametrize("blow", [1e300, np.inf])
+    def test_overflowing_table(self, blow):
+        k = np.random.default_rng(4).normal(size=(2, 41, 3, 3))
+        k[1, 11:] *= blow
+        got, want = nk.rk4_propagators(k, 0.05), hp.propagators_oracle(k, 0.05)
+        finite = np.isfinite(want)
+        assert not finite.all()
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(_bits(got[finite]), _bits(want[finite]))
+
+
+def _one_rank(a, tol):
+    """The rank of one matrix as numeric_rank counted it before it took
+    stacks."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(svals > tol * svals[0]))
+
+
 class TestNumericRank:
     def test_exact_ranks(self):
         vs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 1.0, 0, 0]])
@@ -270,6 +314,36 @@ class TestNumericRank:
         # 1e-3 / 1e6 = 1e-9 < 1e-7 relative: counts as rank 1
         assert nk.numeric_rank(vs, tol=1e-7) == 1
         assert nk.numeric_rank(vs, tol=1e-10) == 2
+
+    def test_degenerate_inputs(self):
+        assert nk.numeric_rank(np.array([0.0, 2.0, 0.0])) == 1
+        assert nk.numeric_rank(np.zeros(3)) == 0
+        assert nk.numeric_rank(np.zeros((4, 3))) == 0
+        assert nk.numeric_rank([]) == 0
+        assert nk.numeric_rank(np.zeros((0, 3))) == 0
+        assert type(nk.numeric_rank(np.eye(2))) is int
+
+    @pytest.mark.parametrize("k, m", [(3, 3), (7, 4), (2, 5), (14, 6)])
+    def test_stack_matches_each_matrix(self, k, m):
+        # full-rank, rank-deficient and all-zero matrices in one stack,
+        # against one SVD per matrix
+        rng = np.random.default_rng(k * m)
+        stack = rng.normal(size=(12, k, m))
+        for i, r in enumerate(range(min(k, m) + 1)):
+            stack[i] = rng.normal(size=(k, r)) @ rng.normal(size=(r, m))
+        stack[-1] = 0.0
+        stack[-2, :, 0] *= 1e-9
+        for tol in (1e-7, 1e-12):
+            got = nk.numeric_rank(stack, tol)
+            want = [_one_rank(a, tol) for a in stack]
+            assert got.shape == (12,)
+            assert got.tolist() == want
+            assert nk.numeric_rank(stack.reshape(3, 4, k, m), tol).tolist() == (
+                np.reshape(want, (3, 4)).tolist())
+
+    def test_empty_stacks(self):
+        assert nk.numeric_rank(np.zeros((0, 3, 2))).shape == (0,)
+        assert nk.numeric_rank(np.zeros((4, 0, 2))).tolist() == [0] * 4
 
 
 class TestCentralTimeDerivative:
